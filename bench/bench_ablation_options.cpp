@@ -20,13 +20,13 @@ int main(int argc, char** argv)
     const benchkit::Args args(argc, argv);
     if (args.handle_help("bench_ablation_options",
                          "  --only=S  run one section: direct | popcnt | leafvec |"
-                         " strides | batch (default all)"))
+                         " strides (default all)"))
         return 0;
     const auto lookups = args.lookups(std::size_t{1} << 22, std::size_t{1} << 25);
     const auto trials = args.trials();
     const auto only = args.get("only", "all");
     if (only != "all" && only != "direct" && only != "popcnt" && only != "leafvec" &&
-        only != "strides" && only != "batch") {
+        only != "strides") {
         std::fprintf(stderr, "bench_ablation_options: unknown --only '%s'\n", only.c_str());
         return 2;
     }
@@ -160,71 +160,6 @@ int main(int argc, char** argv)
             [&](std::uint32_t a) { return naive.lookup(Ipv4Addr{a}); });
         row("DIR-24-8-BASIC", s.dir24->memory_bytes(),
             [&](std::uint32_t a) { return s.dir24->lookup(Ipv4Addr{a}); });
-    }
-    }
-
-    if (want("batch")) {
-    std::printf("\nAblation 5: batched lookup (lockstep lanes + prefetch, Poptrie18)\n\n");
-    {
-        poptrie::Config cfg;
-        cfg.direct_bits = 18;
-        const poptrie::Poptrie4 pt{d.rib, cfg};
-        // Pre-materialized keys for both paths so only the lookup strategy
-        // differs.
-        std::vector<std::uint32_t> keys(lookups);
-        workload::Xorshift128 rng(1);
-        for (auto& k : keys) k = rng.next();
-        std::vector<rib::NextHop> out(keys.size());
-
-        const auto scalar = benchkit::measure_trace(
-            [&](std::uint32_t a) { return pt.lookup_raw<true>(a); }, keys, trials);
-        sink.add(scalar.checksum);
-        std::printf("  scalar:           %s Mlps\n",
-                    benchkit::fmt_mean_std(scalar.mlps_mean, scalar.mlps_std).c_str());
-        const auto batch_record = [&](std::string_view variant, unsigned lanes, double mlps,
-                                      double dispersion) {
-            json.begin_record();
-            json.field("bench", std::string_view{"ablation"});
-            json.field("section", std::string_view{"batch"});
-            json.field("variant", variant);
-            json.field("lanes", std::uint64_t{lanes});
-            json.field("mlps", mlps);
-            json.field("mlps_mad", dispersion);
-            json.field("speedup_vs_scalar", scalar.mlps_mean > 0 ? mlps / scalar.mlps_mean : 0);
-            benchkit::stamp_provenance(json);
-        };
-        batch_record("scalar", 1, scalar.mlps_mean, scalar.mlps_std);
-        // reader: single-threaded bench over a table that never changes — the
-        // batch walks below are trivially inside a read-side critical section.
-        const psync::EbrReadSection section;
-        for (const unsigned lanes : {2u, 4u, 8u, 16u}) {
-            std::vector<double> rates;
-            std::uint64_t cs = 0;
-            for (unsigned t = 0; t < trials; ++t) {
-                const auto t0 = std::chrono::steady_clock::now();
-                switch (lanes) {
-                case 2: pt.lookup_batch<true, 2>(keys.data(), out.data(), keys.size()); break;
-                case 4: pt.lookup_batch<true, 4>(keys.data(), out.data(), keys.size()); break;
-                case 8: pt.lookup_batch<true, 8>(keys.data(), out.data(), keys.size()); break;
-                default:
-                    pt.lookup_batch<true, 16>(keys.data(), out.data(), keys.size());
-                    break;
-                }
-                const double secs =
-                    std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-                        .count();
-                rates.push_back(static_cast<double>(keys.size()) / secs / 1e6);
-                for (const auto v : out) cs += v;
-            }
-            sink.add(cs);
-            const auto ms = benchkit::mean_std(rates);
-            std::printf("  batch x%-2u lanes:  %s Mlps (%.2fx scalar)\n", lanes,
-                        benchkit::fmt_mean_std(ms.mean, ms.std).c_str(),
-                        ms.mean / scalar.mlps_mean);
-            // Median-of-trials + MAD: the dispersion benchctl's noise bands
-            // consume (one preempted trial must not skew the record).
-            batch_record("batch", lanes, benchkit::median(rates), benchkit::mad(rates));
-        }
     }
     }
 

@@ -1,16 +1,19 @@
-// Batch-pipeline benchmark — single-core lookup rate (Mlps) of the lane
-// paths (scalar / software-pipelined / AVX2 / AVX-512) across burst width,
-// table size, and traffic pattern. This is the Figure-8-style evidence for
-// DESIGN.md §12: how much memory-level parallelism the interleaved state
-// machine and the gather kernels actually extract on this host.
+// Batch-pipeline benchmark — single-core lookup rate (Mlps) of the batch
+// kernels (scalar walk / software-pipelined walk / AVX-512) across table size,
+// direct-pointing width and traffic pattern. This is the Figure-8-style
+// evidence for DESIGN.md §12: how much memory-level parallelism the
+// interleaved state machine and the gather kernel actually extract on this
+// host, at the width and burst that serve (batch::kLanes lanes, 256-key
+// bursts — the Dataplane default).
 //
-// Every cell is gated on checksum equivalence against the scalar walk over
-// the identical key stream: a lane path that returns even one different next
-// hop fails the whole run (exit 1). A fast wrong kernel must never produce
-// a number.
+// Every kernel reads the same SnapshotFib4 image, the structure the AVX-512
+// kernel serves in production. Every cell is gated on checksum equivalence
+// against the scalar walk over the identical key stream: a kernel that
+// returns even one different next hop fails the whole run (exit 1). A fast
+// wrong kernel must never produce a number.
 //
 // benchctl runs this as the `pipe.*` family; the committed baselines pin the
-// ≥512k-route sweep where the pipelined walk must hold ≥1.5× scalar.
+// >=512k-route sweep where the pipelined walk must hold >=1.5x scalar.
 #include <cstdio>
 #include <cstdlib>
 #include <string>
@@ -20,15 +23,30 @@
 #include "benchkit/provenance.hpp"
 #include "common.hpp"
 #include "poptrie/lanes.hpp"
+#include "snapshot/snapshot.hpp"
 
 using namespace bench;
 namespace lanes = poptrie::lanes;
 
 namespace {
 
-/// Key-stream length. A power of two and a multiple of every burst width,
-/// so the timed loop never sees a partial burst except where we ask for one.
+/// Keys per kernel call: the Dataplane's default burst.
+constexpr std::size_t kBurst = 256;
+/// Key-stream length. A power of two and a multiple of kBurst, so the timed
+/// loop never sees a partial burst.
 constexpr std::size_t kStream = 1u << 20;
+
+enum class Kernel { kScalar, kPipelined, kAvx512 };
+
+const char* name(Kernel k)
+{
+    switch (k) {
+        case Kernel::kScalar: return "scalar";
+        case Kernel::kPipelined: return "pipelined";
+        case Kernel::kAvx512: return "avx512";
+    }
+    return "unknown";
+}
 
 std::vector<std::uint32_t> make_stream(std::string_view pattern, const Dataset& d,
                                        std::uint64_t seed)
@@ -72,30 +90,18 @@ std::vector<std::uint32_t> make_stream(std::string_view pattern, const Dataset& 
     return keys;
 }
 
-/// One burst through `path`. For the pipelined path the burst width is also
-/// the interleave width (a template parameter — the state-machine arrays are
-/// stack-resident per instantiation); the SIMD kernels always process
-/// 8-lane groups inside whatever burst they are handed.
-void run_burst(lanes::LanePath path, unsigned width, const lanes::View4& view,
-               const std::uint32_t* keys, NextHop* out, std::size_t n)
+/// One burst through kernel `k`; the scalar kernel is SnapshotFib::lookup.
+void run_burst(Kernel k, const snapshot::SnapshotFib4& snap, const std::uint32_t* keys,
+               NextHop* out, std::size_t n)
 {
-    namespace pb = poptrie::batch;
-    if (path == lanes::LanePath::kPipelined) {
-        if (view.leaf_compression) {
-            switch (width) {
-            case 8: pb::lookup_batch_pipelined<true, 8>(view, keys, out, n, view.direct_bits); break;
-            case 16: pb::lookup_batch_pipelined<true, 16>(view, keys, out, n, view.direct_bits); break;
-            default: pb::lookup_batch_pipelined<true, 32>(view, keys, out, n, view.direct_bits); break;
-            }
-        } else {
-            switch (width) {
-            case 8: pb::lookup_batch_pipelined<false, 8>(view, keys, out, n, view.direct_bits); break;
-            case 16: pb::lookup_batch_pipelined<false, 16>(view, keys, out, n, view.direct_bits); break;
-            default: pb::lookup_batch_pipelined<false, 32>(view, keys, out, n, view.direct_bits); break;
-            }
-        }
-    } else {
-        lanes::run(path, view, keys, out, n);
+    switch (k) {
+        case Kernel::kScalar:
+            for (std::size_t i = 0; i < n; ++i) out[i] = snap.lookup(Ipv4Addr{keys[i]});
+            return;
+        case Kernel::kPipelined:
+            poptrie::batch::lookup_batch_pipelined(snap.view(), keys, out, n);
+            return;
+        case Kernel::kAvx512: lanes::run_avx512(snap.view(), keys, out, n); return;
     }
 }
 
@@ -106,26 +112,23 @@ std::uint64_t fold_checksum(std::uint64_t h, const NextHop* out, std::size_t n)
     return h;
 }
 
-std::uint64_t checksum_pass(lanes::LanePath path, unsigned width,
-                            const lanes::View4& view,
+std::uint64_t checksum_pass(Kernel k, const snapshot::SnapshotFib4& snap,
                             const std::vector<std::uint32_t>& keys)
 {
-    std::vector<NextHop> out(width);
+    std::vector<NextHop> out(kBurst);
     std::uint64_t h = 14695981039346656037ULL;
-    for (std::size_t i = 0; i < keys.size(); i += width) {
-        const std::size_t n = std::min<std::size_t>(width, keys.size() - i);
-        run_burst(path, width, view, keys.data() + i, out.data(), n);
-        h = fold_checksum(h, out.data(), n);
+    for (std::size_t i = 0; i < keys.size(); i += kBurst) {
+        run_burst(k, snap, keys.data() + i, out.data(), kBurst);
+        h = fold_checksum(h, out.data(), kBurst);
     }
     return h;
 }
 
-double timed_mlps(lanes::LanePath path, unsigned width, const lanes::View4& view,
-                  const std::vector<std::uint32_t>& keys, double duration,
-                  ChecksumSink& sink)
+double timed_mlps(Kernel k, const snapshot::SnapshotFib4& snap,
+                  const std::vector<std::uint32_t>& keys, double duration, ChecksumSink& sink)
 {
     using clock = std::chrono::steady_clock;
-    std::vector<NextHop> out(width);
+    std::vector<NextHop> out(kBurst);
     std::uint64_t consumed = 0;
     std::size_t done = 0;
     const auto t0 = clock::now();
@@ -133,8 +136,8 @@ double timed_mlps(lanes::LanePath path, unsigned width, const lanes::View4& view
                                    std::chrono::duration<double>(duration));
     for (;;) {
         // Check the clock once per full pass over the stream, not per burst.
-        for (std::size_t i = 0; i < keys.size(); i += width)
-            run_burst(path, width, view, keys.data() + i, out.data(), width);
+        for (std::size_t i = 0; i < keys.size(); i += kBurst)
+            run_burst(k, snap, keys.data() + i, out.data(), kBurst);
         consumed += out[0];
         done += keys.size();
         if (clock::now() >= deadline) break;
@@ -167,8 +170,6 @@ int main(int argc, char** argv)
             "                    0 forces full-depth walks — the latency-bound regime)\n"
             "  --patterns=L      comma-separated from random,repeated,flows,trace\n"
             "                    (default random,repeated,flows,trace)\n"
-            "  --bursts-list=L   comma-separated burst widths from 8,16,32\n"
-            "                    (default 8,16,32)\n"
             "  --duration=S      seconds per cell (default 0.5, --full: 2)\n"
             "  --json            emit a JSON record per cell"))
         return 0;
@@ -177,29 +178,24 @@ int main(int argc, char** argv)
     const auto direct_list = split_list(args.get("direct-list", "18,0"));
     const auto patterns =
         split_list(args.get("patterns", "random,repeated,flows,trace"));
-    const auto bursts = split_list(args.get("bursts-list", "8,16,32"));
     const double duration = args.get_double("duration", args.has("full") ? 2.0 : 0.5);
     const auto seed = args.seed(1);
 
-    std::printf("Batch pipeline: single-core lane-path lookup rate\n");
-    std::printf("# burst = keys per lookup_batch call; pipelined interleave width = burst.\n");
+    std::printf("Batch pipeline: single-core batch-kernel lookup rate\n");
+    std::printf("# %zu-key bursts over a snapshot image; pipelined interleave width %u.\n",
+                kBurst, poptrie::batch::kLanes);
     std::printf("# Every cell is checksum-gated against the scalar walk first.\n\n");
     print_host_note();
 
-    std::vector<lanes::LanePath> paths{lanes::LanePath::kScalar};
-    for (const lanes::LanePath p : lanes::kAllPaths)
-        if (p != lanes::LanePath::kScalar && lanes::compiled_in(p) && lanes::cpu_supports(p))
-            paths.push_back(p);
-    for (const lanes::LanePath p : lanes::kAllPaths)
-        if (!lanes::compiled_in(p) || !lanes::cpu_supports(p))
-            std::printf("# lane-path %s unavailable: %s\n",
-                        std::string(lanes::name(p)).c_str(),
-                        lanes::compiled_in(p) ? "cpu lacks support" : "not compiled in");
+    std::vector<Kernel> kernels{Kernel::kScalar, Kernel::kPipelined};
+    if (lanes::has_avx512())
+        kernels.push_back(Kernel::kAvx512);
+    else
+        std::printf("# avx512 unavailable: cpu lacks avx512vpopcntdq\n");
 
     benchkit::TablePrinter table({{"Routes", 7},
                                   {"Direct", 6},
                                   {"Pattern", 8, false},
-                                  {"Burst", 5},
                                   {"Path", 9, false},
                                   {"Rate[Mlps]", 10},
                                   {"vs scalar", 9}});
@@ -220,51 +216,40 @@ int main(int argc, char** argv)
         poptrie::Config pcfg;
         pcfg.direct_bits = direct_bits;
         const poptrie::Poptrie4 fib{d.rib, pcfg};
-        const lanes::View4 view = fib.batch_view();
+        // quiescent: single-threaded bench, no reader or writer exists.
+        const psync::QuiescentSection quiescent;
+        const auto image = snapshot::serialize(fib);
+        const auto snap = snapshot::SnapshotFib4::load_buffer(image.data(), image.size());
 
         for (const auto& pattern : patterns) {
             const auto keys = make_stream(pattern, d, seed ^ n_routes);
-            for (const auto& burst_str : bursts) {
-                const auto width = static_cast<unsigned>(
-                    std::strtoul(burst_str.c_str(), nullptr, 10));
-                if (width != 8 && width != 16 && width != 32) {
-                    std::fprintf(stderr, "bench_batch_pipeline: bad burst '%s'\n",
-                                 burst_str.c_str());
-                    return 2;
+            const std::uint64_t want = checksum_pass(Kernel::kScalar, snap, keys);
+            double scalar_mlps = 0;
+            for (const Kernel k : kernels) {
+                if (checksum_pass(k, snap, keys) != want) {
+                    std::fprintf(stderr,
+                                 "bench_batch_pipeline: checksum mismatch: kernel %s "
+                                 "routes=%llu direct=%u pattern=%s\n",
+                                 name(k), static_cast<unsigned long long>(n_routes),
+                                 direct_bits, pattern.c_str());
+                    return 1;
                 }
-                const std::uint64_t want =
-                    checksum_pass(lanes::LanePath::kScalar, width, view, keys);
-                double scalar_mlps = 0;
-                for (const lanes::LanePath p : paths) {
-                    const std::uint64_t got = checksum_pass(p, width, view, keys);
-                    if (got != want) {
-                        std::fprintf(stderr,
-                                     "bench_batch_pipeline: checksum mismatch: path %s "
-                                     "routes=%llu direct=%u pattern=%s burst=%u\n",
-                                     std::string(lanes::name(p)).c_str(),
-                                     static_cast<unsigned long long>(n_routes),
-                                     direct_bits, pattern.c_str(), width);
-                        return 1;
-                    }
-                    const double mlps = timed_mlps(p, width, view, keys, duration, sink);
-                    if (p == lanes::LanePath::kScalar) scalar_mlps = mlps;
-                    const double speedup = scalar_mlps > 0 ? mlps / scalar_mlps : 0;
-                    table.print_row({std::to_string(n_routes),
-                                     std::to_string(direct_bits), pattern,
-                                     std::to_string(width),
-                                     std::string(lanes::name(p)), benchkit::fmt(mlps, 2),
-                                     benchkit::fmt(speedup, 2)});
-                    json.begin_record();
-                    json.field("routes", std::uint64_t{n_routes});
-                    json.field("direct_bits", std::uint64_t{direct_bits});
-                    json.field("pattern", pattern);
-                    json.field("burst", std::uint64_t{width});
-                    json.field("path", lanes::name(p));
-                    json.field("mlps", mlps);
-                    json.field("speedup_vs_scalar", speedup);
-                    json.field("checksum_ok", true);
-                    benchkit::stamp_provenance(json);
-                }
+                const double mlps = timed_mlps(k, snap, keys, duration, sink);
+                if (k == Kernel::kScalar) scalar_mlps = mlps;
+                const double speedup = scalar_mlps > 0 ? mlps / scalar_mlps : 0;
+                table.print_row({std::to_string(n_routes), std::to_string(direct_bits),
+                                 pattern, name(k), benchkit::fmt(mlps, 2),
+                                 benchkit::fmt(speedup, 2)});
+                json.begin_record();
+                json.field("routes", std::uint64_t{n_routes});
+                json.field("direct_bits", std::uint64_t{direct_bits});
+                json.field("pattern", pattern);
+                json.field("burst", std::uint64_t{kBurst});
+                json.field("path", std::string_view{name(k)});
+                json.field("mlps", mlps);
+                json.field("speedup_vs_scalar", speedup);
+                json.field("checksum_ok", true);
+                benchkit::stamp_provenance(json);
             }
         }
         }

@@ -149,18 +149,6 @@ int main(int argc, char** argv)
         const psync::QuiescentSection quiescent;
         router.reserve_fib_headroom();
     }
-    // Lane path for the pipelined engine rows: best usable (or the
-    // POPTRIE_FORCE_LANES override). A forced-but-unusable path is a hard
-    // error — a bench must never silently measure a different kernel.
-    const auto lane_sel = poptrie::lanes::select();
-    if (!lane_sel.ok) {
-        std::fprintf(stderr, "bench_dataplane: lane path unusable: %s\n",
-                     lane_sel.note.c_str());
-        return 2;
-    }
-    std::printf("# pipelined engine lane path: %s\n",
-                std::string(poptrie::lanes::name(lane_sel.path)).c_str());
-
     const baselines::TreeBitmap16 tbm{d.fib_src};
     std::unique_ptr<baselines::Sail> sail;
     std::string sail_error;
@@ -183,7 +171,7 @@ int main(int argc, char** argv)
     benchkit::JsonRecords json;
 
     const auto report = [&](std::string_view engine, unsigned workers, bool churn,
-                            const CellResult& r, std::string_view lane = {}) {
+                            const CellResult& r) {
         table.print_row({std::string(engine), std::to_string(workers),
                          churn ? std::to_string(r.churn_applied) : "-",
                          benchkit::fmt(r.mlps, 2), benchkit::fmt(r.lat.p50, 0),
@@ -198,7 +186,6 @@ int main(int argc, char** argv)
         json.field("lat_p99_ns", r.lat.p99);
         json.field("lat_p999_ns", r.lat.p999);
         json.field("ring_drops", r.ring_drops);
-        if (!lane.empty()) json.field("lane_path", lane);
         benchkit::stamp_provenance(json);
     };
 
@@ -217,16 +204,6 @@ int main(int argc, char** argv)
                 router.drain();
             }
         }
-        // The same live trie served read-only through the lane-dispatched
-        // batch paths. No churn by contract (kSupportsChurn = false): the
-        // cell runs at a quiescent point — the previous cell's workers and
-        // churn writer are joined and drained. The JSON engine label stays
-        // "pipelined" (the lane path is a separate field) so benchctl metric
-        // names are stable across hosts with different vector widths.
-        report("pipelined", workers, false,
-               run_cell(dataplane::PipelinedEngine{router.fib(), lane_sel.path},
-                        workers, opt, nullptr),
-               poptrie::lanes::name(lane_sel.path));
         report("treebitmap", workers, false,
                run_cell(dataplane::TreeBitmapEngine{tbm, "treebitmap"}, workers, opt,
                         nullptr));

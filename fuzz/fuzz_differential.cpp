@@ -19,20 +19,15 @@
 // §3.5 incremental-update path, then the baselines are built from the final
 // route set.
 //
-// The family byte's high bits are the lane/burst selector: bit 0 picks the
-// address family (as before, so the committed corpus keeps its meaning),
-// bits 1-2 pick the burst width (8/16/32) for the live EBR-guarded
-// lookup_batch walk. Independently, every compiled-in + CPU-supported lane
-// path (scalar / pipelined / AVX2 / AVX-512 — poptrie/lanes.hpp) replays the
-// whole probe set against the radix oracle, so a gather kernel that
-// disagrees with the scalar walk on any fuzz-grown table is a finding even
-// when the scalar paths all agree.
+// Bit 0 of the family byte picks the address family; the other bits are
+// ignored. After the scalar probes, the live EBR-guarded lookup_batch walk
+// replays the whole probe set against the radix oracle. (The read-only
+// AVX-512 kernel runs over restored images in fuzz_snapshot_roundtrip.)
 //
 // Config-byte bit 0x20 selects Config::leaf_dict: after the scalar and
 // batch probes, the table is compacted at a quiescent point (which is when
 // dictionary coding engages) and the probe set replays over the dict-coded
 // layout.
-#include <algorithm>
 #include <string>
 #include <vector>
 
@@ -43,7 +38,6 @@
 #include "baselines/sail.hpp"
 #include "baselines/treebitmap.hpp"
 #include "fuzz/common.hpp"
-#include "poptrie/lanes.hpp"
 #include "poptrie/poptrie.hpp"
 #include "rib/patricia.hpp"
 #include "rib/radix_trie.hpp"
@@ -62,31 +56,29 @@ void mismatch(const std::string& structure, Addr addr, rib::NextHop got,
                    std::to_string(got) + ", radix oracle says " + std::to_string(want));
 }
 
-/// The fuzz-chosen burst width for the EBR-guarded lookup_batch walk.
-/// `pt.lookup_batch` is templated on the width, so the selector dispatches
-/// to one of the three instantiations the dataplane can also reach.
-template <class Poptrie, class ValueType>
-void batch_at_width(const Poptrie& pt, bool leaf_compression, unsigned width_sel,
-                    const std::vector<ValueType>& keys,
-                    std::vector<rib::NextHop>& out) POPTRIE_REQUIRES_SHARED(psync::cap::ebr)
+/// Replays `probes` through the live EBR-guarded lookup_batch walk: it must
+/// reproduce the oracle answers the scalar probe loop already pinned.
+template <class Addr, class Poptrie>
+void check_batch(const Poptrie& pt, bool leaf_compression, const rib::RadixTrie<Addr>& oracle,
+                 const std::vector<typename Addr::value_type>& probes, const char* label)
 {
-    out.resize(keys.size());
-    if (leaf_compression) {
-        switch (width_sel) {
-        case 0: pt.template lookup_batch<true, 8>(keys.data(), out.data(), keys.size()); break;
-        case 1: pt.template lookup_batch<true, 16>(keys.data(), out.data(), keys.size()); break;
-        default: pt.template lookup_batch<true, 32>(keys.data(), out.data(), keys.size()); break;
-        }
-    } else {
-        switch (width_sel) {
-        case 0: pt.template lookup_batch<false, 8>(keys.data(), out.data(), keys.size()); break;
-        case 1: pt.template lookup_batch<false, 16>(keys.data(), out.data(), keys.size()); break;
-        default: pt.template lookup_batch<false, 32>(keys.data(), out.data(), keys.size()); break;
-        }
+    std::vector<rib::NextHop> got(probes.size());
+    {
+        // reader: single-threaded harness — the claim marks the EBR
+        // capability lookup_batch requires; there is no concurrent updater.
+        const psync::EbrReadSection reader;
+        if (leaf_compression)
+            pt.template lookup_batch<true>(probes.data(), got.data(), probes.size());
+        else
+            pt.template lookup_batch<false>(probes.data(), got.data(), probes.size());
+    }
+    for (std::size_t i = 0; i < probes.size(); ++i) {
+        const Addr a{probes[i]};
+        if (const auto want = oracle.lookup(a); got[i] != want) mismatch(label, a, got[i], want);
     }
 }
 
-void run_ipv4(fuzz::ByteReader& in, const poptrie::Config& cfg, unsigned width_sel)
+void run_ipv4(fuzz::ByteReader& in, const poptrie::Config& cfg)
 {
     using Addr = netbase::Ipv4Addr;
     const auto ops = fuzz::decode_ops<Addr>(in);
@@ -129,35 +121,7 @@ void run_ipv4(fuzz::ByteReader& in, const poptrie::Config& cfg, unsigned width_s
         if (const auto got = dir24.lookup(a); got != want) mismatch("dir24", a, got, want);
     }
 
-    // Batch lane paths over the identical probe set. The scalar per-probe
-    // loop above already pinned the oracle answers; here every usable kernel
-    // (and the fuzz-selected burst width of the live AtomicView walk) must
-    // reproduce them.
-    {
-        std::vector<rib::NextHop> got(probes.size());
-        const auto view = pt.batch_view();
-        for (const auto path : poptrie::lanes::kAllPaths) {
-            if (!poptrie::lanes::compiled_in(path) || !poptrie::lanes::cpu_supports(path))
-                continue;
-            poptrie::lanes::run(path, view, probes.data(), got.data(), probes.size());
-            for (std::size_t i = 0; i < probes.size(); ++i) {
-                const Addr a{probes[i]};
-                if (const auto want = oracle.lookup(a); got[i] != want)
-                    mismatch("lanes[" + std::string(poptrie::lanes::name(path)) + "]",
-                             a, got[i], want);
-            }
-        }
-        // reader: single-threaded harness — the claim marks the EBR
-        // capability lookup_batch requires; there is no concurrent updater.
-        const psync::EbrReadSection reader;
-        batch_at_width(pt, cfg.leaf_compression, width_sel, probes, got);
-        for (std::size_t i = 0; i < probes.size(); ++i) {
-            const Addr a{probes[i]};
-            if (const auto want = oracle.lookup(a); got[i] != want)
-                mismatch("lookup_batch[w" + std::to_string(8u << width_sel) + "]", a,
-                         got[i], want);
-        }
-    }
+    check_batch(pt, cfg.leaf_compression, oracle, probes, "lookup_batch");
 
     // Dictionary-coded leaves (cfg.leaf_dict) only exist after a compact():
     // run one at a quiescent point and replay the whole probe set over the
@@ -183,7 +147,7 @@ void run_ipv4(fuzz::ByteReader& in, const poptrie::Config& cfg, unsigned width_s
     if (!report.ok()) fuzz::fail(kHarness, "poptrie-fsck audit failure", report.summary());
 }
 
-void run_ipv6(fuzz::ByteReader& in, const poptrie::Config& cfg, unsigned width_sel)
+void run_ipv6(fuzz::ByteReader& in, const poptrie::Config& cfg)
 {
     using Addr = netbase::Ipv6Addr;
     const auto ops = fuzz::decode_ops<Addr>(in);
@@ -214,21 +178,7 @@ void run_ipv6(fuzz::ByteReader& in, const poptrie::Config& cfg, unsigned width_s
         if (const auto got = dxr6.lookup(a); got != want) mismatch("dxr6", a, got, want);
     }
 
-    // The SIMD lane kernels are IPv4-only, but the interleaved batch walk is
-    // family-generic: replay the probes at the fuzz-selected burst width.
-    {
-        std::vector<rib::NextHop> got(probes.size());
-        // reader: single-threaded harness — the claim marks the EBR
-        // capability lookup_batch requires; there is no concurrent updater.
-        const psync::EbrReadSection reader;
-        batch_at_width(pt, cfg.leaf_compression, width_sel, probes, got);
-        for (std::size_t i = 0; i < probes.size(); ++i) {
-            const Addr a{probes[i]};
-            if (const auto want = oracle.lookup(a); got[i] != want)
-                mismatch("lookup_batch6[w" + std::to_string(8u << width_sel) + "]", a,
-                         got[i], want);
-        }
-    }
+    check_batch(pt, cfg.leaf_compression, oracle, probes, "lookup_batch6");
 
     // Same dict-compacted replay as the IPv4 leg.
     if (cfg.leaf_dict) {
@@ -257,14 +207,10 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data, std::size_t size
 {
     fuzz::ByteReader in(data, size);
     const auto cfg = fuzz::decode_config(in.u8());
-    const auto family_byte = in.u8();
-    const bool v6 = (family_byte & 1u) != 0;
-    // Bits 1-2 select the lookup_batch burst width: 8, 16, or 32 (both
-    // values 2 and 3 map to 32 so the label matches what actually ran).
-    const unsigned width_sel = std::min((family_byte >> 1) & 3u, 2u);
+    const bool v6 = (in.u8() & 1u) != 0;
     if (v6)
-        run_ipv6(in, cfg, width_sel);
+        run_ipv6(in, cfg);
     else
-        run_ipv4(in, cfg, width_sel);
+        run_ipv4(in, cfg);
     return 0;
 }

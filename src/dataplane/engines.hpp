@@ -30,7 +30,6 @@
 #include "baselines/dxr.hpp"
 #include "baselines/sail.hpp"
 #include "baselines/treebitmap.hpp"
-#include "poptrie/lanes.hpp"
 #include "rib/route.hpp"
 #include "router/router.hpp"
 #include "sync/annotations.hpp"
@@ -134,8 +133,9 @@ private:
 /// A restored snapshot image served read-only. No writer side exists at all
 /// — no EBR domain, no pool growth, no Router — so the NullReader's vacuous
 /// capability claim is exact, not an approximation: there is nothing an
-/// updater could ever retire. The batch path is the same lane-interleaved
-/// walk as the live trie, over the mapped (or copied-in) image.
+/// updater could ever retire. The batch path is SnapshotFib::lookup_batch
+/// over the mapped (or copied-in) image: the AVX-512 kernel where the CPU
+/// has it, else the same lane-interleaved walk as the live trie.
 class SnapshotEngine {
 public:
     using addr_type = netbase::Ipv4Addr;
@@ -160,53 +160,6 @@ public:
 
 private:
     const snapshot::SnapshotFib4* fib_;
-};
-
-/// The latency-hiding engine: a live Poptrie served read-only through the
-/// lane-dispatched batch paths (poptrie/lanes.hpp) — the software-pipelined
-/// state machine, or the AVX2/AVX-512 gather kernels where compiled in and
-/// CPU-supported (POPTRIE_FORCE_LANES overrides; the caller resolves a
-/// lanes::Selection and passes the path in, so a refused force never
-/// silently degrades here).
-///
-/// kSupportsChurn = false is load-bearing, not an omission: the SIMD
-/// kernels read through a PlainView whose gathers are plain loads with no
-/// acquire ordering, and the view hoists the pool pointers for its whole
-/// lifetime. Both are sound only with no concurrent updater — tables that
-/// must take live churn stay on PoptrieEngine's AtomicView walk.
-class PipelinedEngine {
-public:
-    using addr_type = netbase::Ipv4Addr;
-    using key_type = addr_type::value_type;
-    static constexpr bool kSupportsChurn = false;
-
-    explicit PipelinedEngine(const poptrie::Poptrie4& fib,
-                             poptrie::lanes::LanePath path) noexcept
-        : view_(fib.batch_view()), path_(path)
-    {
-        name_ = "pipelined[";
-        name_ += poptrie::lanes::name(path);
-        name_ += ']';
-    }
-
-    [[nodiscard]] std::string_view name() const noexcept { return name_; }
-    [[nodiscard]] poptrie::lanes::LanePath lane_path() const noexcept { return path_; }
-
-    // REQUIRES_SHARED keeps the worker-loop contract uniform: the burst is
-    // bracketed by a NullReader::Guard whose claim is vacuously satisfied
-    // (no updater exists under this engine's contract).
-    POPTRIE_HOT void lookup_batch(const key_type* keys, rib::NextHop* out,
-                      std::size_t n) const noexcept POPTRIE_REQUIRES_SHARED(psync::cap::ebr)
-    {
-        poptrie::lanes::run(path_, view_, keys, out, n);
-    }
-
-    [[nodiscard]] NullReader make_reader() const noexcept { return {}; }
-
-private:
-    poptrie::lanes::View4 view_;
-    poptrie::lanes::LanePath path_;
-    std::string name_;
 };
 
 /// Adapter for the read-only baselines: any structure with a scalar
@@ -245,7 +198,6 @@ using DxrEngine = ScalarEngine<baselines::Dxr>;
 using TreeBitmapEngine = ScalarEngine<baselines::TreeBitmap16>;
 
 static_assert(LpmEngine<PoptrieEngine>);
-static_assert(LpmEngine<PipelinedEngine>);
 static_assert(LpmEngine<SnapshotEngine>);
 static_assert(LpmEngine<SailEngine>);
 static_assert(LpmEngine<Dir24Engine>);

@@ -1,23 +1,22 @@
-// poptrie/lanes.cpp — lane-path dispatch and the SIMD batch-lookup kernels.
+// poptrie/lanes.cpp — the AVX-512 batch-lookup kernel and its cpuid check.
 //
-// The kernels are per-function ISA targets (__attribute__((target(...))))
-// rather than file-level -mavx2/-mavx512f: the rest of the binary keeps the
-// portable baseline (CI builds with POPTRIE_NATIVE=OFF), runtime cpuid
-// dispatch picks a kernel the machine can execute, and no vector type
-// crosses a non-target function boundary (which would trip -Wpsabi under
-// -Werror).
+// The kernel is a per-function ISA target (__attribute__((target(...))))
+// rather than a file-level -mavx512f: the rest of the binary keeps the
+// portable baseline (CI builds with POPTRIE_NATIVE=OFF), the cached cpuid
+// check decides whether it may run, and no vector type crosses a non-target
+// function boundary (which would trip -Wpsabi under -Werror).
 //
-// Kernel shape (both ISAs, 8 lanes per group):
+// Kernel shape (8 lanes per group):
 //   1. direct step — extract the top direct_bits of all 8 keys, one 32-bit
 //      gather from the direct array; lanes whose slot carries the leaf flag
 //      (MSB, tested as the sign bit) retire immediately.
-//   2. walk steps — while any lane is active: gather the three node qwords
-//      (vector, leafvec, base0|base1<<32) for active lanes via *masked*
-//      64-bit gathers (inactive lanes must not touch memory: an empty table
-//      has an empty node pool, so even index 0 may be unmapped), compute the
-//      6-bit chunk in the 32-bit domain (vpsllvd's count>=32 -> 0 rule
-//      implements chunk()'s off >= width convention for free), evaluate the
-//      paper's two popcounts lane-parallel, then either descend
+//   2. walk steps — while any lane is active: gather the node qwords
+//      (vector, base0|base1<<32) for active lanes via *masked* 64-bit
+//      gathers (inactive lanes must not touch memory: an empty table has an
+//      empty node pool, so even index 0 may be unmapped), compute the 6-bit
+//      chunk in the 32-bit domain (vpsllvd's count>=32 -> 0 rule implements
+//      chunk()'s off >= width convention for free), evaluate the paper's
+//      two popcounts lane-parallel, then either descend
 //      (index = base1 + popcount - 1) or retire
 //      (leaf slot = base0 + popcount - 1).
 //   3. retirement — leaves are 16-bit and no 16-bit gather exists, so
@@ -28,320 +27,21 @@
 // eight lane loads are in flight in one instruction.
 #include "poptrie/lanes.hpp"
 
-#include <cstdlib>
-#include <string>
-
-#if POPTRIE_SIMD_AVX2 || POPTRIE_SIMD_AVX512
+#if defined(__x86_64__)
 #include <immintrin.h>
 #endif
 
 namespace poptrie::lanes {
 
-std::string_view name(LanePath path) noexcept
+#if defined(__x86_64__)
+
+bool has_avx512() noexcept
 {
-    switch (path) {
-        case LanePath::kScalar: return "scalar";
-        case LanePath::kPipelined: return "pipelined";
-        case LanePath::kAvx2: return "avx2";
-        case LanePath::kAvx512: return "avx512";
-    }
-    return "unknown";
+    // cpuid probes are not free; resolve the features once per process.
+    static const bool has = __builtin_cpu_supports("avx512f") != 0 &&
+                            __builtin_cpu_supports("avx512vpopcntdq") != 0;
+    return has;
 }
-
-std::optional<LanePath> parse(std::string_view text) noexcept
-{
-    for (const LanePath p : kAllPaths)
-        if (text == name(p)) return p;
-    return std::nullopt;
-}
-
-bool compiled_in(LanePath path) noexcept
-{
-    switch (path) {
-        case LanePath::kScalar:
-        case LanePath::kPipelined: return true;
-        case LanePath::kAvx2: return POPTRIE_SIMD_AVX2 != 0;
-        case LanePath::kAvx512: return POPTRIE_SIMD_AVX512 != 0;
-    }
-    return false;
-}
-
-bool cpu_supports(LanePath path) noexcept
-{
-#if defined(__x86_64__) || defined(__i386__)
-    // cpuid probes are not free; resolve each feature once per process.
-    static const bool has_avx2 = __builtin_cpu_supports("avx2") != 0;
-    static const bool has_avx512 = __builtin_cpu_supports("avx512f") != 0 &&
-                                   __builtin_cpu_supports("avx512vpopcntdq") != 0;
-    switch (path) {
-        case LanePath::kScalar:
-        case LanePath::kPipelined: return true;
-        case LanePath::kAvx2: return has_avx2;
-        case LanePath::kAvx512: return has_avx512;
-    }
-    return false;
-#else
-    return path == LanePath::kScalar || path == LanePath::kPipelined;
-#endif
-}
-
-namespace {
-
-/// Best usable path, walking the ladder downward. kPipelined is ungated, so
-/// this always lands somewhere.
-LanePath best_available() noexcept
-{
-    if (compiled_in(LanePath::kAvx512) && cpu_supports(LanePath::kAvx512))
-        return LanePath::kAvx512;
-    if (compiled_in(LanePath::kAvx2) && cpu_supports(LanePath::kAvx2))
-        return LanePath::kAvx2;
-    return LanePath::kPipelined;
-}
-
-}  // namespace
-
-Selection select(std::optional<LanePath> request)
-{
-    Selection sel;
-    std::string source = "request";
-    if (!request) {
-        if (const char* env = std::getenv("POPTRIE_FORCE_LANES"); env != nullptr) {
-            source = "POPTRIE_FORCE_LANES";
-            request = parse(env);
-            if (!request) {
-                sel.path = best_available();
-                sel.ok = false;
-                sel.note = "unknown POPTRIE_FORCE_LANES value '" + std::string(env) +
-                           "' (expected scalar|pipelined|avx2|avx512)";
-                return sel;
-            }
-        }
-    }
-    if (!request) {
-        sel.path = best_available();
-        return sel;
-    }
-    sel.forced = true;
-    sel.path = *request;
-    if (!compiled_in(*request)) {
-        sel.path = best_available();
-        sel.ok = false;
-        sel.note = std::string(name(*request)) + " (" + source +
-                   ") is not compiled in (POPTRIE_SIMD_" +
-                   (*request == LanePath::kAvx512 ? "AVX512" : "AVX2") + "=OFF)";
-    } else if (!cpu_supports(*request)) {
-        sel.path = best_available();
-        sel.ok = false;
-        sel.note = std::string(name(*request)) + " (" + source +
-                   ") is not supported by this CPU";
-    }
-    return sel;
-}
-
-void run_scalar(const View4& view, const std::uint32_t* keys, rib::NextHop* out,
-                std::size_t n) noexcept
-{
-    // Pointer iteration: see the tail note in lookup_pipelined.ipp.
-    if (view.leaf_compression) {
-        for (std::size_t r = n; r != 0; --r)
-            *out++ = batch::lookup_one<true>(view, *keys++, view.direct_bits);
-    } else {
-        for (std::size_t r = n; r != 0; --r)
-            *out++ = batch::lookup_one<false>(view, *keys++, view.direct_bits);
-    }
-}
-
-void run_pipelined(const View4& view, const std::uint32_t* keys, rib::NextHop* out,
-                   std::size_t n) noexcept
-{
-    if (view.leaf_compression)
-        batch::lookup_batch_pipelined<true, 8>(view, keys, out, n, view.direct_bits);
-    else
-        batch::lookup_batch_pipelined<false, 8>(view, keys, out, n, view.direct_bits);
-}
-
-#if POPTRIE_SIMD_AVX2
-
-namespace {
-
-/// Per-64-bit-lane population count via the pshufb nibble LUT (Mula's
-/// method): split each byte into nibbles, look both up in a 16-entry
-/// bit-count table, then vpsadbw folds the byte counts into each qword.
-__attribute__((target("avx2"))) inline __m256i popcnt64x4(__m256i v) noexcept
-{
-    const __m256i lut =
-        _mm256_setr_epi8(0, 1, 1, 2, 1, 2, 2, 3, 1, 2, 2, 3, 2, 3, 3, 4, 0, 1, 1, 2, 1,
-                         2, 2, 3, 1, 2, 2, 3, 2, 3, 3, 4);
-    const __m256i nibble = _mm256_set1_epi8(0x0f);
-    const __m256i lo = _mm256_and_si256(v, nibble);
-    const __m256i hi = _mm256_and_si256(_mm256_srli_epi16(v, 4), nibble);
-    const __m256i counts =
-        _mm256_add_epi8(_mm256_shuffle_epi8(lut, lo), _mm256_shuffle_epi8(lut, hi));
-    return _mm256_sad_epu8(counts, _mm256_setzero_si256());
-}
-
-/// Low 32 bits of each qword of `lo` (lanes 0-3) and `hi` (lanes 4-7),
-/// packed into one 8 x u32 register.
-__attribute__((target("avx2"))) inline __m256i pack64to32(__m256i lo, __m256i hi) noexcept
-{
-    const __m256i even = _mm256_setr_epi32(0, 2, 4, 6, 0, 0, 0, 0);
-    const __m128i l = _mm256_castsi256_si128(_mm256_permutevar8x32_epi32(lo, even));
-    const __m128i h = _mm256_castsi256_si128(_mm256_permutevar8x32_epi32(hi, even));
-    return _mm256_set_m128i(h, l);
-}
-
-/// One group of 8 lookups, lane state in vector registers.
-__attribute__((target("avx2"))) void lookup8_avx2(const View4& view,
-                                                  const std::uint32_t* keys,
-                                                  rib::NextHop* out) noexcept
-{
-    const auto* nodeq = reinterpret_cast<const long long*>(view.nodes);
-    const __m256i k8 = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(keys));
-    const __m256i ones32 = _mm256_set1_epi32(-1);
-    const __m256i zero = _mm256_setzero_si256();
-    const bool use_leafvec = view.leaf_compression;
-
-    alignas(32) std::uint32_t resolved[8];
-    __m256i idx;
-    __m256i off;
-    __m256i active;  // 8 x u32, -1 = lane still walking
-
-    if (view.direct_bits != 0) {
-        // extract(key, 0, direct_bits) for all lanes: one variable-count
-        // logical shift (count is loop-invariant, fed through the xmm form).
-        const __m128i count = _mm_cvtsi32_si128(static_cast<int>(32 - view.direct_bits));
-        const __m256i slot = _mm256_srl_epi32(k8, count);
-        // Plain (unmasked) gather: the direct array always holds exactly
-        // 2^direct_bits slots, so every lane's slot is in bounds.
-        const __m256i d =
-            _mm256_i32gather_epi32(reinterpret_cast<const int*>(view.direct), slot, 4);
-        // kDirectLeafBit is the MSB: arithmetic >>31 turns it into a mask.
-        const __m256i isleaf = _mm256_srai_epi32(d, 31);
-        const __m256i leafval = _mm256_and_si256(d, _mm256_set1_epi32(0x7fffffff));
-        _mm256_store_si256(reinterpret_cast<__m256i*>(resolved), leafval);
-        active = _mm256_andnot_si256(isleaf, ones32);
-        idx = d;  // node index where the leaf flag is clear; masked out elsewhere
-        off = _mm256_set1_epi32(static_cast<int>(view.direct_bits));
-    } else {
-        idx = _mm256_set1_epi32(static_cast<int>(view.root));
-        off = zero;
-        active = ones32;
-    }
-
-    int live = _mm256_movemask_ps(_mm256_castsi256_ps(active));
-    while (live != 0) {
-        // chunk(key, off) in the 32-bit domain: vpsllvd yields 0 for
-        // count >= 32, which is exactly the off >= width convention.
-        const __m256i v8 =
-            _mm256_srli_epi32(_mm256_sllv_epi32(k8, off), 26);  // 26 = 32 - kStride
-        // Node qword indices: node i spans qwords 3i (vector), 3i+1
-        // (leafvec), 3i+2 (base0 | base1 << 32).
-        const __m256i q3 = _mm256_mullo_epi32(idx, _mm256_set1_epi32(3));
-        const __m128i q3lo = _mm256_castsi256_si128(q3);
-        const __m128i q3hi = _mm256_extracti128_si256(q3, 1);
-        const __m128i one4 = _mm_set1_epi32(1);
-        // Gather masks: sign-extend the 32-bit active lanes to qwords.
-        const __m256i mlo = _mm256_cvtepi32_epi64(_mm256_castsi256_si128(active));
-        const __m256i mhi = _mm256_cvtepi32_epi64(_mm256_extracti128_si256(active, 1));
-        const __m256i veclo = _mm256_mask_i32gather_epi64(zero, nodeq, q3lo, mlo, 8);
-        const __m256i vechi = _mm256_mask_i32gather_epi64(zero, nodeq, q3hi, mhi, 8);
-        const __m256i baselo = _mm256_mask_i32gather_epi64(
-            zero, nodeq, _mm_add_epi32(q3lo, _mm_add_epi32(one4, one4)), mlo, 8);
-        const __m256i basehi = _mm256_mask_i32gather_epi64(
-            zero, nodeq, _mm_add_epi32(q3hi, _mm_add_epi32(one4, one4)), mhi, 8);
-        const __m256i v64lo = _mm256_cvtepi32_epi64(_mm256_castsi256_si128(v8));
-        const __m256i v64hi = _mm256_cvtepi32_epi64(_mm256_extracti128_si256(v8, 1));
-        const __m256i one64 = _mm256_set1_epi64x(1);
-        // Internal-node test: (vector >> v) & 1.
-        const __m256i intlo = _mm256_cmpeq_epi64(
-            _mm256_and_si256(_mm256_srlv_epi64(veclo, v64lo), one64), one64);
-        const __m256i inthi = _mm256_cmpeq_epi64(
-            _mm256_and_si256(_mm256_srlv_epi64(vechi, v64hi), one64), one64);
-        // (2 << v) - 1 without the v == 63 overflow: ~0 >> (63 - v).
-        const __m256i sixty3 = _mm256_set1_epi64x(63);
-        const __m256i minclo = _mm256_srlv_epi64(_mm256_set1_epi64x(-1),
-                                                 _mm256_sub_epi64(sixty3, v64lo));
-        const __m256i minchi = _mm256_srlv_epi64(_mm256_set1_epi64x(-1),
-                                                 _mm256_sub_epi64(sixty3, v64hi));
-        const __m256i pcveclo = popcnt64x4(_mm256_and_si256(veclo, minclo));
-        const __m256i pcvechi = popcnt64x4(_mm256_and_si256(vechi, minchi));
-        const __m256i b1lo = _mm256_srli_epi64(baselo, 32);
-        const __m256i b1hi = _mm256_srli_epi64(basehi, 32);
-        // Descend: index = base1 + popcount(vector & mask) - 1.
-        const __m256i nidxlo =
-            _mm256_sub_epi64(_mm256_add_epi64(b1lo, pcveclo), one64);
-        const __m256i nidxhi =
-            _mm256_sub_epi64(_mm256_add_epi64(b1hi, pcvechi), one64);
-
-        const __m256i internal = _mm256_and_si256(pack64to32(intlo, inthi), active);
-        const __m256i retire = _mm256_andnot_si256(internal, active);
-
-        // Retirement runs only in rounds that retire a lane, and its leafvec
-        // gather is masked down to exactly the retiring lanes — the walk
-        // itself never pays for the leaf qword.
-        const int rmask = _mm256_movemask_ps(_mm256_castsi256_ps(retire));
-        if (rmask != 0) {
-            const __m256i rlo = _mm256_cvtepi32_epi64(_mm256_castsi256_si128(retire));
-            const __m256i rhi =
-                _mm256_cvtepi32_epi64(_mm256_extracti128_si256(retire, 1));
-            __m256i lvlo;
-            __m256i lvhi;
-            if (use_leafvec) {
-                lvlo = _mm256_mask_i32gather_epi64(zero, nodeq,
-                                                   _mm_add_epi32(q3lo, one4), rlo, 8);
-                lvhi = _mm256_mask_i32gather_epi64(zero, nodeq,
-                                                   _mm_add_epi32(q3hi, one4), rhi, 8);
-            } else {
-                lvlo = _mm256_xor_si256(veclo, _mm256_set1_epi64x(-1));
-                lvhi = _mm256_xor_si256(vechi, _mm256_set1_epi64x(-1));
-            }
-            const __m256i pclvlo = popcnt64x4(_mm256_and_si256(lvlo, minclo));
-            const __m256i pclvhi = popcnt64x4(_mm256_and_si256(lvhi, minchi));
-            const __m256i lowmask = _mm256_set1_epi64x(0xffffffffLL);
-            const __m256i slotlo = _mm256_sub_epi64(
-                _mm256_add_epi64(_mm256_and_si256(baselo, lowmask), pclvlo), one64);
-            const __m256i slothi = _mm256_sub_epi64(
-                _mm256_add_epi64(_mm256_and_si256(basehi, lowmask), pclvhi), one64);
-            alignas(32) std::uint64_t slots[8];
-            _mm256_store_si256(reinterpret_cast<__m256i*>(slots), slotlo);
-            _mm256_store_si256(reinterpret_cast<__m256i*>(slots + 4), slothi);
-            // view.leaf() decodes the kLeaf8Bit tag, which flowed through
-            // the 64-bit base0 arithmetic unchanged (bit 31 of the lowmask).
-            for (int l = 0; l < 8; ++l)
-                if ((rmask >> l) & 1)
-                    resolved[l] = view.leaf(static_cast<std::uint32_t>(slots[l]));
-        }
-
-        idx = _mm256_blendv_epi8(idx, pack64to32(nidxlo, nidxhi), internal);
-        off = _mm256_add_epi32(off, _mm256_and_si256(internal, _mm256_set1_epi32(6)));
-        active = internal;
-        live = _mm256_movemask_ps(_mm256_castsi256_ps(active));
-    }
-    for (int l = 0; l < 8; ++l) out[l] = static_cast<rib::NextHop>(resolved[l]);
-}
-
-}  // namespace
-
-void run_avx2(const View4& view, const std::uint32_t* keys, rib::NextHop* out,
-              std::size_t n) noexcept
-{
-    std::size_t i = 0;
-    for (; i + 8 <= n; i += 8) lookup8_avx2(view, keys + i, out + i);
-    if (i < n) run_pipelined(view, keys + i, out + i, n - i);
-}
-
-#else  // !POPTRIE_SIMD_AVX2
-
-void run_avx2(const View4& view, const std::uint32_t* keys, rib::NextHop* out,
-              std::size_t n) noexcept
-{
-    // Defensive: select() never routes here when the kernel is absent.
-    run_pipelined(view, keys, out, n);
-}
-
-#endif  // POPTRIE_SIMD_AVX2
-
-#if POPTRIE_SIMD_AVX512
 
 // GCC PR105593: the 512-bit convert/extend intrinsics pad their result with
 // an undefined vector internally, and -Wmaybe-uninitialized flags that
@@ -397,6 +97,8 @@ __attribute__((target("avx2,avx512f,avx512vpopcntdq"))) void lookup8_avx512(
         const __m256i off32 = _mm512_cvtepi64_epi32(off);
         const __m256i v8 =
             _mm256_srli_epi32(_mm256_sllv_epi32(k8, off32), 26);  // 26 = 32 - kStride
+        // Node i spans qwords 3i (vector), 3i+1 (leafvec), 3i+2 (base0 |
+        // base1 << 32).
         const __m512i q3 = _mm512_add_epi64(_mm512_add_epi64(idx, idx), idx);
         const __m256i q3i = _mm512_cvtepi64_epi32(q3);
         const __m256i onei = _mm256_set1_epi32(1);
@@ -408,6 +110,7 @@ __attribute__((target("avx2,avx512f,avx512vpopcntdq"))) void lookup8_avx512(
         const __mmask8 internal = _mm512_test_epi64_mask(
                                       _mm512_srlv_epi64(vec, v64), one64) &
                                   active;
+        // (2 << v) - 1 without the v == 63 overflow: ~0 >> (63 - v).
         const __m512i minc = _mm512_srlv_epi64(
             _mm512_set1_epi64(-1), _mm512_sub_epi64(_mm512_set1_epi64(63), v64));
         const __m512i pcvec = _mm512_popcnt_epi64(_mm512_and_si512(vec, minc));
@@ -430,7 +133,9 @@ __attribute__((target("avx2,avx512f,avx512vpopcntdq"))) void lookup8_avx512(
             const __m512i slot = _mm512_sub_epi64(_mm512_add_epi64(b0, pclv), one64);
             alignas(64) std::uint64_t slots[8];
             _mm512_store_si512(slots, slot);
-            // view.leaf() decodes the kLeaf8Bit tag (see the AVX2 kernel).
+            // view.leaf() decodes the kLeaf8Bit tag, which flowed through
+            // the 64-bit base0 arithmetic unchanged (bit 31 survives the
+            // 0xffffffff mask).
             for (int l = 0; l < 8; ++l)
                 if ((retire >> l) & 1)
                     resolved[l] = view.leaf(static_cast<std::uint32_t>(slots[l]));
@@ -450,32 +155,25 @@ void run_avx512(const View4& view, const std::uint32_t* keys, rib::NextHop* out,
 {
     std::size_t i = 0;
     for (; i + 8 <= n; i += 8) lookup8_avx512(view, keys + i, out + i);
-    if (i < n) run_pipelined(view, keys + i, out + i, n - i);
+    if (i < n) batch::lookup_batch_pipelined(view, keys + i, out + i, n - i);
 }
 
 #pragma GCC diagnostic pop
 
-#else  // !POPTRIE_SIMD_AVX512
+#else  // !__x86_64__
+
+bool has_avx512() noexcept
+{
+    return false;
+}
 
 void run_avx512(const View4& view, const std::uint32_t* keys, rib::NextHop* out,
                 std::size_t n) noexcept
 {
-    // Defensive: select() never routes here when the kernel is absent.
-    run_pipelined(view, keys, out, n);
+    // Defensive: has_avx512() is false here, so no caller routes a burst in.
+    batch::lookup_batch_pipelined(view, keys, out, n);
 }
 
-#endif  // POPTRIE_SIMD_AVX512
-
-void run(LanePath path, const View4& view, const std::uint32_t* keys, rib::NextHop* out,
-         std::size_t n) noexcept
-{
-    switch (path) {
-        case LanePath::kScalar: run_scalar(view, keys, out, n); return;
-        case LanePath::kPipelined: run_pipelined(view, keys, out, n); return;
-        case LanePath::kAvx2: run_avx2(view, keys, out, n); return;
-        case LanePath::kAvx512: run_avx512(view, keys, out, n); return;
-    }
-    run_pipelined(view, keys, out, n);
-}
+#endif  // __x86_64__
 
 }  // namespace poptrie::lanes

@@ -1,121 +1,41 @@
-// poptrie/lanes.hpp — SIMD lane paths and runtime dispatch for the batched
-// lookup walk (DESIGN.md §12).
+// poptrie/lanes.hpp — the AVX-512 batch-lookup kernel for IPv4 images
+// (DESIGN.md §12).
 //
 // lookup_pipelined.ipp overlaps the cache misses of independent lookups with
-// scalar code and software prefetch. This module adds the explicit-SIMD
-// formulation of the same state machine for IPv4: eight lanes held in vector
-// registers, node words fetched with hardware gathers (vpgatherqq), and the
-// paper's popcount(vector & ((2 << v) - 1)) evaluated lane-parallel — via
-// the pshufb nibble-LUT trick on AVX2, via native vpopcntq on AVX-512.
+// scalar code and software prefetch. run_avx512 is the explicit-SIMD form of
+// the same walk: eight lanes held in vector registers, node words fetched
+// with masked 512-bit gathers, and the paper's popcount(vector & ((2 << v) -
+// 1)) evaluated lane-parallel with native vpopcntq. SnapshotFib4 serves it
+// when has_avx512() reports the CPU can run it; IPv6, the live trie and CPUs
+// without the extension serve the pipelined walk.
 //
-// Lane paths form a ladder:
-//
-//   kScalar     one lookup at a time (lookup_one per key) — the reference.
-//   kPipelined  the interleaved prefetch state machine from the .ipp.
-//   kAvx2       8-lane gathers + popcount-via-shuffle. Compile-time gated
-//               by POPTRIE_SIMD_AVX2, runtime by cpuid(avx2).
-//   kAvx512     same shape, one 512-bit gather per node word and native
-//               vpopcntq. Gated by POPTRIE_SIMD_AVX512 and
-//               cpuid(avx512f && avx512vpopcntdq).
-//
-// Dispatch policy: select() picks the best compiled-in path the CPU
-// supports, unless the POPTRIE_FORCE_LANES environment variable (or an
-// explicit request) names one. A forced path that is unknown, not compiled
-// in, or unsupported by the CPU is an *error* (Selection.ok == false), never
-// a silent fallback — CI's simd-dispatch step depends on a forced run
-// meaning what it says.
-//
-// Concurrency: SIMD gathers are plain loads with no acquire ordering, so
-// every kernel here reads through batch::PlainView and is safe only against
-// an immutable structure (a SnapshotFib image, or a live Poptrie with no
-// concurrent updater — the kSupportsChurn=false engine contract). The churn
-// path, PoptrieEngine → Poptrie::lookup_batch, stays on the AtomicView
-// pipelined walk.
+// Concurrency: gathers are plain loads with no acquire ordering, so the
+// kernel reads through batch::PlainView and is sound only over an immutable
+// structure — a SnapshotFib image. The churn path, PoptrieEngine →
+// Poptrie::lookup_batch, stays on the AtomicView pipelined walk.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
-#include <optional>
-#include <string>
-#include <string_view>
 
 #include "netbase/ipv4.hpp"
 #include "poptrie/poptrie.hpp"
 #include "rib/route.hpp"
 #include "sync/annotations.hpp"
 
-// Compile-time gates, normally injected by CMake (POPTRIE_SIMD_AVX2 /
-// POPTRIE_SIMD_AVX512 options, ON by default on x86_64). Default to off so
-// a bare compile of this header is portable.
-#ifndef POPTRIE_SIMD_AVX2
-#define POPTRIE_SIMD_AVX2 0
-#endif
-#ifndef POPTRIE_SIMD_AVX512
-#define POPTRIE_SIMD_AVX512 0
-#endif
-
 namespace poptrie::lanes {
 
-/// The batch lookup implementations, in dispatch-preference order.
-enum class LanePath : unsigned {
-    kScalar = 0,
-    kPipelined = 1,
-    kAvx2 = 2,
-    kAvx512 = 3,
-};
+/// Does the CPU report avx512f and avx512vpopcntdq? The cpuid probe runs
+/// once per process; false on every non-x86-64 build.
+[[nodiscard]] bool has_avx512() noexcept;
 
-/// Every path, for iteration (tests, the dispatch report, benchctl rows).
-inline constexpr LanePath kAllPaths[] = {LanePath::kScalar, LanePath::kPipelined,
-                                         LanePath::kAvx2, LanePath::kAvx512};
-
-[[nodiscard]] std::string_view name(LanePath path) noexcept;
-[[nodiscard]] std::optional<LanePath> parse(std::string_view text) noexcept;
-
-/// Was this path's kernel built into the binary (POPTRIE_SIMD_* options)?
-[[nodiscard]] bool compiled_in(LanePath path) noexcept;
-
-/// Does the running CPU support this path (cached cpuid probe)?
-[[nodiscard]] bool cpu_supports(LanePath path) noexcept;
-
-/// The outcome of resolving a lane-path request against the build and CPU.
-struct Selection {
-    LanePath path = LanePath::kPipelined;
-    bool forced = false;  ///< an explicit request or POPTRIE_FORCE_LANES won
-    bool ok = true;       ///< false: the forced path is unusable; note says why
-    std::string note;     ///< diagnostic for the ok == false case
-};
-
-/// Resolves `request` (or, when empty, the POPTRIE_FORCE_LANES environment
-/// variable; or, when that is unset too, automatic selection) to a usable
-/// path. Automatic selection walks the ladder downward and always succeeds
-/// (kPipelined has no gate). A forced path that cannot run reports
-/// ok == false with the reason, and `path` holds the automatic choice the
-/// caller may explicitly decide to continue with — callers surface the
-/// failure (exit 2 in tools, skip-with-log in tests) rather than silently
-/// serving a different path than the one demanded.
-[[nodiscard]] Selection select(std::optional<LanePath> request = std::nullopt);
-
-/// The IPv4 view the kernels gather from. Obtain one from
-/// Poptrie4::batch_view() (no-churn contract) or SnapshotFib4 (immutable).
+/// The IPv4 view the kernel gathers from (SnapshotFib4::view()).
 using View4 = batch::PlainView<std::uint32_t,
                                poptrie::Poptrie<netbase::Ipv4Addr>::Node>;
 
-/// Resolves `n` keys down the chosen lane path. `path` must be usable
-/// (select() said so); an uncompiled/unsupported path degrades to the
-/// pipelined walk only as a defense against contract violations — dispatch
-/// decisions belong in select(), not here. View4 reads with plain loads:
-/// callers guarantee no concurrent updater (see header comment).
-POPTRIE_HOT void run(LanePath path, const View4& view, const std::uint32_t* keys,
-                     rib::NextHop* out, std::size_t n) noexcept;
-
-/// The individual paths, exposed for the equivalence tests and the fuzzer's
-/// lane-selector byte. Same contract as run().
-POPTRIE_HOT void run_scalar(const View4& view, const std::uint32_t* keys,
-                            rib::NextHop* out, std::size_t n) noexcept;
-POPTRIE_HOT void run_pipelined(const View4& view, const std::uint32_t* keys,
-                               rib::NextHop* out, std::size_t n) noexcept;
-POPTRIE_HOT void run_avx2(const View4& view, const std::uint32_t* keys,
-                          rib::NextHop* out, std::size_t n) noexcept;
+/// Resolves `n` keys eight at a time; a tail shorter than eight takes the
+/// pipelined walk. Call only when has_avx512() is true, over an immutable
+/// structure (see header comment).
 POPTRIE_HOT void run_avx512(const View4& view, const std::uint32_t* keys,
                             rib::NextHop* out, std::size_t n) noexcept;
 

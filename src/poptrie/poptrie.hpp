@@ -129,9 +129,10 @@ public:
                                      : lookup_raw<false>(addr.value());
     }
 
-    /// The hot path (Algorithms 1–3 fused). UseLeafvec selects Algorithm 2's
-    /// leaf compression; SoftPopcount swaps the popcnt instruction for the
-    /// portable fallback (§3.2), for the ablation bench.
+    /// The hot path: the shared scalar walk (batch::lookup_one, Algorithms
+    /// 1–3 fused) over the acquire/relaxed view. UseLeafvec selects Algorithm
+    /// 2's leaf compression; SoftPopcount swaps the popcnt instruction for
+    /// the portable fallback (§3.2), for the ablation bench.
     template <bool UseLeafvec, bool SoftPopcount = false>
     POPTRIE_HOT [[nodiscard]] NextHop lookup_raw(value_type key) const noexcept
     {
@@ -140,106 +141,31 @@ public:
         // real EBR guard around their burst (the dataplane serving path goes
         // through lookup_batch, which REQUIRES the capability instead).
         const psync::EbrReadSection section;
-        return lookup_impl<UseLeafvec, SoftPopcount>(key, cfg_.direct_bits);
+        return batch::lookup_one<UseLeafvec, SoftPopcount>(atomic_view(), key,
+                                                           cfg_.direct_bits);
     }
 
-private:
-    /// lookup_raw with the direct-pointing dispatch hoisted: callers that
-    /// resolve many keys (lookup_batch) read cfg_.direct_bits once and pass
-    /// it down, instead of re-reading the config per key.
-    template <bool UseLeafvec, bool SoftPopcount = false>
-    POPTRIE_HOT [[nodiscard]] NextHop lookup_impl(value_type key, unsigned direct_bits) const noexcept
-        POPTRIE_REQUIRES_SHARED(psync::cap::ebr)
-    {
-        constexpr auto pop = [](std::uint64_t v) noexcept {
-            if constexpr (SoftPopcount)
-                return netbase::popcount64_table(v);  // see bits.hpp: _soft folds to popcnt
-            else
-                return netbase::popcount64(v);
-        };
-        std::uint32_t index;
-        unsigned offset;
-        if (direct_bits != 0) {  // Algorithm 3: direct pointing
-            const auto slot = static_cast<std::size_t>(
-                netbase::extract(key, 0, direct_bits));
-            const std::uint32_t dindex = psync::load_acquire(direct_[slot]);
-            if (dindex & kDirectLeafBit)
-                return static_cast<NextHop>(dindex & ~kDirectLeafBit);
-            index = dindex;
-            offset = direct_bits;
-        } else {
-            // Acquire: apply() can republish the root index concurrently
-            // (direct_bits == 0 puts the §3.5 atomic swap on this field).
-            index = psync::load_acquire(root_);
-            offset = 0;
-        }
-        std::uint64_t v = chunk(key, offset);
-        std::uint64_t vector = psync::load_relaxed(nodes_[index].vector);
-        while (vector & (std::uint64_t{1} << v)) {  // Algorithm 1 main loop
-            const std::uint32_t base = psync::load_acquire(nodes_[index].base1);
-            const auto bc =
-                static_cast<std::uint32_t>(pop(vector & netbase::low_mask_inclusive(
-                                                             static_cast<unsigned>(v))));
-            index = base + bc - 1;
-            vector = psync::load_relaxed(nodes_[index].vector);
-            offset += kStride;
-            v = chunk(key, offset);
-        }
-        const std::uint32_t base = psync::load_acquire(nodes_[index].base0);
-        const std::uint64_t lv = UseLeafvec ? psync::load_relaxed(nodes_[index].leafvec)
-                                            : ~vector;  // Algorithm 1 line 14
-        const auto bc = static_cast<std::uint32_t>(
-            pop(lv & netbase::low_mask_inclusive(static_cast<unsigned>(v))));
-        const std::uint32_t slot = base + bc - 1;
-        if (slot & kLeaf8Bit) {  // dict-coded run (Config::leaf_dict)
-            const std::uint8_t code = psync::load_relaxed(leaves8_[slot & ~kLeaf8Bit]);
-            return psync::load_relaxed(leaf_dict_[code]);
-        }
-        return psync::load_relaxed(leaves_[slot]);
-    }
-
-public:
-    /// Batched lookup: resolves `n` keys into `out`, walking `Lanes` lookups
-    /// in lockstep with software prefetch one trie level ahead. A single
-    /// lookup is a chain of dependent loads, so a forwarding loop that has a
-    /// vector of destinations in hand (it always does — packets arrive in
-    /// bursts) can overlap the memory latency of independent lookups. This
-    /// is an extension beyond the paper; bench_ablation_options and
-    /// bench_batch_pipeline quantify it. The state machine itself lives in
-    /// lookup_pipelined.ipp (shared with SnapshotFib); this wrapper binds it
-    /// to the AtomicView the §3.5 churn contract requires. This is the
-    /// dataplane serving path, so unlike lookup() it does not claim its own
-    /// read section: the caller must hold the shared EBR capability (a live
-    /// guard + EbrReadSection) for the whole burst — which is also what
-    /// makes the pool-pointer hoist into the view sound.
-    template <bool UseLeafvec, unsigned Lanes = 8>
+    /// Batched lookup: resolves `n` keys into `out`, walking batch::kLanes
+    /// lookups in lockstep with software prefetch one trie level ahead. A
+    /// single lookup is a chain of dependent loads, so a forwarding loop that
+    /// has a vector of destinations in hand (it always does — packets arrive
+    /// in bursts) can overlap the memory latency of independent lookups.
+    /// This is an extension beyond the paper; bench_batch_pipeline quantifies
+    /// it. The state machine itself lives in lookup_pipelined.ipp (shared
+    /// with SnapshotFib); this wrapper binds it to the AtomicView the §3.5
+    /// churn contract requires. This is the dataplane serving path, so
+    /// unlike lookup() it does not claim its own read section: the caller
+    /// must hold the shared EBR capability (a live guard + EbrReadSection)
+    /// for the whole burst — which is also what makes the pool-pointer hoist
+    /// into the view sound.
+    template <bool UseLeafvec>
     POPTRIE_HOT void lookup_batch(const value_type* keys, NextHop* out, std::size_t n) const noexcept
         POPTRIE_REQUIRES_SHARED(psync::cap::ebr)
     {
-        const batch::AtomicView<value_type, Node> view{nodes_.data(),  leaves_.data(),
-                                                       direct_.data(), &root_,
-                                                       leaves8_.data(), leaf_dict_.data()};
         // One config read per call: the direct/root dispatch is loop-
         // invariant, so hoist it instead of re-reading cfg_ per lane.
-        batch::lookup_batch_pipelined<UseLeafvec, Lanes>(view, keys, out, n,
-                                                         cfg_.direct_bits);
-    }
-
-    /// Plain-load view over the published structure, for the read-only
-    /// pipelined/SIMD engines (dataplane::PipelinedEngine) and the SIMD lane
-    /// kernels (poptrie/lanes.hpp), whose vector gathers cannot carry the
-    /// acquire ordering the churn contract needs. Safe only when no
-    /// concurrent updater exists for the lifetime of the view — the
-    /// kSupportsChurn=false engine contract — which is why this is not the
-    /// path PoptrieEngine serves from.
-    [[nodiscard]] batch::PlainView<value_type, Node> batch_view() const noexcept
-        POPTRIE_NO_TSA  // no-churn contract replaces the EBR capability: with
-                        // no writer the pools are immutable and plain loads
-                        // plus the pointer hoist are trivially sound.
-    {
-        return {nodes_.data(), leaves_.data(),  direct_.data(),
-                root_,         cfg_.direct_bits, cfg_.leaf_compression,
-                leaves8_.data(), leaf_dict_.data()};
+        batch::lookup_batch_pipelined<UseLeafvec>(atomic_view(), keys, out, n,
+                                                  cfg_.direct_bits);
     }
 
     /// Applies one route change (§3.5 incremental update): updates `rib`
@@ -376,13 +302,14 @@ private:
     void collect_leaf_values(const Node& n, bool* seen) const
         POPTRIE_REQUIRES(psync::cap::ebr);
 
-    /// 6-bit chunk at bit offset `off`, zero-padded past the address width
-    /// (the builder uses the same convention, so the padded slots agree).
-    POPTRIE_HOT [[nodiscard]] static std::uint64_t chunk(value_type key, unsigned off) noexcept
+    /// The acquire/relaxed view both lookup paths walk: the pool pointers
+    /// are read once per call, which the caller's EBR read section makes
+    /// sound (storage never moves under a reader).
+    POPTRIE_HOT [[nodiscard]] batch::AtomicView<value_type, Node> atomic_view() const noexcept
+        POPTRIE_REQUIRES_SHARED(psync::cap::ebr)
     {
-        if (off >= kWidth) return 0;
-        return static_cast<std::uint64_t>(static_cast<value_type>(key << off) >>
-                                          (kWidth - kStride));
+        return {nodes_.data(),  leaves_.data(),   direct_.data(),
+                &root_,         leaves8_.data(), leaf_dict_.data()};
     }
 
     POPTRIE_HOT [[nodiscard]] std::uint32_t old_child_index(const Node& n, unsigned u) const noexcept
@@ -397,7 +324,8 @@ private:
     /// Decodes one leaf slot by (possibly tagged) index: a kLeaf8Bit index
     /// reads the dense 8-bit code array through the dictionary, a plain index
     /// reads the 16-bit leaf pool. Control-path twin of the hot-path decode
-    /// in lookup_impl; the updater and compactor funnel every leaf read here.
+    /// in the views' leaf() (lookup_pipelined.ipp); the updater and
+    /// compactor funnel every leaf read here.
     [[nodiscard]] NextHop leaf_at(std::uint32_t i) const noexcept
         POPTRIE_REQUIRES_SHARED(psync::cap::ebr)
     {

@@ -35,6 +35,7 @@
 #include <cstdint>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <type_traits>
 #include <vector>
 
@@ -226,8 +227,9 @@ struct LoadOptions {
 /// A read-only FIB served straight out of a validated snapshot image.
 /// Immutable after construction: plain loads, no EBR, no allocators, and
 /// therefore trivially shareable across threads (and, under mmap placement,
-/// across processes). The lookup algorithm is the paper's, identical to
-/// Poptrie::lookup_impl minus the publication atomics an updater would need.
+/// across processes). The lookup algorithm is the paper's: the same
+/// batch::lookup_one walk as Poptrie::lookup_raw, over plain loads instead
+/// of the publication atomics an updater would need.
 template <class Addr>
 class SnapshotFib {
 public:
@@ -262,7 +264,7 @@ public:
           root_(other.root_),
           direct_bits_(other.direct_bits_),
           leaf_compression_(other.leaf_compression_),
-          lane_path_(other.lane_path_)
+          avx512_(other.avx512_)
     {
         other.nodes_ = nullptr;
         other.leaves_ = nullptr;
@@ -285,7 +287,7 @@ public:
             root_ = other.root_;
             direct_bits_ = other.direct_bits_;
             leaf_compression_ = other.leaf_compression_;
-            lane_path_ = other.lane_path_;
+            avx512_ = other.avx512_;
             other.nodes_ = nullptr;
             other.leaves_ = nullptr;
             other.direct_ = nullptr;
@@ -303,45 +305,44 @@ public:
     /// reference in lookup_pipelined.ipp, over the plain-load view).
     POPTRIE_HOT [[nodiscard]] NextHop lookup(Addr addr) const noexcept
     {
-        const auto view = plain_view();
         return leaf_compression_
-                   ? poptrie::batch::lookup_one<true>(view, addr.value(), direct_bits_)
-                   : poptrie::batch::lookup_one<false>(view, addr.value(), direct_bits_);
+                   ? poptrie::batch::lookup_one<true>(view(), addr.value(), direct_bits_)
+                   : poptrie::batch::lookup_one<false>(view(), addr.value(), direct_bits_);
     }
 
-    /// Batched lookup: the shared pipelined state machine from
-    /// lookup_pipelined.ipp — and, for IPv4, the SIMD lane paths behind the
-    /// runtime dispatch in poptrie/lanes.hpp (lane_path() says which one
-    /// serves; POPTRIE_FORCE_LANES was honored at load time). No capability
-    /// requirement and no atomics: the arrays are immutable, which is also
-    /// what makes the plain-load SIMD gathers sound here.
+    /// Batched lookup. IPv4 images serve the AVX-512 kernel
+    /// (poptrie/lanes.hpp) when the CPU has it, and every other case the
+    /// shared pipelined state machine from lookup_pipelined.ipp (the
+    /// kernel's 32-bit chunk arithmetic has no 128-bit form);
+    /// batch_kernel() says which. No capability requirement and no atomics:
+    /// the arrays are immutable, which is also what makes the plain-load
+    /// gathers sound here.
     POPTRIE_HOT void lookup_batch(const value_type* keys, NextHop* out,
                                   std::size_t n) const noexcept
     {
         if constexpr (kWidth == 32) {
-            poptrie::lanes::run(lane_path_, plain_view(), keys, out, n);
-        } else {
-            // IPv6: no SIMD formulation yet (128-bit keys need a different
-            // chunk pipeline); the interleaved walk still hides the misses.
-            const auto view = plain_view();
-            if (leaf_compression_)
-                poptrie::batch::lookup_batch_pipelined<true, 8>(view, keys, out, n,
-                                                                direct_bits_);
-            else
-                poptrie::batch::lookup_batch_pipelined<false, 8>(view, keys, out, n,
-                                                                 direct_bits_);
+            if (avx512_) {
+                poptrie::lanes::run_avx512(view(), keys, out, n);
+                return;
+            }
         }
+        poptrie::batch::lookup_batch_pipelined(view(), keys, out, n);
     }
 
-    /// The lane path lookup_batch serves IPv4 bursts with. Resolved via
-    /// lanes::select() when the image is loaded; tests and tools may pin it.
-    [[nodiscard]] poptrie::lanes::LanePath lane_path() const noexcept
+    /// The kernel lookup_batch serves with: "avx512" or "pipelined".
+    [[nodiscard]] std::string_view batch_kernel() const noexcept
     {
-        return lane_path_;
+        return (kWidth == 32 && avx512_) ? "avx512" : "pipelined";
     }
-    /// Pins the batch lane path. The caller owns the select() contract:
-    /// pass only a path that is compiled in and CPU-supported.
-    void set_lane_path(poptrie::lanes::LanePath path) noexcept { lane_path_ = path; }
+
+    /// The plain-load view every walk over this image reads through — exact,
+    /// not an approximation: a loaded image has no writer side at all. Public
+    /// so tests and benches can drive each kernel directly.
+    POPTRIE_HOT [[nodiscard]] poptrie::batch::PlainView<value_type, Node> view() const noexcept
+    {
+        return {nodes_,       leaves_,           direct_,  root_,
+                direct_bits_, leaf_compression_, leaves8_, leaf_dict_};
+    }
 
     [[nodiscard]] const ImageHeader& header() const noexcept { return hdr_; }
     /// The Config the FIB was built with, reconstructed from the echo.
@@ -388,16 +389,6 @@ private:
         leaf_dict_ = nullptr;
     }
 
-    /// The plain-load view the shared walk (lookup_pipelined.ipp) and the
-    /// SIMD kernels read through. Exact, not an approximation: a loaded
-    /// image has no writer side at all.
-    POPTRIE_HOT [[nodiscard]] poptrie::batch::PlainView<value_type, Node>
-    plain_view() const noexcept
-    {
-        return {nodes_,       leaves_,           direct_,  root_,
-                direct_bits_, leaf_compression_, leaves8_, leaf_dict_};
-    }
-
     ImageHeader hdr_{};
     // The arena accounts for the image pages (one file mapping or one
     // copied block) so memory_report() distinguishes built vs restored FIBs.
@@ -413,9 +404,9 @@ private:
     std::uint32_t root_ = 0;
     unsigned direct_bits_ = 0;
     bool leaf_compression_ = true;
-    // Resolved once per load (cpuid + POPTRIE_FORCE_LANES); IPv6 images
-    // carry it too but always serve the pipelined walk.
-    poptrie::lanes::LanePath lane_path_ = poptrie::lanes::select().path;
+    // Resolved once per load from the cached cpuid check; IPv6 images carry
+    // it too but always serve the pipelined walk.
+    bool avx512_ = poptrie::lanes::has_avx512();
 };
 
 using SnapshotFib4 = SnapshotFib<netbase::Ipv4Addr>;

@@ -1,21 +1,21 @@
-// tests/test_batch_pipeline.cpp — the pipelined/SIMD batch lookup paths
+// tests/test_batch_pipeline.cpp — the batch lookup kernels
 // (poptrie/lookup_pipelined.ipp + poptrie/lanes.hpp; DESIGN.md §12).
 //
-// The contract under test: every lane path — scalar reference, interleaved
-// pipelined walk, AVX2 kernel, AVX-512 kernel — returns bit-identical
-// results on every table shape and burst size, and the dispatch ladder
-// (compiled_in / cpu_supports / POPTRIE_FORCE_LANES) never silently
-// substitutes a different path for a forced one.
+// The contract under test: every batch kernel — the interleaved pipelined
+// walk, and the AVX-512 kernel where the CPU has it — returns bit-identical
+// results to the scalar walk on every table shape and burst size, and a
+// SnapshotFib serves the AVX-512 kernel exactly when the CPU has it.
 //
-// CI's simd-dispatch step greps this binary's output for one
-// `lane-path <name>: exercised|skipped (...)` line per compiled-in path, so
-// a runner without AVX-512 shows an explicit skip instead of silence.
+// The kernel tests run over SnapshotFib4::view(), the only structure the
+// plain-load kernels are sound over. LaneDispatch prints one
+// `batch-kernel avx512: exercised|skipped (...)` line, so a runner without
+// AVX-512 shows an explicit skip in the CI log instead of silence.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 #include <vector>
 
@@ -37,12 +37,29 @@ using poptrie::Poptrie4;
 using rib::NextHop;
 namespace lanes = poptrie::lanes;
 
-std::vector<lanes::LanePath> usable_paths()
+struct Kernel {
+    const char* name;
+    void (*run)(const lanes::View4&, const std::uint32_t*, NextHop*, std::size_t);
+};
+
+/// The kernels this CPU can run: always the pipelined walk, plus AVX-512.
+std::vector<Kernel> usable_kernels()
 {
-    std::vector<lanes::LanePath> v;
-    for (const lanes::LanePath p : lanes::kAllPaths)
-        if (lanes::compiled_in(p) && lanes::cpu_supports(p)) v.push_back(p);
+    std::vector<Kernel> v{{"pipelined", [](const lanes::View4& view, const std::uint32_t* keys,
+                                           NextHop* out, std::size_t n) {
+                               poptrie::batch::lookup_batch_pipelined(view, keys, out, n);
+                           }}};
+    if (lanes::has_avx512()) v.push_back({"avx512", lanes::run_avx512});
     return v;
+}
+
+/// The read-only image of `fib` the plain-load kernels walk.
+snapshot::SnapshotFib4 image_of(const Poptrie4& fib)
+{
+    // quiescent: single-threaded test, no readers or writer exist.
+    const psync::QuiescentSection q;
+    const auto image = snapshot::serialize(fib);
+    return snapshot::SnapshotFib4::load_buffer(image.data(), image.size());
 }
 
 /// Keys that exercise every structural corner of corner_case_table():
@@ -64,19 +81,28 @@ std::vector<std::uint32_t> probe_keys(const rib::RouteList<Ipv4Addr>& routes,
     return keys;
 }
 
-/// Runs `path` over `keys` against `fib`'s view and compares every result
-/// with the scalar lookup() (itself validated against the radix oracle by
-/// test_poptrie_lookup).
-void expect_path_matches_scalar(const Poptrie4& fib, lanes::LanePath path,
-                                const std::vector<std::uint32_t>& keys)
+std::vector<std::uint32_t> random_keys(std::size_t n, std::uint64_t seed)
 {
-    const lanes::View4 view = fib.batch_view();
-    std::vector<NextHop> got(keys.size() + 1, 0xBEEF);
-    lanes::run(path, view, keys.data(), got.data(), keys.size());
-    for (std::size_t i = 0; i < keys.size(); ++i)
-        ASSERT_EQ(got[i], fib.lookup(Ipv4Addr{keys[i]}))
-            << "path " << lanes::name(path) << " key #" << i << " = " << keys[i];
-    EXPECT_EQ(got[keys.size()], 0xBEEF) << "wrote past n";
+    std::vector<std::uint32_t> keys;
+    workload::Xorshift128 rng(seed);
+    for (std::size_t i = 0; i < n; ++i) keys.push_back(rng.next());
+    return keys;
+}
+
+/// Runs every usable kernel over `keys` against `fib`'s image and compares
+/// every result with the scalar lookup() (itself validated against the
+/// radix oracle by test_poptrie_lookup).
+void expect_kernels_match_scalar(const Poptrie4& fib, const std::vector<std::uint32_t>& keys)
+{
+    const auto snap = image_of(fib);
+    for (const Kernel& k : usable_kernels()) {
+        std::vector<NextHop> got(keys.size() + 1, 0xBEEF);
+        k.run(snap.view(), keys.data(), got.data(), keys.size());
+        for (std::size_t i = 0; i < keys.size(); ++i)
+            ASSERT_EQ(got[i], fib.lookup(Ipv4Addr{keys[i]}))
+                << "kernel " << k.name << " key #" << i << " = " << keys[i];
+        EXPECT_EQ(got[keys.size()], 0xBEEF) << k.name << " wrote past n";
+    }
 }
 
 poptrie::Config cfg_default()
@@ -102,11 +128,8 @@ TEST(BatchPipeline, AllPathsMatchScalarOnCornerTable)
     const auto routes = testhelpers::corner_case_table();
     const auto rib = testhelpers::load(routes);
     const auto keys = probe_keys(routes, 4096);
-    for (const auto& cfg : {cfg_default(), cfg_no_direct(), cfg_basic()}) {
-        const Poptrie4 fib(rib, cfg);
-        for (const lanes::LanePath p : usable_paths())
-            expect_path_matches_scalar(fib, p, keys);
-    }
+    for (const auto& cfg : {cfg_default(), cfg_no_direct(), cfg_basic()})
+        expect_kernels_match_scalar(Poptrie4(rib, cfg), keys);
 }
 
 TEST(BatchPipeline, AllPathsMatchScalarOnGeneratedTable)
@@ -114,14 +137,29 @@ TEST(BatchPipeline, AllPathsMatchScalarOnGeneratedTable)
     workload::TableGenConfig tcfg;
     tcfg.target_routes = 20'000;
     tcfg.igp_routes = 2'000;
+    const auto rib = testhelpers::load(workload::generate_table(tcfg));
+    expect_kernels_match_scalar(Poptrie4(rib), random_keys(8192, 7));
+}
+
+TEST(BatchPipeline, KernelsMatchScalarOnDictCodedImage)
+{
+    // Config::leaf_dict engages at compact(): the kernels must decode the
+    // tagged 8-bit leaf runs exactly like the scalar walk.
+    workload::TableGenConfig tcfg;
+    tcfg.target_routes = 20'000;
+    tcfg.next_hops = 16;
     const auto routes = workload::generate_table(tcfg);
     const auto rib = testhelpers::load(routes);
-    const Poptrie4 fib(rib);
-    std::vector<std::uint32_t> keys;
-    workload::Xorshift128 rng(7);
-    for (int i = 0; i < 8192; ++i) keys.push_back(rng.next());
-    for (const lanes::LanePath p : usable_paths())
-        expect_path_matches_scalar(fib, p, keys);
+    poptrie::Config cfg;
+    cfg.leaf_dict = true;
+    Poptrie4 fib(rib, cfg);
+    {
+        // quiescent: single-threaded test, no readers exist.
+        const psync::QuiescentSection q;
+        fib.compact();
+    }
+    ASSERT_GT(image_of(fib).leaf8_count(), 0u) << "table did not dict-code";
+    expect_kernels_match_scalar(fib, probe_keys(routes, 4096));
 }
 
 TEST(BatchPipeline, BurstSizesIncludingEmptyAndNonMultiples)
@@ -139,25 +177,22 @@ TEST(BatchPipeline, BurstSizesIncludingEmptyAndNonMultiples)
         ASSERT_LE(n, all_keys.size());
         const std::vector<std::uint32_t> keys(all_keys.begin(),
                                               all_keys.begin() + static_cast<long>(n));
-        for (const lanes::LanePath p : usable_paths())
-            expect_path_matches_scalar(fib, p, keys);
+        expect_kernels_match_scalar(fib, keys);
     }
 }
 
 TEST(BatchPipeline, EmptyTableEveryPath)
 {
-    // An empty FIB has an *empty node pool* under direct pointing — the SIMD
-    // kernels must not gather through retired/inactive lanes (masked
+    // An empty FIB has an *empty node pool* under direct pointing — the
+    // AVX-512 kernel must not gather through retired/inactive lanes (masked
     // gathers), or this test faults.
     for (const auto& cfg : {cfg_default(), cfg_no_direct()}) {
-        const Poptrie4 fib(cfg);
-        std::vector<std::uint32_t> keys;
-        workload::Xorshift128 rng(3);
-        for (int i = 0; i < 256; ++i) keys.push_back(rng.next());
-        for (const lanes::LanePath p : usable_paths()) {
+        const auto snap = image_of(Poptrie4(cfg));
+        const auto keys = random_keys(256, 3);
+        for (const Kernel& k : usable_kernels()) {
             std::vector<NextHop> got(keys.size(), 7);
-            lanes::run(p, fib.batch_view(), keys.data(), got.data(), keys.size());
-            for (const NextHop h : got) ASSERT_EQ(h, rib::kNoRoute);
+            k.run(snap.view(), keys.data(), got.data(), keys.size());
+            for (const NextHop h : got) ASSERT_EQ(h, rib::kNoRoute) << k.name;
         }
     }
 }
@@ -167,14 +202,12 @@ TEST(BatchPipeline, AllDefaultRouteTable)
     rib::RouteList<Ipv4Addr> routes{{*netbase::parse_prefix4("0.0.0.0/0"), 42}};
     const auto rib = testhelpers::load(routes);
     for (const auto& cfg : {cfg_default(), cfg_no_direct(), cfg_basic()}) {
-        const Poptrie4 fib(rib, cfg);
-        std::vector<std::uint32_t> keys;
-        workload::Xorshift128 rng(5);
-        for (int i = 0; i < 333; ++i) keys.push_back(rng.next());
-        for (const lanes::LanePath p : usable_paths()) {
+        const auto snap = image_of(Poptrie4(rib, cfg));
+        const auto keys = random_keys(333, 5);
+        for (const Kernel& k : usable_kernels()) {
             std::vector<NextHop> got(keys.size(), 0);
-            lanes::run(p, fib.batch_view(), keys.data(), got.data(), keys.size());
-            for (const NextHop h : got) ASSERT_EQ(h, 42);
+            k.run(snap.view(), keys.data(), got.data(), keys.size());
+            for (const NextHop h : got) ASSERT_EQ(h, 42) << k.name;
         }
     }
 }
@@ -194,56 +227,52 @@ TEST(BatchPipeline, OutOfOrderLaneRetirement)
     std::vector<std::uint32_t> keys;
     for (int i = 0; i < 32; ++i)
         keys.push_back(i % 2 == 0 ? deep : (i % 4 == 1 ? shallow : direct_leaf));
-    for (const lanes::LanePath p : usable_paths())
-        expect_path_matches_scalar(fib, p, keys);
+    expect_kernels_match_scalar(fib, keys);
 }
 
 TEST(BatchPipeline, PoptrieLookupBatchBurstWidths)
 {
-    // The churn-safe Poptrie::lookup_batch is a Lanes template; the bench
-    // sweeps 8/16/32. All widths must agree with the scalar path.
+    // The churn-safe Poptrie::lookup_batch (AtomicView) serves whatever burst
+    // the dataplane hands it: calls of 8, 16, 32 and a ragged 13 keys must
+    // all agree with the scalar path.
     const auto routes = testhelpers::corner_case_table();
     const auto rib = testhelpers::load(routes);
     const Poptrie4 fib(rib);
     const auto keys = probe_keys(routes, 500);
-    std::vector<NextHop> w8(keys.size());
-    std::vector<NextHop> w16(keys.size());
-    std::vector<NextHop> w32(keys.size());
     // reader: single-threaded test, no concurrent updater exists.
     const psync::EbrReadSection section;
-    fib.lookup_batch<true, 8>(keys.data(), w8.data(), keys.size());
-    fib.lookup_batch<true, 16>(keys.data(), w16.data(), keys.size());
-    fib.lookup_batch<true, 32>(keys.data(), w32.data(), keys.size());
-    for (std::size_t i = 0; i < keys.size(); ++i) {
-        ASSERT_EQ(w8[i], fib.lookup(Ipv4Addr{keys[i]}));
-        ASSERT_EQ(w16[i], w8[i]);
-        ASSERT_EQ(w32[i], w8[i]);
+    for (const std::size_t width : {std::size_t{8}, std::size_t{16}, std::size_t{32},
+                                    std::size_t{13}}) {
+        std::vector<NextHop> got(keys.size());
+        for (std::size_t i = 0; i < keys.size(); i += width)
+            fib.lookup_batch<true>(keys.data() + i, got.data() + i,
+                                   std::min(width, keys.size() - i));
+        for (std::size_t i = 0; i < keys.size(); ++i)
+            ASSERT_EQ(got[i], fib.lookup(Ipv4Addr{keys[i]})) << "width " << width;
     }
 }
 
 TEST(BatchPipeline, SnapshotFibServesEveryUsablePath)
 {
+    // The served kernel is AVX-512 exactly when the CPU has it, and it
+    // answers like the scalar walk.
     const auto routes = testhelpers::corner_case_table();
     const auto rib = testhelpers::load(routes);
     const Poptrie4 fib(rib);
-    // quiescent: single-threaded test, no readers or writer exist.
-    const psync::QuiescentSection q;
-    const auto image = snapshot::serialize(fib);
-    auto snap = snapshot::SnapshotFib4::load_buffer(image.data(), image.size());
+    const auto snap = image_of(fib);
+    EXPECT_EQ(snap.batch_kernel(), lanes::has_avx512() ? "avx512" : "pipelined");
     const auto keys = probe_keys(routes, 1024);
-    for (const lanes::LanePath p : usable_paths()) {
-        snap.set_lane_path(p);
-        ASSERT_EQ(snap.lane_path(), p);
-        std::vector<NextHop> got(keys.size());
-        snap.lookup_batch(keys.data(), got.data(), keys.size());
-        for (std::size_t i = 0; i < keys.size(); ++i)
-            ASSERT_EQ(got[i], fib.lookup(Ipv4Addr{keys[i]}))
-                << "snapshot path " << lanes::name(p) << " key " << keys[i];
-    }
+    std::vector<NextHop> got(keys.size());
+    snap.lookup_batch(keys.data(), got.data(), keys.size());
+    for (std::size_t i = 0; i < keys.size(); ++i)
+        ASSERT_EQ(got[i], fib.lookup(Ipv4Addr{keys[i]}))
+            << "snapshot kernel " << snap.batch_kernel() << " key " << keys[i];
 }
 
-TEST(BatchPipeline, PipelinedEngineMatchesPoptrieEngine)
+TEST(BatchPipeline, SnapshotEngineMatchesPoptrieEngine)
 {
+    // The two serving engines — the live trie under EBR, and its image read
+    // only — must forward every burst identically.
     const auto routes = testhelpers::corner_case_table();
     router::Router4 router;
     for (const auto& r : routes)
@@ -257,112 +286,33 @@ TEST(BatchPipeline, PipelinedEngineMatchesPoptrieEngine)
         const dataplane::EbrReader::Guard guard(reader);
         base.lookup_batch(keys.data(), want.data(), keys.size());
     }
-    for (const lanes::LanePath p : usable_paths()) {
-        dataplane::PipelinedEngine eng(router.fib(), p);
-        EXPECT_EQ(eng.lane_path(), p);
-        EXPECT_EQ(eng.name(), std::string("pipelined[") + std::string(lanes::name(p)) + "]");
-        auto reader = eng.make_reader();
-        const dataplane::NullReader::Guard guard(reader);
-        std::vector<NextHop> got(keys.size());
-        eng.lookup_batch(keys.data(), got.data(), keys.size());
-        for (std::size_t i = 0; i < keys.size(); ++i) ASSERT_EQ(got[i], want[i]);
-    }
-    static_assert(!dataplane::PipelinedEngine::kSupportsChurn,
-                  "SIMD gathers are plain loads; churn needs the AtomicView engine");
-}
-
-class ForceLanesEnv : public ::testing::Test {
-protected:
-    void SetUp() override
-    {
-        const char* old = std::getenv("POPTRIE_FORCE_LANES");
-        if (old != nullptr) saved_ = old;
-    }
-    void TearDown() override
-    {
-        if (saved_.empty())
-            ::unsetenv("POPTRIE_FORCE_LANES");
-        else
-            ::setenv("POPTRIE_FORCE_LANES", saved_.c_str(), 1);
-    }
-    std::string saved_;
-};
-
-TEST_F(ForceLanesEnv, SelectHonorsEnvironment)
-{
-    for (const lanes::LanePath p : usable_paths()) {
-        ::setenv("POPTRIE_FORCE_LANES", std::string(lanes::name(p)).c_str(), 1);
-        const auto sel = lanes::select();
-        EXPECT_TRUE(sel.ok) << sel.note;
-        EXPECT_TRUE(sel.forced);
-        EXPECT_EQ(sel.path, p);
-    }
-}
-
-TEST_F(ForceLanesEnv, SelectRejectsUnknownValue)
-{
-    ::setenv("POPTRIE_FORCE_LANES", "sse9", 1);
-    const auto sel = lanes::select();
-    EXPECT_FALSE(sel.ok);
-    EXPECT_NE(sel.note.find("sse9"), std::string::npos);
-}
-
-TEST_F(ForceLanesEnv, SelectRefusesUnusableForcedPath)
-{
-    // Whichever SIMD rung is missing (not compiled in, or CPU-unsupported)
-    // must be refused, not silently downgraded. On a machine where every
-    // path is usable there is nothing to refuse — assert the automatic
-    // choice instead.
-    ::unsetenv("POPTRIE_FORCE_LANES");
-    bool found_unusable = false;
-    for (const lanes::LanePath p : lanes::kAllPaths) {
-        if (lanes::compiled_in(p) && lanes::cpu_supports(p)) continue;
-        found_unusable = true;
-        const auto sel = lanes::select(p);
-        EXPECT_FALSE(sel.ok) << lanes::name(p);
-        EXPECT_FALSE(sel.note.empty());
-        EXPECT_TRUE(lanes::compiled_in(sel.path) && lanes::cpu_supports(sel.path))
-            << "fallback suggestion must itself be usable";
-    }
-    if (!found_unusable) {
-        const auto sel = lanes::select();
-        EXPECT_TRUE(sel.ok);
-        EXPECT_FALSE(sel.forced);
-        EXPECT_TRUE(lanes::compiled_in(sel.path) && lanes::cpu_supports(sel.path));
-    }
-}
-
-TEST_F(ForceLanesEnv, ExplicitRequestBeatsEnvironment)
-{
-    ::setenv("POPTRIE_FORCE_LANES", "scalar", 1);
-    const auto sel = lanes::select(lanes::LanePath::kPipelined);
-    EXPECT_TRUE(sel.ok);
-    EXPECT_EQ(sel.path, lanes::LanePath::kPipelined);
+    const auto snap = image_of(router.fib());
+    dataplane::SnapshotEngine eng(snap);
+    auto reader = eng.make_reader();
+    const dataplane::NullReader::Guard guard(reader);
+    std::vector<NextHop> got(keys.size());
+    eng.lookup_batch(keys.data(), got.data(), keys.size());
+    for (std::size_t i = 0; i < keys.size(); ++i) ASSERT_EQ(got[i], want[i]);
 }
 
 TEST(LaneDispatch, CompiledPathsExercisedOrExplicitlySkipped)
 {
-    // The run-log contract for CI's simd-dispatch step: one line per
-    // compiled-in path, either exercised (equivalence ran above in this
-    // binary) or skipped with the reason. Silence = failure at the CI layer.
+    // The run-log contract for CI's pipeline step: the AVX-512 kernel is
+    // either exercised (equivalence checked here) or skipped with the reason.
+    if (!lanes::has_avx512()) {
+        std::printf("batch-kernel avx512: skipped (cpu lacks avx512vpopcntdq)\n");
+        return;
+    }
     const auto routes = testhelpers::corner_case_table();
     const auto rib = testhelpers::load(routes);
     const Poptrie4 fib(rib);
+    const auto snap = image_of(fib);
     const auto keys = probe_keys(routes, 256);
-    for (const lanes::LanePath p : lanes::kAllPaths) {
-        if (!lanes::compiled_in(p)) {
-            std::printf("lane-path %s: not compiled in\n",
-                        std::string(lanes::name(p)).c_str());
-            continue;
-        }
-        if (!lanes::cpu_supports(p)) {
-            std::printf("lane-path %s: skipped (cpu lacks support)\n",
-                        std::string(lanes::name(p)).c_str());
-            continue;
-        }
-        expect_path_matches_scalar(fib, p, keys);
-        std::printf("lane-path %s: exercised\n", std::string(lanes::name(p)).c_str());
-    }
+    std::vector<NextHop> got(keys.size());
+    lanes::run_avx512(snap.view(), keys.data(), got.data(), keys.size());
+    for (std::size_t i = 0; i < keys.size(); ++i)
+        ASSERT_EQ(got[i], fib.lookup(Ipv4Addr{keys[i]})) << "key " << keys[i];
+    std::printf("batch-kernel avx512: exercised\n");
 }
 
 }  // namespace

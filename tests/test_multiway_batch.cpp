@@ -95,22 +95,14 @@ TEST_P(PoptrieBatch, MatchesScalarLookups)
     const Poptrie4 pt{rib, cfg};
 
     workload::Xorshift128 rng(6);
-    // Deliberately not a multiple of any lane width, to cover the tail path.
+    // Deliberately not a multiple of the lane width, to cover the tail path.
     std::vector<std::uint32_t> keys(100'003);
     for (auto& k : keys) k = rng.next();
     std::vector<rib::NextHop> out(keys.size());
 
-    pt.lookup_batch<true, 8>(keys.data(), out.data(), keys.size());
+    pt.lookup_batch<true>(keys.data(), out.data(), keys.size());
     for (std::size_t i = 0; i < keys.size(); ++i)
         ASSERT_EQ(out[i], pt.lookup_raw<true>(keys[i])) << i;
-
-    std::vector<rib::NextHop> out2(keys.size());
-    pt.lookup_batch<true, 2>(keys.data(), out2.data(), keys.size());
-    EXPECT_EQ(out, out2);
-
-    std::vector<rib::NextHop> out4(keys.size());
-    pt.lookup_batch<true, 16>(keys.data(), out4.data(), keys.size());
-    EXPECT_EQ(out, out4);
 }
 
 INSTANTIATE_TEST_SUITE_P(DirectBits, PoptrieBatch, testing::Values(0u, 16u, 18u),

@@ -75,8 +75,8 @@ def self_test():
         {d: _hot("  std::cout << 1;", "void log_miss()", mark="POPTRIE_HOT_EXEMPT")},
         1,
     )
-    # Lane-dispatch probes on the hot path: the kernel choice must be made
-    # once at lanes::select() time, not re-probed per burst.
+    # Kernel-dispatch probes on the hot path: the kernel choice must be made
+    # once at image load, not re-probed per burst.
     expect(
         "hot runtime cpuid probe",
         {d: _hot('  if (__builtin_cpu_supports("avx2")) { fast(k, o, n); return; }\n'
@@ -85,8 +85,8 @@ def self_test():
         1,
     )
     expect(
-        "hot getenv lane override",
-        {d: _hot('  const char* e = getenv("POPTRIE_FORCE_LANES");\n  return e != nullptr;',
+        "hot getenv kernel override",
+        {d: _hot('  const char* e = getenv("KERNEL");\n  return e != nullptr;',
                  "bool forced()")},
         1,
     )

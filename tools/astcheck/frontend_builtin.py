@@ -190,14 +190,15 @@ BANNED_CALLS = {
     "sleep_for": ("syscall", "thread sleep"),
     "sleep_until": ("syscall", "thread sleep"),
     "yield": ("syscall", "scheduler yield"),
-    # Lane dispatch (poptrie/lanes.hpp) resolves once, at select() time; a
-    # feature probe or environment read inside a hot function means the
-    # per-burst path is re-deciding its kernel on every call.
-    "getenv": ("dispatch", "environment lookup; POPTRIE_FORCE_LANES resolves at select() time"),
-    "__builtin_cpu_supports": ("dispatch", "runtime CPUID feature probe; resolve the lane path once at select() time"),
-    "__builtin_cpu_is": ("dispatch", "runtime CPUID feature probe; resolve the lane path once at select() time"),
-    "__get_cpuid": ("dispatch", "runtime CPUID probe; resolve the lane path once at select() time"),
-    "__get_cpuid_count": ("dispatch", "runtime CPUID probe; resolve the lane path once at select() time"),
+    # Kernel dispatch resolves once, when SnapshotFib loads an image (the
+    # cached lanes::has_avx512() check); a feature probe or environment read
+    # inside a hot function means the per-burst path is re-deciding its
+    # kernel on every call.
+    "getenv": ("dispatch", "environment lookup; resolve configuration once, outside the burst"),
+    "__builtin_cpu_supports": ("dispatch", "runtime CPUID feature probe; resolve the batch kernel once at image load"),
+    "__builtin_cpu_is": ("dispatch", "runtime CPUID feature probe; resolve the batch kernel once at image load"),
+    "__get_cpuid": ("dispatch", "runtime CPUID probe; resolve the batch kernel once at image load"),
+    "__get_cpuid_count": ("dispatch", "runtime CPUID probe; resolve the batch kernel once at image load"),
     "printf": ("io", "stdio output"),
     "fprintf": ("io", "stdio output"),
     "snprintf": ("io", "stdio formatting"),

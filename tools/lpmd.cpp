@@ -50,7 +50,6 @@ extern "C" void handle_sigusr1(int) { g_snapshot_requested = 1; }
 
 struct Options {
     std::string engine = "poptrie";
-    std::string lanes;  // pipelined engine: forced lane path ("" = auto/env)
     unsigned workers = 4;
     std::size_t routes = 50'000;
     std::string file;  // load table from file instead of generating
@@ -85,6 +84,7 @@ struct RunResult {
     bool has_fib_stats = false;
     poptrie::Stats fib_stats{};  // post-run fragmentation view (poptrie only)
     std::string fib_backing;     // arena backing of the served FIB, if any
+    std::string batch_kernel;    // snapshot engine: avx512 | pipelined
 };
 
 /// One-line fragmentation view of both FIB pools, printed at each quiescent
@@ -277,6 +277,7 @@ int finish(const Options& opt, const RunResult& r, std::string_view engine_name)
                                     ? std::string_view{"snapshot"}
                                     : std::string_view{"built"});
         if (!r.fib_backing.empty()) rec.field("fib_backing", r.fib_backing);
+        if (!r.batch_kernel.empty()) rec.field("batch_kernel", r.batch_kernel);
         rec.field("snapshots_saved", r.snapshots_saved);
         if (r.has_fib_stats) {
             rec.field("node_free_blocks", std::uint64_t{r.fib_stats.node_free_blocks});
@@ -329,11 +330,8 @@ int main(int argc, char** argv)
     const benchkit::Args args(argc, argv);
     if (args.handle_help(
             "lpmd",
-            "  --engine=E          poptrie | pipelined | snapshot | sail | dir24 |\n"
-            "                      treebitmap (default poptrie)\n"
-            "  --lanes=P           pipelined engine lane path: scalar | pipelined |\n"
-            "                      avx2 | avx512 (default: POPTRIE_FORCE_LANES, else\n"
-            "                      best usable; an unusable forced path exits 2)\n"
+            "  --engine=E          poptrie | snapshot | sail | dir24 | treebitmap\n"
+            "                      (default poptrie)\n"
             "  --workers=N         forwarding threads (default 4)\n"
             "  --routes=N          synthetic table size (default 50000)\n"
             "  --file=PATH         load IPv4 table from file instead of generating\n"
@@ -361,7 +359,6 @@ int main(int argc, char** argv)
 
     Options opt;
     opt.engine = args.get("engine", opt.engine);
-    opt.lanes = args.get("lanes", "");
     opt.workers = static_cast<unsigned>(args.get_u64("workers", opt.workers));
     opt.routes = args.get_u64("routes", opt.routes);
     opt.file = args.get("file", "");
@@ -393,44 +390,18 @@ int main(int argc, char** argv)
         std::fprintf(stderr, "lpmd: unknown --pattern '%s'\n", opt.pattern.c_str());
         return 2;
     }
-    const bool engine_known = opt.engine == "poptrie" || opt.engine == "pipelined" ||
-                              opt.engine == "snapshot" || opt.engine == "sail" ||
-                              opt.engine == "dir24" || opt.engine == "treebitmap";
+    const bool engine_known = opt.engine == "poptrie" || opt.engine == "snapshot" ||
+                              opt.engine == "sail" || opt.engine == "dir24" ||
+                              opt.engine == "treebitmap";
     if (!engine_known) {
         std::fprintf(stderr, "lpmd: unknown --engine '%s'\n", opt.engine.c_str());
         return 2;
     }
     if (opt.churn_updates > 0 && opt.engine != "poptrie") {
-        // The pipelined engine's SIMD/plain-load paths are sound only with no
-        // concurrent updater (kSupportsChurn = false); the baselines have no
-        // update machinery at all.
+        // A restored image has no writer side (kSupportsChurn = false); the
+        // baselines have no update machinery at all.
         std::fprintf(stderr, "lpmd: --churn-updates requires --engine poptrie\n");
         return 2;
-    }
-    if (!opt.lanes.empty() && opt.engine != "pipelined") {
-        std::fprintf(stderr, "lpmd: --lanes requires --engine pipelined\n");
-        return 2;
-    }
-    // Resolve the lane path up front so a forced-but-unusable path fails
-    // before any table is built. select() never silently falls back: an
-    // explicit --lanes (or POPTRIE_FORCE_LANES) naming an unusable path is
-    // an error here, not a degraded run.
-    poptrie::lanes::Selection lane_sel;
-    if (opt.engine == "pipelined") {
-        std::optional<poptrie::lanes::LanePath> request;
-        if (!opt.lanes.empty()) {
-            request = poptrie::lanes::parse(opt.lanes);
-            if (!request) {
-                std::fprintf(stderr, "lpmd: unknown --lanes '%s'\n", opt.lanes.c_str());
-                return 2;
-            }
-        }
-        lane_sel = poptrie::lanes::select(request);
-        if (!lane_sel.ok) {
-            std::fprintf(stderr, "lpmd: lane path unusable: %s\n",
-                         lane_sel.note.c_str());
-            return 2;
-        }
     }
     if (opt.compact_every > 0 && opt.churn_updates == 0) {
         std::fprintf(stderr, "lpmd: --compact-every requires --churn-updates\n");
@@ -472,13 +443,14 @@ int main(int argc, char** argv)
                 snapshot::SnapshotFib4::load_file(opt.snapshot_load, load_opt);
             const auto mem = fib.memory_report();
             std::printf("lpmd: snapshot %s: %llu nodes, %llu leaves, "
-                        "direct-bits=%u, %llu bytes, backing=%s\n",
+                        "direct-bits=%u, %llu bytes, backing=%s, kernel=%s\n",
                         opt.snapshot_load.c_str(),
                         static_cast<unsigned long long>(fib.node_count()),
                         static_cast<unsigned long long>(fib.leaf_count()),
                         fib.header().direct_bits,
                         static_cast<unsigned long long>(fib.image_bytes()),
-                        alloc::backing_name(mem.backing));
+                        alloc::backing_name(mem.backing),
+                        std::string(fib.batch_kernel()).c_str());
             benchkit::note_arena_backing(alloc::backing_name(mem.backing));
 
             std::signal(SIGINT, handle_signal);
@@ -494,6 +466,7 @@ int main(int argc, char** argv)
                 dataplane::SnapshotEngine{fib}, dcfg};
             auto r = run_pipeline(dp, opt, {}, nullptr);
             r.fib_backing = alloc::backing_name(mem.backing);
+            r.batch_kernel = fib.batch_kernel();
             return finish(opt, r, "snapshot");
         }
 
@@ -614,25 +587,6 @@ int main(int argc, char** argv)
                 r.has_fib_stats = true;
             }
             return finish(opt, r, "poptrie");
-        }
-        if (opt.engine == "pipelined") {
-            // Same build as the poptrie engine, then served read-only through
-            // the resolved lane path. No churn machinery exists in this
-            // configuration (rejected above), so the PlainView hoist is sound.
-            poptrie::Config pcfg;
-            pcfg.direct_bits = opt.direct_bits;
-            router::Router4 router{pcfg};
-            dataplane::load_routes(router, routes);
-            benchkit::note_arena_backing(
-                alloc::backing_name(router.fib().memory_report().backing));
-            dataplane::PipelinedEngine engine{router.fib(), lane_sel.path};
-            const std::string ename{engine.name()};
-            std::printf("lpmd: lane path %s (%s)\n",
-                        std::string(poptrie::lanes::name(lane_sel.path)).c_str(),
-                        lane_sel.forced ? "forced" : "auto");
-            dataplane::Dataplane<dataplane::PipelinedEngine> dp{std::move(engine),
-                                                                dcfg};
-            return finish(opt, run_pipeline(dp, opt, trace, nullptr), ename);
         }
         // Read-only baselines are compiled from the aggregated FIB source,
         // matching how every bench builds them (bench/common.hpp).

@@ -7,9 +7,10 @@ regressions in the *actual* tree, not only in its synthetic self-test corpus:
 
   * clean_copy           an unmodified copy scans clean (exit 0);
   * seeded_hp1_new       a heap allocation injected into the real
-                         Poptrie::lookup_impl body fails the scan with HP1
-                         (this is the CI-leg guarantee: hot-path `new` cannot
-                         land);
+                         batch::lookup_one body (the one scalar walk every
+                         lookup and batch tail shares) fails the scan with
+                         HP1 (this is the CI-leg guarantee: hot-path `new`
+                         cannot land);
   * seeded_hp1_new_file  a brand-new hot function allocating is also caught
                          (covers files the tree does not have yet);
   * seeded_hp2_shift     an unproven variable shift in src/poptrie fails
@@ -28,7 +29,7 @@ import tempfile
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 ASTCHECK = os.path.join(REPO, "tools", "astcheck")
 
-LOOKUP_IMPL_SIG = "NextHop lookup_impl(value_type key, unsigned direct_bits) const noexcept"
+LOOKUP_ONE_SIG = "rib::NextHop lookup_one(const View& view,"
 
 SEEDED_HOT_FILE = """\
 // seeded fixture written by tools/test_astcheck.py -- never committed.
@@ -74,22 +75,22 @@ def copy_src(tmp):
     return root
 
 
-def inject_into_lookup_impl(root, stmt):
-    """Inserts `stmt` as the first statement of Poptrie::lookup_impl."""
-    path = os.path.join(root, "src", "poptrie", "poptrie.hpp")
+def inject_into_lookup_one(root, stmt):
+    """Inserts `stmt` as the first statement of batch::lookup_one."""
+    path = os.path.join(root, "src", "poptrie", "lookup_pipelined.ipp")
     with open(path, encoding="utf-8") as f:
         lines = f.readlines()
     for i, line in enumerate(lines):
-        if LOOKUP_IMPL_SIG in line:
+        if LOOKUP_ONE_SIG in line:
             for j in range(i + 1, min(i + 4, len(lines))):
                 if lines[j].strip() == "{":
-                    lines.insert(j + 1, "        " + stmt + "\n")
+                    lines.insert(j + 1, "    " + stmt + "\n")
                     with open(path, "w", encoding="utf-8") as f:
                         f.writelines(lines)
                     return
     raise AssertionError(
-        "could not find Poptrie::lookup_impl in poptrie.hpp -- "
-        "update LOOKUP_IMPL_SIG in tools/test_astcheck.py")
+        "could not find batch::lookup_one in lookup_pipelined.ipp -- "
+        "update LOOKUP_ONE_SIG in tools/test_astcheck.py")
 
 
 def main():
@@ -107,10 +108,10 @@ def main():
         r = run_astcheck(root, "--frontend", "builtin")
         check("clean_copy", r.returncode == 0, r.stdout + r.stderr)
 
-        inject_into_lookup_impl(root, "auto* seeded = new int(0); (void)seeded;")
+        inject_into_lookup_one(root, "auto* seeded = new int(0); (void)seeded;")
         r = run_astcheck(root, "--frontend", "builtin")
         check("seeded_hp1_new",
-              r.returncode == 1 and "[HP1]" in r.stderr and "lookup_impl" in r.stderr,
+              r.returncode == 1 and "[HP1]" in r.stderr and "lookup_one" in r.stderr,
               f"exit={r.returncode} out={(r.stdout + r.stderr)[:400]}")
 
     with tempfile.TemporaryDirectory(prefix="astcheck_e2e_") as tmp:

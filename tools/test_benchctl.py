@@ -117,9 +117,9 @@ class CompareMetricTest(unittest.TestCase):
         # -20%: improvement.
         ("micro.xorshift_ns", (100.0, 1.0), (80.0, 1.0), "improvement"),
         # higher-better Mlps, 12% band: dropping 50 -> 40 is a regression.
-        ("batch.lanes8.mlps", (50.0, 0.5), (40.0, 0.5), "regression"),
+        ("pipe.d18.random.pipelined.mlps", (50.0, 0.5), (40.0, 0.5), "regression"),
         # Mlps going UP is an improvement, not a regression (direction).
-        ("batch.lanes8.mlps", (50.0, 0.5), (60.0, 0.5), "improvement"),
+        ("pipe.d18.random.pipelined.mlps", (50.0, 0.5), (60.0, 0.5), "improvement"),
         # Noisy baseline: MAD 10/100 -> 3xMAD = 30% band swallows a +20% delta.
         ("micro.xorshift_ns", (100.0, 10.0), (120.0, 1.0), "ok"),
         # Latency metrics report but never gate.
@@ -156,7 +156,7 @@ class CompareMetricTest(unittest.TestCase):
         self.assertEqual(verdict, "regression")
         # And on a higher-better metric the injection divides instead.
         verdict, _, _ = benchctl.compare_metric(
-            "batch.lanes8.mlps", {"median": 50.0, "mad": 0.1},
+            "pipe.d18.random.pipelined.mlps", {"median": 50.0, "mad": 0.1},
             {"median": 50.0, "mad": 0.1}, inject=2.0
         )
         self.assertEqual(verdict, "regression")
@@ -165,7 +165,7 @@ class CompareMetricTest(unittest.TestCase):
 class CompareRunsTest(unittest.TestCase):
     BASE = {
         "micro.xorshift_ns": (100.0, 1.0),
-        "batch.lanes8.mlps": (50.0, 0.5),
+        "pipe.d18.random.pipelined.mlps": (50.0, 0.5),
     }
 
     def _compare(self, candidate, **kwargs):
@@ -192,7 +192,7 @@ class CompareRunsTest(unittest.TestCase):
         code, text = self._compare(partial)
         self.assertEqual(code, 1)
         self.assertIn("missing gated metrics", text)
-        self.assertIn("batch.lanes8.mlps", text)
+        self.assertIn("pipe.d18.random.pipelined.mlps", text)
 
     def test_env_mismatch_demotes_to_informational(self):
         worse = run_doc(dict(self.BASE, **{"micro.xorshift_ns": (150.0, 1.0)}))
@@ -300,7 +300,7 @@ class CommittedBaselineTest(unittest.TestCase):
         for family in (
             "micro.",
             "table4.",
-            "batch.",
+            "pipe.",
             "dataplane.",
             "update.",
             "churnloc.",
