@@ -6,6 +6,10 @@
 // structure embedded in a forwarding loop — ring pop, EBR guard, batched
 // lookup, counters — and what concurrent §3.5 route churn does to the tail.
 // The producer saturates the rings, so Mlps is the workers' drain rate.
+// It also times dataplane::load_routes on the table (route list -> FIB
+// ready to serve) and records the FIB's structure bytes, emitted as a
+// {"phase": "load"} record.
+#include <chrono>
 #include <cstdlib>
 #include <memory>
 #include <string>
@@ -143,12 +147,14 @@ int main(int argc, char** argv)
     // pools never grow mid-run (growth is not reader-safe; §3.5).
     pcfg.pool_headroom_log2 = 6;
     router::Router4 router{pcfg};
+    const auto load_t0 = std::chrono::steady_clock::now();
     dataplane::load_routes(router, d.routes);
-    {
-        // quiescent: no worker thread has been spawned yet.
-        const psync::QuiescentSection quiescent;
-        router.reserve_fib_headroom();
-    }
+    const double load_ms = std::chrono::duration<double, std::milli>(
+                               std::chrono::steady_clock::now() - load_t0)
+                               .count();
+    const std::size_t fib_bytes = router.fib().stats().memory_bytes;
+    std::printf("# load_routes: %zu routes in %.1f ms, %zu bytes of structure\n\n",
+                d.routes.size(), load_ms, fib_bytes);
     const baselines::TreeBitmap16 tbm{d.fib_src};
     std::unique_ptr<baselines::Sail> sail;
     std::string sail_error;
@@ -169,6 +175,12 @@ int main(int argc, char** argv)
                                   {"p99.9[ns]", 9}});
     table.print_header();
     benchkit::JsonRecords json;
+    json.begin_record();
+    json.field("phase", std::string_view{"load"});
+    json.field("routes", std::uint64_t{d.routes.size()});
+    json.field("load_ms", load_ms);
+    json.field("fib_bytes", std::uint64_t{fib_bytes});
+    benchkit::stamp_provenance(json);
 
     const auto report = [&](std::string_view engine, unsigned workers, bool churn,
                             const CellResult& r) {

@@ -17,8 +17,10 @@ router::Adjacency<netbase::Ipv4Addr> ChurnRunner::adjacency_for(rib::NextHop hop
 void load_routes(router::Router4& router,
                  const rib::RouteList<netbase::Ipv4Addr>& routes)
 {
-    for (const auto& r : routes)
-        router.add_route(r.prefix, ChurnRunner::adjacency_for(r.next_hop));
+    // quiescent: callers load before any forwarding or churn thread exists
+    // (header contract), so no reader is registered yet.
+    const psync::QuiescentSection quiescent;
+    router.load(routes, ChurnRunner::adjacency_for);
 }
 
 ChurnRunner::ChurnRunner(router::Router4& router,

@@ -20,9 +20,12 @@
 
 namespace dataplane {
 
-/// Loads a route list into a Router, interning adjacencies with the same
-/// hop mapping ChurnRunner uses — so a feed announcement that re-announces
-/// an existing hop reuses the existing adjacency index.
+/// Loads a route list into an empty Router with one FIB compile
+/// (Router::load), interning adjacencies with the same hop mapping
+/// ChurnRunner uses — so a feed announcement that re-announces an existing
+/// hop reuses the existing adjacency index. The compile sizes the pools
+/// with the Config's headroom, so churn may start right after. Call before
+/// any forwarding or churn thread exists.
 void load_routes(router::Router4& router,
                  const rib::RouteList<netbase::Ipv4Addr>& routes);
 
@@ -43,9 +46,8 @@ struct ChurnConfig {
 /// Callers running churn concurrently with forwarding must give the FIB
 /// enough pool headroom that the feed never forces a growth — growing
 /// reallocates the node/leaf arrays under readers' feet. Set
-/// `pool_headroom_log2` in the build config, call
-/// `Router::reserve_fib_headroom()` after bulk loading (before workers
-/// start), and verify `fib().update_counters().pool_growths == 0` after.
+/// `pool_headroom_log2` in the build config (load_routes() sizes the pools
+/// with it) and verify `fib().update_counters().pool_growths == 0` after.
 class ChurnRunner {
 public:
     /// Builds the feed against `routes` (the table the router currently

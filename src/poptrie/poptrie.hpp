@@ -119,7 +119,18 @@ public:
     explicit Poptrie(const rib::RadixTrie<Addr>& rib, const Config& cfg = {});
 
     Poptrie(Poptrie&&) noexcept = default;
-    Poptrie& operator=(Poptrie&&) noexcept = default;
+
+    /// Releases the old FIB in destruction order (EBR domain first, arena
+    /// last), then takes over `other`'s. A member-wise move would free the
+    /// old arena before the pools mapped from it.
+    Poptrie& operator=(Poptrie&& other) noexcept
+    {
+        if (this != &other) {
+            std::destroy_at(this);
+            std::construct_at(this, std::move(other));
+        }
+        return *this;
+    }
 
     /// Longest-prefix-match lookup; kNoRoute on miss. Dispatches once on the
     /// configuration; benches use lookup_raw<> to pin the specialization.

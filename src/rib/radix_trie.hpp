@@ -13,6 +13,7 @@
 // to find which parts of the Poptrie must be rebuilt.
 #pragma once
 
+#include <algorithm>
 #include <cassert>
 #include <cstdint>
 #include <memory>
@@ -116,9 +117,16 @@ public:
     /// Clears marks under `prefix` (after the FIB consumed them).
     void clear_marks(const prefix_type& prefix);
 
-    /// Bulk-load convenience: inserts every route in `list`.
-    void insert_all(const RouteList<Addr>& list)
+    /// Bulk load: inserts every route in `list` in prefix order. The copy is
+    /// stably sorted first, so consecutive inserts share their path and the
+    /// nodes are allocated in DFS order; of duplicate prefixes the last one
+    /// in `list` wins, as with an insert() loop.
+    void insert_all(RouteList<Addr> list)
     {
+        std::stable_sort(list.begin(), list.end(),
+                         [](const Route<Addr>& a, const Route<Addr>& b) {
+                             return a.prefix < b.prefix;
+                         });
         for (const auto& r : list) insert(r.prefix, r.next_hop);
     }
 

@@ -9,13 +9,15 @@
 //     deduplicated and reference-counted so the 16-bit index space (§5's
 //     structural limit) is recycled;
 //   * the RIB (binary radix trie) holding the authoritative route set;
-//   * the Poptrie FIB, kept in sync with §3.5's lock-free incremental
-//     updates, so forwarding threads are never blocked by route churn.
+//   * the Poptrie FIB. A whole table loads with one compile, aggregated
+//     per the Config (§3); route churn then patches it with §3.5's
+//     lock-free incremental updates, so forwarding threads are never
+//     blocked.
 //
 // Forwarding threads call resolve()/lookup_index(); a single control thread
-// calls add_route()/remove_route(). For concurrent operation, forwarding
-// threads register once via register_reader() and hold an EbrDomain::Guard
-// around lookup batches.
+// calls load() once, then add_route()/remove_route(). For concurrent
+// operation, forwarding threads register once via register_reader() and
+// hold an EbrDomain::Guard around lookup batches.
 #pragma once
 
 #include <map>
@@ -66,6 +68,46 @@ public:
         refcounts_.resize(1);
     }
 
+    /// Loads a whole table into this empty Router with one FIB compile
+    /// (§3), aggregated per the Config, instead of one §3.5 update per
+    /// route. `adjacency_of(hop)` names the adjacency of each route's
+    /// next-hop id; it runs once per distinct id, and each distinct
+    /// adjacency is interned once. Of duplicate prefixes the last wins, as
+    /// with a run of add_route() calls.
+    ///
+    /// All-or-nothing: the table is built into locals and committed by move,
+    /// so AdjacencyTableFull, a netbase::StructuralLimit or std::bad_alloc
+    /// leaves the Router empty. Quiescent-point only, before any reader
+    /// registers: the FIB and its EBR domain are replaced. Throws
+    /// std::logic_error if the Router holds routes.
+    template <class AdjacencyOf>
+    void load(const rib::RouteList<Addr>& routes, AdjacencyOf&& adjacency_of)
+        POPTRIE_REQUIRES(psync::cap::quiescent, psync::cap::ebr)
+    {
+        if (route_count() != 0)
+            throw std::logic_error("Router::load: the router already holds routes");
+        Router fresh{fib_.config()};
+        std::vector<rib::NextHop> index_of_hop(0x10000, rib::kNoRoute);
+        rib::RouteList<Addr> table;
+        table.reserve(routes.size());
+        for (const auto& r : routes) {
+            rib::NextHop& index = index_of_hop[r.next_hop];
+            if (index == rib::kNoRoute) index = fresh.intern(adjacency_of(r.next_hop));
+            table.push_back({r.prefix, index});
+        }
+        fresh.rib_.insert_all(std::move(table));
+        // One reference per installed route. An adjacency named only by
+        // duplicates that a later route replaced is released, as the
+        // replacing add_route() would have done.
+        std::fill(fresh.refcounts_.begin(), fresh.refcounts_.end(), 0);
+        fresh.rib_.for_each_route(
+            [&](const prefix_type&, rib::NextHop index) { ++fresh.refcounts_[index]; });
+        for (std::size_t index = 1; index < fresh.refcounts_.size(); ++index)
+            if (fresh.refcounts_[index] == 0) fresh.free_index(static_cast<rib::NextHop>(index));
+        fresh.fib_ = poptrie::Poptrie<Addr>{fresh.rib_, fib_.config()};
+        *this = std::move(fresh);
+    }
+
     /// Installs or replaces the route for `prefix`. Allocates (or reuses) a
     /// FIB index for the adjacency and patches the FIB incrementally.
     void add_route(const prefix_type& prefix, const adjacency_type& adjacency)
@@ -112,8 +154,9 @@ public:
     /// thread or a QuiescentSection at a shutdown point).
     void drain() POPTRIE_REQUIRES(psync::cap::ebr) { fib_.drain(); }
 
-    /// Pre-grows FIB pools to the configured headroom (quiescent point;
-    /// see Poptrie::reserve_headroom). Call after bulk add_route loading,
+    /// Pre-grows FIB pools to the configured headroom over their current
+    /// occupancy (quiescent point; see Poptrie::reserve_headroom). load()
+    /// already sizes them; call this after building a table with add_route,
     /// before forwarding threads start, when updates will run concurrently.
     void reserve_fib_headroom() POPTRIE_REQUIRES(psync::cap::quiescent, psync::cap::ebr)
     {
@@ -170,7 +213,11 @@ private:
 
     void release(rib::NextHop index)
     {
-        if (--refcounts_[index] != 0) return;
+        if (--refcounts_[index] == 0) free_index(index);
+    }
+
+    void free_index(rib::NextHop index)
+    {
         index_of_.erase(Key{adjacencies_[index].gateway.value(),
                             adjacencies_[index].interface});
         adjacencies_[index] = adjacency_type{};

@@ -13,8 +13,8 @@ EbrDomain::Reader EbrDomain::register_reader()
         free_slots_.pop_back();
         return Reader{this, slot};
     }
-    slots_.emplace_back(kQuiescent);
-    return Reader{this, &slots_.back()};
+    slots_.emplace_back();
+    return Reader{this, &slots_.back().epoch};
 }
 
 void EbrDomain::unregister_reader(std::atomic<std::uint64_t>* slot) noexcept
@@ -50,7 +50,7 @@ std::uint64_t EbrDomain::min_active_epoch() const noexcept
     for (const auto& slot : slots_) {
         // order: acquire [cap:ebr] — pairs with exit()'s release: kQuiescent
         // observed means that section's reads happened-before our frees.
-        const auto e = slot.load(std::memory_order_acquire);
+        const auto e = slot.epoch.load(std::memory_order_acquire);
         if (e != kQuiescent && e < min_epoch) min_epoch = e;
     }
     return min_epoch;
@@ -75,7 +75,7 @@ EbrDomain::Diag EbrDomain::diag() const
     for (const auto& slot : slots_) {
         // order: acquire [cap:ebr] — same pairing as min_active_epoch()'s
         // scan, so the auditor's invariants hold under concurrent readers.
-        const auto e = slot.load(std::memory_order_acquire);
+        const auto e = slot.epoch.load(std::memory_order_acquire);
         if (e != kQuiescent && (!d.min_active_epoch || e < *d.min_active_epoch))
             d.min_active_epoch = e;
     }

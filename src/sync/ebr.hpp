@@ -242,12 +242,18 @@ private:
     mutable std::atomic<std::uint64_t> fence_sync_{0};  // RMW target, value unused
 #endif
     mutable Mutex reader_mutex_;
+    // One reader's epoch slot, alone on its cache line: every enter() and
+    // exit() stores to it, so two readers sharing a line would pull it
+    // back and forth between their cores on each burst.
+    struct alignas(64) Slot {
+        std::atomic<std::uint64_t> epoch{kQuiescent};
+    };
     // Deque of stable-address slots; readers keep pointers into it. Slots are
     // never destroyed (addresses must stay valid for the domain's lifetime);
     // unregistered ones park on free_slots_ for reuse. Container shape is
     // GUARDED_BY the registration mutex; the atomic *contents* of a slot are
     // accessed lock-free through Reader's stable pointer by design.
-    std::deque<std::atomic<std::uint64_t>> slots_ POPTRIE_GUARDED_BY(reader_mutex_);
+    std::deque<Slot> slots_ POPTRIE_GUARDED_BY(reader_mutex_);
     std::vector<std::atomic<std::uint64_t>*> free_slots_ POPTRIE_GUARDED_BY(reader_mutex_);
     // Writer-private, ordered by epoch. Not GUARDED_BY anything the analysis
     // can name: "the single writer thread" is the cap::ebr exclusive role,

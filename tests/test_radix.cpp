@@ -138,6 +138,31 @@ TEST(Radix, ForEachRouteRoundTrips)
     }
 }
 
+TEST(Radix, InsertAllKeepsLastDuplicateAndMatchesInsertLoop)
+{
+    workload::TableGenConfig gen;
+    gen.seed = 17;
+    gen.target_routes = 5'000;
+    auto routes = workload::generate_table(gen);
+    // Re-announce every 7th prefix later in the list with another hop, and
+    // one of them a second time.
+    const std::size_t n = routes.size();
+    for (std::size_t i = 0; i < n; i += 7)
+        routes.push_back({routes[i].prefix, static_cast<NextHop>(routes[i].next_hop + 1)});
+    routes.push_back({routes[0].prefix, 999});
+
+    RadixTrie<Ipv4Addr> looped;
+    for (const auto& r : routes) looped.insert(r.prefix, r.next_hop);
+    RadixTrie<Ipv4Addr> bulk;
+    bulk.insert_all(routes);
+
+    EXPECT_EQ(bulk.routes(), looped.routes());
+    EXPECT_EQ(bulk.route_count(), n);
+    EXPECT_EQ(bulk.node_count(), looped.node_count());
+    EXPECT_EQ(bulk.find(routes[0].prefix), 999);
+    EXPECT_EQ(bulk.find(routes[7].prefix), routes[7].next_hop + 1);
+}
+
 TEST(Radix, MatchesLinearOracle)
 {
     const auto routes = corner_case_table();

@@ -2,10 +2,14 @@
 // RIB/FIB consistency through add/remove churn, and the 2^16 index limit.
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
+#include "analysis/audit.hpp"
 #include "helpers.hpp"
 #include "router/router.hpp"
 #include "sync/annotations.hpp"
 #include "workload/tablegen.hpp"
+#include "workload/updatefeed.hpp"
 
 using namespace testhelpers;
 using router::Adjacency;
@@ -17,6 +21,74 @@ Ipv4Addr ip(const char* text) { return *netbase::parse_ipv4(text); }
 Adjacency<Ipv4Addr> adj(const char* gw, std::string iface)
 {
     return {ip(gw), std::move(iface)};
+}
+
+/// Hop id -> adjacency for the load tests. Not injective: hop ids h and
+/// h + 2 share an adjacency when h % 4 < 2, so load() must intern by
+/// adjacency, not by hop id.
+template <class Addr>
+Adjacency<Addr> hop_adjacency(rib::NextHop hop)
+{
+    return {Addr{typename Addr::value_type{0x0A000000u + hop / 4u}},
+            "eth" + std::to_string(hop % 2)};
+}
+
+/// The same adjacency, or both unresolved.
+template <class Addr>
+bool same_resolution(const Adjacency<Addr>* a, const Adjacency<Addr>* b)
+{
+    return a == nullptr ? b == nullptr : b != nullptr && *a == *b;
+}
+
+/// Loads `routes` with one compile, or installs them one add_route at a time.
+template <class Addr>
+void fill(router::Router<Addr>& r, const rib::RouteList<Addr>& routes, bool bulk)
+{
+    if (bulk) {
+        // quiescent: single-threaded test — no reader exists.
+        const psync::QuiescentSection quiescent;
+        r.load(routes, hop_adjacency<Addr>);
+        return;
+    }
+    for (const auto& rt : routes) r.add_route(rt.prefix, hop_adjacency<Addr>(rt.next_hop));
+}
+
+/// 20k generated routes, a second /0 and re-announced prefixes with other
+/// hops. Hop 999's adjacency appears only on a route that a later duplicate
+/// replaces, so neither Router may count it.
+rib::RouteList<Ipv4Addr> table_with_duplicates()
+{
+    workload::TableGenConfig gen;
+    gen.seed = 29;
+    gen.target_routes = 20'000;
+    gen.next_hops = 48;
+    auto routes = workload::generate_table(gen);
+    routes.push_back({pfx("0.0.0.0/0"), 7});
+    const std::size_t n = routes.size();
+    for (std::size_t i = 1; i < n; i += 97)
+        routes.push_back({routes[i].prefix, static_cast<NextHop>(routes[i].next_hop + 3)});
+    routes.push_back({routes[5].prefix, 999});
+    routes.push_back({routes[5].prefix, 5});
+    return routes;
+}
+
+void expect_same_router(const Router4& a, const Router4& b,
+                        const rib::RouteList<Ipv4Addr>& routes)
+{
+    EXPECT_EQ(a.route_count(), b.route_count());
+    EXPECT_EQ(a.adjacency_count(), b.adjacency_count());
+    const auto check = [&](std::uint32_t v) {
+        const Ipv4Addr addr{v};
+        ASSERT_TRUE(same_resolution(a.resolve(addr), b.resolve(addr)))
+            << netbase::to_string(addr);
+    };
+    for (const auto& r : routes) {
+        const auto lo = r.prefix.first_address().value();
+        const auto hi = r.prefix.last_address().value();
+        for (const auto v : {lo, hi, lo - 1, hi + 1}) check(v);
+    }
+    workload::Xorshift128 rng(41);
+    for (int i = 0; i < 100'000; ++i) check(rng.next());
 }
 }  // namespace
 
@@ -157,4 +229,127 @@ TEST(Router, SaveFibSnapshotRoundTripsIndices)
         EXPECT_EQ(r.resolve(a)->interface, "if" + std::to_string(i % 7));
     }
     std::remove(path.c_str());
+}
+
+TEST(RouterLoad, MatchesRouteByRouteIpv4ThroughChurn)
+{
+    const auto routes = table_with_duplicates();
+    Router4 looped;
+    fill(looped, routes, false);
+    Router4 loaded;
+    fill(loaded, routes, true);
+    expect_same_router(loaded, looped, routes);
+    // Aggregation took effect: the loaded FIB is the smaller one.
+    EXPECT_LT(loaded.fib().stats().memory_bytes, looped.fib().stats().memory_bytes);
+
+    // writer: single-threaded test — this thread is the sole updater.
+    const psync::EbrWriterSection writer;
+    workload::UpdateFeedConfig ucfg;
+    ucfg.updates = 2'000;
+    ucfg.next_hops = 60;
+    ucfg.seed = 43;
+    for (const auto& ev : workload::make_update_feed(routes, ucfg)) {
+        for (Router4* r : {&looped, &loaded}) {
+            if (ev.next_hop == rib::kNoRoute)
+                (void)r->remove_route(ev.prefix);
+            else
+                r->add_route(ev.prefix, hop_adjacency<Ipv4Addr>(ev.next_hop));
+        }
+        const auto lo = ev.prefix.first_address().value();
+        const auto hi = ev.prefix.last_address().value();
+        for (const auto v : {lo, hi, lo - 1, hi + 1}) {
+            const Ipv4Addr a{v};
+            ASSERT_EQ(loaded.lookup_index(a), loaded.rib().lookup(a)) << netbase::to_string(a);
+            ASSERT_TRUE(same_resolution(loaded.resolve(a), looped.resolve(a)));
+        }
+    }
+    expect_same_router(loaded, looped, routes);
+    loaded.drain();
+    looped.drain();
+    POPTRIE_AUDIT_ASSERT(loaded.fib(), loaded.rib());
+}
+
+TEST(RouterLoad, MatchesRouteByRouteIpv6)
+{
+    workload::TableGen6Config gen;
+    gen.seed = 31;
+    gen.target_routes = 8'000;
+    gen.next_hops = 40;
+    auto routes = workload::generate_table6(gen);
+    routes.push_back({routes[3].prefix, 77});
+    router::Router6 looped;
+    fill(looped, routes, false);
+    router::Router6 loaded;
+    fill(loaded, routes, true);
+    EXPECT_EQ(loaded.route_count(), looped.route_count());
+    EXPECT_EQ(loaded.adjacency_count(), looped.adjacency_count());
+    const auto check = [&](netbase::u128 v) {
+        const netbase::Ipv6Addr a{v};
+        ASSERT_TRUE(same_resolution(loaded.resolve(a), looped.resolve(a)))
+            << netbase::to_string(a);
+    };
+    for (const auto& r : routes) {
+        const auto lo = r.prefix.first_address().value();
+        const auto hi = r.prefix.last_address().value();
+        for (const auto v : {lo, hi, lo - 1, hi + 1}) check(v);
+    }
+    workload::Xorshift128 rng(37);
+    for (int i = 0; i < 100'000; ++i) {
+        // Random addresses inside 2000::/8, where the generated table lives.
+        netbase::u128 v = (netbase::u128{rng.next()} << 96) | (netbase::u128{rng.next()} << 64) |
+                          (netbase::u128{rng.next()} << 32) | rng.next();
+        v = (v & ~(netbase::u128{0xFF} << 120)) | (netbase::u128{0x20} << 120);
+        check(v);
+    }
+}
+
+TEST(RouterLoad, WithdrawingEveryRouteReleasesEveryAdjacency)
+{
+    const auto routes = table_with_duplicates();
+    Router4 r;
+    fill(r, routes, true);
+    EXPECT_GT(r.adjacency_count(), 0u);
+    for (const auto& rt : routes) (void)r.remove_route(rt.prefix);
+    EXPECT_EQ(r.route_count(), 0u);
+    EXPECT_EQ(r.adjacency_count(), 0u);
+    EXPECT_EQ(r.resolve(ip("10.1.2.3")), nullptr);
+}
+
+TEST(RouterLoad, NonEmptyRouterThrowsAndStaysUnchanged)
+{
+    Router4 r;
+    r.add_route(pfx("10.0.0.0/8"), adj("192.168.0.1", "eth0"));
+    // quiescent: single-threaded test — no reader exists.
+    const psync::QuiescentSection quiescent;
+    EXPECT_THROW(r.load({{pfx("20.0.0.0/8"), 1}}, hop_adjacency<Ipv4Addr>), std::logic_error);
+    EXPECT_EQ(r.route_count(), 1u);
+    EXPECT_EQ(r.adjacency_count(), 1u);
+    ASSERT_NE(r.resolve(ip("10.1.2.3")), nullptr);
+    EXPECT_EQ(r.resolve(ip("10.1.2.3"))->interface, "eth0");
+    EXPECT_EQ(r.resolve(ip("20.1.2.3")), nullptr);
+}
+
+TEST(RouterLoad, AdjacencyTableFullLeavesRouterEmpty)
+{
+    // 65,536 distinct adjacencies: one more than the 16-bit index space.
+    rib::RouteList<Ipv4Addr> routes;
+    for (unsigned i = 0; i <= 0xFFFF; ++i)
+        routes.push_back({Prefix4{Ipv4Addr{i << 12}, 20}, static_cast<NextHop>(i)});
+    const auto distinct = [](NextHop hop) {
+        return Adjacency<Ipv4Addr>{Ipv4Addr{0x0A000000u + hop}, "eth0"};
+    };
+    Router4 r;
+    // quiescent: single-threaded test — no reader exists.
+    const psync::QuiescentSection quiescent;
+    EXPECT_THROW(r.load(routes, distinct), router::AdjacencyTableFull);
+    EXPECT_EQ(r.route_count(), 0u);
+    EXPECT_EQ(r.adjacency_count(), 0u);
+    EXPECT_EQ(r.resolve(Ipv4Addr{5u << 12}), nullptr);
+
+    routes.resize(0xFFFF);  // 65,535 adjacencies fit exactly
+    r.load(routes, distinct);
+    EXPECT_EQ(r.route_count(), 0xFFFFu);
+    EXPECT_EQ(r.adjacency_count(), 0xFFFFu);
+    ASSERT_NE(r.resolve(Ipv4Addr{5u << 12}), nullptr);
+    EXPECT_EQ(r.resolve(Ipv4Addr{5u << 12})->gateway, Ipv4Addr{0x0A000005u});
 }

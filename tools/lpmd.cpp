@@ -85,6 +85,11 @@ struct RunResult {
     poptrie::Stats fib_stats{};  // post-run fragmentation view (poptrie only)
     std::string fib_backing;     // arena backing of the served FIB, if any
     std::string batch_kernel;    // snapshot engine: avx512 | pipelined
+    // poptrie engine: route list -> compiled FIB, and the FIB's structure
+    // bytes (Stats::memory_bytes) as loaded.
+    bool has_load = false;
+    double load_s = 0;
+    std::size_t fib_bytes = 0;
 };
 
 /// One-line fragmentation view of both FIB pools, printed at each quiescent
@@ -278,6 +283,10 @@ int finish(const Options& opt, const RunResult& r, std::string_view engine_name)
                                     : std::string_view{"built"});
         if (!r.fib_backing.empty()) rec.field("fib_backing", r.fib_backing);
         if (!r.batch_kernel.empty()) rec.field("batch_kernel", r.batch_kernel);
+        if (r.has_load) {
+            rec.field("load_s", r.load_s);
+            rec.field("fib_bytes", std::uint64_t{r.fib_bytes});
+        }
         rec.field("snapshots_saved", r.snapshots_saved);
         if (r.has_fib_stats) {
             rec.field("node_free_blocks", std::uint64_t{r.fib_stats.node_free_blocks});
@@ -513,17 +522,14 @@ int main(int argc, char** argv)
             // feed never has to grow; --check verifies it indeed did not.
             if (opt.churn_updates > 0) pcfg.pool_headroom_log2 = 6;
             router::Router4 router{pcfg};
+            const auto load_t0 = std::chrono::steady_clock::now();
             dataplane::load_routes(router, routes);
-            // Bulk loading grew the pools to a near-exact fit; apply the
-            // headroom now, while no forwarding thread is running yet.
-            if (opt.churn_updates > 0) {
-                // quiescent: no forwarding or churn thread has started.
-                const psync::QuiescentSection quiescent;
-                router.reserve_fib_headroom();
-            }
-            // Growths so far happened quiescently (bulk load); only growth
-            // after this point runs under live readers.
-            const auto growths_before = router.fib().update_counters().pool_growths;
+            const double load_s =
+                std::chrono::duration<double>(std::chrono::steady_clock::now() - load_t0)
+                    .count();
+            const std::size_t fib_bytes = router.fib().stats().memory_bytes;
+            std::printf("lpmd: fib loaded in %.3fs, %zu bytes of structure\n", load_s,
+                        fib_bytes);
             benchkit::note_arena_backing(
                 alloc::backing_name(router.fib().memory_report().backing));
             dataplane::Dataplane<dataplane::PoptrieEngine> dp{
@@ -569,7 +575,12 @@ int main(int argc, char** argv)
                 const psync::EbrWriterSection writer;
                 router.drain();
             }
-            r.pool_growths = router.fib().update_counters().pool_growths - growths_before;
+            // The compile counts no growth, so every one counted here ran
+            // under live readers.
+            r.pool_growths = router.fib().update_counters().pool_growths;
+            r.has_load = true;
+            r.load_s = load_s;
+            r.fib_bytes = fib_bytes;
             if (!opt.snapshot_save.empty()) {
                 // Final image: everything is joined and drained, so this is
                 // the run's last quiescent point.

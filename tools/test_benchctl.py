@@ -96,6 +96,14 @@ class RuleTest(unittest.TestCase):
         self.assertEqual(rule["direction"], "higher")
         self.assertGreater(rule["band"], benchctl.DEFAULT_BAND)
 
+    def test_dataplane_load_lower_better(self):
+        rule = benchctl.rule_for("dataplane.load_ms")
+        self.assertEqual(rule["direction"], "lower")
+        self.assertEqual(rule["band"], 0.25)
+        rule = benchctl.rule_for("dataplane.fib_mib")
+        self.assertEqual(rule["direction"], "lower")
+        self.assertEqual(rule["band"], 0.02)
+
     def test_cycles_lower_better(self):
         rule = benchctl.rule_for("table4.realtier1a.poptrie18.mean_cycles")
         self.assertEqual(rule["direction"], "lower")
@@ -103,6 +111,25 @@ class RuleTest(unittest.TestCase):
     def test_unknown_metric_gets_default_band(self):
         self.assertEqual(benchctl.rule_for("mystery.metric")["band"],
                          benchctl.DEFAULT_BAND)
+
+
+class ParseDataplaneTest(unittest.TestCase):
+    def test_load_record_and_cells(self):
+        records = [
+            {"phase": "load", "routes": 100000, "load_ms": 61.5, "fib_bytes": 3 << 20},
+            {"engine": "poptrie", "workers": 1, "churn": False, "mlps": 4.2,
+             "lat_p50_ns": 2800.0, "lat_p99_ns": 8800.0},
+            {"engine": "sail", "workers": 1, "status": "structural_limit"},
+        ]
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "dataplane.json")
+            with open(path, "w", encoding="utf-8") as f:
+                json.dump(records, f)
+            out = benchctl.parse_dataplane("", path)
+        self.assertEqual(out["dataplane.load_ms"], 61.5)
+        self.assertEqual(out["dataplane.fib_mib"], 3.0)
+        self.assertEqual(out["dataplane.poptrie.w1.mlps"], 4.2)
+        self.assertEqual(len(out), 5)
 
 
 class CompareMetricTest(unittest.TestCase):
