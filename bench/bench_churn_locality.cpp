@@ -9,7 +9,7 @@
 //
 //   fresh      the initial build, before any update (baseline context)
 //   churned    after the update feed (default 1M events, §4.9-style mix)
-//   compacted  after one quiescent Poptrie::compact() pass
+//   compacted  after one Poptrie::compact() pass
 //   rebuilt    a from-scratch build of the final RIB (the locality ceiling)
 //
 // plus the buddy fragmentation counters at each point and the wall time of

@@ -153,7 +153,7 @@ int main(int argc, char** argv)
     std::printf("%-13s %8.2f ms   (%zu bytes)\n", "save", save_ms,
                 static_cast<std::size_t>(image_bytes));
 
-    const auto mapped = measure_load(image, snapshot::LoadOptions::Placement::kMap,
+    const auto mapped = measure_load(image, snapshot::LoadOptions::Placement::kAuto,
                                      "snapshot-map", lookups, trials, seed + 100);
     const auto copied = measure_load(image, snapshot::LoadOptions::Placement::kCopy,
                                      "snapshot-copy", lookups, trials, seed + 100);

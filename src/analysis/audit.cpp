@@ -135,47 +135,72 @@ struct LiveRun {
     std::uint32_t count = 0;  // slots actually in use
 };
 
-/// Walks the reachable structure of one Poptrie, recording violations and
-/// live runs. Template over Addr only for the node type and width constants.
+/// The live runs of one FIB in DFS order (roots, child arrays, leaf runs).
+/// Dict-coded runs live in the dense 8-bit code array: size == count.
+struct LiveRuns {
+    std::vector<LiveRun> nodes;
+    std::vector<LiveRun> leaves;
+    std::vector<LiveRun> leaves8;
+};
+
+/// Walks the reachable structure of one FIB's arrays, recording violations
+/// and live runs. Template over Addr only for the node type and width.
 template <class Addr>
 class StructureWalker {
 public:
     using PT = poptrie::Poptrie<Addr>;
     using Node = typename PT::Node;
 
-    StructureWalker(const PT& pt, AuditReport& r)
-        : nodes_(AuditAccess::nodes(pt)),
-          leaves_(AuditAccess::leaves(pt)),
-          leaves8_(AuditAccess::leaves8(pt)),
-          leaf_dict_(AuditAccess::leaf_dict(pt)),
-          leaf_compression_(pt.config().leaf_compression),
-          report_(r),
-          visited_(nodes_.size(), false)
+    StructureWalker(const typename PT::View& view, AuditReport& r, LiveRuns& runs)
+        : view_(view), report_(r), runs_(runs), visited_(view.node_count, false)
     {
     }
 
-    /// Audits the single-node block at `index` (a root published in a direct
-    /// slot or in root_) and the subtree below it.
-    void walk_root(std::uint32_t index, unsigned level, const std::string& where)
+    /// Audits every entry point: the root, or each direct slot (a leaf
+    /// payload, or a root node index).
+    void walk()
     {
-        if (index >= nodes_.size()) {
-            report_.add("root-index-out-of-range",
-                        where + ": node index " + std::to_string(index) + " >= pool size " +
-                            std::to_string(nodes_.size()));
+        if (view_.direct_bits == 0) {
+            walk_root(view_.root, 0, "root");
             return;
         }
-        node_runs_.push_back({index, 1, 1});
+        const std::uint64_t want = std::uint64_t{1} << view_.direct_bits;
+        if (view_.direct_count != want) {
+            report_.add("direct-size-mismatch", std::to_string(view_.direct_count) +
+                                                    " slots, expected " +
+                                                    std::to_string(want));
+            return;
+        }
+        for (std::uint64_t d = 0; d < view_.direct_count; ++d) {
+            ++report_.direct_slots_checked;
+            const std::uint32_t v = view_.direct[d];
+            if (v & PT::kDirectLeafBit) {
+                // Payload must be a representable next hop (16 bits).
+                if ((v & ~PT::kDirectLeafBit) > 0xFFFFu)
+                    report_.add("direct-leaf-overflow",
+                                "slot " + std::to_string(d) + " payload " +
+                                    std::to_string(v & ~PT::kDirectLeafBit));
+            } else {
+                walk_root(v, view_.direct_bits, "direct[" + std::to_string(d) + "]");
+            }
+        }
+    }
+
+private:
+    /// Audits the single-node block at `index` (a root published in a
+    /// direct slot or as the root index) and the subtree below it.
+    void walk_root(std::uint32_t index, unsigned level, const std::string& where)
+    {
+        if (index >= view_.node_count) {
+            report_.add("root-index-out-of-range",
+                        where + ": node index " + std::to_string(index) + " >= pool size " +
+                            std::to_string(view_.node_count));
+            return;
+        }
+        runs_.nodes.push_back({index, 1, 1});
         walk_node(index, level, where);
     }
 
-    /// Live node/leaf runs collected so far (roots, child arrays, leaf runs).
-    [[nodiscard]] const std::vector<LiveRun>& node_runs() const noexcept { return node_runs_; }
-    [[nodiscard]] const std::vector<LiveRun>& leaf_runs() const noexcept { return leaf_runs_; }
-    /// Dict-coded (kLeaf8Bit) runs: offset/count in the dense code array
-    /// (size == count — these are never buddy-allocated or padded).
-    [[nodiscard]] const std::vector<LiveRun>& leaf8_runs() const noexcept { return leaf8_runs_; }
-
-private:
     void walk_node(std::uint32_t index, unsigned level, const std::string& where)
     {
         if (visited_[index]) {
@@ -193,10 +218,10 @@ private:
             return;
         }
 
-        const Node& n = nodes_[index];
+        const Node& n = view_.nodes[index];
         const auto nkids = static_cast<std::uint32_t>(netbase::popcount64(n.vector));
         std::uint32_t nleaves = 0;
-        if (leaf_compression_) {
+        if (view_.leaf_compression) {
             nleaves = static_cast<std::uint32_t>(netbase::popcount64(n.leafvec));
             if ((n.leafvec & n.vector) != 0)
                 report_.add("leafvec-overlaps-vector",
@@ -223,74 +248,56 @@ private:
         // *decoded* values either way.
         if (nleaves != 0 && (n.base0 & poptrie::kLeaf8Bit)) {
             const std::uint32_t off = n.base0 & ~poptrie::kLeaf8Bit;
-            if (std::uint64_t{off} + nleaves > leaves8_.size()) {
+            if (std::uint64_t{off} + nleaves > view_.leaf8_count) {
                 report_.add("leaf8-run-out-of-range",
                             where + ": node " + std::to_string(index) + " code offset " +
                                 std::to_string(off) + " +" + std::to_string(nleaves) +
-                                " > code array size " + std::to_string(leaves8_.size()));
+                                " > code array size " + std::to_string(view_.leaf8_count));
             } else {
-                leaf8_runs_.push_back({off, nleaves, nleaves});
+                runs_.leaves8.push_back({off, nleaves, nleaves});
                 report_.leaves_checked += nleaves;
                 bool codes_ok = true;
                 for (std::uint32_t i = 0; i < nleaves; ++i) {
-                    if (leaves8_[off + i] >= leaf_dict_.size()) {
+                    if (view_.leaves8[off + i] >= view_.leaf_dict_count) {
                         report_.add("leaf8-code-out-of-dict",
                                     where + ": node " + std::to_string(index) + " code " +
-                                        std::to_string(leaves8_[off + i]) +
+                                        std::to_string(view_.leaves8[off + i]) +
                                         " >= dictionary size " +
-                                        std::to_string(leaf_dict_.size()));
+                                        std::to_string(view_.leaf_dict_count));
                         codes_ok = false;
                     }
                 }
-                if (codes_ok && leaf_compression_) {
-                    for (std::uint32_t i = 1; i < nleaves; ++i) {
-                        if (leaf_dict_[leaves8_[off + i]] == leaf_dict_[leaves8_[off + i - 1]]) {
-                            report_.add("leaf-run-not-minimal",
-                                        where + ": node " + std::to_string(index) +
-                                            " dict-coded leaves " + std::to_string(i - 1) +
-                                            "," + std::to_string(i) + " repeat next hop " +
-                                            std::to_string(leaf_dict_[leaves8_[off + i]]));
-                        }
-                    }
-                }
+                if (codes_ok && view_.leaf_compression)
+                    check_minimal(index, n.base0, nleaves, where, "dict-coded leaves ");
             }
         } else if (nleaves != 0) {
             const auto block = alloc::BuddyAllocator::block_size_for(nleaves);
-            if (std::uint64_t{n.base0} + block > leaves_.size()) {
+            if (std::uint64_t{n.base0} + block > view_.leaf_count) {
                 report_.add("leaf-run-out-of-range",
                             where + ": node " + std::to_string(index) + " base0 " +
                                 std::to_string(n.base0) + " +" + std::to_string(block) +
-                                " > pool size " + std::to_string(leaves_.size()));
+                                " > pool size " + std::to_string(view_.leaf_count));
             } else {
                 if (n.base0 % block != 0)
                     report_.add("leaf-run-misaligned",
                                 where + ": node " + std::to_string(index) + " base0 " +
                                     std::to_string(n.base0) + " not aligned to " +
                                     std::to_string(block));
-                leaf_runs_.push_back({n.base0, block, nleaves});
+                runs_.leaves.push_back({n.base0, block, nleaves});
                 report_.leaves_checked += nleaves;
-                if (leaf_compression_) {
-                    for (std::uint32_t i = 1; i < nleaves; ++i) {
-                        if (leaves_[n.base0 + i] == leaves_[n.base0 + i - 1]) {
-                            report_.add("leaf-run-not-minimal",
-                                        where + ": node " + std::to_string(index) +
-                                            " leaves " + std::to_string(i - 1) + "," +
-                                            std::to_string(i) + " repeat next hop " +
-                                            std::to_string(leaves_[n.base0 + i]));
-                        }
-                    }
-                }
+                if (view_.leaf_compression)
+                    check_minimal(index, n.base0, nleaves, where, "leaves ");
             }
         }
 
         // Child run: bounds, alignment, then recurse.
         if (nkids != 0) {
             const auto block = alloc::BuddyAllocator::block_size_for(nkids);
-            if (std::uint64_t{n.base1} + block > nodes_.size()) {
+            if (std::uint64_t{n.base1} + block > view_.node_count) {
                 report_.add("node-run-out-of-range",
                             where + ": node " + std::to_string(index) + " base1 " +
                                 std::to_string(n.base1) + " +" + std::to_string(block) +
-                                " > pool size " + std::to_string(nodes_.size()));
+                                " > pool size " + std::to_string(view_.node_count));
                 return;  // children unreadable
             }
             if (n.base1 % block != 0)
@@ -298,22 +305,30 @@ private:
                             where + ": node " + std::to_string(index) + " base1 " +
                                 std::to_string(n.base1) + " not aligned to " +
                                 std::to_string(block));
-            node_runs_.push_back({n.base1, block, nkids});
+            runs_.nodes.push_back({n.base1, block, nkids});
             for (std::uint32_t i = 0; i < nkids; ++i)
                 walk_node(n.base1 + i, level + PT::kStride, where);
         }
     }
 
-    const typename PT::NodePool& nodes_;
-    const typename PT::LeafPool& leaves_;
-    const typename PT::Leaf8Pool& leaves8_;
-    const typename PT::LeafPool& leaf_dict_;
-    bool leaf_compression_;
+    /// Leafvec runs are minimal: two adjacent leaves never repeat a next hop.
+    void check_minimal(std::uint32_t index, std::uint32_t base0, std::uint32_t nleaves,
+                       const std::string& where, const char* what)
+    {
+        for (std::uint32_t i = 1; i < nleaves; ++i) {
+            const rib::NextHop hop = view_.leaf(base0 + i);
+            if (hop == view_.leaf(base0 + i - 1))
+                report_.add("leaf-run-not-minimal",
+                            where + ": node " + std::to_string(index) + " " + what +
+                                std::to_string(i - 1) + "," + std::to_string(i) +
+                                " repeat next hop " + std::to_string(hop));
+        }
+    }
+
+    const typename PT::View& view_;
     AuditReport& report_;
+    LiveRuns& runs_;
     std::vector<bool> visited_;
-    std::vector<LiveRun> node_runs_;
-    std::vector<LiveRun> leaf_runs_;
-    std::vector<LiveRun> leaf8_runs_;
 };
 
 /// Cross-checks the live runs collected by the walk against one buddy
@@ -404,10 +419,10 @@ void check_compacted_layout(AuditReport& r, const std::vector<LiveRun>& runs,
 /// additionally replay compact()'s dense bump exactly: run i starts where
 /// run i-1 ended and the array holds not one code more.
 void check_leaf8_runs(AuditReport& r, std::vector<LiveRun> runs, std::size_t code_array_size,
-                      std::size_t dict_size, const std::vector<rib::NextHop>& dict_values,
+                      const std::vector<rib::NextHop>& dict_values,
                       std::uint64_t expected_count, bool expect_compacted)
 {
-    for (std::size_t i = 1; i < dict_size; ++i)
+    for (std::size_t i = 1; i < dict_values.size(); ++i)
         if (dict_values[i] <= dict_values[i - 1])
             r.add("leaf8-dict-unsorted",
                   "dictionary entries " + std::to_string(i - 1) + "," + std::to_string(i) +
@@ -466,77 +481,58 @@ typename Addr::value_type random_key(workload::Xorshift128& rng)
 }  // namespace
 
 template <class Addr>
+AuditReport audit_structure(const typename poptrie::Poptrie<Addr>::View& view)
+{
+    AuditReport r;
+    LiveRuns runs;
+    StructureWalker<Addr>(view, r, runs).walk();
+    return r;
+}
+
+template <class Addr>
 AuditReport audit(const poptrie::Poptrie<Addr>& pt, const rib::RadixTrie<Addr>& rib,
                   const AuditOptions& opt)
 {
-    using PT = poptrie::Poptrie<Addr>;
     using value_type = typename Addr::value_type;
-    AuditReport r;
-    const auto& cfg = pt.config();
-    const auto& nodes = AuditAccess::nodes(pt);
-    const auto& direct = AuditAccess::direct(pt);
+    const auto& pools = AuditAccess::pools(pt);
 
     // 1. Structural walk from every root.
-    StructureWalker<Addr> walker(pt, r);
-    if (cfg.direct_bits == 0) {
-        walker.walk_root(AuditAccess::root(pt), 0, "root");
-    } else {
-        const std::size_t want = std::size_t{1} << cfg.direct_bits;
-        if (direct.size() != want) {
-            r.add("direct-size-mismatch", std::to_string(direct.size()) + " slots, expected " +
-                                              std::to_string(want));
-        } else {
-            for (std::size_t d = 0; d < direct.size(); ++d) {
-                ++r.direct_slots_checked;
-                const std::uint32_t v = direct[d];
-                if (v & PT::kDirectLeafBit) {
-                    // Payload must be a representable next hop (16 bits).
-                    if ((v & ~PT::kDirectLeafBit) > 0xFFFFu)
-                        r.add("direct-leaf-overflow",
-                              "slot " + std::to_string(d) + " payload " +
-                                  std::to_string(v & ~PT::kDirectLeafBit));
-                } else {
-                    walker.walk_root(v, cfg.direct_bits, "direct[" + std::to_string(d) + "]");
-                }
-            }
-        }
-    }
+    AuditReport r;
+    LiveRuns runs;
+    const auto view = pools.view(pt.config());
+    StructureWalker<Addr>(view, r, runs).walk();
 
     // 2. Live runs vs the buddy allocators, and slot accounting.
     const std::size_t pending = AuditAccess::ebr(pt).pending();
-    check_runs_against_allocator(r, walker.node_runs(), AuditAccess::node_alloc(pt), pending,
+    check_runs_against_allocator(r, runs.nodes, pools.node_alloc, pending,
                                  AuditAccess::inode_count(pt), "node");
     // The buddy allocator only tracks the 16-bit pool; dict-coded slots are
     // bump-placed in the code array and accounted separately below.
-    check_runs_against_allocator(r, walker.leaf_runs(), AuditAccess::leaf_alloc(pt), pending,
+    check_runs_against_allocator(r, runs.leaves, pools.leaf_alloc, pending,
                                  AuditAccess::leaf_count(pt) - AuditAccess::leaf8_live(pt),
                                  "leaf");
-    {
-        const auto& dict = AuditAccess::leaf_dict(pt);
-        std::vector<rib::NextHop> dict_values(dict.data(), dict.data() + dict.size());
-        check_leaf8_runs(r, walker.leaf8_runs(), AuditAccess::leaves8(pt).size(), dict.size(),
-                         dict_values, AuditAccess::leaf8_live(pt), opt.expect_compacted);
-    }
-    if (nodes.size() != AuditAccess::node_alloc(pt).capacity())
+    const std::vector<rib::NextHop> dict_values(pools.leaf_dict.begin(), pools.leaf_dict.end());
+    check_leaf8_runs(r, runs.leaves8, pools.leaves8.size(), dict_values,
+                     AuditAccess::leaf8_live(pt), opt.expect_compacted);
+    if (pools.nodes.size() != pools.node_alloc.capacity())
         r.add("node-pool-size-mismatch",
-              "pool " + std::to_string(nodes.size()) + " != allocator capacity " +
-                  std::to_string(AuditAccess::node_alloc(pt).capacity()));
-    if (AuditAccess::leaves(pt).size() != AuditAccess::leaf_alloc(pt).capacity())
+              "pool " + std::to_string(pools.nodes.size()) + " != allocator capacity " +
+                  std::to_string(pools.node_alloc.capacity()));
+    if (pools.leaves.size() != pools.leaf_alloc.capacity())
         r.add("leaf-pool-size-mismatch",
-              "pool " + std::to_string(AuditAccess::leaves(pt).size()) +
-                  " != allocator capacity " +
-                  std::to_string(AuditAccess::leaf_alloc(pt).capacity()));
+              "pool " + std::to_string(pools.leaves.size()) + " != allocator capacity " +
+                  std::to_string(pools.leaf_alloc.capacity()));
 
     // 2b. Canonical compacted layout, when the caller vouches the table was
     // just compacted (poptrie_fsck --compact, the compaction tests).
     if (opt.expect_compacted) {
-        check_compacted_layout(r, walker.node_runs(), AuditAccess::node_alloc(pt), "node");
-        check_compacted_layout(r, walker.leaf_runs(), AuditAccess::leaf_alloc(pt), "leaf");
+        check_compacted_layout(r, runs.nodes, pools.node_alloc, "node");
+        check_compacted_layout(r, runs.leaves, pools.leaf_alloc, "leaf");
     }
 
     // 3. Allocator free lists and EBR epochs.
-    r.merge(audit_allocator(AuditAccess::node_alloc(pt)), "node-alloc/");
-    r.merge(audit_allocator(AuditAccess::leaf_alloc(pt)), "leaf-alloc/");
+    r.merge(audit_allocator(pools.node_alloc), "node-alloc/");
+    r.merge(audit_allocator(pools.leaf_alloc), "leaf-alloc/");
     r.merge(audit_ebr(AuditAccess::ebr(pt)), "ebr/");
 
     // 4. Differential checks against the RIB oracle: route boundaries first
@@ -581,6 +577,10 @@ void audit_or_abort(const poptrie::Poptrie<Addr>& pt, const rib::RadixTrie<Addr>
     }
 }
 
+template AuditReport audit_structure<netbase::Ipv4Addr>(
+    const poptrie::Poptrie<netbase::Ipv4Addr>::View&);
+template AuditReport audit_structure<netbase::Ipv6Addr>(
+    const poptrie::Poptrie<netbase::Ipv6Addr>::View&);
 template AuditReport audit(const poptrie::Poptrie<netbase::Ipv4Addr>&,
                            const rib::RadixTrie<netbase::Ipv4Addr>&, const AuditOptions&);
 template AuditReport audit(const poptrie::Poptrie<netbase::Ipv6Addr>&,

@@ -20,6 +20,10 @@
 //   * differential lookup checks against the RIB oracle at every route
 //     boundary and at random probe addresses.
 //
+// The structural part (audit_structure) needs only the arrays, read as a
+// PlainView, so it is the one walker for live tries and loaded images
+// alike: snapshot::verify_image() runs it too.
+//
 // All of it is control-path-only: the auditor never runs during lookups, and
 // audits must be called from the writer thread (they read writer-private
 // state). `tools/poptrie_fsck` wraps this as a CLI; tests run it after every
@@ -103,6 +107,15 @@ struct AuditOptions {
 /// Checks an EBR domain's epoch bookkeeping. Writer-thread only.
 [[nodiscard]] AuditReport audit_ebr(const psync::EbrDomain& domain);
 
+/// The structural walk over one FIB's arrays — a live pool set or a loaded
+/// image, both as a PlainView: direct-slot payloads and root bounds,
+/// vector/leafvec consistency, leaf-run minimality (§3.3), run bounds and
+/// alignment, dictionary codes, aliasing, depth. Everything that needs only
+/// the arrays is here; audit() runs the same walk, so snapshot::
+/// verify_image() and audit() fire the same named check for the same fault.
+template <class Addr>
+[[nodiscard]] AuditReport audit_structure(const typename poptrie::Poptrie<Addr>::View& view);
+
 /// Full structural + differential audit of `pt` against its source RIB.
 /// Writer-thread only; must not run concurrently with apply().
 template <class Addr>
@@ -127,6 +140,10 @@ void audit_or_abort(const poptrie::Poptrie<Addr>& pt, const rib::RadixTrie<Addr>
 #define POPTRIE_AUDIT_ASSERT(pt, rib) ::analysis::audit_or_abort((pt), (rib))
 #endif
 
+extern template AuditReport audit_structure<netbase::Ipv4Addr>(
+    const poptrie::Poptrie<netbase::Ipv4Addr>::View&);
+extern template AuditReport audit_structure<netbase::Ipv6Addr>(
+    const poptrie::Poptrie<netbase::Ipv6Addr>::View&);
 extern template AuditReport audit(const poptrie::Poptrie<netbase::Ipv4Addr>&,
                                   const rib::RadixTrie<netbase::Ipv4Addr>&,
                                   const AuditOptions&);
@@ -141,86 +158,29 @@ extern template void audit_or_abort(const poptrie::Poptrie<netbase::Ipv6Addr>&,
                                     const AuditOptions&);
 
 /// The single point of access to Poptrie internals (declared a friend there).
-/// Const accessors feed the auditor; the mutable ones exist so tests can
-/// inject faults and prove the auditor catches them. Nothing here is for
-/// production code paths.
+/// The const accessors feed the auditor; the mutable pool-set accessor exists
+/// so tests can inject faults and prove the auditor catches them. Nothing
+/// here is for production code paths.
 ///
-/// The pool accessors are POPTRIE_NO_TSA: they reach EBR-guarded members by
-/// design. This is the sanctioned audit backdoor — by contract (DESIGN.md
-/// §9) the auditor runs on the writer thread at update/quiescent points, a
-/// discipline the surrounding tests and tools uphold rather than the type
-/// system.
+/// The pool-set accessors are POPTRIE_NO_TSA: they reach the EBR-guarded
+/// set by design. This is the sanctioned audit backdoor — by contract
+/// (DESIGN.md §9) the auditor runs on the writer thread, a discipline the
+/// surrounding tests and tools uphold rather than the type system.
 struct AuditAccess {
     template <class Addr>
     using PT = poptrie::Poptrie<Addr>;
 
-    // Deduced return types: the pools are arena-backed containers
-    // (Poptrie::NodePool et al.), and spelling the type here would couple
-    // every audit call site to the storage choice.
+    /// The current pool set: arrays, root index, buddy allocators.
     template <class Addr>
-    [[nodiscard]] static const auto& nodes(const PT<Addr>& p) noexcept POPTRIE_NO_TSA
+    [[nodiscard]] static const typename PT<Addr>::PoolSet& pools(const PT<Addr>& p) noexcept
+        POPTRIE_NO_TSA
     {
-        return p.nodes_;
+        return p.set_.get();
     }
     template <class Addr>
-    [[nodiscard]] static auto& nodes(PT<Addr>& p) noexcept POPTRIE_NO_TSA
+    [[nodiscard]] static typename PT<Addr>::PoolSet& pools(PT<Addr>& p) noexcept POPTRIE_NO_TSA
     {
-        return p.nodes_;
-    }
-    template <class Addr>
-    [[nodiscard]] static const auto& leaves(const PT<Addr>& p) noexcept POPTRIE_NO_TSA
-    {
-        return p.leaves_;
-    }
-    template <class Addr>
-    [[nodiscard]] static auto& leaves(PT<Addr>& p) noexcept POPTRIE_NO_TSA
-    {
-        return p.leaves_;
-    }
-    template <class Addr>
-    [[nodiscard]] static const auto& leaves8(const PT<Addr>& p) noexcept POPTRIE_NO_TSA
-    {
-        return p.leaves8_;
-    }
-    template <class Addr>
-    [[nodiscard]] static auto& leaves8(PT<Addr>& p) noexcept POPTRIE_NO_TSA
-    {
-        return p.leaves8_;
-    }
-    template <class Addr>
-    [[nodiscard]] static const auto& leaf_dict(const PT<Addr>& p) noexcept POPTRIE_NO_TSA
-    {
-        return p.leaf_dict_;
-    }
-    template <class Addr>
-    [[nodiscard]] static auto& leaf_dict(PT<Addr>& p) noexcept POPTRIE_NO_TSA
-    {
-        return p.leaf_dict_;
-    }
-    template <class Addr>
-    [[nodiscard]] static const auto& direct(const PT<Addr>& p) noexcept POPTRIE_NO_TSA
-    {
-        return p.direct_;
-    }
-    template <class Addr>
-    [[nodiscard]] static auto& direct(PT<Addr>& p) noexcept POPTRIE_NO_TSA
-    {
-        return p.direct_;
-    }
-    template <class Addr>
-    [[nodiscard]] static std::uint32_t root(const PT<Addr>& p) noexcept POPTRIE_NO_TSA
-    {
-        return p.root_;
-    }
-    template <class Addr>
-    [[nodiscard]] static const alloc::BuddyAllocator& node_alloc(const PT<Addr>& p) noexcept POPTRIE_NO_TSA
-    {
-        return *p.node_alloc_;
-    }
-    template <class Addr>
-    [[nodiscard]] static const alloc::BuddyAllocator& leaf_alloc(const PT<Addr>& p) noexcept POPTRIE_NO_TSA
-    {
-        return *p.leaf_alloc_;
+        return p.set_.get();
     }
     template <class Addr>
     [[nodiscard]] static const psync::EbrDomain& ebr(const PT<Addr>& p) noexcept

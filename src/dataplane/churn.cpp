@@ -42,8 +42,9 @@ void ChurnRunner::run(std::vector<workload::UpdateEvent> events, ChurnConfig cfg
         if (stop_.requested()) return;
         if (gate_.pause_requested()) {
             // Park between updates — the FIB is structurally consistent
-            // here, so the pausing thread may compact it. Deadline pacing
-            // below absorbs the parked time by bursting briefly afterwards.
+            // here, so the pausing thread may act as its writer. Deadline
+            // pacing below absorbs the parked time by bursting briefly
+            // afterwards.
             gate_.enter_park();
             while (gate_.pause_requested() && !stop_.requested())
                 std::this_thread::sleep_for(std::chrono::microseconds(50));

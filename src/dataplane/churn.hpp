@@ -59,22 +59,16 @@ public:
     void stop_and_join();
     ~ChurnRunner();
 
-    /// Quiescent-point handshake: blocks until the churn thread is parked
-    /// between updates (or the feed finished, in which case the thread is
-    /// joined). While paused, the caller may act as the Router's writer —
-    /// lpmd --compact-every runs Router::compact_fib() here. Balance every
-    /// pause() with resume().
+    /// Writer handover: blocks until the churn thread is parked between
+    /// updates (or the feed finished, in which case the thread is joined).
+    /// While paused, the caller is the Router's writer — lpmd runs
+    /// Router::compact_fib() and the snapshot save here while its workers
+    /// keep forwarding. Balance every pause() with resume().
     ///
     /// Capability-wise, pause() hands the caller the exclusive EBR writer
-    /// role (the parked churn thread is the usual writer) plus the
-    /// quiescence claim on behalf of the caller's full protocol: touching
-    /// pool *storage* additionally requires that every forwarding worker is
-    /// stopped or parked, which the analysis cannot see from here — lpmd
-    /// stops its worker pool between pause() and the compaction, and
-    /// check_concurrency.py R4 plus the TSan churn tests keep that half
-    /// honest.
-    void pause() POPTRIE_ACQUIRE(psync::cap::quiescent, psync::cap::ebr);
-    void resume() noexcept POPTRIE_RELEASE(psync::cap::quiescent, psync::cap::ebr);
+    /// role, which the parked churn thread otherwise holds.
+    void pause() POPTRIE_ACQUIRE(psync::cap::ebr);
+    void resume() noexcept POPTRIE_RELEASE(psync::cap::ebr);
 
     ChurnRunner(const ChurnRunner&) = delete;
     ChurnRunner& operator=(const ChurnRunner&) = delete;

@@ -16,7 +16,8 @@
 // percentiles come out of a multi-minute soak with fixed memory.
 //
 // Thread contract: offer() from one producer thread; start()/stop() from
-// the owning thread; stats() from anywhere. A control-plane thread may
+// the owning thread, once each — a stopped pipeline is finished; stats()
+// from anywhere. A control-plane thread may
 // mutate the engine's table concurrently only if the engine supports it
 // (PoptrieEngine; see churn.hpp).
 #pragma once
@@ -24,6 +25,7 @@
 #include <chrono>
 #include <cstdint>
 #include <memory>
+#include <stdexcept>
 #include <thread>
 #include <vector>
 
@@ -72,10 +74,15 @@ public:
     Dataplane(const Dataplane&) = delete;
     Dataplane& operator=(const Dataplane&) = delete;
 
-    /// Spawns the forwarding workers. Must be called before offer().
+    /// Spawns the forwarding workers. Must be called before offer(). A
+    /// second call while running does nothing; a call after stop() throws
+    /// std::logic_error, since those workers would see the stop request and
+    /// exit at once.
     void start()
     {
         if (pool_) return;
+        if (stop_.requested())
+            throw std::logic_error("Dataplane::start: the pipeline was stopped");
         pool_ = std::make_unique<WorkerPool>(
             WorkerPoolConfig{.threads = cfg_.workers,
                              .pin_cpus = cfg_.pin_cpus,
@@ -104,24 +111,15 @@ public:
     }
 
     /// Requests shutdown: workers drain their rings, then exit; blocks until
-    /// all have joined. Idempotent. The producer must have stopped offering.
-    /// The pipeline is restartable: the stop flag is rearmed after the join,
-    /// so start() spawns a fresh worker pool — lpmd --compact-every pauses
-    /// and resumes forwarding around quiescent-point FIB compaction this way
-    /// (counters and latency reservoirs carry across the restart).
+    /// all have joined. Idempotent and final. The producer must have stopped
+    /// offering.
     void stop()
     {
-        if (!pool_) return;
         stop_.request();
+        if (!pool_) return;
         pool_->join();
         pool_.reset();
-        // quiescent: every worker joined above — no poller of stop_ and no
-        // EBR reader exists until start() spawns a fresh pool.
-        const psync::QuiescentSection quiescent;
-        stop_.reset();  // all pollers joined: safe to rearm
     }
-
-    [[nodiscard]] bool running() const noexcept { return pool_ != nullptr; }
 
     /// Live aggregate (exact after stop()).
     [[nodiscard]] StatsSnapshot stats() const

@@ -44,9 +44,9 @@ public:
 
     /// Blocks until every worker returned. Idempotent. join() is the
     /// dataplane's quiescence edge: once it returns, no worker thread exists,
-    /// so no EBR read-side critical section or StopFlag poller survives —
-    /// callers may then claim a psync::QuiescentSection (Dataplane::stop
-    /// rearms its StopFlag under one).
+    /// so no EBR read-side critical section survives — callers may then
+    /// claim a psync::QuiescentSection (lpmd reads the merged latency under
+    /// one).
     void join();
 
     [[nodiscard]] unsigned size() const noexcept { return threads_count_; }

@@ -12,20 +12,25 @@
 //   * "PoptrieS"     — Config{.direct_bits = S} (§3.4 direct pointing)
 //
 // Concurrency contract (§3.5): any number of reader threads may call
-// lookup() concurrently with a single writer thread calling apply().
-// Replacement arrays are published with release stores and reclaimed through
-// the EbrDomain; readers that run concurrently with updates must hold an
-// EbrDomain::Guard around batches of lookups. Growing the node/leaf pools is
-// NOT safe under concurrent readers — size headroom via Config, or quiesce.
+// lookup() concurrently with a single writer thread calling apply() or
+// compact(). Everything a lookup reads — the five arrays and the root index
+// — lives in one heap pool set (PoolSet) published through one pointer
+// (psync::Published). apply() patches the current set and publishes each
+// replacement array with a release store; compact() builds a whole fresh set
+// and publishes it with one. Replaced arrays and sets are reclaimed through
+// the EbrDomain; readers that run concurrently with the writer must hold an
+// EbrDomain::Guard around batches of lookups. Growing the node/leaf pools
+// remaps a pool in place and is NOT safe under concurrent readers — size
+// headroom via Config, or quiesce.
 //
 // The contract is enforced statically (clang -Wthread-safety, DESIGN.md §9):
-// the pools are GUARDED_BY the EBR capability (psync::cap::ebr), the serving
-// path lookup_batch REQUIRES it shared (hold a real EBR guard and claim an
-// EbrReadSection), mutation paths REQUIRE it exclusive, and the paths that
-// move pool storage itself — compact(), reserve_headroom() — additionally
-// REQUIRE psync::cap::quiescent (no reader anywhere). Scalar lookup()/
-// lookup_raw() and apply() claim their sections internally: they are the
-// single-threaded convenience API, and the claim marks the caller's
+// the pool set is GUARDED_BY the EBR capability (psync::cap::ebr), the
+// serving path lookup_batch REQUIRES it shared (hold a real EBR guard and
+// claim an EbrReadSection), and the writer paths — apply(), compact() —
+// REQUIRE it exclusive. reserve_headroom(), which grows pools in place,
+// additionally REQUIRES psync::cap::quiescent (no reader anywhere). Scalar
+// lookup()/lookup_raw() and apply() claim their sections internally: they
+// are the single-threaded convenience API, and the claim marks the caller's
 // obligation rather than spreading annotations through every test.
 #pragma once
 
@@ -48,11 +53,7 @@
 #include "sync/ebr.hpp"
 
 namespace analysis {
-struct AuditAccess;  // analysis/audit.hpp: read-only structural auditor hook
-}
-
-namespace snapshot {
-struct SnapshotAccess;  // snapshot/snapshot.hpp: quiescent image writer hook
+struct AuditAccess;  // analysis/audit.hpp: structural auditor hook
 }
 
 namespace poptrie {
@@ -111,6 +112,45 @@ public:
     using DirectPool = alloc::ArenaVector<std::uint32_t>;
     /// Dense 8-bit code array for dict-coded leaf runs (Config::leaf_dict).
     using Leaf8Pool = alloc::ArenaVector<std::uint8_t>;
+
+    /// A pool set's arrays as plain loads see them (lookup_pipelined.ipp).
+    using View = batch::PlainView<value_type, Node>;
+
+    /// Everything a lookup reads, in one heap object that one pointer
+    /// publishes: the five arrays, the root index, and the two buddy
+    /// allocators that place runs in the node and leaf pools. apply()
+    /// patches the current set; compact() builds a fresh one, publishes it,
+    /// and retires the old set whole through EBR. A set never moves, so
+    /// deleters may hold pointers to its allocators.
+    struct PoolSet {
+        explicit PoolSet(alloc::Arena* arena) noexcept
+            : nodes(arena), leaves(arena), leaves8(arena), leaf_dict(arena), direct(arena)
+        {
+        }
+
+        /// The arrays at their full extents.
+        [[nodiscard]] View view(const Config& cfg) const noexcept
+        {
+            return {nodes.data(),    leaves.data(),        direct.data(),
+                    root,            cfg.direct_bits,      cfg.leaf_compression,
+                    leaves8.data(),  leaf_dict.data(),     nodes.size(),
+                    leaves.size(),   direct.size(),        leaves8.size(),
+                    leaf_dict.size()};
+        }
+
+        NodePool nodes;
+        LeafPool leaves;
+        // Dict-coded leaf storage (Config::leaf_dict): dense 8-bit codes plus
+        // the <= 256-entry dictionary. Written only while compact() builds
+        // the set; the updater only *drops* tagged runs, so readers reach
+        // them with relaxed loads through the published base0 indices.
+        Leaf8Pool leaves8;
+        LeafPool leaf_dict;
+        DirectPool direct;       // 2^s entries when direct_bits > 0
+        std::uint32_t root = 0;  // root node index when direct_bits == 0
+        alloc::BuddyAllocator node_alloc{1024};
+        alloc::BuddyAllocator leaf_alloc{1024};
+    };
 
     /// Builds an empty FIB (every lookup returns rib::kNoRoute).
     explicit Poptrie(const Config& cfg = {});
@@ -193,8 +233,7 @@ public:
     [[nodiscard]] psync::EbrDomain::Reader register_reader() { return ebr_->register_reader(); }
 
     /// Runs pending reclamation to completion. Writer-role only (exclusive
-    /// EBR capability): claim an EbrWriterSection on the updater thread, or
-    /// a QuiescentSection at a shutdown/maintenance point.
+    /// EBR capability): claim an EbrWriterSection on the updater thread.
     void drain() POPTRIE_REQUIRES(psync::cap::ebr) { ebr_->drain(); }
 
     /// Pre-grows the node/leaf pools to the configured headroom over the
@@ -207,22 +246,18 @@ public:
         ensure_headroom();
     }
 
-    /// Rewrites the node and leaf arrays in DFS traversal order — every
-    /// node's children contiguous and adjacent to their parent, leaf runs
-    /// interleaved at the point the lookup walk reaches them — into fresh
-    /// dense pools, resets the buddy allocators to match, republishes the
-    /// root/direct indices, and retires the old arrays through the EBR
-    /// domain. Restores fresh-build locality after a long churn feed (the
-    /// buddy allocator alone preserves *compactness* but not *order*).
+    /// Rewrites the FIB into a fresh pool set in DFS traversal order —
+    /// every node's children contiguous and adjacent to their parent, leaf
+    /// runs interleaved at the point the lookup walk reaches them — with
+    /// buddy allocators rebuilt to match, publishes it with one release
+    /// store, and retires the old set through the EBR domain. Restores
+    /// fresh-build locality after a long churn feed (the buddy allocator
+    /// alone preserves *compactness* but not *order*).
     ///
-    /// Quiescent-point ONLY: the pool storage itself is replaced, which no
-    /// amount of careful publication makes safe under concurrent lookups.
-    /// Pause forwarding threads (lpmd stops its worker pool), run compact(),
-    /// resume. Lookup results are identical before and after. The analysis
-    /// enforces exactly that: calling it without the quiescence capability
-    /// (a QuiescentSection claimed at a proven no-reader point) fails the
-    /// POPTRIE_TSA build.
-    void compact() POPTRIE_REQUIRES(psync::cap::quiescent, psync::cap::ebr);
+    /// A writer operation like apply(): readers keep forwarding through it,
+    /// each burst on whichever set it loaded, and lookup results are
+    /// identical before and after.
+    void compact() POPTRIE_REQUIRES(psync::cap::ebr);
 
     /// The canonical compacted layout rule, shared with the auditor: a run
     /// of `count` slots lands at the next block_size_for(count)-aligned
@@ -241,6 +276,14 @@ public:
         return arena_->report();
     }
 
+    /// The current pool set, for the writer-side tools that read the whole
+    /// structure (snapshot::serialize). Writer role only: compact() replaces
+    /// the set, so only the thread that would run it may hold one.
+    [[nodiscard]] const PoolSet& pools() const noexcept POPTRIE_REQUIRES(psync::cap::ebr)
+    {
+        return set_.get();
+    }
+
     /// Size/shape statistics (Table 2 columns).
     [[nodiscard]] Stats stats() const noexcept;
 
@@ -252,9 +295,9 @@ public:
 
 private:
     // --- shared by builder & updater (definitions in poptrie.cpp). All of
-    // --- them mutate the EBR-guarded pools, so all REQUIRE the exclusive
-    // --- capability (held via apply()'s writer section or a ctor/compact
-    // --- quiescent section).
+    // --- them mutate the EBR-guarded pool set, so all REQUIRE the exclusive
+    // --- capability (held via apply()'s writer section, a ctor's quiescent
+    // --- section, or compact()'s caller).
     void build_from(const rib::RadixTrie<Addr>& rib) POPTRIE_REQUIRES(psync::cap::ebr);
     Node make_node(const detail::SlotCtx<Addr>& slot, unsigned level)
         POPTRIE_REQUIRES(psync::cap::ebr);
@@ -286,21 +329,19 @@ private:
     void retire_contents(const Node& n) POPTRIE_REQUIRES(psync::cap::ebr);
 
     // --- compaction internals (compactor.ipp) ---
-    /// Fresh pools being filled in DFS order, plus the (offset, count) runs
-    /// placed so far — replayed into new buddy allocators afterwards.
+    /// The fresh pool set being filled in DFS order, plus the (offset,
+    /// count) runs placed so far — replayed into its buddy allocators
+    /// afterwards.
     struct CompactPools {
-        NodePool nodes;
-        LeafPool leaves;
+        std::unique_ptr<PoolSet> set;
         std::vector<std::pair<std::uint32_t, std::uint32_t>> node_runs;
         std::vector<std::pair<std::uint32_t, std::uint32_t>> leaf_runs;
         std::uint64_t node_cursor = 0;
         std::uint64_t leaf_cursor = 0;
         // Config::leaf_dict re-encoding state: when `encode` is set, leaf
-        // runs land as dense 8-bit codes in `leaves8` (bump cursor, no
+        // runs land as dense 8-bit codes in set->leaves8 (bump cursor, no
         // alignment — codes are never buddy-allocated) and `code_of` maps a
         // 16-bit next hop to its dictionary index.
-        Leaf8Pool leaves8;
-        LeafPool leaf_dict;
         std::uint64_t leaf8_cursor = 0;
         bool encode = false;
         std::vector<std::uint8_t> code_of;
@@ -313,14 +354,15 @@ private:
     void collect_leaf_values(const Node& n, bool* seen) const
         POPTRIE_REQUIRES(psync::cap::ebr);
 
-    /// The acquire/relaxed view both lookup paths walk: the pool pointers
-    /// are read once per call, which the caller's EBR read section makes
-    /// sound (storage never moves under a reader).
+    /// The acquire/relaxed view both lookup paths walk: the set pointer is
+    /// acquired once per call, and the caller's EBR read section keeps that
+    /// set alive and its storage in place for the whole walk.
     POPTRIE_HOT [[nodiscard]] batch::AtomicView<value_type, Node> atomic_view() const noexcept
         POPTRIE_REQUIRES_SHARED(psync::cap::ebr)
     {
-        return {nodes_.data(),  leaves_.data(),   direct_.data(),
-                &root_,         leaves8_.data(), leaf_dict_.data()};
+        const PoolSet& s = *set_.load();
+        return {s.nodes.data(), s.leaves.data(),  s.direct.data(),
+                &s.root,        s.leaves8.data(), s.leaf_dict.data()};
     }
 
     POPTRIE_HOT [[nodiscard]] std::uint32_t old_child_index(const Node& n, unsigned u) const noexcept
@@ -340,8 +382,9 @@ private:
     [[nodiscard]] NextHop leaf_at(std::uint32_t i) const noexcept
         POPTRIE_REQUIRES_SHARED(psync::cap::ebr)
     {
-        if (i & kLeaf8Bit) return leaf_dict_[leaves8_[i & ~kLeaf8Bit]];
-        return leaves_[i];
+        const PoolSet& s = set_.get();
+        if (i & kLeaf8Bit) return s.leaf_dict[s.leaves8[i & ~kLeaf8Bit]];
+        return s.leaves[i];
     }
 
     POPTRIE_HOT [[nodiscard]] NextHop old_leaf_value(const Node& n, unsigned u) const noexcept
@@ -362,33 +405,16 @@ private:
     }
 
     Config cfg_{};
-    // The arena backs every pool below and any storage retired through the
-    // EBR domain; it is declared before them (so destroyed after ebr_ runs
-    // pending deleters) and heap-allocated so those raw Arena* references
-    // survive moves of the Poptrie object itself.
+    // The arena backs every pool set and any storage retired through the
+    // EBR domain; it is declared before them (so destroyed after ebr_ drops
+    // pending deleters) and heap-allocated so the sets' raw Arena*
+    // references survive moves of the Poptrie object itself.
     std::unique_ptr<alloc::Arena> arena_ = std::make_unique<alloc::Arena>(cfg_.hugepages);
-    // The pools and their allocators are the EBR-protected state: readers
-    // may traverse them only inside a read-side critical section, and only
-    // the single writer may mutate them (GUARDED_BY/PT_GUARDED_BY below).
-    NodePool nodes_ POPTRIE_GUARDED_BY(psync::cap::ebr) = NodePool{arena_.get()};
-    LeafPool leaves_ POPTRIE_GUARDED_BY(psync::cap::ebr) = LeafPool{arena_.get()};
-    // Dict-coded leaf storage (Config::leaf_dict): dense 8-bit codes plus the
-    // <= 256-entry dictionary. Written only by compact() at a quiescent
-    // point; between compactions the contents are immutable (the updater
-    // only *drops* tagged runs, it never writes them), so readers reach them
-    // with relaxed loads through the published base0 indices.
-    Leaf8Pool leaves8_ POPTRIE_GUARDED_BY(psync::cap::ebr) = Leaf8Pool{arena_.get()};
-    LeafPool leaf_dict_ POPTRIE_GUARDED_BY(psync::cap::ebr) = LeafPool{arena_.get()};
-    // 2^s entries when direct_bits > 0.
-    DirectPool direct_ POPTRIE_GUARDED_BY(psync::cap::ebr) = DirectPool{arena_.get()};
-    // Root node index when direct_bits == 0.
-    std::uint32_t root_ POPTRIE_GUARDED_BY(psync::cap::ebr) = 0;
-    // Heap-allocated so retired-block deleters can capture stable pointers
-    // even if the Poptrie object itself is moved.
-    std::unique_ptr<alloc::BuddyAllocator> node_alloc_ POPTRIE_GUARDED_BY(psync::cap::ebr)
-        POPTRIE_PT_GUARDED_BY(psync::cap::ebr) = std::make_unique<alloc::BuddyAllocator>(1024);
-    std::unique_ptr<alloc::BuddyAllocator> leaf_alloc_ POPTRIE_GUARDED_BY(psync::cap::ebr)
-        POPTRIE_PT_GUARDED_BY(psync::cap::ebr) = std::make_unique<alloc::BuddyAllocator>(1024);
+    // The pool set is the EBR-protected state: readers may traverse it only
+    // inside a read-side critical section, and only the single writer may
+    // mutate or replace it.
+    psync::Published<PoolSet> set_ POPTRIE_GUARDED_BY(psync::cap::ebr) =
+        psync::Published<PoolSet>{std::make_unique<PoolSet>(arena_.get())};
     std::unique_ptr<psync::EbrDomain> ebr_ = std::make_unique<psync::EbrDomain>();
     std::size_t inode_count_ = 0;
     std::size_t leaf_count_ = 0;
@@ -399,13 +425,10 @@ private:
     UpdateCounters updates_{};
     bool in_update_ = false;
 
-    // The structural auditor (analysis/audit.hpp) reads the private arrays,
-    // allocators, and EBR domain to cross-check them against each other and
-    // against the source RIB; tests also use it for fault injection.
+    // The structural auditor (analysis/audit.hpp) reads the pool set and
+    // EBR domain to cross-check them against each other and against the
+    // source RIB; tests also use it for fault injection.
     friend struct ::analysis::AuditAccess;
-    // The snapshot writer (snapshot/snapshot.hpp) serializes the touched
-    // extent of the pools plus the root metadata at a quiescent point.
-    friend struct ::snapshot::SnapshotAccess;
 };
 
 using Poptrie4 = Poptrie<netbase::Ipv4Addr>;

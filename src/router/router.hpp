@@ -151,7 +151,7 @@ public:
 
     /// Runs deferred FIB-memory reclamation to completion. Writer-role only
     /// (exclusive EBR capability — claim an EbrWriterSection on the updater
-    /// thread or a QuiescentSection at a shutdown point).
+    /// thread).
     void drain() POPTRIE_REQUIRES(psync::cap::ebr) { fib_.drain(); }
 
     /// Pre-grows FIB pools to the configured headroom over their current
@@ -163,23 +163,19 @@ public:
         fib_.reserve_headroom();
     }
 
-    /// Rewrites the FIB arrays in DFS traversal order, restoring fresh-build
-    /// cache locality after a long update churn (see Poptrie::compact).
-    /// Quiescent-point only: forwarding threads must be paused around the
-    /// call — the pool storage itself is replaced.
-    void compact_fib() POPTRIE_REQUIRES(psync::cap::quiescent, psync::cap::ebr)
-    {
-        fib_.compact();
-    }
+    /// Rewrites the FIB into a fresh DFS-ordered pool set, restoring
+    /// fresh-build cache locality after a long update churn (see
+    /// Poptrie::compact). Writer-role only, like add_route(); forwarding
+    /// threads keep running.
+    void compact_fib() POPTRIE_REQUIRES(psync::cap::ebr) { fib_.compact(); }
 
     /// Persists the FIB as a versioned snapshot image (DESIGN.md §11) for a
     /// later warm start. Note the image captures the FIB's adjacency
     /// *indices* only: the restarting process must rebuild the adjacency
     /// table from its own control-plane state (or serve raw indices, as
     /// lpmd's snapshot engine does). Same contract as compact_fib():
-    /// quiescent-point only, since the writer walks the raw pool extents.
-    void save_fib_snapshot(const std::string& path) const
-        POPTRIE_REQUIRES(psync::cap::quiescent, psync::cap::ebr)
+    /// writer-role only, since the writer walks the current pool set.
+    void save_fib_snapshot(const std::string& path) const POPTRIE_REQUIRES(psync::cap::ebr)
     {
         snapshot::save(fib_, path);
     }

@@ -2,14 +2,16 @@
 // image-side structural verifier. See snapshot.hpp for the format contract.
 #include "snapshot/snapshot.hpp"
 
+#include <fcntl.h>
+#include <unistd.h>
+
 #include <algorithm>
-#include <bit>
-#include <cstdio>
+#include <cerrno>
 #include <cstring>
 #include <fstream>
 #include <limits>
+#include <system_error>
 
-#include "alloc/buddy_allocator.hpp"
 #include "benchkit/provenance.hpp"
 #include "netbase/ipv4.hpp"
 #include "netbase/ipv6.hpp"
@@ -90,40 +92,26 @@ std::uint64_t fnv1a64(const void* data, std::size_t n, std::uint64_t seed) noexc
     return h;
 }
 
-std::string VerifyReport::summary() const
-{
-    std::string out = "verify-image: " + std::to_string(nodes_checked) + " nodes, " +
-                      std::to_string(leaves_checked) + " leaves, " +
-                      std::to_string(direct_slots_checked) + " direct slots; " +
-                      std::to_string(violations.size()) + " violation(s)\n";
-    for (const auto& v : violations) out += "  " + v + "\n";
-    return out;
-}
-
 // ---------------------------------------------------------------------------
 // Writer
 
 template <class Addr>
 std::vector<std::uint8_t> serialize(const poptrie::Poptrie<Addr>& fib)
 {
-    using PT = poptrie::Poptrie<Addr>;
-    using Node = typename PT::Node;
+    using Node = typename poptrie::Poptrie<Addr>::Node;
     const poptrie::Config& cfg = fib.config();
-    const auto& nodes = SnapshotAccess::nodes(fib);
-    const auto& leaves = SnapshotAccess::leaves(fib);
-    const auto& direct = SnapshotAccess::direct(fib);
-    const auto& leaves8 = SnapshotAccess::leaves8(fib);
-    const auto& leaf_dict = SnapshotAccess::leaf_dict(fib);
+    const auto& pools = fib.pools();
+    const auto view = pools.view(cfg);
     // The touched extent of each pool: every reachable index is below the
     // allocator's high-water mark, so nothing past it needs to survive. The
     // dict-coded array has no allocator — its full extent is the compaction
     // bump cursor (tagged base0 offsets are never reused, so every reachable
-    // one is below leaves8.size()).
-    const std::uint64_t node_count = SnapshotAccess::node_alloc(fib).high_water();
-    const std::uint64_t leaf_count = SnapshotAccess::leaf_alloc(fib).high_water();
-    const std::uint64_t direct_count = direct.size();
-    const std::uint64_t leaf8_count = leaves8.size();
-    const std::uint64_t leaf_dict_count = leaf_dict.size();
+    // one is below its size).
+    const std::uint64_t node_count = pools.node_alloc.high_water();
+    const std::uint64_t leaf_count = pools.leaf_alloc.high_water();
+    const std::uint64_t direct_count = view.direct_count;
+    const std::uint64_t leaf8_count = view.leaf8_count;
+    const std::uint64_t leaf_dict_count = view.leaf_dict_count;
 
     ImageHeader hdr;
     std::memcpy(hdr.magic, kMagic, sizeof(kMagic));
@@ -139,14 +127,15 @@ std::vector<std::uint8_t> serialize(const poptrie::Poptrie<Addr>& fib)
     hdr.pool_headroom_log2 = static_cast<std::uint8_t>(cfg.pool_headroom_log2);
     hdr.hugepage_policy = static_cast<std::uint8_t>(cfg.hugepages);
     hdr.leaf_dict_enabled = cfg.leaf_dict ? 1 : 0;
-    hdr.root_index = SnapshotAccess::root(fib);
+    hdr.root_index = view.root;
     hdr.node_count = node_count;
     hdr.leaf_count = leaf_count;
     hdr.direct_count = direct_count;
     hdr.leaf8_count = leaf8_count;
     hdr.leaf_dict_count = leaf_dict_count;
-    hdr.inode_live = SnapshotAccess::inode_count(fib);
-    hdr.leaf_live = SnapshotAccess::leaf_count(fib);
+    const poptrie::Stats stats = fib.stats();
+    hdr.inode_live = stats.internal_nodes;
+    hdr.leaf_live = stats.leaves;
     const benchkit::Provenance prov = benchkit::provenance();
     copy_stamp(hdr.git_sha, sizeof(hdr.git_sha), prov.git_sha);
     copy_stamp(hdr.build_type, sizeof(hdr.build_type), prov.build_type);
@@ -165,18 +154,18 @@ std::vector<std::uint8_t> serialize(const poptrie::Poptrie<Addr>& fib)
 
     std::vector<std::uint8_t> out(static_cast<std::size_t>(hdr.total_bytes), 0);
     if (nodes_bytes != 0)
-        std::memcpy(out.data() + nodes_off, nodes.data(), static_cast<std::size_t>(nodes_bytes));
+        std::memcpy(out.data() + nodes_off, view.nodes, static_cast<std::size_t>(nodes_bytes));
     if (leaves_bytes != 0)
-        std::memcpy(out.data() + leaves_off, leaves.data(),
+        std::memcpy(out.data() + leaves_off, view.leaves,
                     static_cast<std::size_t>(leaves_bytes));
     if (direct_bytes != 0)
-        std::memcpy(out.data() + direct_off, direct.data(),
+        std::memcpy(out.data() + direct_off, view.direct,
                     static_cast<std::size_t>(direct_bytes));
     if (leaves8_bytes != 0)
-        std::memcpy(out.data() + leaves8_off, leaves8.data(),
+        std::memcpy(out.data() + leaves8_off, view.leaves8,
                     static_cast<std::size_t>(leaves8_bytes));
     if (dict_bytes != 0)
-        std::memcpy(out.data() + dict_off, leaf_dict.data(),
+        std::memcpy(out.data() + dict_off, view.leaf_dict,
                     static_cast<std::size_t>(dict_bytes));
     hdr.nodes = {nodes_off, nodes_bytes, fnv1a64(out.data() + nodes_off, nodes_bytes)};
     hdr.leaves = {leaves_off, leaves_bytes, fnv1a64(out.data() + leaves_off, leaves_bytes)};
@@ -191,29 +180,52 @@ std::vector<std::uint8_t> serialize(const poptrie::Poptrie<Addr>& fib)
     return out;
 }
 
+namespace {
+
+/// Writes `image` to `path` durably: a temp file beside it, fsync'ed, then
+/// renamed over `path`, then the directory fsync'ed so the rename itself
+/// survives a power loss. Any failure removes the temp file and throws.
+void write_durably(const std::vector<std::uint8_t>& image, const std::string& path)
+{
+    const std::string tmp = path + ".tmp";
+    const auto fail = [&](const std::string& what, int fd) {
+        const int err = errno;
+        if (fd >= 0) ::close(fd);
+        ::unlink(tmp.c_str());
+        throw ImageIoError("snapshot: " + what + ": " + std::generic_category().message(err));
+    };
+    const int fd = ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC, 0644);
+    if (fd < 0) fail("cannot open '" + tmp + "' for writing", -1);
+    std::size_t done = 0;
+    while (done < image.size()) {
+        const ssize_t n = ::write(fd, image.data() + done, image.size() - done);
+        if (n < 0 && errno == EINTR) continue;
+        if (n < 0) fail("write to '" + tmp + "' failed", fd);
+        done += static_cast<std::size_t>(n);
+    }
+    if (::fsync(fd) != 0) fail("cannot flush '" + tmp + "'", fd);
+    if (::close(fd) != 0) fail("cannot close '" + tmp + "'", -1);
+    if (::rename(tmp.c_str(), path.c_str()) != 0)
+        fail("cannot rename '" + tmp + "' to '" + path + "'", -1);
+    // The new image is in place; this only makes the rename durable.
+    const auto slash = path.find_last_of('/');
+    const std::string dir = slash == std::string::npos ? "." : path.substr(0, slash + 1);
+    const int dfd = ::open(dir.c_str(), O_RDONLY | O_DIRECTORY | O_CLOEXEC);
+    if (dfd < 0 || ::fsync(dfd) != 0) {
+        const int err = errno;
+        if (dfd >= 0) ::close(dfd);
+        throw ImageIoError("snapshot: cannot flush directory '" + dir + "': " +
+                           std::generic_category().message(err));
+    }
+    ::close(dfd);
+}
+
+}  // namespace
+
 template <class Addr>
 void save(const poptrie::Poptrie<Addr>& fib, const std::string& path)
 {
-    const std::vector<std::uint8_t> image = serialize(fib);
-    // Write-then-rename: a crash mid-save leaves the old image (or nothing)
-    // under the target name, never a torn file.
-    const std::string tmp = path + ".tmp";
-    {
-        std::ofstream f(tmp, std::ios::binary | std::ios::trunc);
-        if (!f)
-            throw ImageIoError("snapshot: cannot open '" + tmp + "' for writing");
-        f.write(reinterpret_cast<const char*>(image.data()),
-                static_cast<std::streamsize>(image.size()));
-        f.flush();
-        if (!f) {
-            std::remove(tmp.c_str());
-            throw ImageIoError("snapshot: short write to '" + tmp + "'");
-        }
-    }
-    if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-        std::remove(tmp.c_str());
-        throw ImageIoError("snapshot: cannot rename '" + tmp + "' to '" + path + "'");
-    }
+    write_durably(serialize(fib), path);
 }
 
 // ---------------------------------------------------------------------------
@@ -289,28 +301,32 @@ void SnapshotFib<Addr>::attach(const std::uint8_t* base, std::size_t size)
     check_section_sum(hdr_.leaves8, base, "leaf8");
     check_section_sum(hdr_.leaf_dict, base, "leaf-dict");
 
-    nodes_ = reinterpret_cast<const Node*>(base + hdr_.nodes.offset);
-    leaves_ = reinterpret_cast<const NextHop*>(base + hdr_.leaves.offset);
-    direct_ = reinterpret_cast<const std::uint32_t*>(base + hdr_.direct.offset);
-    leaves8_ = base + hdr_.leaves8.offset;
-    leaf_dict_ = reinterpret_cast<const NextHop*>(base + hdr_.leaf_dict.offset);
-    root_ = hdr_.root_index;
-    direct_bits_ = hdr_.direct_bits;
-    leaf_compression_ = hdr_.leaf_compression != 0;
+    view_ = {reinterpret_cast<const Node*>(base + hdr_.nodes.offset),
+             reinterpret_cast<const NextHop*>(base + hdr_.leaves.offset),
+             reinterpret_cast<const std::uint32_t*>(base + hdr_.direct.offset),
+             hdr_.root_index,
+             hdr_.direct_bits,
+             hdr_.leaf_compression != 0,
+             base + hdr_.leaves8.offset,
+             reinterpret_cast<const NextHop*>(base + hdr_.leaf_dict.offset),
+             hdr_.node_count,
+             hdr_.leaf_count,
+             hdr_.direct_count,
+             hdr_.leaf8_count,
+             hdr_.leaf_dict_count};
 }
 
 template <class Addr>
 SnapshotFib<Addr> SnapshotFib<Addr>::load_file(const std::string& path, const LoadOptions& opt)
 {
-    SnapshotFib fib;
-    fib.arena_ = std::make_unique<alloc::Arena>(opt.hugepages);
+    SnapshotFib fib{opt};
+    Mapping& m = *fib.mapping_;
     if (opt.placement != LoadOptions::Placement::kCopy) {
-        alloc::Arena::Block m = fib.arena_->map_file(path);
-        if (m.ptr != nullptr) {
-            fib.blocks_.push_back(m);
+        m.block = m.arena.map_file(path);
+        if (m.block.ptr != nullptr) {
             // Validation errors propagate (a corrupt image must be reported,
             // not silently re-read); only a failed *mapping* falls back.
-            fib.attach(static_cast<const std::uint8_t*>(m.ptr), m.bytes);
+            fib.attach(static_cast<const std::uint8_t*>(m.block.ptr), m.block.bytes);
             return fib;
         }
     }
@@ -321,12 +337,11 @@ SnapshotFib<Addr> SnapshotFib<Addr>::load_file(const std::string& path, const Lo
     f.seekg(0, std::ios::beg);
     if (end <= 0) throw ImageError("truncated snapshot image: empty file");
     const auto size = static_cast<std::size_t>(end);
-    alloc::Arena::Block b = fib.arena_->map(size);
-    fib.blocks_.push_back(b);
-    f.read(static_cast<char*>(b.ptr), static_cast<std::streamsize>(size));
+    m.block = m.arena.map(size);
+    f.read(static_cast<char*>(m.block.ptr), static_cast<std::streamsize>(size));
     if (f.gcount() != static_cast<std::streamsize>(size))
         throw ImageIoError("snapshot: short read from '" + path + "'");
-    fib.attach(static_cast<const std::uint8_t*>(b.ptr), size);
+    fib.attach(static_cast<const std::uint8_t*>(m.block.ptr), size);
     return fib;
 }
 
@@ -334,13 +349,12 @@ template <class Addr>
 SnapshotFib<Addr> SnapshotFib<Addr>::load_buffer(const std::uint8_t* data, std::size_t size,
                                                  const LoadOptions& opt)
 {
-    SnapshotFib fib;
-    fib.arena_ = std::make_unique<alloc::Arena>(opt.hugepages);
+    SnapshotFib fib{opt};
     if (size == 0) throw ImageError("truncated snapshot image: empty buffer");
-    alloc::Arena::Block b = fib.arena_->map(size);
-    fib.blocks_.push_back(b);
-    std::memcpy(b.ptr, data, size);
-    fib.attach(static_cast<const std::uint8_t*>(b.ptr), size);
+    Mapping& m = *fib.mapping_;
+    m.block = m.arena.map(size);
+    std::memcpy(m.block.ptr, data, size);
+    fib.attach(static_cast<const std::uint8_t*>(m.block.ptr), size);
     return fib;
 }
 
@@ -357,173 +371,11 @@ poptrie::Config SnapshotFib<Addr>::config() const noexcept
     return cfg;
 }
 
-// ---------------------------------------------------------------------------
-// Structural verifier
-
-namespace {
-
-/// Image-side walker: the same invariants analysis::StructureWalker checks
-/// on a live trie, restated over the raw sections (no allocators to cross-
-/// check here — the image carries only the arrays).
-template <class Addr>
-class ImageWalker {
-public:
-    using Fib = SnapshotFib<Addr>;
-    using Node = typename Fib::Node;
-
-    ImageWalker(const Fib& fib, VerifyReport& r)
-        : fib_(fib),
-          leaf_compression_(fib.header().leaf_compression != 0),
-          report_(r),
-          visited_(static_cast<std::size_t>(fib.node_count()), false)
-    {
-    }
-
-    void walk_root(std::uint32_t index, unsigned level, const std::string& where)
-    {
-        if (index >= fib_.node_count()) {
-            add(where + ": root node index " + std::to_string(index) + " >= node count " +
-                std::to_string(fib_.node_count()));
-            return;
-        }
-        walk_node(index, level, where);
-    }
-
-private:
-    void add(const std::string& detail)
-    {
-        if (report_.violations.size() < kMaxRecorded) report_.violations.push_back(detail);
-        ++recorded_;
-        if (recorded_ == kMaxRecorded + 1)
-            report_.violations.push_back("... further violations not recorded");
-    }
-
-    void walk_node(std::uint32_t index, unsigned level, const std::string& where)
-    {
-        if (visited_[index]) {
-            add(where + ": node " + std::to_string(index) + " reachable twice");
-            return;
-        }
-        visited_[index] = true;
-        ++report_.nodes_checked;
-        if (level >= Fib::kWidth) {
-            add(where + ": internal node at bit level " + std::to_string(level));
-            return;
-        }
-        const Node& n = fib_.nodes_data()[index];
-        const auto nkids = static_cast<std::uint32_t>(netbase::popcount64(n.vector));
-        std::uint32_t nleaves = 0;
-        if (leaf_compression_) {
-            nleaves = static_cast<std::uint32_t>(netbase::popcount64(n.leafvec));
-            if ((n.leafvec & n.vector) != 0)
-                add(where + ": node " + std::to_string(index) +
-                    " has leafvec bits on internal slots");
-            if (n.vector != ~std::uint64_t{0}) {
-                const auto first_leaf_slot = static_cast<unsigned>(std::countr_one(n.vector));
-                if (((n.leafvec >> first_leaf_slot) & 1) == 0)
-                    add(where + ": node " + std::to_string(index) + " first leaf slot " +
-                        std::to_string(first_leaf_slot) + " does not start a run");
-            }
-        } else {
-            nleaves = 64 - nkids;
-            if (n.leafvec != 0)
-                add(where + ": node " + std::to_string(index) + " has leafvec set in basic mode");
-        }
-
-        if (nleaves != 0 && (n.base0 & kLeaf8Bit) != 0) {
-            // Dict-coded run (v2): dense, unaligned, every code inside the
-            // dictionary. The offset is into the 8-bit code section.
-            const std::uint32_t off = n.base0 & ~kLeaf8Bit;
-            if (std::uint64_t{off} + nleaves > fib_.leaf8_count()) {
-                add(where + ": node " + std::to_string(index) + " dict-coded leaf run at " +
-                    std::to_string(off) + "(+" + std::to_string(nleaves) +
-                    ") exceeds leaf8 count " + std::to_string(fib_.leaf8_count()));
-            } else {
-                report_.leaves_checked += nleaves;
-                for (std::uint32_t i = 0; i < nleaves; ++i)
-                    if (fib_.leaves8_data()[off + i] >= fib_.leaf_dict_count()) {
-                        add(where + ": node " + std::to_string(index) + " leaf code " +
-                            std::to_string(fib_.leaves8_data()[off + i]) +
-                            " outside the dictionary (" +
-                            std::to_string(fib_.leaf_dict_count()) + " entries)");
-                        break;
-                    }
-            }
-        } else if (nleaves != 0) {
-            const auto block = alloc::BuddyAllocator::block_size_for(nleaves);
-            if (std::uint64_t{n.base0} + block > fib_.leaf_count()) {
-                add(where + ": node " + std::to_string(index) + " leaf run at " +
-                    std::to_string(n.base0) + "(+" + std::to_string(block) +
-                    ") exceeds leaf count " + std::to_string(fib_.leaf_count()));
-            } else {
-                report_.leaves_checked += nleaves;
-                if (n.base0 % block != 0)
-                    add(where + ": node " + std::to_string(index) + " leaf run at " +
-                        std::to_string(n.base0) + " not aligned to " + std::to_string(block));
-            }
-        }
-
-        if (nkids != 0) {
-            const auto block = alloc::BuddyAllocator::block_size_for(nkids);
-            if (std::uint64_t{n.base1} + block > fib_.node_count()) {
-                add(where + ": node " + std::to_string(index) + " child run at " +
-                    std::to_string(n.base1) + "(+" + std::to_string(block) +
-                    ") exceeds node count " + std::to_string(fib_.node_count()));
-                return;  // children unreadable
-            }
-            if (n.base1 % block != 0)
-                add(where + ": node " + std::to_string(index) + " child run at " +
-                    std::to_string(n.base1) + " not aligned to " + std::to_string(block));
-            for (std::uint32_t i = 0; i < nkids; ++i)
-                walk_node(n.base1 + i, level + Fib::kStride, where);
-        }
-    }
-
-    static constexpr std::size_t kMaxRecorded = 64;
-    static constexpr std::uint32_t kLeaf8Bit = poptrie::kLeaf8Bit;
-
-    const Fib& fib_;
-    bool leaf_compression_;
-    VerifyReport& report_;
-    std::vector<bool> visited_;
-    std::size_t recorded_ = 0;
-};
-
-}  // namespace
-
-template <class Addr>
-VerifyReport verify_image(const SnapshotFib<Addr>& fib)
-{
-    VerifyReport r;
-    const ImageHeader& hdr = fib.header();
-    ImageWalker<Addr> walker(fib, r);
-    if (hdr.direct_bits == 0) {
-        walker.walk_root(hdr.root_index, 0, "root");
-    } else {
-        const std::uint32_t leaf_bit = poptrie::Poptrie<Addr>::kDirectLeafBit;
-        for (std::uint64_t d = 0; d < hdr.direct_count; ++d) {
-            ++r.direct_slots_checked;
-            const std::uint32_t v = fib.direct_data()[d];
-            if (v & leaf_bit) {
-                if ((v & ~leaf_bit) > 0xFFFFu)
-                    r.violations.push_back("direct[" + std::to_string(d) +
-                                           "] leaf payload " + std::to_string(v & ~leaf_bit) +
-                                           " exceeds the 16-bit next-hop range");
-            } else {
-                walker.walk_root(v, hdr.direct_bits, "direct[" + std::to_string(d) + "]");
-            }
-        }
-    }
-    return r;
-}
-
 template class SnapshotFib<netbase::Ipv4Addr>;
 template class SnapshotFib<netbase::Ipv6Addr>;
 template std::vector<std::uint8_t> serialize(const poptrie::Poptrie<netbase::Ipv4Addr>&);
 template std::vector<std::uint8_t> serialize(const poptrie::Poptrie<netbase::Ipv6Addr>&);
 template void save(const poptrie::Poptrie<netbase::Ipv4Addr>&, const std::string&);
 template void save(const poptrie::Poptrie<netbase::Ipv6Addr>&, const std::string&);
-template VerifyReport verify_image(const SnapshotFib<netbase::Ipv4Addr>&);
-template VerifyReport verify_image(const SnapshotFib<netbase::Ipv6Addr>&);
 
 }  // namespace snapshot

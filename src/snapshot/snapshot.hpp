@@ -5,19 +5,20 @@
 // array, root metadata — serializes as raw arenas and maps back byte for
 // byte. This module is that round trip:
 //
-//   * serialize()/save()  — writer: at a quiescent point, copy the touched
-//     extent of the pools (allocator high-water marks) plus a Config echo,
-//     per-section and whole-image FNV-1a checksums, and a provenance stamp
-//     (benchkit git_sha/build fingerprint) into a versioned image;
+//   * serialize()/save()  — writer: on the writer thread, copy the touched
+//     extent of the current pool set (allocator high-water marks) plus a
+//     Config echo, per-section and whole-image FNV-1a checksums, and a
+//     provenance stamp (benchkit git_sha/build fingerprint) into a versioned
+//     image; save() makes it durable before it replaces the target;
 //   * SnapshotFib<Addr>   — loader: validate the header and checksums, then
 //     either mmap the file read-only (Backing::kFileMapped — pages shared
 //     across every process mapping the same image) or copy it into arena
 //     pages honoring the hugepage policy; serve lookups over the immutable
 //     arrays with zero writer-side machinery — no EBR domain, no buddy
 //     allocators, no pool growth, no atomics;
-//   * verify_image()      — structural auditor over a loaded image (bounds,
-//     leafvec/vector consistency, reachability), backing poptrie_fsck
-//     --verify-image.
+//   * verify_image()      — the auditor's structural walk over a loaded
+//     image (bounds, leafvec/vector consistency, run minimality,
+//     reachability), backing poptrie_fsck --verify-image.
 //
 // Versioning/compat policy (DESIGN.md §11): images carry a format version
 // and an endianness tag; a loader accepts exactly its own version and host
@@ -40,6 +41,7 @@
 #include <vector>
 
 #include "alloc/arena.hpp"
+#include "analysis/audit.hpp"
 #include "netbase/bits.hpp"
 #include "poptrie/config.hpp"
 #include "poptrie/lanes.hpp"
@@ -56,7 +58,8 @@ public:
     using std::runtime_error::runtime_error;
 };
 
-/// Filesystem-level failure: file missing/unreadable, short write. Exit 2.
+/// Filesystem-level failure: file missing/unreadable, a failed write,
+/// flush or rename. Exit 2.
 class ImageIoError : public std::runtime_error {
 public:
     using std::runtime_error::runtime_error;
@@ -126,84 +129,23 @@ struct ImageHeader {
 static_assert(std::is_trivially_copyable_v<ImageHeader>);
 static_assert(sizeof(ImageHeader) == 288, "bump kFormatVersion when the header grows");
 
-/// The single point of access to Poptrie internals for the image writer
-/// (declared a friend there, exactly like analysis::AuditAccess). The pool
-/// accessors are POPTRIE_NO_TSA: by contract the writer runs at a quiescent
-/// point (serialize() REQUIRES the capability), a discipline the callers
-/// uphold rather than the type system.
-struct SnapshotAccess {
-    template <class Addr>
-    using PT = poptrie::Poptrie<Addr>;
-
-    template <class Addr>
-    [[nodiscard]] static const auto& nodes(const PT<Addr>& p) noexcept POPTRIE_NO_TSA
-    {
-        return p.nodes_;
-    }
-    template <class Addr>
-    [[nodiscard]] static const auto& leaves(const PT<Addr>& p) noexcept POPTRIE_NO_TSA
-    {
-        return p.leaves_;
-    }
-    template <class Addr>
-    [[nodiscard]] static const auto& leaves8(const PT<Addr>& p) noexcept POPTRIE_NO_TSA
-    {
-        return p.leaves8_;
-    }
-    template <class Addr>
-    [[nodiscard]] static const auto& leaf_dict(const PT<Addr>& p) noexcept POPTRIE_NO_TSA
-    {
-        return p.leaf_dict_;
-    }
-    template <class Addr>
-    [[nodiscard]] static const auto& direct(const PT<Addr>& p) noexcept POPTRIE_NO_TSA
-    {
-        return p.direct_;
-    }
-    template <class Addr>
-    [[nodiscard]] static std::uint32_t root(const PT<Addr>& p) noexcept POPTRIE_NO_TSA
-    {
-        return p.root_;
-    }
-    template <class Addr>
-    [[nodiscard]] static const alloc::BuddyAllocator& node_alloc(const PT<Addr>& p) noexcept
-        POPTRIE_NO_TSA
-    {
-        return *p.node_alloc_;
-    }
-    template <class Addr>
-    [[nodiscard]] static const alloc::BuddyAllocator& leaf_alloc(const PT<Addr>& p) noexcept
-        POPTRIE_NO_TSA
-    {
-        return *p.leaf_alloc_;
-    }
-    template <class Addr>
-    [[nodiscard]] static std::size_t inode_count(const PT<Addr>& p) noexcept
-    {
-        return p.inode_count_;
-    }
-    template <class Addr>
-    [[nodiscard]] static std::size_t leaf_count(const PT<Addr>& p) noexcept
-    {
-        return p.leaf_count_;
-    }
-};
-
 /// Serializes `fib` into an in-memory image: header + node/leaf/direct
-/// sections at aligned offsets, checksums filled in. Quiescent-point only —
-/// the pools are read in place, so no update and no pool replacement may run
-/// concurrently (the capability requirement is the §3.5 contract, not a
-/// convention).
+/// sections at aligned offsets, checksums filled in. Writer role only: the
+/// current pool set is read in place, so neither apply() nor compact() may
+/// run concurrently. Readers may keep forwarding.
 template <class Addr>
 [[nodiscard]] std::vector<std::uint8_t> serialize(const poptrie::Poptrie<Addr>& fib)
-    POPTRIE_REQUIRES(psync::cap::quiescent, psync::cap::ebr);
+    POPTRIE_REQUIRES(psync::cap::ebr);
 
-/// serialize() + atomic file write (temp file in place, then rename), so a
-/// crash mid-save never leaves a half-written image under the target name.
-/// Throws ImageIoError when the filesystem refuses.
+/// serialize() + durable atomic file write: the image goes to a temp file
+/// beside `path`, which is fsync'ed, renamed over `path`, and the directory
+/// fsync'ed, so neither a crash nor a power loss mid-save leaves a torn
+/// image under the target name. Throws ImageIoError when the filesystem
+/// refuses; the temp file is removed and, for every failure up to the
+/// rename, the previous image at `path` is untouched.
 template <class Addr>
 void save(const poptrie::Poptrie<Addr>& fib, const std::string& path)
-    POPTRIE_REQUIRES(psync::cap::quiescent, psync::cap::ebr);
+    POPTRIE_REQUIRES(psync::cap::ebr);
 
 /// Reads and validates just the header of an image file: magic, version,
 /// endianness, header size, header checksum. Lets tools dispatch on
@@ -215,12 +157,11 @@ void save(const poptrie::Poptrie<Addr>& fib, const std::string& path)
 struct LoadOptions {
     enum class Placement {
         kAuto,  ///< mmap the file; fall back to copy-in if mapping fails
-        kMap,   ///< same as kAuto (mapping is best-effort by design)
         kCopy,  ///< always copy into arena pages (hugepage policy applies)
     };
     Placement placement = Placement::kAuto;
     /// Arena policy for the copy-in path (mmap'd files cannot be hugepage-
-    /// backed, so the policy is moot under kMap placement).
+    /// backed, so the policy is moot when the mapping succeeds).
     alloc::HugepagePolicy hugepages = alloc::HugepagePolicy::kAuto;
 };
 
@@ -237,10 +178,9 @@ public:
     using value_type = typename Addr::value_type;
     using NextHop = rib::NextHop;
     using Node = typename poptrie::Poptrie<Addr>::Node;
+    using View = typename poptrie::Poptrie<Addr>::View;
 
-    static constexpr unsigned kStride = poptrie::Poptrie<Addr>::kStride;
     static constexpr unsigned kWidth = Addr::kWidth;
-    static constexpr std::uint32_t kDirectLeafBit = poptrie::Poptrie<Addr>::kDirectLeafBit;
 
     /// Loads and validates an image file. ImageIoError when the file cannot
     /// be read at all; ImageError when it is not a valid, intact image for
@@ -252,62 +192,14 @@ public:
     [[nodiscard]] static SnapshotFib load_buffer(const std::uint8_t* data, std::size_t size,
                                                  const LoadOptions& opt = {});
 
-    SnapshotFib(SnapshotFib&& other) noexcept
-        : hdr_(other.hdr_),
-          arena_(std::move(other.arena_)),
-          blocks_(std::move(other.blocks_)),
-          nodes_(other.nodes_),
-          leaves_(other.leaves_),
-          direct_(other.direct_),
-          leaves8_(other.leaves8_),
-          leaf_dict_(other.leaf_dict_),
-          root_(other.root_),
-          direct_bits_(other.direct_bits_),
-          leaf_compression_(other.leaf_compression_),
-          avx512_(other.avx512_)
-    {
-        other.nodes_ = nullptr;
-        other.leaves_ = nullptr;
-        other.direct_ = nullptr;
-        other.leaves8_ = nullptr;
-        other.leaf_dict_ = nullptr;
-    }
-    SnapshotFib& operator=(SnapshotFib&& other) noexcept
-    {
-        if (this != &other) {
-            release();
-            hdr_ = other.hdr_;
-            arena_ = std::move(other.arena_);
-            blocks_ = std::move(other.blocks_);
-            nodes_ = other.nodes_;
-            leaves_ = other.leaves_;
-            direct_ = other.direct_;
-            leaves8_ = other.leaves8_;
-            leaf_dict_ = other.leaf_dict_;
-            root_ = other.root_;
-            direct_bits_ = other.direct_bits_;
-            leaf_compression_ = other.leaf_compression_;
-            avx512_ = other.avx512_;
-            other.nodes_ = nullptr;
-            other.leaves_ = nullptr;
-            other.direct_ = nullptr;
-            other.leaves8_ = nullptr;
-            other.leaf_dict_ = nullptr;
-        }
-        return *this;
-    }
-    SnapshotFib(const SnapshotFib&) = delete;
-    SnapshotFib& operator=(const SnapshotFib&) = delete;
-    ~SnapshotFib() { release(); }
-
     /// Longest-prefix-match lookup; kNoRoute on miss. One configuration
     /// branch, then the same walk as the live trie (the shared scalar
     /// reference in lookup_pipelined.ipp, over the plain-load view).
     POPTRIE_HOT [[nodiscard]] NextHop lookup(Addr addr) const noexcept
     {
-        return leaf_compression_
-                   ? poptrie::batch::lookup_one<true>(view(), addr.value(), direct_bits_)
-                   : poptrie::batch::lookup_one<false>(view(), addr.value(), direct_bits_);
+        return view_.leaf_compression
+                   ? poptrie::batch::lookup_one<true>(view_, addr.value(), view_.direct_bits)
+                   : poptrie::batch::lookup_one<false>(view_, addr.value(), view_.direct_bits);
     }
 
     /// Batched lookup. IPv4 images serve the AVX-512 kernel
@@ -322,11 +214,11 @@ public:
     {
         if constexpr (kWidth == 32) {
             if (avx512_) {
-                poptrie::lanes::run_avx512(view(), keys, out, n);
+                poptrie::lanes::run_avx512(view_, keys, out, n);
                 return;
             }
         }
-        poptrie::batch::lookup_batch_pipelined(view(), keys, out, n);
+        poptrie::batch::lookup_batch_pipelined(view_, keys, out, n);
     }
 
     /// The kernel lookup_batch serves with: "avx512" or "pipelined".
@@ -335,14 +227,10 @@ public:
         return (kWidth == 32 && avx512_) ? "avx512" : "pipelined";
     }
 
-    /// The plain-load view every walk over this image reads through — exact,
-    /// not an approximation: a loaded image has no writer side at all. Public
-    /// so tests and benches can drive each kernel directly.
-    POPTRIE_HOT [[nodiscard]] poptrie::batch::PlainView<value_type, Node> view() const noexcept
-    {
-        return {nodes_,       leaves_,           direct_,  root_,
-                direct_bits_, leaf_compression_, leaves8_, leaf_dict_};
-    }
+    /// The image's arrays as every walk over them reads them — exact, not
+    /// an approximation: a loaded image has no writer side at all. Public so
+    /// tests, benches and the structural verifier can read it directly.
+    [[nodiscard]] const View& view() const noexcept { return view_; }
 
     [[nodiscard]] const ImageHeader& header() const noexcept { return hdr_; }
     /// The Config the FIB was built with, reconstructed from the echo.
@@ -351,7 +239,7 @@ public:
     /// arena's usual report (hugetlb/thp/normal/heap) under copy-in.
     [[nodiscard]] alloc::MemoryReport memory_report() const noexcept
     {
-        return arena_->report();
+        return mapping_->arena.report();
     }
     [[nodiscard]] std::uint64_t node_count() const noexcept { return hdr_.node_count; }
     [[nodiscard]] std::uint64_t leaf_count() const noexcept { return hdr_.leaf_count; }
@@ -364,46 +252,33 @@ public:
         return hdr_.leaf_dict_count;
     }
 
-    // Raw section access for the structural verifier (verify_image).
-    [[nodiscard]] const Node* nodes_data() const noexcept { return nodes_; }
-    [[nodiscard]] const NextHop* leaves_data() const noexcept { return leaves_; }
-    [[nodiscard]] const std::uint32_t* direct_data() const noexcept { return direct_; }
-    [[nodiscard]] const std::uint8_t* leaves8_data() const noexcept { return leaves8_; }
-    [[nodiscard]] const NextHop* leaf_dict_data() const noexcept { return leaf_dict_; }
-
 private:
-    SnapshotFib() = default;
+    /// The image pages and the arena that accounts for them (one file
+    /// mapping or one copied block), so memory_report() distinguishes built
+    /// vs restored FIBs. Heap-held: the view points into it, and moving a
+    /// SnapshotFib moves only the pointer.
+    struct Mapping {
+        explicit Mapping(alloc::HugepagePolicy policy) : arena(policy) {}
+        Mapping(const Mapping&) = delete;
+        Mapping& operator=(const Mapping&) = delete;
+        ~Mapping() { arena.unmap(block); }
 
-    /// Validates `base[0, size)` as an image for this family and points the
-    /// section pointers into it. Throws ImageError; never takes ownership.
-    void attach(const std::uint8_t* base, std::size_t size);
-    void release() noexcept
+        alloc::Arena arena;
+        alloc::Arena::Block block{};
+    };
+
+    explicit SnapshotFib(const LoadOptions& opt)
+        : mapping_(std::make_unique<Mapping>(opt.hugepages))
     {
-        if (arena_ != nullptr)
-            for (auto& b : blocks_) arena_->unmap(b);
-        blocks_.clear();
-        nodes_ = nullptr;
-        leaves_ = nullptr;
-        direct_ = nullptr;
-        leaves8_ = nullptr;
-        leaf_dict_ = nullptr;
     }
 
+    /// Validates `base[0, size)` as an image for this family and points the
+    /// view into it. Throws ImageError; never takes ownership.
+    void attach(const std::uint8_t* base, std::size_t size);
+
     ImageHeader hdr_{};
-    // The arena accounts for the image pages (one file mapping or one
-    // copied block) so memory_report() distinguishes built vs restored FIBs.
-    std::unique_ptr<alloc::Arena> arena_;
-    std::vector<alloc::Arena::Block> blocks_;
-    const Node* nodes_ = nullptr;
-    const NextHop* leaves_ = nullptr;
-    const std::uint32_t* direct_ = nullptr;
-    // v2 dict-coded leaf sections; null pointers are fine when the image
-    // carries no tagged runs (the view branches on the base0 tag first).
-    const std::uint8_t* leaves8_ = nullptr;
-    const NextHop* leaf_dict_ = nullptr;
-    std::uint32_t root_ = 0;
-    unsigned direct_bits_ = 0;
-    bool leaf_compression_ = true;
+    std::unique_ptr<Mapping> mapping_;
+    View view_{};
     // Resolved once per load from the cached cpuid check; IPv6 images carry
     // it too but always serve the pipelined walk.
     bool avx512_ = poptrie::lanes::has_avx512();
@@ -415,27 +290,19 @@ using SnapshotFib6 = SnapshotFib<netbase::Ipv6Addr>;
 extern template class SnapshotFib<netbase::Ipv4Addr>;
 extern template class SnapshotFib<netbase::Ipv6Addr>;
 
-/// The structural verifier's outcome (poptrie_fsck --verify-image).
-struct VerifyReport {
-    std::vector<std::string> violations;
-    std::size_t nodes_checked = 0;
-    std::size_t leaves_checked = 0;
-    std::size_t direct_slots_checked = 0;
-    [[nodiscard]] bool ok() const noexcept { return violations.empty(); }
-    [[nodiscard]] std::string summary() const;
-};
-
-/// Walks the reachable structure of a loaded image and checks the paper's
-/// invariants image-side: every direct slot either a tagged leaf with a
-/// representable next hop or an in-bounds node index; every child/leaf run
-/// inside its section; leafvec consistent with vector under leaf
-/// compression; no node reachable twice; depth bounded by the address
-/// width. (Header and checksum validation already happened at load.)
+/// Walks the reachable structure of a loaded image with the auditor's
+/// structural walk (analysis::audit_structure): every direct slot either a
+/// tagged leaf with a representable next hop or an in-bounds node index;
+/// every child/leaf run inside its section and aligned; leafvec consistent
+/// with vector and runs minimal under leaf compression; no node reachable
+/// twice; depth bounded by the address width. The checks carry the same
+/// names audit() reports for a live trie. (Header and checksum validation
+/// already happened at load.)
 template <class Addr>
-[[nodiscard]] VerifyReport verify_image(const SnapshotFib<Addr>& fib);
-
-extern template VerifyReport verify_image(const SnapshotFib<netbase::Ipv4Addr>&);
-extern template VerifyReport verify_image(const SnapshotFib<netbase::Ipv6Addr>&);
+[[nodiscard]] analysis::AuditReport verify_image(const SnapshotFib<Addr>& fib)
+{
+    return analysis::audit_structure<Addr>(fib.view());
+}
 
 extern template std::vector<std::uint8_t> serialize(
     const poptrie::Poptrie<netbase::Ipv4Addr>&);

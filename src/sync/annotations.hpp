@@ -17,10 +17,11 @@
 //                     writer; it may mutate the live structure and retire
 //                     replaced blocks into the domain's limbo list.
 //   cap::quiescent  the quiescence capability: no reader is inside a
-//                   critical section anywhere (workers parked or joined,
-//                   local Readers destroyed/exited). Only then may pool
-//                   *storage itself* move or shrink (compact(),
-//                   reserve_headroom()) or a StopFlag be rearmed.
+//                   critical section anywhere (workers joined, local
+//                   Readers destroyed/exited). Only then may pool storage
+//                   grow in place (reserve_headroom()), a Router load a
+//                   whole table, or the workers' private latency
+//                   reservoirs be merged.
 //
 // These are phantom (token) capabilities: no runtime object enforces them;
 // acquiring one is a *claim* whose truth is established by the surrounding
@@ -30,11 +31,12 @@
 // `// reader:` / `// writer:` / `// quiescent:` justification comment.
 //
 // Capability rules of thumb (the full table is in DESIGN.md §9):
-//   * pool pointers/spans (nodes_, leaves_, direct_) are GUARDED_BY(cap::ebr)
-//   * lookup paths REQUIRES_SHARED(cap::ebr); update paths REQUIRES(cap::ebr)
-//   * compact()/reserve_headroom()/StopFlag::reset REQUIRES(cap::quiescent)
+//   * the FIB's published pool set is GUARDED_BY(cap::ebr)
+//   * lookup paths REQUIRES_SHARED(cap::ebr); writer paths — apply(),
+//     compact(), snapshot save — REQUIRES(cap::ebr)
+//   * reserve_headroom()/Router::load/merged_latency REQUIRES(cap::quiescent)
 //   * quiescence implies writer exclusivity: QuiescentSection acquires BOTH
-//     capabilities, so a quiescent caller can reach update paths directly.
+//     capabilities, so a quiescent caller can reach writer paths directly.
 #pragma once
 
 #if defined(__clang__) && (!defined(SWIG))
@@ -131,12 +133,12 @@ public:
     EbrWriterSection& operator=(const EbrWriterSection&) = delete;
 };
 
-/// Scoped claim: "no reader exists anywhere" (workers parked via PauseGate
-/// or joined, local Readers destroyed). Acquires BOTH capabilities —
-/// quiescence subsumes writer exclusivity — so storage-moving paths
-/// (compact, reserve_headroom) that REQUIRE(cap::quiescent, cap::ebr) need
-/// exactly one section. R5 demands an adjacent `// quiescent:` comment
-/// naming the handshake (join, PauseGate park) that emptied the read side.
+/// Scoped claim: "no reader exists anywhere" (workers joined, local Readers
+/// destroyed). Acquires BOTH capabilities — quiescence subsumes writer
+/// exclusivity — so paths that REQUIRE(cap::quiescent, cap::ebr), such as
+/// reserve_headroom(), need exactly one section. R5 demands an adjacent
+/// `// quiescent:` comment naming the join or construction point that
+/// emptied the read side.
 class POPTRIE_SCOPED_CAPABILITY QuiescentSection {
 public:
     QuiescentSection() POPTRIE_ACQUIRE(cap::quiescent, cap::ebr) {}

@@ -9,6 +9,10 @@
 #pragma once
 
 #include <atomic>
+#include <memory>
+#include <utility>
+
+#include "sync/annotations.hpp"
 
 namespace psync {
 
@@ -42,5 +46,43 @@ inline void store_release(T& loc, T value) noexcept
     // replacement arrays before the index swing; pairs with load_acquire().
     std::atomic_ref<T>(loc).store(value, std::memory_order_release);
 }
+
+/// Owning pointer to an object one writer replaces whole while readers
+/// traverse it: §3.5's "build privately, publish with one atomic store",
+/// applied to an entire structure instead of one index. Readers take the
+/// pointer with load() (acquire, pairing with publish()'s release) and may
+/// keep it only inside a read-side critical section; publish() hands the
+/// replaced object back so the writer can retire it through EBR. The writer
+/// reaches the current object through get(), a plain read: it is the only
+/// thread that ever stores the pointer.
+template <class T>
+class Published {
+public:
+    explicit Published(std::unique_ptr<T> object) noexcept : object_(object.release()) {}
+    Published(Published&& other) noexcept : object_(std::exchange(other.object_, nullptr)) {}
+    Published& operator=(Published&&) = delete;
+    Published(const Published&) = delete;
+    Published& operator=(const Published&) = delete;
+    ~Published() { delete object_; }
+
+    /// Reader: the object currently published.
+    POPTRIE_HOT [[nodiscard]] const T* load() const noexcept { return load_acquire(object_); }
+
+    /// Writer: the object currently published.
+    [[nodiscard]] T& get() noexcept { return *object_; }
+    [[nodiscard]] const T& get() const noexcept { return *object_; }
+
+    /// Writer: publishes `fresh` and returns the object it replaced, which
+    /// readers may still hold until their critical sections end.
+    [[nodiscard]] std::unique_ptr<T> publish(std::unique_ptr<T> fresh) noexcept
+    {
+        std::unique_ptr<T> replaced{object_};
+        store_release(object_, fresh.release());
+        return replaced;
+    }
+
+private:
+    T* object_;
+};
 
 }  // namespace psync

@@ -6,17 +6,16 @@
 //     single worker bumps and any observer thread may snapshot. Relaxed on
 //     both sides: the values are statistics, never used to order accesses to
 //     other data.
-//   * StopFlag — a shutdown signal set by the orchestrator and polled by
-//     workers; reset() rearms it once the workers are known to have joined.
-//   * PauseGate — a quiescent-point handshake: the orchestrator asks a
-//     worker to park, waits for the acknowledgement, mutates shared state
-//     the worker normally owns (e.g. compacts the FIB), then resumes it.
+//   * StopFlag — a one-way shutdown signal set by the orchestrator and
+//     polled by workers.
+//   * PauseGate — a park handshake: the orchestrator asks a worker to park,
+//     waits for the acknowledgement, takes over the role the worker
+//     normally holds (e.g. the FIB's writer role, to compact it), then
+//     resumes it.
 #pragma once
 
 #include <atomic>
 #include <cstdint>
-
-#include "sync/annotations.hpp"
 
 namespace psync {
 
@@ -61,25 +60,12 @@ public:
         return stop_.load(std::memory_order_acquire);
     }
 
-    /// Rearms the flag. Only valid once every thread that polls it has
-    /// joined (otherwise a worker could miss the shutdown entirely) — which
-    /// is exactly the quiescence capability, so the analysis rejects a
-    /// rearm outside a join/park window. tools/check_concurrency.py rule R3
-    /// additionally checks the dynamic shape: a `.reset()` on a StopFlag
-    /// must follow a join in the same scope.
-    void reset() noexcept POPTRIE_REQUIRES(cap::quiescent)
-    {
-        // order: relaxed [cap:stop-flag] — by contract (cap::quiescent) no
-        // poller is running concurrently.
-        stop_.store(false, std::memory_order_relaxed);
-    }
-
 private:
     std::atomic<bool> stop_{false};
 };
 
-/// Quiescent-point handshake between an orchestrator thread and ONE worker
-/// thread. Protocol:
+/// Park handshake between an orchestrator thread and ONE worker thread.
+/// Protocol:
 ///
 ///   orchestrator                         worker (at a consistent point)
 ///   token = request_pause()              if (pause_requested()) {

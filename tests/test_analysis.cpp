@@ -11,6 +11,7 @@
 #include "analysis/audit.hpp"
 #include "helpers.hpp"
 #include "poptrie/poptrie.hpp"
+#include "snapshot/snapshot.hpp"
 #include "workload/tablegen.hpp"
 #include "workload/updatefeed.hpp"
 
@@ -35,13 +36,14 @@ bool has_check(const AuditReport& r, std::string_view name)
 template <class Addr>
 std::vector<std::uint32_t> reachable_nodes(const poptrie::Poptrie<Addr>& pt)
 {
-    const auto& nodes = AuditAccess::nodes(pt);
+    const auto& pools = AuditAccess::pools(pt);
+    const auto& nodes = pools.nodes;
     std::vector<std::uint32_t> out;
     std::deque<std::uint32_t> queue;
     if (pt.config().direct_bits == 0) {
-        queue.push_back(AuditAccess::root(pt));
+        queue.push_back(pools.root);
     } else {
-        for (const std::uint32_t v : AuditAccess::direct(pt))
+        for (const std::uint32_t v : pools.direct)
             if (!(v & poptrie::Poptrie<Addr>::kDirectLeafBit)) queue.push_back(v);
     }
     while (!queue.empty()) {
@@ -60,7 +62,7 @@ template <class Addr, class Pred>
 std::optional<std::uint32_t> find_node(const poptrie::Poptrie<Addr>& pt, Pred&& pred)
 {
     for (const auto idx : reachable_nodes(pt))
-        if (pred(AuditAccess::nodes(pt)[idx])) return idx;
+        if (pred(AuditAccess::pools(pt).nodes[idx])) return idx;
     return std::nullopt;
 }
 
@@ -192,80 +194,122 @@ Poptrie4 corner_poptrie(unsigned direct_bits = 0)
     return Poptrie4{load(corner_case_table()), cfg};
 }
 
+/// Finds a reachable node satisfying `pred` and hands it to `mutate`.
+template <class Pred, class Mutate>
+void plant_in_node(Poptrie4& pt, Pred&& pred, Mutate&& mutate)
+{
+    const auto idx = find_node(pt, pred);
+    ASSERT_TRUE(idx.has_value());
+    mutate(AuditAccess::pools(pt).nodes[*idx]);
+}
+
+/// One structural fault, the table it is planted in, and the named check
+/// that must report it — from audit() on the live trie, and from
+/// snapshot::verify_image() on an image serialized from it.
+struct PlantedFault {
+    const char* name;
+    unsigned direct_bits;
+    const char* check;
+    void (*plant)(Poptrie4&);
+};
+
+const PlantedFault kClearedRunStart{
+    "cleared run start", 0, "leafvec-first-run-missing", [](Poptrie4& pt) {
+        plant_in_node(
+            pt,
+            [](const Poptrie4::Node& n) {
+                return n.leafvec != 0 && n.vector != ~std::uint64_t{0};
+            },
+            [](Poptrie4::Node& n) { n.leafvec &= n.leafvec - 1; });  // first run-start bit
+    }};
+const PlantedFault kLeafvecOnInternalSlot{
+    "leafvec bit on an internal slot", 0, "leafvec-overlaps-vector", [](Poptrie4& pt) {
+        plant_in_node(
+            pt, [](const Poptrie4::Node& n) { return n.vector != 0; },
+            [](Poptrie4::Node& n) { n.leafvec |= n.vector & (~n.vector + 1); });  // lowest
+    }};
+const PlantedFault kBase1OutOfRange{
+    "base1 out of range", 0, "node-run-out-of-range", [](Poptrie4& pt) {
+        plant_in_node(
+            pt, [](const Poptrie4::Node& n) { return n.vector != 0; },
+            [](Poptrie4::Node& n) { n.base1 = 0x0FFF'FFFFu; });
+    }};
+const PlantedFault kBase0OutOfRange{
+    "base0 out of range", 0, "leaf-run-out-of-range", [](Poptrie4& pt) {
+        plant_in_node(
+            pt, [](const Poptrie4::Node& n) { return n.leafvec != 0; },
+            [](Poptrie4::Node& n) { n.base0 = 0x0FFF'FFFFu; });
+    }};
+const PlantedFault kNonMinimalRun{
+    "non-minimal leaf run", 0, "leaf-run-not-minimal", [](Poptrie4& pt) {
+        auto& leaves = AuditAccess::pools(pt).leaves;
+        plant_in_node(
+            pt, [](const Poptrie4::Node& n) { return netbase::popcount64(n.leafvec) >= 2; },
+            [&](Poptrie4::Node& n) { leaves[n.base0 + 1] = leaves[n.base0]; });
+    }};
+const PlantedFault kDirectLeafOverflow{
+    "direct leaf payload overflow", 16, "direct-leaf-overflow", [](Poptrie4& pt) {
+        // Leaf payload above the 16-bit next-hop range.
+        AuditAccess::pools(pt).direct[0] = Poptrie4::kDirectLeafBit | 0x0001'0000u;
+    }};
+const PlantedFault kDirectIndexOutOfRange{
+    "direct index out of range", 16, "root-index-out-of-range", [](Poptrie4& pt) {
+        // Internal index pointing outside the node pool.
+        AuditAccess::pools(pt).direct[0] = 0x0FFF'FFFFu;
+    }};
+const PlantedFault kAliasedSubtree{
+    "aliased subtree", 16, "node-aliased", [](Poptrie4& pt) {
+        // Point two direct slots at the same internal node.
+        auto& direct = AuditAccess::pools(pt).direct;
+        std::optional<std::size_t> first;
+        for (std::size_t d = 0; d < direct.size(); ++d) {
+            if (direct[d] & Poptrie4::kDirectLeafBit) continue;
+            if (!first) {
+                first = d;
+            } else {
+                direct[d] = direct[*first];
+                return;
+            }
+        }
+        FAIL() << "fewer than two internal direct slots";
+    }};
+
+const PlantedFault* const kStructuralFaults[] = {
+    &kClearedRunStart, &kLeafvecOnInternalSlot, &kBase1OutOfRange,       &kBase0OutOfRange,
+    &kNonMinimalRun,   &kDirectLeafOverflow,    &kDirectIndexOutOfRange, &kAliasedSubtree,
+};
+
+/// Plants `fault` in a fresh corner-case trie and requires audit() to
+/// report its check.
+void expect_audit_detects(const PlantedFault& fault)
+{
+    SCOPED_TRACE(fault.name);
+    auto pt = corner_poptrie(fault.direct_bits);
+    const auto rib = load(corner_case_table());
+    fault.plant(pt);
+    if (::testing::Test::HasFatalFailure()) return;
+    const auto report = analysis::audit(pt, rib);
+    EXPECT_FALSE(report.ok());
+    EXPECT_TRUE(has_check(report, fault.check)) << report.summary();
+}
+
 }  // namespace
 
 TEST(AuditFaultInjection, DetectsClearedLeafRunStart)
 {
-    auto pt = corner_poptrie();
-    const auto rib = load(corner_case_table());
-    const auto idx = find_node(pt, [](const Poptrie4::Node& n) {
-        return n.leafvec != 0 && n.vector != ~std::uint64_t{0};
-    });
-    ASSERT_TRUE(idx.has_value());
-    auto& node = AuditAccess::nodes(pt)[*idx];
-    node.leafvec &= node.leafvec - 1;  // clear the first run-start bit
-    const auto report = analysis::audit(pt, rib);
-    EXPECT_FALSE(report.ok());
-    EXPECT_TRUE(has_check(report, "leafvec-first-run-missing") ||
-                has_check(report, "leaf-count-mismatch"))
-        << report.summary();
+    expect_audit_detects(kClearedRunStart);
 }
 
 TEST(AuditFaultInjection, DetectsLeafvecBitOnInternalSlot)
 {
-    auto pt = corner_poptrie();
-    const auto rib = load(corner_case_table());
-    const auto idx =
-        find_node(pt, [](const Poptrie4::Node& n) { return n.vector != 0; });
-    ASSERT_TRUE(idx.has_value());
-    auto& node = AuditAccess::nodes(pt)[*idx];
-    node.leafvec |= node.vector & (~node.vector + 1);  // lowest internal slot
-    const auto report = analysis::audit(pt, rib);
-    EXPECT_FALSE(report.ok());
-    EXPECT_TRUE(has_check(report, "leafvec-overlaps-vector")) << report.summary();
+    expect_audit_detects(kLeafvecOnInternalSlot);
 }
 
-TEST(AuditFaultInjection, DetectsBase1OutOfRange)
-{
-    auto pt = corner_poptrie();
-    const auto rib = load(corner_case_table());
-    const auto idx =
-        find_node(pt, [](const Poptrie4::Node& n) { return n.vector != 0; });
-    ASSERT_TRUE(idx.has_value());
-    AuditAccess::nodes(pt)[*idx].base1 = 0x0FFF'FFFFu;
-    const auto report = analysis::audit(pt, rib);
-    EXPECT_FALSE(report.ok());
-    EXPECT_TRUE(has_check(report, "node-run-out-of-range")) << report.summary();
-}
+TEST(AuditFaultInjection, DetectsBase1OutOfRange) { expect_audit_detects(kBase1OutOfRange); }
 
-TEST(AuditFaultInjection, DetectsBase0OutOfRange)
-{
-    auto pt = corner_poptrie();
-    const auto rib = load(corner_case_table());
-    const auto idx =
-        find_node(pt, [](const Poptrie4::Node& n) { return n.leafvec != 0; });
-    ASSERT_TRUE(idx.has_value());
-    AuditAccess::nodes(pt)[*idx].base0 = 0x0FFF'FFFFu;
-    const auto report = analysis::audit(pt, rib);
-    EXPECT_FALSE(report.ok());
-    EXPECT_TRUE(has_check(report, "leaf-run-out-of-range")) << report.summary();
-}
+TEST(AuditFaultInjection, DetectsBase0OutOfRange) { expect_audit_detects(kBase0OutOfRange); }
 
-TEST(AuditFaultInjection, DetectsNonMinimalLeafRun)
-{
-    auto pt = corner_poptrie();
-    const auto rib = load(corner_case_table());
-    const auto idx = find_node(pt, [](const Poptrie4::Node& n) {
-        return netbase::popcount64(n.leafvec) >= 2;
-    });
-    ASSERT_TRUE(idx.has_value());
-    const auto& node = AuditAccess::nodes(pt)[*idx];
-    auto& leaves = AuditAccess::leaves(pt);
-    leaves[node.base0 + 1] = leaves[node.base0];
-    const auto report = analysis::audit(pt, rib);
-    EXPECT_FALSE(report.ok());
-    EXPECT_TRUE(has_check(report, "leaf-run-not-minimal")) << report.summary();
-}
+TEST(AuditFaultInjection, DetectsNonMinimalLeafRun) { expect_audit_detects(kNonMinimalRun); }
 
 TEST(AuditFaultInjection, DetectsLeafValueCorruption)
 {
@@ -274,9 +318,9 @@ TEST(AuditFaultInjection, DetectsLeafValueCorruption)
     const auto idx =
         find_node(pt, [](const Poptrie4::Node& n) { return n.leafvec != 0; });
     ASSERT_TRUE(idx.has_value());
-    const auto& node = AuditAccess::nodes(pt)[*idx];
-    auto& leaves = AuditAccess::leaves(pt);
-    leaves[node.base0] = static_cast<NextHop>(leaves[node.base0] + 7);
+    auto& pools = AuditAccess::pools(pt);
+    const auto& node = pools.nodes[*idx];
+    pools.leaves[node.base0] = static_cast<NextHop>(pools.leaves[node.base0] + 7);
     const auto report = analysis::audit(pt, rib);
     EXPECT_FALSE(report.ok());
     EXPECT_TRUE(has_check(report, "lookup-mismatch") ||
@@ -291,50 +335,42 @@ TEST(AuditFaultInjection, DetectsVectorCorruption)
     const auto idx =
         find_node(pt, [](const Poptrie4::Node& n) { return n.vector != 0; });
     ASSERT_TRUE(idx.has_value());
-    AuditAccess::nodes(pt)[*idx].vector ^= 1;
+    AuditAccess::pools(pt).nodes[*idx].vector ^= 1;
     EXPECT_FALSE(analysis::audit(pt, rib).ok());
 }
 
 TEST(AuditFaultInjection, DetectsDirectSlotCorruption)
 {
-    auto pt = corner_poptrie(16);
-    const auto rib = load(corner_case_table());
-    auto& direct = AuditAccess::direct(pt);
-    // Leaf payload above the 16-bit next-hop range.
-    direct[0] = Poptrie4::kDirectLeafBit | 0x0001'0000u;
-    auto report = analysis::audit(pt, rib);
-    EXPECT_FALSE(report.ok());
-    EXPECT_TRUE(has_check(report, "direct-leaf-overflow")) << report.summary();
-
-    // Internal index pointing outside the node pool.
-    direct[0] = 0x0FFF'FFFFu;
-    report = analysis::audit(pt, rib);
-    EXPECT_FALSE(report.ok());
-    EXPECT_TRUE(has_check(report, "root-index-out-of-range")) << report.summary();
+    expect_audit_detects(kDirectLeafOverflow);
+    expect_audit_detects(kDirectIndexOutOfRange);
 }
 
-TEST(AuditFaultInjection, DetectsAliasedSubtree)
+TEST(AuditFaultInjection, DetectsAliasedSubtree) { expect_audit_detects(kAliasedSubtree); }
+
+// The image verifier runs the auditor's structural walk, so every structural
+// fault must survive serialize() -> load_buffer() (the checksums are
+// recomputed over the faulty arrays) and fire the same named check there.
+TEST(AuditFaultInjection, ImageVerifierFiresTheSameChecks)
 {
-    auto pt = corner_poptrie(16);
     const auto rib = load(corner_case_table());
-    auto& direct = AuditAccess::direct(pt);
-    // Point two direct slots at the same internal node.
-    std::optional<std::size_t> first;
-    for (std::size_t d = 0; d < direct.size(); ++d) {
-        if (direct[d] & Poptrie4::kDirectLeafBit) continue;
-        if (!first) {
-            first = d;
-        } else {
-            direct[d] = direct[*first];
-            break;
+    for (const PlantedFault* fault : kStructuralFaults) {
+        SCOPED_TRACE(fault->name);
+        auto pt = corner_poptrie(fault->direct_bits);
+        fault->plant(pt);
+        ASSERT_FALSE(HasFatalFailure());
+        const auto audited = analysis::audit(pt, rib);
+        EXPECT_TRUE(has_check(audited, fault->check)) << audited.summary();
+        std::vector<std::uint8_t> image;
+        {
+            // writer: single-threaded test — this thread is the only writer.
+            const psync::EbrWriterSection writer;
+            image = snapshot::serialize(pt);
         }
+        const auto fib = snapshot::SnapshotFib4::load_buffer(image.data(), image.size());
+        const auto report = snapshot::verify_image(fib);
+        EXPECT_FALSE(report.ok());
+        EXPECT_TRUE(has_check(report, fault->check)) << report.summary();
     }
-    ASSERT_TRUE(first.has_value());
-    const auto report = analysis::audit(pt, rib);
-    EXPECT_FALSE(report.ok());
-    EXPECT_TRUE(has_check(report, "node-aliased") ||
-                has_check(report, "node-runs-overlap"))
-        << report.summary();
 }
 
 // ---------------------------------------------------------------------------

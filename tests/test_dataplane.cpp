@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <numeric>
+#include <stdexcept>
 #include <thread>
 #include <vector>
 
@@ -199,6 +200,24 @@ TEST(Dataplane, CountsAgreeWithDirectLookups)
         const psync::QuiescentSection quiescent;
         EXPECT_GT(dp.merged_latency().observed(), 0u);
     }
+}
+
+TEST(Dataplane, StopIsFinal)
+{
+    // A stopped pipeline cannot restart: its workers would see the stop
+    // request and exit at once, so start() refuses instead.
+    const auto routes = small_table(500);
+    router::Router4 router;
+    dataplane::load_routes(router, routes);
+    dataplane::DataplaneConfig cfg;
+    cfg.workers = 1;
+    dataplane::Dataplane<dataplane::PoptrieEngine> dp{dataplane::PoptrieEngine{router},
+                                                      cfg};
+    dp.start();
+    dp.start();  // already running: no-op
+    dp.stop();
+    dp.stop();  // idempotent
+    EXPECT_THROW(dp.start(), std::logic_error);
 }
 
 TEST(Dataplane, DropsAreCountedWhenRingsStayFull)

@@ -6,8 +6,13 @@
 // loader refuses every corruption class: flipped payload bits, short reads,
 // bad magic, wrong format version, and a family mismatch.
 #include <gtest/gtest.h>
+#include <sys/resource.h>
 
+#include <csignal>
 #include <cstring>
+#include <filesystem>
+#include <fstream>
+#include <iterator>
 #include <string>
 #include <vector>
 
@@ -272,9 +277,7 @@ TEST(Snapshot, PlacementControlsBacking)
     auto rib = load(corner_case_table());
     Poptrie4 pt{rib, Config{}};
 
-    LoadOptions map_opt;
-    map_opt.placement = LoadOptions::Placement::kMap;
-    const auto mapped = round_trip(pt, "snap_backing.img", map_opt);
+    const auto mapped = round_trip(pt, "snap_backing.img");
 #if defined(__linux__)
     EXPECT_EQ(mapped.memory_report().backing, alloc::Backing::kFileMapped);
 #endif
@@ -303,4 +306,63 @@ TEST(Snapshot, ImageIsByteStableForSameFib)
     Poptrie4 pt{rib, Config{}};
     pt.compact();
     EXPECT_EQ(snapshot::serialize(pt), snapshot::serialize(pt));
+}
+
+namespace {
+
+std::vector<char> file_bytes(const std::string& path)
+{
+    std::ifstream f(path, std::ios::binary);
+    return {std::istreambuf_iterator<char>(f), std::istreambuf_iterator<char>()};
+}
+
+}  // namespace
+
+TEST(Snapshot, FailedSaveLeavesPreviousImageIntact)
+{
+    // A save that cannot complete must throw ImageIoError, leave no temp file
+    // behind, and leave the previous image under the target name untouched.
+    // The write fails for real: RLIMIT_FSIZE below the image size makes
+    // write() return EFBIG (with SIGXFSZ ignored, instead of killing us).
+    // writer: single-threaded test — this thread is the only writer.
+    const psync::EbrWriterSection writer;
+    auto small_rib = load(corner_case_table());
+    Config small_cfg;
+    small_cfg.direct_bits = 0;
+    const Poptrie4 small{small_rib, small_cfg};
+    const auto path = temp_path("snap_failed_save.img");
+    snapshot::save(small, path);
+    const auto before = file_bytes(path);
+    ASSERT_FALSE(before.empty());
+
+    workload::TableGenConfig gen;
+    gen.seed = 61;
+    gen.target_routes = 5'000;
+    auto big_rib = load(workload::generate_table(gen));
+    const Poptrie4 big{big_rib, Config{}};
+    ASSERT_GT(snapshot::serialize(big).size(), before.size());
+
+    rlimit saved{};
+    ASSERT_EQ(getrlimit(RLIMIT_FSIZE, &saved), 0);
+    rlimit lowered = saved;
+    lowered.rlim_cur = static_cast<rlim_t>(before.size());
+    const auto old_handler = std::signal(SIGXFSZ, SIG_IGN);
+    ASSERT_EQ(setrlimit(RLIMIT_FSIZE, &lowered), 0);
+    bool threw = false;
+    try {
+        snapshot::save(big, path);
+    } catch (const ImageIoError&) {
+        threw = true;
+    }
+    EXPECT_EQ(setrlimit(RLIMIT_FSIZE, &saved), 0);
+    std::signal(SIGXFSZ, old_handler);
+
+    EXPECT_TRUE(threw) << "a save past RLIMIT_FSIZE did not report ImageIoError";
+    EXPECT_FALSE(std::filesystem::exists(path + ".tmp"));
+    EXPECT_EQ(file_bytes(path), before);
+    const auto fib = SnapshotFib4::load_file(path);
+    EXPECT_EQ(boundary_and_random_mismatches(
+                  small_rib, corner_case_table(),
+                  [&](Ipv4Addr a) { return fib.lookup(a); }, 10'000),
+              0u);
 }

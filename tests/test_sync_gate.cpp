@@ -1,18 +1,17 @@
-// test_sync_gate.cpp — edge cases of the PauseGate quiescent-point handshake
-// and the StopFlag rearm contract (sync/counters.hpp).
+// test_sync_gate.cpp — edge cases of the PauseGate park handshake
+// (sync/counters.hpp).
 //
 // The gate's correctness hinges on the park *generation counter*: a boolean
 // acknowledgement would let an ack from a previous pause satisfy a new
 // request, and the orchestrator would mutate state the worker still owns.
 // These tests pin that property, the pause→resume→pause reentry shape lpmd
-// --compact-every relies on, and the destruction/rearm windows.
+// --compact-every relies on, and the destruction window.
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <thread>
 
-#include "sync/annotations.hpp"
 #include "sync/counters.hpp"
 
 namespace {
@@ -116,39 +115,6 @@ TEST(PauseGate, DestructionAfterParkedWorkerReleased)
     EXPECT_EQ(parks.read(), 1u);
     // gate and stop are destroyed after the join — the worker can no longer
     // touch them. Reaching the end of scope without a hang is the assertion.
-}
-
-TEST(StopFlag, RearmOnlyBetweenGenerations)
-{
-    psync::StopFlag stop;
-    psync::EventCounter observed;  // stop events seen across generations
-
-    {
-        std::jthread gen1([&] {
-            while (!stop.requested()) std::this_thread::yield();
-            observed.add(1);
-        });
-        stop.request();
-    }  // gen1 joined
-    EXPECT_EQ(observed.read(), 1u);
-    EXPECT_TRUE(stop.requested());
-
-    {
-        // quiescent: the generation-1 poller joined at the brace above and
-        // generation 2 is not yet spawned — no thread can miss the rearm.
-        const psync::QuiescentSection quiescent;
-        stop.reset();
-    }
-    EXPECT_FALSE(stop.requested());
-
-    {
-        std::jthread gen2([&] {
-            while (!stop.requested()) std::this_thread::yield();
-            observed.add(1);
-        });
-        stop.request();
-    }  // gen2 joined
-    EXPECT_EQ(observed.read(), 2u);
 }
 
 }  // namespace

@@ -3,9 +3,10 @@
 
 Clang's thread-safety analysis (the POPTRIE_TSA build) checks everything a
 capability annotation can express: lookup_batch REQUIRES the shared EBR
-capability, compact() REQUIRES quiescence, GUARDED_BY fields need their
-mutex. This linter checks the protocol shapes the analysis structurally
-cannot see -- cross-function, cross-thread and by-convention rules:
+capability, compact() REQUIRES the writer role, reserve_headroom() REQUIRES
+quiescence, GUARDED_BY fields need their mutex. This linter checks the
+protocol shapes the analysis structurally cannot see -- cross-function,
+cross-thread and by-convention rules:
 
   R1 (guard dominance): in src/dataplane, every `x.lookup_batch(...)` /
       `x.lookup_raw(...)` call -- and every call into the free-function
@@ -24,12 +25,6 @@ cannot see -- cross-function, cross-thread and by-convention rules:
       only in the incremental updater, the compactor, and src/sync/ebr.*
       itself; anywhere else under src/ is a reclamation-protocol leak.
       (Tests exercise retire() directly by design, so R2 scopes to src/.)
-
-  R3 (StopFlag rearm): `flag.reset()` on a variable declared psync::StopFlag
-      must sit in a proven no-poller window -- a join(...) call or a
-      QuiescentSection claim within the preceding lines. Only identifiers
-      declared as StopFlag in the same file are checked, so unique_ptr::reset
-      and friends never trip the rule.
 
   R4 (PauseGate encapsulation): the pause/park generation-counter handshake
       is correct only as a whole; any `.pause_` / `.parks_` member access
@@ -97,12 +92,6 @@ RETIRE_ALLOWED = {
     os.path.join("src", "sync", "ebr.cpp"),
 }
 
-# R3 -----------------------------------------------------------------------
-STOPFLAG_DECL_RE = re.compile(r"\bStopFlag\s+(\w+)\s*[;{=]")
-RESET_CALL_RE = re.compile(r"\b(\w+)\s*\.\s*reset\s*\(")
-JOIN_RE = re.compile(r"\bjoin\s*\(|\bstop_and_join\s*\(")
-R3_WINDOW = 10  # lines of lookback for the join / quiescence evidence
-
 # R4 -----------------------------------------------------------------------
 GATE_FIELD_RE = re.compile(r"(?:\.|->)\s*(?:pause_|parks_)(?!\w)")
 GATE_HOME = os.path.join("src", "sync", "counters.hpp")
@@ -130,13 +119,6 @@ def check_file(path, rel, violations):
         violations.append((path, 0, f"unreadable: {e}"))
         return
     code, comments = split_code_and_comment(lines)
-
-    # Pass 1: names declared as StopFlag anywhere in the file (members are
-    # routinely declared below their first use, so this cannot be inline).
-    stopflag_names = set()
-    for code_line in code:
-        for m in STOPFLAG_DECL_RE.finditer(code_line):
-            stopflag_names.add(m.group(1))
 
     in_sync = is_under(rel, "src", "sync")
     in_dataplane = is_under(rel, "src", "dataplane")
@@ -198,29 +180,6 @@ def check_file(path, rel, violations):
                     "the updater or compactor",
                 )
             )
-
-        # -- R3: StopFlag rearm only in a no-poller window -----------------
-        if stopflag_names and not allowed:
-            for m in RESET_CALL_RE.finditer(code_line):
-                if m.group(1) not in stopflag_names:
-                    continue
-                lo = max(0, idx - R3_WINDOW)
-                window_code = code[lo : idx + 1]
-                window_comments = comments[lo : idx + 1]
-                evidence = any(
-                    JOIN_RE.search(c) or "QuiescentSection" in c for c in window_code
-                ) or any("quiescent:" in c for c in window_comments)
-                if not evidence:
-                    violations.append(
-                        (
-                            path,
-                            lineno,
-                            f"[R3] StopFlag '{m.group(1)}.reset()' without a "
-                            "join()/QuiescentSection in the preceding "
-                            f"{R3_WINDOW} lines -- rearming while a poller "
-                            "still runs loses the shutdown signal",
-                        )
-                    )
 
         # -- R4: PauseGate handshake fields are private protocol ----------
         if rel != GATE_HOME and GATE_FIELD_RE.search(code_line) and not allowed:
@@ -349,29 +308,6 @@ def self_test():
     expect("R2 leak flagged", {**anchor, "src/router/router.cpp": retire_code}, 1)
     expect("R2 updater allowed", {**anchor, "src/poptrie/updater.ipp": retire_code}, 0)
     expect("R2 tests out of scope", {**anchor, "tests/test_ebr.cpp": retire_code}, 0)
-
-    # R3: rearm without evidence vs. after a join; unique_ptr::reset exempt.
-    bad_r3 = (
-        "struct Dp {\n"
-        "    void stop() {\n"
-        "        stop_.reset();\n"
-        "    }\n"
-        "    psync::StopFlag stop_;\n"
-        "};\n"
-    )
-    good_r3 = (
-        "struct Dp {\n"
-        "    void stop() {\n"
-        "        pool_->join();\n"
-        "        stop_.reset();\n"
-        "    }\n"
-        "    psync::StopFlag stop_;\n"
-        "};\n"
-    )
-    uptr_r3 = "void g(std::unique_ptr<int>& p) { p.reset(); }\n"
-    expect("R3 blind rearm flagged", {**anchor, "src/dataplane/dp.hpp": bad_r3}, 1)
-    expect("R3 rearm after join", {**anchor, "src/dataplane/dp.hpp": good_r3}, 0)
-    expect("R3 unique_ptr exempt", {**anchor, "src/dataplane/dp.hpp": uptr_r3}, 0)
 
     # R4: handshake bypass vs. prose about the fields.
     bad_r4 = "bool peek(psync::PauseGate& g) { return g.pause_.load(); }\n"

@@ -11,8 +11,8 @@
 // prints on shutdown.
 //
 // Exit codes follow the poptrie_fsck convention: 0 clean, 1 --check
-// violation (nothing forwarded, ring drops, or churn shortfall), 2
-// usage/input error.
+// violation (nothing forwarded, ring drops, churn shortfall, or FIB pool
+// growth under live readers), 2 usage/input error.
 #include <chrono>
 #include <csignal>
 #include <cstdio>
@@ -43,8 +43,9 @@ volatile std::sig_atomic_t g_interrupted = 0;
 extern "C" void handle_signal(int) { g_interrupted = 1; }
 
 // SIGUSR1 requests a mid-run snapshot save (--snapshot-save): the producer
-// loop notices the flag and runs the save through the same pause handshake
-// compaction uses, so the image is written at a true quiescent point.
+// loop notices the flag and runs the save through the same writer handover
+// compaction uses, so the image is written by the FIB's only writer while
+// the workers keep forwarding.
 volatile std::sig_atomic_t g_snapshot_requested = 0;
 extern "C" void handle_sigusr1(int) { g_snapshot_requested = 1; }
 
@@ -70,7 +71,7 @@ struct Options {
     std::uint64_t seed = 1;
     std::string snapshot_save;       // write a FIB image here (poptrie only)
     std::string snapshot_load;       // serve this FIB image (engine snapshot)
-    std::string snapshot_placement = "auto";  // auto | map | copy
+    std::string snapshot_placement = "auto";  // auto | copy
 };
 
 struct RunResult {
@@ -92,8 +93,8 @@ struct RunResult {
     std::size_t fib_bytes = 0;
 };
 
-/// One-line fragmentation view of both FIB pools, printed at each quiescent
-/// point (compaction, final summary) — the same counters poptrie_fsck
+/// One-line fragmentation view of both FIB pools, printed after each
+/// compaction and in the final summary — the same counters poptrie_fsck
 /// --stats reports.
 void print_frag(const poptrie::Stats& s, const char* tag)
 {
@@ -104,10 +105,10 @@ void print_frag(const poptrie::Stats& s, const char* tag)
 }
 
 /// Producer loop + periodic stats, shared by every engine instantiation.
-/// `compact_fib` (poptrie + --compact-every only) runs at churn quiescent
-/// points: the churn thread is parked and the worker pool stopped around the
-/// call, then both resume — the storage swap inside Poptrie::compact() is
-/// not reader-safe, so the whole pipeline pauses.
+/// `compact_fib` (poptrie + --compact-every only) and `save_snapshot` run
+/// with the churn thread parked, so this thread holds the FIB's writer role
+/// for the call. The workers keep forwarding: compact() publishes a fresh
+/// pool set with one pointer store, and the save reads the current one.
 template <class Engine>
 RunResult run_pipeline(dataplane::Dataplane<Engine>& dp, const Options& opt,
                        const std::vector<std::uint32_t>& trace,
@@ -160,16 +161,14 @@ RunResult run_pipeline(dataplane::Dataplane<Engine>& dp, const Options& opt,
             produced += opt.burst;
         }
 
-        // SIGUSR1-triggered snapshot: same pause handshake as compaction —
-        // the churn writer (if any) parks, the workers join, the image is
-        // written at a genuine quiescent point, then everything resumes.
+        // SIGUSR1-triggered snapshot: same writer handover as compaction —
+        // the churn writer (if any) parks, this thread writes the image,
+        // the churn writer resumes.
         if (save_snapshot && g_snapshot_requested != 0) {
             g_snapshot_requested = 0;
             const auto pause_start = clock::now();
             if (churn != nullptr) churn->pause();
-            dp.stop();
             save_snapshot();
-            dp.start();
             if (churn != nullptr) churn->resume();
             ++snapshots_saved;
             if (opt.rate_mpps > 0) {
@@ -182,15 +181,14 @@ RunResult run_pipeline(dataplane::Dataplane<Engine>& dp, const Options& opt,
         if (compact_fib && churn != nullptr && churn->applied() >= next_compact) {
             const auto pause_start = clock::now();
             churn->pause();  // parks the writer (or joins a finished feed)
-            dp.stop();       // joins the workers: no reader holds a guard
             compact_fib();
-            dp.start();
             churn->resume();
             ++compactions;
             next_compact = churn->applied() + opt.compact_every;
-            // Forfeit the paused window's address budget: catching it up
-            // would burst into the just-restarted rings faster than the
-            // workers drain and count the pause as ring drops.
+            // Forfeit the stalled window's address budget: this thread
+            // offered nothing while it compacted, and catching up would
+            // burst into the rings faster than the workers drain them and
+            // count the stall as ring drops.
             if (opt.rate_mpps > 0) {
                 const double paused =
                     std::chrono::duration<double>(clock::now() - pause_start).count();
@@ -353,17 +351,19 @@ int main(int argc, char** argv)
             "  --direct-bits=N     poptrie direct-pointing bits (default 18)\n"
             "  --churn-updates=N   concurrent route updates to apply (default 0)\n"
             "  --churn-rate=R      updates/s pacing, 0 = unpaced (default 0)\n"
-            "  --compact-every=N   compact the FIB every N churn updates, pausing\n"
-            "                      the pipeline at a quiescent point (default 0)\n"
-            "  --snapshot-save=F   write a FIB image to F at shutdown, and at any\n"
-            "                      quiescent point on SIGUSR1 (--engine poptrie)\n"
+            "  --compact-every=N   compact the FIB every N churn updates while the\n"
+            "                      workers keep forwarding (default 0)\n"
+            "  --snapshot-save=F   write a FIB image to F at shutdown, and mid-run\n"
+            "                      on SIGUSR1 (--engine poptrie)\n"
             "  --snapshot-load=F   serve the FIB image F (--engine snapshot)\n"
-            "  --snapshot-placement=P  auto | map | copy (default auto): mmap the\n"
-            "                      image or copy it into arena pages\n"
+            "  --snapshot-placement=P  auto | copy (default auto): mmap the image\n"
+            "                      or copy it into arena pages\n"
             "  --stats-interval=S  seconds between stats lines (default 1)\n"
             "  --json              print a machine-readable summary record\n"
             "  --json-out=FILE     write the summary record to FILE (benchctl)\n"
-            "  --check             exit 1 unless forwarded>0 and ring-drops==0"))
+            "  --check             exit 1 unless forwarded>0, ring-drops==0, the\n"
+            "                      whole churn feed applied and no FIB pool grew\n"
+            "                      under live readers"))
         return 0;
 
     Options opt;
@@ -435,9 +435,7 @@ int main(int argc, char** argv)
         return 2;
     }
     snapshot::LoadOptions load_opt;
-    if (opt.snapshot_placement == "map") {
-        load_opt.placement = snapshot::LoadOptions::Placement::kMap;
-    } else if (opt.snapshot_placement == "copy") {
+    if (opt.snapshot_placement == "copy") {
         load_opt.placement = snapshot::LoadOptions::Placement::kCopy;
     } else if (opt.snapshot_placement != "auto") {
         std::fprintf(stderr, "lpmd: unknown --snapshot-placement '%s'\n",
@@ -542,23 +540,23 @@ int main(int argc, char** argv)
                                            .rate_per_sec = opt.churn_rate});
             const std::function<void()> compact_fn =
                 opt.compact_every > 0 ? std::function<void()>([&router] {
-                    // quiescent: run_pipeline only invokes this after
-                    // churn->pause() parked the writer and dp.stop() joined
-                    // the workers (the std::function boundary hides the
-                    // caller's capabilities from the analysis).
-                    const psync::QuiescentSection quiescent;
+                    // writer: run_pipeline only invokes this after
+                    // churn->pause() parked the churn writer (the
+                    // std::function boundary hides the caller's
+                    // capabilities from the analysis).
+                    const psync::EbrWriterSection writer;
                     router.compact_fib();
                     print_frag(router.fib().stats(), "compact");
                 })
                                       : std::function<void()>{};
             const std::function<void()> save_fn =
                 !opt.snapshot_save.empty() ? std::function<void()>([&router, &opt] {
-                    // quiescent: run_pipeline only invokes this after the
-                    // churn writer is parked and the workers are joined (the
-                    // std::function boundary hides the caller's
-                    // capabilities from the analysis). Compact first so the
-                    // image is the canonical minimal layout.
-                    const psync::QuiescentSection quiescent;
+                    // writer: run_pipeline only invokes this with the churn
+                    // writer parked, or there is none (the std::function
+                    // boundary hides the caller's capabilities from the
+                    // analysis). Compact first so the image is the
+                    // canonical minimal layout.
+                    const psync::EbrWriterSection writer;
                     router.compact_fib();
                     router.save_fib_snapshot(opt.snapshot_save);
                     std::printf("[snapshot] image written to %s\n",
@@ -582,17 +580,17 @@ int main(int argc, char** argv)
             r.load_s = load_s;
             r.fib_bytes = fib_bytes;
             if (!opt.snapshot_save.empty()) {
-                // Final image: everything is joined and drained, so this is
-                // the run's last quiescent point.
-                // quiescent: workers stopped, churn joined, domain drained.
-                const psync::QuiescentSection quiescent;
+                // Final image, written after the drain above.
+                // writer: workers stopped and churn joined; only this thread
+                // touches the FIB.
+                const psync::EbrWriterSection writer;
                 router.compact_fib();
                 router.save_fib_snapshot(opt.snapshot_save);
                 std::printf("[snapshot] image written to %s\n", opt.snapshot_save.c_str());
             }
             r.fib_backing = alloc::backing_name(router.fib().memory_report().backing);
             if (opt.churn_updates > 0) {
-                // Quiescent now (workers stopped, churn joined): snapshot the
+                // Workers stopped and churn joined: snapshot the
                 // fragmentation counters for the summary / JSON record.
                 r.fib_stats = router.fib().stats();
                 r.has_fib_stats = true;

@@ -157,13 +157,14 @@ std::size_t churn_updates(poptrie::Poptrie<Addr>& pt, rib::RadixTrie<Addr>& rib,
 template <class Addr>
 std::vector<std::uint32_t> reachable_nodes(const poptrie::Poptrie<Addr>& pt)
 {
-    const auto& nodes = analysis::AuditAccess::nodes(pt);
+    const auto& pools = analysis::AuditAccess::pools(pt);
+    const auto& nodes = pools.nodes;
     std::vector<std::uint32_t> out;
     std::size_t scan = 0;
     if (pt.config().direct_bits == 0) {
-        out.push_back(analysis::AuditAccess::root(pt));
+        out.push_back(pools.root);
     } else {
-        for (const std::uint32_t v : analysis::AuditAccess::direct(pt))
+        for (const std::uint32_t v : pools.direct)
             if (!(v & poptrie::Poptrie<Addr>::kDirectLeafBit)) out.push_back(v);
     }
     while (scan < out.size()) {
@@ -180,13 +181,14 @@ std::vector<std::uint32_t> reachable_nodes(const poptrie::Poptrie<Addr>& pt)
 template <class Addr>
 bool inject_fault(poptrie::Poptrie<Addr>& pt, const FsckOptions& opt)
 {
-    auto& nodes = analysis::AuditAccess::nodes(pt);
+    auto& pools = analysis::AuditAccess::pools(pt);
+    auto& nodes = pools.nodes;
     if (opt.inject_fault == "leaf") {
         // Bump a reachable leaf's next hop: lookups over that chunk now
         // disagree with the RIB (and the run may stop being minimal).
         for (const auto idx : reachable_nodes(pt)) {
             if (nodes[idx].leafvec == 0) continue;
-            auto& slot = analysis::AuditAccess::leaves(pt)[nodes[idx].base0];
+            auto& slot = pools.leaves[nodes[idx].base0];
             slot = static_cast<rib::NextHop>(slot + 7);
             return true;
         }
@@ -204,7 +206,7 @@ bool inject_fault(poptrie::Poptrie<Addr>& pt, const FsckOptions& opt)
     }
     if (opt.inject_fault == "direct") {
         // Point a direct slot outside the node pool.
-        auto& direct = analysis::AuditAccess::direct(pt);
+        auto& direct = pools.direct;
         if (direct.empty()) return false;
         direct[direct.size() / 2] = 0x0FFF'FFFFu;
         return true;
@@ -219,9 +221,9 @@ int fsck(const rib::RouteList<Addr>& routes, const FsckOptions& opt)
 {
     rib::RadixTrie<Addr> rib;
     rib.insert_all(routes);
-    // quiescent: fsck is single-threaded — no reader thread ever exists, so
-    // the compact()/drain() passes below are safe.
-    const psync::QuiescentSection quiescent;
+    // writer: fsck is single-threaded — this thread is the FIB's only
+    // writer for the compact()/drain()/save passes below.
+    const psync::EbrWriterSection writer;
     poptrie::Poptrie<Addr> pt{rib, opt.cfg};
     if (opt.verbose) {
         const auto s = pt.stats();
