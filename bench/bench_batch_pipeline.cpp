@@ -1,19 +1,17 @@
-// Batch-pipeline benchmark — single-core lookup rate (Mlps) of the batch
-// kernels (scalar walk / software-pipelined walk / AVX-512) across table size,
-// direct-pointing width and traffic pattern. This is the Figure-8-style
-// evidence for DESIGN.md §12: how much memory-level parallelism the
-// interleaved state machine and the gather kernel actually extract on this
-// host, at the width and burst that serve (batch::kLanes lanes, 256-key
-// bursts — the Dataplane default).
+// Batch-pipeline benchmark — single-core lookup rate (Mlps) of the scalar
+// walk and the refill batch walk across table size, direct-pointing width
+// and traffic pattern. This is the Figure-8-style evidence for DESIGN.md §12:
+// how much memory-level parallelism the batch walk actually extracts on
+// this host, at the window and burst that serve (batch::kWindow lookups in
+// flight, 256-key bursts — the Dataplane default).
 //
-// Every kernel reads the same SnapshotFib4 image, the structure the AVX-512
-// kernel serves in production. Every cell is gated on checksum equivalence
-// against the scalar walk over the identical key stream: a kernel that
-// returns even one different next hop fails the whole run (exit 1). A fast
-// wrong kernel must never produce a number.
+// Both paths read the same SnapshotFib4 image. Every cell is gated on
+// checksum equivalence against the scalar walk over the identical key
+// stream: a path that returns even one different next hop fails the whole
+// run (exit 1). A fast wrong path must never produce a number.
 //
-// benchctl runs this as the `pipe.*` family; the committed baselines pin the
-// >=512k-route sweep where the pipelined walk must hold >=1.5x scalar.
+// benchctl runs this as the `pipe.*` family; the committed baselines pin
+// each cell's rate inside its noise band.
 #include <cstdio>
 #include <cstdlib>
 #include <string>
@@ -22,11 +20,9 @@
 #include "benchkit/json.hpp"
 #include "benchkit/provenance.hpp"
 #include "common.hpp"
-#include "poptrie/lanes.hpp"
 #include "snapshot/snapshot.hpp"
 
 using namespace bench;
-namespace lanes = poptrie::lanes;
 
 namespace {
 
@@ -36,16 +32,11 @@ constexpr std::size_t kBurst = 256;
 /// loop never sees a partial burst.
 constexpr std::size_t kStream = 1u << 20;
 
-enum class Kernel { kScalar, kPipelined, kAvx512 };
+enum class Kernel { kScalar, kPipelined };
 
 const char* name(Kernel k)
 {
-    switch (k) {
-        case Kernel::kScalar: return "scalar";
-        case Kernel::kPipelined: return "pipelined";
-        case Kernel::kAvx512: return "avx512";
-    }
-    return "unknown";
+    return k == Kernel::kScalar ? "scalar" : "pipelined";
 }
 
 std::vector<std::uint32_t> make_stream(std::string_view pattern, const Dataset& d,
@@ -67,8 +58,8 @@ std::vector<std::uint32_t> make_stream(std::string_view pattern, const Dataset& 
         // Interleaved flows: every packet draws uniformly from a pool of 4096
         // distinct destinations. The working set stays cache-resident like
         // "repeated", but consecutive packets rarely share a destination, so
-        // the scalar walk's branches stay unpredictable — the regime where a
-        // branchless gather kernel earns its keep.
+        // run coalescing never fires and the walks' branches stay
+        // unpredictable: the batch walk's cost without a cache miss to hide.
         constexpr std::size_t kFlows = 4096;
         workload::Xorshift128 rng(seed);
         std::vector<std::uint32_t> pool;
@@ -101,7 +92,6 @@ void run_burst(Kernel k, const snapshot::SnapshotFib4& snap, const std::uint32_t
         case Kernel::kPipelined:
             poptrie::batch::lookup_batch_pipelined(snap.view(), keys, out, n);
             return;
-        case Kernel::kAvx512: lanes::run_avx512(snap.view(), keys, out, n); return;
     }
 }
 
@@ -181,17 +171,13 @@ int main(int argc, char** argv)
     const double duration = args.get_double("duration", args.has("full") ? 2.0 : 0.5);
     const auto seed = args.seed(1);
 
-    std::printf("Batch pipeline: single-core batch-kernel lookup rate\n");
-    std::printf("# %zu-key bursts over a snapshot image; pipelined interleave width %u.\n",
-                kBurst, poptrie::batch::kLanes);
+    std::printf("Batch pipeline: single-core batch-walk lookup rate\n");
+    std::printf("# %zu-key bursts over a snapshot image; pipelined window kWindow=%u.\n",
+                kBurst, poptrie::batch::kWindow);
     std::printf("# Every cell is checksum-gated against the scalar walk first.\n\n");
     print_host_note();
 
-    std::vector<Kernel> kernels{Kernel::kScalar, Kernel::kPipelined};
-    if (lanes::has_avx512())
-        kernels.push_back(Kernel::kAvx512);
-    else
-        std::printf("# avx512 unavailable: cpu lacks avx512vpopcntdq\n");
+    const Kernel kernels[] = {Kernel::kScalar, Kernel::kPipelined};
 
     benchkit::TablePrinter table({{"Routes", 7},
                                   {"Direct", 6},

@@ -21,13 +21,13 @@
 //
 // Bit 0 of the family byte picks the address family; the other bits are
 // ignored. After the scalar probes, the live EBR-guarded lookup_batch walk
-// replays the whole probe set against the radix oracle. (The read-only
-// AVX-512 kernel runs over restored images in fuzz_snapshot_roundtrip.)
+// replays the whole probe set against the radix oracle. (The same walk over
+// restored images runs in fuzz_snapshot_roundtrip.)
 //
 // Config-byte bit 0x20 selects Config::leaf_dict: after the scalar and
 // batch probes, the table is compacted at a quiescent point (which is when
-// dictionary coding engages) and the probe set replays over the dict-coded
-// layout.
+// dictionary coding engages) and the probe set replays, scalar and batch,
+// over the dict-coded layout.
 #include <string>
 #include <vector>
 
@@ -139,6 +139,7 @@ void run_ipv4(fuzz::ByteReader& in, const poptrie::Config& cfg)
             if (const auto got = pt.lookup(a); got != want)
                 mismatch("poptrie[dict-compacted]", a, got, want);
         }
+        check_batch(pt, cfg.leaf_compression, oracle, probes, "lookup_batch[dict-compacted]");
     }
 
     analysis::AuditOptions aopt;
@@ -193,6 +194,7 @@ void run_ipv6(fuzz::ByteReader& in, const poptrie::Config& cfg)
             if (const auto got = pt.lookup(a); got != want)
                 mismatch("poptrie6[dict-compacted]", a, got, want);
         }
+        check_batch(pt, cfg.leaf_compression, oracle, probes, "lookup_batch6[dict-compacted]");
     }
 
     analysis::AuditOptions aopt;

@@ -10,17 +10,13 @@
 // offset must make the loader throw ImageError rather than serve a mangled
 // table. This harness checks both properties on every input.
 //
-// The restored batch check drives every batch kernel this CPU can run over
-// the image's view() — the pipelined walk, and for IPv4 the AVX-512 kernel
-// SnapshotFib serves where the CPU has it — so a gather kernel that
-// disagrees with the scalar walk on any fuzz-grown (or dict-coded) image is
-// a finding.
+// The restored batch check drives the batch walk over the image's view(), so
+// a walk that disagrees with the scalar walk on any fuzz-grown (or
+// dict-coded) image is a finding.
 #include <string>
-#include <type_traits>
 #include <vector>
 
 #include "fuzz/common.hpp"
-#include "poptrie/lanes.hpp"
 #include "poptrie/poptrie.hpp"
 #include "rib/radix_trie.hpp"
 #include "snapshot/snapshot.hpp"
@@ -65,24 +61,14 @@ void run(fuzz::ByteReader& in, const poptrie::Config& cfg, bool compact,
                            " rib=" + std::to_string(want));
     }
 
-    // Every restored batch kernel must agree with the restored scalar path.
+    // The restored batch walk must agree with the restored scalar path.
     std::vector<rib::NextHop> batch(probes.size());
-    const auto expect_scalar = [&](const char* kernel) {
-        for (std::size_t i = 0; i < probes.size(); ++i) {
-            if (batch[i] != fib.lookup(Addr{probes[i]}))
-                fuzz::fail(kHarness, "restored batch/scalar divergence",
-                           std::string(kernel) + " at " +
-                               netbase::to_string(Addr{probes[i]}));
-        }
-    };
     poptrie::batch::lookup_batch_pipelined(fib.view(), probes.data(), batch.data(),
                                            probes.size());
-    expect_scalar("pipelined");
-    if constexpr (std::is_same_v<Addr, netbase::Ipv4Addr>) {
-        if (poptrie::lanes::has_avx512()) {
-            poptrie::lanes::run_avx512(fib.view(), probes.data(), batch.data(), probes.size());
-            expect_scalar("avx512");
-        }
+    for (std::size_t i = 0; i < probes.size(); ++i) {
+        if (batch[i] != fib.lookup(Addr{probes[i]}))
+            fuzz::fail(kHarness, "restored batch/scalar divergence",
+                       "at " + netbase::to_string(Addr{probes[i]}));
     }
 
     const auto vr = snapshot::verify_image(fib);

@@ -111,8 +111,8 @@ public:
     POPTRIE_HOT void lookup_batch(const key_type* keys, rib::NextHop* out,
                       std::size_t n) const noexcept POPTRIE_REQUIRES_SHARED(psync::cap::ebr)
     {
-        // One configuration branch per burst, then the lane-interleaved
-        // prefetch-staged walk (poptrie.hpp) for the whole batch.
+        // One configuration branch per burst, then the refill batch walk
+        // (lookup_pipelined.ipp) for the whole batch.
         if (router_->fib().config().leaf_compression)
             router_->fib().lookup_batch<true>(keys, out, n);
         else
@@ -134,8 +134,8 @@ private:
 /// — no EBR domain, no pool growth, no Router — so the NullReader's vacuous
 /// capability claim is exact, not an approximation: there is nothing an
 /// updater could ever retire. The batch path is SnapshotFib::lookup_batch
-/// over the mapped (or copied-in) image: the AVX-512 kernel where the CPU
-/// has it, else the same lane-interleaved walk as the live trie.
+/// over the mapped (or copied-in) image: the same batch walk as the live
+/// trie.
 class SnapshotEngine {
 public:
     using addr_type = netbase::Ipv4Addr;

@@ -196,13 +196,13 @@ public:
                                                            cfg_.direct_bits);
     }
 
-    /// Batched lookup: resolves `n` keys into `out`, walking batch::kLanes
-    /// lookups in lockstep with software prefetch one trie level ahead. A
-    /// single lookup is a chain of dependent loads, so a forwarding loop that
-    /// has a vector of destinations in hand (it always does — packets arrive
-    /// in bursts) can overlap the memory latency of independent lookups.
-    /// This is an extension beyond the paper; bench_batch_pipeline quantifies
-    /// it. The state machine itself lives in lookup_pipelined.ipp (shared
+    /// Batched lookup: resolves `n` keys into `out`, keeping batch::kWindow
+    /// lookups in flight with software prefetch one step ahead. A single
+    /// lookup is a chain of dependent loads, so a forwarding loop that has a
+    /// vector of destinations in hand (it always does — packets arrive in
+    /// bursts) can overlap the memory latency of independent lookups. This
+    /// is an extension beyond the paper; bench_batch_pipeline and perfbench
+    /// quantify it. The walk itself lives in lookup_pipelined.ipp (shared
     /// with SnapshotFib); this wrapper binds it to the AtomicView the §3.5
     /// churn contract requires. This is the dataplane serving path, so
     /// unlike lookup() it does not claim its own read section: the caller

@@ -10,6 +10,7 @@
 #include <cstring>
 #include <fstream>
 #include <limits>
+#include <string_view>
 #include <system_error>
 
 #include "benchkit/provenance.hpp"

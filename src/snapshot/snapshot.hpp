@@ -36,7 +36,6 @@
 #include <cstdint>
 #include <stdexcept>
 #include <string>
-#include <string_view>
 #include <type_traits>
 #include <vector>
 
@@ -44,7 +43,6 @@
 #include "analysis/audit.hpp"
 #include "netbase/bits.hpp"
 #include "poptrie/config.hpp"
-#include "poptrie/lanes.hpp"
 #include "poptrie/lookup_pipelined.ipp"
 #include "poptrie/poptrie.hpp"
 #include "sync/annotations.hpp"
@@ -180,8 +178,6 @@ public:
     using Node = typename poptrie::Poptrie<Addr>::Node;
     using View = typename poptrie::Poptrie<Addr>::View;
 
-    static constexpr unsigned kWidth = Addr::kWidth;
-
     /// Loads and validates an image file. ImageIoError when the file cannot
     /// be read at all; ImageError when it is not a valid, intact image for
     /// this address family.
@@ -202,29 +198,13 @@ public:
                    : poptrie::batch::lookup_one<false>(view_, addr.value(), view_.direct_bits);
     }
 
-    /// Batched lookup. IPv4 images serve the AVX-512 kernel
-    /// (poptrie/lanes.hpp) when the CPU has it, and every other case the
-    /// shared pipelined state machine from lookup_pipelined.ipp (the
-    /// kernel's 32-bit chunk arithmetic has no 128-bit form);
-    /// batch_kernel() says which. No capability requirement and no atomics:
-    /// the arrays are immutable, which is also what makes the plain-load
-    /// gathers sound here.
+    /// Batched lookup: the live trie's batch walk (lookup_pipelined.ipp)
+    /// over the plain-load view. No capability requirement and no atomics:
+    /// the arrays are immutable.
     POPTRIE_HOT void lookup_batch(const value_type* keys, NextHop* out,
                                   std::size_t n) const noexcept
     {
-        if constexpr (kWidth == 32) {
-            if (avx512_) {
-                poptrie::lanes::run_avx512(view_, keys, out, n);
-                return;
-            }
-        }
         poptrie::batch::lookup_batch_pipelined(view_, keys, out, n);
-    }
-
-    /// The kernel lookup_batch serves with: "avx512" or "pipelined".
-    [[nodiscard]] std::string_view batch_kernel() const noexcept
-    {
-        return (kWidth == 32 && avx512_) ? "avx512" : "pipelined";
     }
 
     /// The image's arrays as every walk over them reads them — exact, not
@@ -279,9 +259,6 @@ private:
     ImageHeader hdr_{};
     std::unique_ptr<Mapping> mapping_;
     View view_{};
-    // Resolved once per load from the cached cpuid check; IPv6 images carry
-    // it too but always serve the pipelined walk.
-    bool avx512_ = poptrie::lanes::has_avx512();
 };
 
 using SnapshotFib4 = SnapshotFib<netbase::Ipv4Addr>;

@@ -1,27 +1,24 @@
-// tests/test_batch_pipeline.cpp — the batch lookup kernels
-// (poptrie/lookup_pipelined.ipp + poptrie/lanes.hpp; DESIGN.md §12).
+// tests/test_batch_pipeline.cpp — the batch lookup walk
+// (poptrie/lookup_pipelined.ipp; DESIGN.md §12).
 //
-// The contract under test: every batch kernel — the interleaved pipelined
-// walk, and the AVX-512 kernel where the CPU has it — returns bit-identical
-// results to the scalar walk on every table shape and burst size, and a
-// SnapshotFib serves the AVX-512 kernel exactly when the CPU has it.
-//
-// The kernel tests run over SnapshotFib4::view(), the only structure the
-// plain-load kernels are sound over. LaneDispatch prints one
-// `batch-kernel avx512: exercised|skipped (...)` line, so a runner without
-// AVX-512 shows an explicit skip in the CI log instead of silence.
+// The contract under test: the refill walk returns bit-identical results to
+// the scalar walk on every table shape and burst size, through both views
+// that serve it — the live trie's Poptrie::lookup_batch (AtomicView) and a
+// SnapshotFib image (PlainView). The edges worth a case of their own are the
+// 256-key chunk boundary, runs of equal keys (coalesced: only the first key
+// of a run walks), bursts whose pending list is empty, and bursts where
+// every key walks from the root.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
-#include <cstdio>
 #include <string>
 #include <vector>
 
 #include "dataplane/engines.hpp"
 #include "helpers.hpp"
-#include "poptrie/lanes.hpp"
+#include "netbase/bits.hpp"
 #include "poptrie/poptrie.hpp"
 #include "rib/route.hpp"
 #include "router/router.hpp"
@@ -35,25 +32,8 @@ namespace {
 using netbase::Ipv4Addr;
 using poptrie::Poptrie4;
 using rib::NextHop;
-namespace lanes = poptrie::lanes;
 
-struct Kernel {
-    const char* name;
-    void (*run)(const lanes::View4&, const std::uint32_t*, NextHop*, std::size_t);
-};
-
-/// The kernels this CPU can run: always the pipelined walk, plus AVX-512.
-std::vector<Kernel> usable_kernels()
-{
-    std::vector<Kernel> v{{"pipelined", [](const lanes::View4& view, const std::uint32_t* keys,
-                                           NextHop* out, std::size_t n) {
-                               poptrie::batch::lookup_batch_pipelined(view, keys, out, n);
-                           }}};
-    if (lanes::has_avx512()) v.push_back({"avx512", lanes::run_avx512});
-    return v;
-}
-
-/// The read-only image of `fib` the plain-load kernels walk.
+/// The read-only image of `fib`.
 snapshot::SnapshotFib4 image_of(const Poptrie4& fib)
 {
     // quiescent: single-threaded test, no readers or writer exist.
@@ -89,20 +69,58 @@ std::vector<std::uint32_t> random_keys(std::size_t n, std::uint64_t seed)
     return keys;
 }
 
-/// Runs every usable kernel over `keys` against `fib`'s image and compares
-/// every result with the scalar lookup() (itself validated against the
-/// radix oracle by test_poptrie_lookup).
-void expect_kernels_match_scalar(const Poptrie4& fib, const std::vector<std::uint32_t>& keys)
+/// The two views the batch walk serves through.
+enum class Path { kLive, kImage };
+
+const char* name(Path p)
+{
+    return p == Path::kLive ? "live trie" : "image view";
+}
+
+/// One batch call over `keys` through `path`; fails the test if the walk
+/// writes past `n`.
+std::vector<NextHop> run_batch(Path path, const Poptrie4& fib,
+                               const snapshot::SnapshotFib4& snap,
+                               const std::vector<std::uint32_t>& keys)
+{
+    std::vector<NextHop> got(keys.size() + 1, 0xBEEF);
+    if (path == Path::kLive) {
+        // reader: single-threaded test, no concurrent updater exists.
+        const psync::EbrReadSection section;
+        if (fib.config().leaf_compression)
+            fib.lookup_batch<true>(keys.data(), got.data(), keys.size());
+        else
+            fib.lookup_batch<false>(keys.data(), got.data(), keys.size());
+    } else {
+        poptrie::batch::lookup_batch_pipelined(snap.view(), keys.data(), got.data(),
+                                               keys.size());
+    }
+    EXPECT_EQ(got.back(), 0xBEEF) << name(path) << " wrote past n";
+    got.pop_back();
+    return got;
+}
+
+/// Runs the batch walk over `keys` through both views and compares every
+/// result with the scalar lookup() (itself validated against the radix
+/// oracle by test_poptrie_lookup).
+void expect_batch_matches_scalar(const Poptrie4& fib, const std::vector<std::uint32_t>& keys)
 {
     const auto snap = image_of(fib);
-    for (const Kernel& k : usable_kernels()) {
-        std::vector<NextHop> got(keys.size() + 1, 0xBEEF);
-        k.run(snap.view(), keys.data(), got.data(), keys.size());
+    for (const Path path : {Path::kLive, Path::kImage}) {
+        const auto got = run_batch(path, fib, snap, keys);
         for (std::size_t i = 0; i < keys.size(); ++i)
             ASSERT_EQ(got[i], fib.lookup(Ipv4Addr{keys[i]}))
-                << "kernel " << k.name << " key #" << i << " = " << keys[i];
-        EXPECT_EQ(got[keys.size()], 0xBEEF) << k.name << " wrote past n";
+                << name(path) << " key #" << i << " = " << keys[i];
     }
+}
+
+/// Does `key` resolve at the direct step of `fib`'s image?
+bool resolves_at_direct_step(const snapshot::SnapshotFib4& snap, std::uint32_t key)
+{
+    const auto& v = snap.view();
+    return v.direct_bits != 0 &&
+           (v.direct_slot(static_cast<std::size_t>(netbase::extract(key, 0, v.direct_bits))) &
+            poptrie::batch::kDirectLeafBitValue) != 0;
 }
 
 poptrie::Config cfg_default()
@@ -129,7 +147,7 @@ TEST(BatchPipeline, AllPathsMatchScalarOnCornerTable)
     const auto rib = testhelpers::load(routes);
     const auto keys = probe_keys(routes, 4096);
     for (const auto& cfg : {cfg_default(), cfg_no_direct(), cfg_basic()})
-        expect_kernels_match_scalar(Poptrie4(rib, cfg), keys);
+        expect_batch_matches_scalar(Poptrie4(rib, cfg), keys);
 }
 
 TEST(BatchPipeline, AllPathsMatchScalarOnGeneratedTable)
@@ -138,13 +156,14 @@ TEST(BatchPipeline, AllPathsMatchScalarOnGeneratedTable)
     tcfg.target_routes = 20'000;
     tcfg.igp_routes = 2'000;
     const auto rib = testhelpers::load(workload::generate_table(tcfg));
-    expect_kernels_match_scalar(Poptrie4(rib), random_keys(8192, 7));
+    expect_batch_matches_scalar(Poptrie4(rib), random_keys(8192, 7));
 }
 
 TEST(BatchPipeline, KernelsMatchScalarOnDictCodedImage)
 {
-    // Config::leaf_dict engages at compact(): the kernels must decode the
-    // tagged 8-bit leaf runs exactly like the scalar walk.
+    // Config::leaf_dict engages at compact(): both views must decode the
+    // tagged 8-bit leaf runs (and prefetch them) exactly like the scalar
+    // walk.
     workload::TableGenConfig tcfg;
     tcfg.target_routes = 20'000;
     tcfg.next_hops = 16;
@@ -159,41 +178,94 @@ TEST(BatchPipeline, KernelsMatchScalarOnDictCodedImage)
         fib.compact();
     }
     ASSERT_GT(image_of(fib).leaf8_count(), 0u) << "table did not dict-code";
-    expect_kernels_match_scalar(fib, probe_keys(routes, 4096));
+    expect_batch_matches_scalar(fib, probe_keys(routes, 4096));
 }
 
 TEST(BatchPipeline, BurstSizesIncludingEmptyAndNonMultiples)
 {
     const auto routes = testhelpers::corner_case_table();
     const auto rib = testhelpers::load(routes);
-    const Poptrie4 fib(rib);
-    const auto all_keys = probe_keys(routes, 64);
-    // 0, 1, lane-width-1, lane-width, +1, odd primes, and a long burst:
-    // retirement and tail handling off-by-ones live at these sizes.
-    for (const std::size_t n : {std::size_t{0}, std::size_t{1}, std::size_t{2},
-                                std::size_t{7}, std::size_t{8}, std::size_t{9},
-                                std::size_t{13}, std::size_t{31}, std::size_t{32},
-                                std::size_t{33}, std::size_t{100}}) {
-        ASSERT_LE(n, all_keys.size());
-        const std::vector<std::uint32_t> keys(all_keys.begin(),
-                                              all_keys.begin() + static_cast<long>(n));
-        expect_kernels_match_scalar(fib, keys);
+    const auto all_keys = probe_keys(routes, 1000);
+    // 0, 1, small odd sizes, and sizes around the 256-key chunk: window
+    // fill, drain and chunk-boundary off-by-ones live at these sizes. With
+    // direct pointing off every key walks from the root.
+    for (const auto& cfg : {cfg_default(), cfg_no_direct()}) {
+        const Poptrie4 fib(rib, cfg);
+        for (const std::size_t n :
+             {std::size_t{0}, std::size_t{1}, std::size_t{2}, std::size_t{7}, std::size_t{13},
+              std::size_t{31}, std::size_t{32}, std::size_t{33}, std::size_t{100},
+              std::size_t{255}, std::size_t{256}, std::size_t{257}, std::size_t{511},
+              std::size_t{513}, std::size_t{1000}}) {
+            ASSERT_LE(n, all_keys.size());
+            const std::vector<std::uint32_t> keys(all_keys.begin(),
+                                                  all_keys.begin() + static_cast<long>(n));
+            expect_batch_matches_scalar(fib, keys);
+        }
     }
+}
+
+TEST(BatchPipeline, RunsOfEqualKeys)
+{
+    // Only the first key of a run walks; the rest copy its hop. Runs that
+    // end at a trie node and at a direct leaf, a run across the 255/256
+    // chunk boundary, and a burst of one key repeated.
+    const auto routes = testhelpers::corner_case_table();
+    const auto rib = testhelpers::load(routes);
+    const std::uint32_t deep = netbase::parse_prefix4("10.32.5.193/32")->first_address().value();
+    const std::uint32_t direct_leaf = 0x30303030;  // 48.x: default route via direct slot
+    const auto filler = random_keys(600, 11);
+    for (const auto& cfg : {cfg_default(), cfg_no_direct()}) {
+        const Poptrie4 fib(rib, cfg);
+        if (cfg.direct_bits != 0) {
+            const auto snap = image_of(fib);
+            ASSERT_FALSE(resolves_at_direct_step(snap, deep));
+            ASSERT_TRUE(resolves_at_direct_step(snap, direct_leaf));
+        }
+        std::vector<std::uint32_t> mixed;
+        for (int r = 0; r < 20; ++r) {
+            mixed.insert(mixed.end(), static_cast<std::size_t>(r % 5 + 1), deep);
+            mixed.push_back(filler[static_cast<std::size_t>(r)]);
+            mixed.insert(mixed.end(), static_cast<std::size_t>(r % 3 + 2), direct_leaf);
+        }
+        expect_batch_matches_scalar(fib, mixed);
+
+        for (const std::uint32_t key : {deep, direct_leaf}) {
+            std::vector<std::uint32_t> straddle(filler.begin(), filler.begin() + 520);
+            std::fill(straddle.begin() + 250, straddle.begin() + 262, key);
+            expect_batch_matches_scalar(fib, straddle);
+            expect_batch_matches_scalar(fib, std::vector<std::uint32_t>(256, key));
+            expect_batch_matches_scalar(fib, std::vector<std::uint32_t>(300, key));
+        }
+    }
+}
+
+TEST(BatchPipeline, BurstResolvedAtDirectStep)
+{
+    // Every key resolves at the direct step: the pending list stays empty
+    // and the window never fills.
+    const auto routes = testhelpers::corner_case_table();
+    const auto rib = testhelpers::load(routes);
+    const Poptrie4 fib(rib);
+    const auto snap = image_of(fib);
+    std::vector<std::uint32_t> keys;
+    for (const std::uint32_t key : random_keys(4000, 13))
+        if (resolves_at_direct_step(snap, key)) keys.push_back(key);
+    ASSERT_GE(keys.size(), 600u);
+    keys.resize(600);
+    expect_batch_matches_scalar(fib, keys);
 }
 
 TEST(BatchPipeline, EmptyTableEveryPath)
 {
-    // An empty FIB has an *empty node pool* under direct pointing — the
-    // AVX-512 kernel must not gather through retired/inactive lanes (masked
-    // gathers), or this test faults.
+    // An empty FIB has an *empty node pool* under direct pointing: no walk
+    // may touch it.
     for (const auto& cfg : {cfg_default(), cfg_no_direct()}) {
-        const auto snap = image_of(Poptrie4(cfg));
+        const Poptrie4 fib(cfg);
+        const auto snap = image_of(fib);
         const auto keys = random_keys(256, 3);
-        for (const Kernel& k : usable_kernels()) {
-            std::vector<NextHop> got(keys.size(), 7);
-            k.run(snap.view(), keys.data(), got.data(), keys.size());
-            for (const NextHop h : got) ASSERT_EQ(h, rib::kNoRoute) << k.name;
-        }
+        for (const Path path : {Path::kLive, Path::kImage})
+            for (const NextHop h : run_batch(path, fib, snap, keys))
+                ASSERT_EQ(h, rib::kNoRoute) << name(path);
     }
 }
 
@@ -202,22 +274,20 @@ TEST(BatchPipeline, AllDefaultRouteTable)
     rib::RouteList<Ipv4Addr> routes{{*netbase::parse_prefix4("0.0.0.0/0"), 42}};
     const auto rib = testhelpers::load(routes);
     for (const auto& cfg : {cfg_default(), cfg_no_direct(), cfg_basic()}) {
-        const auto snap = image_of(Poptrie4(rib, cfg));
+        const Poptrie4 fib(rib, cfg);
+        const auto snap = image_of(fib);
         const auto keys = random_keys(333, 5);
-        for (const Kernel& k : usable_kernels()) {
-            std::vector<NextHop> got(keys.size(), 0);
-            k.run(snap.view(), keys.data(), got.data(), keys.size());
-            for (const NextHop h : got) ASSERT_EQ(h, 42) << k.name;
-        }
+        for (const Path path : {Path::kLive, Path::kImage})
+            for (const NextHop h : run_batch(path, fib, snap, keys))
+                ASSERT_EQ(h, 42) << name(path);
     }
 }
 
 TEST(BatchPipeline, OutOfOrderLaneRetirement)
 {
-    // One burst whose lanes retire at maximally different depths: lane 0
-    // walks to a /32 chain, lane 1 resolves at the direct step, alternating.
-    // The interleave/SIMD state machines must keep retired lanes retired
-    // while deep lanes continue.
+    // One burst whose lookups retire at maximally different depths: key 0
+    // walks to a /32 chain, key 1 resolves at the direct step, alternating.
+    // The window must refill retired slots while deep walks continue.
     const auto routes = testhelpers::corner_case_table();
     const auto rib = testhelpers::load(routes);
     const Poptrie4 fib(rib);
@@ -227,7 +297,7 @@ TEST(BatchPipeline, OutOfOrderLaneRetirement)
     std::vector<std::uint32_t> keys;
     for (int i = 0; i < 32; ++i)
         keys.push_back(i % 2 == 0 ? deep : (i % 4 == 1 ? shallow : direct_leaf));
-    expect_kernels_match_scalar(fib, keys);
+    expect_batch_matches_scalar(fib, keys);
 }
 
 TEST(BatchPipeline, PoptrieLookupBatchBurstWidths)
@@ -254,19 +324,17 @@ TEST(BatchPipeline, PoptrieLookupBatchBurstWidths)
 
 TEST(BatchPipeline, SnapshotFibServesEveryUsablePath)
 {
-    // The served kernel is AVX-512 exactly when the CPU has it, and it
-    // answers like the scalar walk.
+    // SnapshotFib::lookup_batch, the image engine's serving call, answers
+    // like the scalar walk.
     const auto routes = testhelpers::corner_case_table();
     const auto rib = testhelpers::load(routes);
     const Poptrie4 fib(rib);
     const auto snap = image_of(fib);
-    EXPECT_EQ(snap.batch_kernel(), lanes::has_avx512() ? "avx512" : "pipelined");
     const auto keys = probe_keys(routes, 1024);
     std::vector<NextHop> got(keys.size());
     snap.lookup_batch(keys.data(), got.data(), keys.size());
     for (std::size_t i = 0; i < keys.size(); ++i)
-        ASSERT_EQ(got[i], fib.lookup(Ipv4Addr{keys[i]}))
-            << "snapshot kernel " << snap.batch_kernel() << " key " << keys[i];
+        ASSERT_EQ(got[i], fib.lookup(Ipv4Addr{keys[i]})) << "key " << keys[i];
 }
 
 TEST(BatchPipeline, SnapshotEngineMatchesPoptrieEngine)
@@ -293,26 +361,6 @@ TEST(BatchPipeline, SnapshotEngineMatchesPoptrieEngine)
     std::vector<NextHop> got(keys.size());
     eng.lookup_batch(keys.data(), got.data(), keys.size());
     for (std::size_t i = 0; i < keys.size(); ++i) ASSERT_EQ(got[i], want[i]);
-}
-
-TEST(LaneDispatch, CompiledPathsExercisedOrExplicitlySkipped)
-{
-    // The run-log contract for CI's pipeline step: the AVX-512 kernel is
-    // either exercised (equivalence checked here) or skipped with the reason.
-    if (!lanes::has_avx512()) {
-        std::printf("batch-kernel avx512: skipped (cpu lacks avx512vpopcntdq)\n");
-        return;
-    }
-    const auto routes = testhelpers::corner_case_table();
-    const auto rib = testhelpers::load(routes);
-    const Poptrie4 fib(rib);
-    const auto snap = image_of(fib);
-    const auto keys = probe_keys(routes, 256);
-    std::vector<NextHop> got(keys.size());
-    lanes::run_avx512(snap.view(), keys.data(), got.data(), keys.size());
-    for (std::size_t i = 0; i < keys.size(); ++i)
-        ASSERT_EQ(got[i], fib.lookup(Ipv4Addr{keys[i]})) << "key " << keys[i];
-    std::printf("batch-kernel avx512: exercised\n");
 }
 
 }  // namespace

@@ -252,8 +252,12 @@ TEST(PoptrieCompact, RouterCompactFib)
 // updates. Each compaction publishes a fresh pool set under the readers and
 // retires the old one through EBR. TSan verifies no lookup races the swap or
 // the reclamation; the audit verifies each pass's layout; the final memory
-// check proves no retired set leaks.
-TEST(PoptrieCompactConcurrent, OnlineCompactionUnderLiveReaders)
+// check proves no retired set leaks. With Config::leaf_dict each pass
+// re-encodes leaf runs as tagged 8-bit codes, so readers also decode (and
+// prefetch) tagged runs while the writer drops and re-encodes them.
+namespace {
+
+void online_compaction_under_live_readers(bool leaf_dict)
 {
     workload::TableGenConfig gen;
     gen.seed = 77;
@@ -265,6 +269,7 @@ TEST(PoptrieCompactConcurrent, OnlineCompactionUnderLiveReaders)
     Config cfg;
     cfg.direct_bits = 16;
     cfg.pool_headroom_log2 = 3;  // pool growth is still not reader-safe
+    cfg.leaf_dict = leaf_dict;
     Poptrie4 pt{rib, cfg};
 
     workload::UpdateFeedConfig ucfg;
@@ -307,6 +312,9 @@ TEST(PoptrieCompactConcurrent, OnlineCompactionUnderLiveReaders)
         if ((i + 1) % kCompactEvery != 0) continue;
         pt.compact();
         ++compactions;
+        if (leaf_dict) {
+            EXPECT_GT(pt.stats().leaf8_slots, 0u) << "compaction did not dict-code";
+        }
         AuditOptions opt;
         opt.random_probes = 512;
         opt.max_boundary_routes = 0;
@@ -333,4 +341,12 @@ TEST(PoptrieCompactConcurrent, OnlineCompactionUnderLiveReaders)
     const std::size_t one_set = pt.stats().allocated_bytes;
     EXPECT_GE(mapped, one_set);
     EXPECT_LT(mapped - one_set, 5 * sizeof(Poptrie4::Node));
+}
+
+}  // namespace
+
+TEST(PoptrieCompactConcurrent, OnlineCompactionUnderLiveReaders)
+{
+    online_compaction_under_live_readers(false);
+    online_compaction_under_live_readers(true);
 }

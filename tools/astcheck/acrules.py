@@ -3,9 +3,9 @@
 HP1 hot-path purity: functions tagged poptrie::hot (POPTRIE_HOT) must not
     transitively reach heap allocation, locks, throwing constructs,
     syscalls, iostream, or runtime kernel-dispatch probes (CPUID feature
-    tests, getenv — the batch kernel resolves once, when SnapshotFib loads
-    an image through the cached lanes::has_avx512() check, never per
-    burst). The call graph is walked per file/TU from every
+    tests, getenv — a per-burst path must not re-decide its code path on
+    every call; any such choice belongs outside the burst). The call graph
+    is walked per file/TU from every
     hot root; calls resolve to same-model definitions (the clang frontend
     feeds per-TU models, so cross-header edges resolve there). Exempt
     callees (poptrie::hot_exempt) stop the walk, but an exemption without

@@ -190,10 +190,9 @@ BANNED_CALLS = {
     "sleep_for": ("syscall", "thread sleep"),
     "sleep_until": ("syscall", "thread sleep"),
     "yield": ("syscall", "scheduler yield"),
-    # Kernel dispatch resolves once, when SnapshotFib loads an image (the
-    # cached lanes::has_avx512() check); a feature probe or environment read
-    # inside a hot function means the per-burst path is re-deciding its
-    # kernel on every call.
+    # A feature probe or environment read inside a hot function means the
+    # per-burst path is re-deciding its kernel on every call; any such
+    # choice belongs outside the burst.
     "getenv": ("dispatch", "environment lookup; resolve configuration once, outside the burst"),
     "__builtin_cpu_supports": ("dispatch", "runtime CPUID feature probe; resolve the batch kernel once at image load"),
     "__builtin_cpu_is": ("dispatch", "runtime CPUID feature probe; resolve the batch kernel once at image load"),

@@ -10,10 +10,9 @@ cross-thread and by-convention rules:
 
   R1 (guard dominance): in src/dataplane, every `x.lookup_batch(...)` /
       `x.lookup_raw(...)` call -- and every call into the free-function
-      batch entry points, `lanes::run_avx512(...)` and
-      `lookup_batch_pipelined(...)` -- must be lexically dominated by a
-      live read-side claim: an engine reader `::Guard`, a psync capability
-      section, or an enclosing function annotated
+      batch walk `lookup_batch_pipelined(...)` -- must be lexically
+      dominated by a live read-side claim: an engine reader `::Guard`, a
+      psync capability section, or an enclosing function annotated
       POPTRIE_REQUIRES[_SHARED](...ebr...). The analysis enforces this only
       where the callee's type is visible; the lexical rule also covers
       template-erased engines (a dependent `decltype(reader)::Guard` is
@@ -68,13 +67,11 @@ SCAN_DIRS = ("src", "tests", "bench", "tools", "examples", "fuzz")
 ALLOW_RE = re.compile(r"check-concurrency:\s*allow")
 
 # R1 -----------------------------------------------------------------------
-# Member batch lookups, plus the free-function batch entry points an engine
-# could reach directly: the AVX-512 kernel (poptrie/lanes.hpp) and the
-# interleaved walk itself. A view read outside a claim races pool
-# reclamation exactly like a member lookup would.
+# Member batch lookups, plus the free-function batch walk an engine could
+# reach directly. A view read outside a claim races pool reclamation exactly
+# like a member lookup would.
 LOOKUP_CALL_RE = re.compile(
     r"(?:\.|->)\s*(?:lookup_batch|lookup_raw)\b"
-    r"|\blanes\s*::\s*run_avx512\s*\("
     r"|\blookup_batch_pipelined\s*[<(]"
 )
 # A live read-side claim: an engine/EBR reader guard object, or any psync
@@ -269,21 +266,8 @@ def self_test():
         "// check-concurrency: allow -- concept requires-expression\n"
         "{ ce.lookup_batch(keys, out, n) } noexcept;\n"
     )
-    # The free-function batch entry points need the same claim: a naked
-    # lanes::run_avx512 in an engine races reclamation exactly like a member
-    # lookup_batch would.
-    bad_lanes = (
-        "void serve(const unsigned* k, int* out, unsigned long n) {\n"
-        "    poptrie::lanes::run_avx512(view_, k, out, n);\n"
-        "}\n"
-    )
-    annotated_lanes = (
-        "void serve(const unsigned* k, int* out, unsigned long n) const noexcept\n"
-        "    POPTRIE_REQUIRES_SHARED(psync::cap::ebr)\n"
-        "{\n"
-        "    poptrie::lanes::run_avx512(view_, k, out, n);\n"
-        "}\n"
-    )
+    # The free-function batch walk needs the same claim: a naked call in an
+    # engine races reclamation exactly like a member lookup_batch would.
     bad_pipelined = (
         "void drain(const View& v, const unsigned* k, int* out, unsigned long n) {\n"
         "    batch::lookup_batch_pipelined<true>(v, k, out, n, 18);\n"
@@ -294,8 +278,6 @@ def self_test():
     expect("R1 REQUIRES dominates", {**anchor, "src/dataplane/w.hpp": annotated_r1}, 0)
     expect("R1 closed scope is dead", {**anchor, "src/dataplane/w.hpp": scope_ended_r1}, 1)
     expect("R1 escape hatch", {**anchor, "src/dataplane/w.hpp": allowed_r1}, 0)
-    expect("R1 naked run_avx512 flagged", {**anchor, "src/dataplane/pe.hpp": bad_lanes}, 1)
-    expect("R1 annotated run_avx512", {**anchor, "src/dataplane/pe.hpp": annotated_lanes}, 0)
     expect(
         "R1 naked pipelined walk flagged",
         {**anchor, "src/dataplane/pe.hpp": bad_pipelined},

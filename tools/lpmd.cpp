@@ -85,7 +85,6 @@ struct RunResult {
     bool has_fib_stats = false;
     poptrie::Stats fib_stats{};  // post-run fragmentation view (poptrie only)
     std::string fib_backing;     // arena backing of the served FIB, if any
-    std::string batch_kernel;    // snapshot engine: avx512 | pipelined
     // poptrie engine: route list -> compiled FIB, and the FIB's structure
     // bytes (Stats::memory_bytes) as loaded.
     bool has_load = false;
@@ -280,7 +279,6 @@ int finish(const Options& opt, const RunResult& r, std::string_view engine_name)
                                     ? std::string_view{"snapshot"}
                                     : std::string_view{"built"});
         if (!r.fib_backing.empty()) rec.field("fib_backing", r.fib_backing);
-        if (!r.batch_kernel.empty()) rec.field("batch_kernel", r.batch_kernel);
         if (r.has_load) {
             rec.field("load_s", r.load_s);
             rec.field("fib_bytes", std::uint64_t{r.fib_bytes});
@@ -450,14 +448,13 @@ int main(int argc, char** argv)
                 snapshot::SnapshotFib4::load_file(opt.snapshot_load, load_opt);
             const auto mem = fib.memory_report();
             std::printf("lpmd: snapshot %s: %llu nodes, %llu leaves, "
-                        "direct-bits=%u, %llu bytes, backing=%s, kernel=%s\n",
+                        "direct-bits=%u, %llu bytes, backing=%s\n",
                         opt.snapshot_load.c_str(),
                         static_cast<unsigned long long>(fib.node_count()),
                         static_cast<unsigned long long>(fib.leaf_count()),
                         fib.header().direct_bits,
                         static_cast<unsigned long long>(fib.image_bytes()),
-                        alloc::backing_name(mem.backing),
-                        std::string(fib.batch_kernel()).c_str());
+                        alloc::backing_name(mem.backing));
             benchkit::note_arena_backing(alloc::backing_name(mem.backing));
 
             std::signal(SIGINT, handle_signal);
@@ -473,7 +470,6 @@ int main(int argc, char** argv)
                 dataplane::SnapshotEngine{fib}, dcfg};
             auto r = run_pipeline(dp, opt, {}, nullptr);
             r.fib_backing = alloc::backing_name(mem.backing);
-            r.batch_kernel = fib.batch_kernel();
             return finish(opt, r, "snapshot");
         }
 

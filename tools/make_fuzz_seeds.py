@@ -293,8 +293,8 @@ def seeds_snapshot_roundtrip():
 
     # Dictionary-coded v4 image (config bit 0x20, compacted so the 8-bit
     # leaf runs exist): a /24 sweep with few distinct hops under s=18 direct
-    # pointing, restored and replayed through every batch kernel, AVX-512
-    # included where the CPU has it. Corruption lands in the node section.
+    # pointing, restored and replayed through the batch walk. Corruption
+    # lands in the node section.
     dict4 = config(18, leaf_dict=True) + bytes([0x40]) + u32(0x00000600)
     for i in range(96):
         dict4 += fresh4(v4(10, 50 + (i // 48), i % 48, 0), 24, 1 + (i % 5))
