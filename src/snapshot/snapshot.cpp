@@ -6,9 +6,11 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <bit>
 #include <cerrno>
 #include <cstring>
 #include <fstream>
+#include <iterator>
 #include <limits>
 #include <string_view>
 #include <system_error>
@@ -52,45 +54,83 @@ void validate_header_common(const ImageHeader& hdr)
                          std::to_string(sizeof(ImageHeader)));
     ImageHeader copy = hdr;
     copy.header_checksum = 0;
-    const std::uint64_t want = fnv1a64(&copy, sizeof(copy));
-    if (want != hdr.header_checksum)
+    if (image_checksum(&copy, sizeof(copy)) != hdr.header_checksum)
         throw ImageError("snapshot header checksum mismatch");
 }
 
-/// One section's geometry against the image extent; `elt` is the element
-/// size, `count` the element count the header claims for it.
-void validate_section(const SectionDesc& s, std::uint64_t count, std::uint64_t elt,
-                      std::uint64_t min_offset, std::uint64_t total, const char* what)
+/// The five sections in file order: the header fields holding each one's
+/// descriptor and element count, its element size, and the name its errors use.
+struct SectionField {
+    SectionDesc ImageHeader::*desc;
+    std::uint64_t ImageHeader::*count;
+    std::uint64_t element_bytes;
+    const char* name;
+};
+template <class Node>
+constexpr SectionField kSections[] = {
+    {&ImageHeader::nodes, &ImageHeader::node_count, sizeof(Node), "node"},
+    {&ImageHeader::leaves, &ImageHeader::leaf_count, sizeof(rib::NextHop), "leaf"},
+    {&ImageHeader::direct, &ImageHeader::direct_count, sizeof(std::uint32_t), "direct"},
+    {&ImageHeader::leaves8, &ImageHeader::leaf8_count, sizeof(std::uint8_t), "leaf8"},
+    {&ImageHeader::leaf_dict, &ImageHeader::leaf_dict_count, sizeof(rib::NextHop),
+     "leaf-dict"},
+};
+
+// xxHash64's PRIME64_5 (the seed), PRIME64_1 and PRIME64_2.
+constexpr std::uint64_t kSeed = 0x27D4EB2F165667C5ull;
+constexpr std::uint64_t kMul1 = 0x9E3779B185EBCA87ull;
+constexpr std::uint64_t kMul2 = 0xC2B2AE3D27D4EB4Full;
+
+/// One checksum step, xxHash64's round: a bijection in `h` and in the word,
+/// and no difference passes it unchanged for all data (DESIGN.md §11).
+std::uint64_t step(std::uint64_t h, std::uint64_t word) noexcept
 {
-    // Counts are bounded first so count*elt below cannot overflow: pool
-    // indices are 32-bit, so anything larger is corrupt regardless.
-    if (count > std::numeric_limits<std::uint32_t>::max())
-        throw ImageError(std::string(what) + " section count out of range");
-    if (s.bytes != count * elt)
-        throw ImageError(std::string(what) + " section size inconsistent with its count");
-    if (s.offset % kSectionAlign != 0)
-        throw ImageError(std::string(what) + " section misaligned");
-    if (s.offset < min_offset || s.offset > total || s.bytes > total - s.offset)
-        throw ImageError(std::string(what) + " section out of image bounds");
+    return std::rotl(h + word * kMul2, 31) * kMul1;
 }
 
-void check_section_sum(const SectionDesc& s, const std::uint8_t* base, const char* what)
+/// Continues the chain `h` over the native words of `p[0, n)`, a partial
+/// last word zero-extended.
+std::uint64_t sum_words(std::uint64_t h, const std::uint8_t* p, std::uint64_t n) noexcept
 {
-    if (fnv1a64(base + s.offset, s.bytes) != s.checksum)
-        throw ImageError(std::string(what) + " section checksum mismatch");
+    for (std::uint64_t i = 0; i < n; i += 8) {
+        std::uint64_t w = 0;
+        std::memcpy(&w, p + i, std::min<std::uint64_t>(8, n - i));
+        h = step(h, w);
+    }
+    return h;
+}
+
+/// `hdr` with its payload and section checksums filled in by one sweep over
+/// [header_bytes, total_bytes): each word feeds the payload's chain and, in a
+/// section, that section's too. Needs the geometry attach() checks first.
+template <class Node>
+ImageHeader with_checksums(const std::uint8_t* base, ImageHeader hdr) noexcept
+{
+    std::uint64_t payload = kSeed;
+    std::uint64_t pos = hdr.header_bytes;
+    for (const SectionField& f : kSections<Node>) {
+        SectionDesc& s = hdr.*f.desc;
+        payload = sum_words(payload, base + pos, s.offset - pos);  // padding
+        std::uint64_t h = kSeed;
+        for (pos = s.offset; pos + 8 <= s.offset + s.bytes; pos += 8) {
+            std::uint64_t w;
+            std::memcpy(&w, base + pos, 8);
+            payload = step(payload, w);
+            h = step(h, w);
+        }
+        // A partial last word: the payload takes it whole, with the padding
+        // or the image end that follows it.
+        s.checksum = sum_words(h, base + pos, s.offset + s.bytes - pos);
+    }
+    hdr.payload_checksum = sum_words(payload, base + pos, hdr.total_bytes - pos);
+    return hdr;
 }
 
 }  // namespace
 
-std::uint64_t fnv1a64(const void* data, std::size_t n, std::uint64_t seed) noexcept
+std::uint64_t image_checksum(const void* data, std::size_t n) noexcept
 {
-    const auto* p = static_cast<const unsigned char*>(data);
-    std::uint64_t h = seed;
-    for (std::size_t i = 0; i < n; ++i) {
-        h ^= p[i];
-        h *= 0x100000001B3ull;
-    }
-    return h;
+    return sum_words(kSeed, static_cast<const std::uint8_t*>(data), n);
 }
 
 // ---------------------------------------------------------------------------
@@ -103,16 +143,6 @@ std::vector<std::uint8_t> serialize(const poptrie::Poptrie<Addr>& fib)
     const poptrie::Config& cfg = fib.config();
     const auto& pools = fib.pools();
     const auto view = pools.view(cfg);
-    // The touched extent of each pool: every reachable index is below the
-    // allocator's high-water mark, so nothing past it needs to survive. The
-    // dict-coded array has no allocator — its full extent is the compaction
-    // bump cursor (tagged base0 offsets are never reused, so every reachable
-    // one is below its size).
-    const std::uint64_t node_count = pools.node_alloc.high_water();
-    const std::uint64_t leaf_count = pools.leaf_alloc.high_water();
-    const std::uint64_t direct_count = view.direct_count;
-    const std::uint64_t leaf8_count = view.leaf8_count;
-    const std::uint64_t leaf_dict_count = view.leaf_dict_count;
 
     ImageHeader hdr;
     std::memcpy(hdr.magic, kMagic, sizeof(kMagic));
@@ -129,11 +159,16 @@ std::vector<std::uint8_t> serialize(const poptrie::Poptrie<Addr>& fib)
     hdr.hugepage_policy = static_cast<std::uint8_t>(cfg.hugepages);
     hdr.leaf_dict_enabled = cfg.leaf_dict ? 1 : 0;
     hdr.root_index = view.root;
-    hdr.node_count = node_count;
-    hdr.leaf_count = leaf_count;
-    hdr.direct_count = direct_count;
-    hdr.leaf8_count = leaf8_count;
-    hdr.leaf_dict_count = leaf_dict_count;
+    // The touched extent of each pool: every reachable index is below the
+    // allocator's high-water mark, so nothing past it needs to survive. The
+    // dict-coded array has no allocator — its full extent is the compaction
+    // bump cursor (tagged base0 offsets are never reused, so every reachable
+    // one is below its size).
+    hdr.node_count = pools.node_alloc.high_water();
+    hdr.leaf_count = pools.leaf_alloc.high_water();
+    hdr.direct_count = view.direct_count;
+    hdr.leaf8_count = view.leaf8_count;
+    hdr.leaf_dict_count = view.leaf_dict_count;
     const poptrie::Stats stats = fib.stats();
     hdr.inode_live = stats.internal_nodes;
     hdr.leaf_live = stats.leaves;
@@ -141,42 +176,27 @@ std::vector<std::uint8_t> serialize(const poptrie::Poptrie<Addr>& fib)
     copy_stamp(hdr.git_sha, sizeof(hdr.git_sha), prov.git_sha);
     copy_stamp(hdr.build_type, sizeof(hdr.build_type), prov.build_type);
 
-    const std::uint64_t nodes_off = align_up(sizeof(ImageHeader), kSectionAlign);
-    const std::uint64_t nodes_bytes = node_count * sizeof(Node);
-    const std::uint64_t leaves_off = align_up(nodes_off + nodes_bytes, kSectionAlign);
-    const std::uint64_t leaves_bytes = leaf_count * sizeof(rib::NextHop);
-    const std::uint64_t direct_off = align_up(leaves_off + leaves_bytes, kSectionAlign);
-    const std::uint64_t direct_bytes = direct_count * sizeof(std::uint32_t);
-    const std::uint64_t leaves8_off = align_up(direct_off + direct_bytes, kSectionAlign);
-    const std::uint64_t leaves8_bytes = leaf8_count * sizeof(std::uint8_t);
-    const std::uint64_t dict_off = align_up(leaves8_off + leaves8_bytes, kSectionAlign);
-    const std::uint64_t dict_bytes = leaf_dict_count * sizeof(rib::NextHop);
-    hdr.total_bytes = dict_off + dict_bytes;
+    // Sections follow the header in kSections order, each at the next
+    // kSectionAlign boundary; the image ends with the last one.
+    const void* const arrays[] = {view.nodes, view.leaves, view.direct, view.leaves8,
+                                  view.leaf_dict};
+    std::uint64_t end = sizeof(ImageHeader);
+    for (const SectionField& f : kSections<Node>) {
+        SectionDesc& s = hdr.*f.desc;
+        s.offset = align_up(end, kSectionAlign);
+        s.bytes = hdr.*f.count * f.element_bytes;
+        end = s.offset + s.bytes;
+    }
+    hdr.total_bytes = end;
 
     std::vector<std::uint8_t> out(static_cast<std::size_t>(hdr.total_bytes), 0);
-    if (nodes_bytes != 0)
-        std::memcpy(out.data() + nodes_off, view.nodes, static_cast<std::size_t>(nodes_bytes));
-    if (leaves_bytes != 0)
-        std::memcpy(out.data() + leaves_off, view.leaves,
-                    static_cast<std::size_t>(leaves_bytes));
-    if (direct_bytes != 0)
-        std::memcpy(out.data() + direct_off, view.direct,
-                    static_cast<std::size_t>(direct_bytes));
-    if (leaves8_bytes != 0)
-        std::memcpy(out.data() + leaves8_off, view.leaves8,
-                    static_cast<std::size_t>(leaves8_bytes));
-    if (dict_bytes != 0)
-        std::memcpy(out.data() + dict_off, view.leaf_dict,
-                    static_cast<std::size_t>(dict_bytes));
-    hdr.nodes = {nodes_off, nodes_bytes, fnv1a64(out.data() + nodes_off, nodes_bytes)};
-    hdr.leaves = {leaves_off, leaves_bytes, fnv1a64(out.data() + leaves_off, leaves_bytes)};
-    hdr.direct = {direct_off, direct_bytes, fnv1a64(out.data() + direct_off, direct_bytes)};
-    hdr.leaves8 = {leaves8_off, leaves8_bytes,
-                   fnv1a64(out.data() + leaves8_off, leaves8_bytes)};
-    hdr.leaf_dict = {dict_off, dict_bytes, fnv1a64(out.data() + dict_off, dict_bytes)};
-    hdr.payload_checksum = fnv1a64(out.data() + hdr.header_bytes,
-                                   static_cast<std::size_t>(hdr.total_bytes) - hdr.header_bytes);
-    hdr.header_checksum = fnv1a64(&hdr, sizeof(hdr));
+    for (std::size_t k = 0; k < std::size(arrays); ++k) {
+        const SectionDesc& s = hdr.*kSections<Node>[k].desc;
+        if (s.bytes != 0)
+            std::memcpy(out.data() + s.offset, arrays[k], static_cast<std::size_t>(s.bytes));
+    }
+    hdr = with_checksums<Node>(out.data(), hdr);
+    hdr.header_checksum = image_checksum(&hdr, sizeof(hdr));
     std::memcpy(out.data(), &hdr, sizeof(hdr));
     return out;
 }
@@ -268,39 +288,40 @@ void SnapshotFib<Addr>::attach(const std::uint8_t* base, std::size_t size)
         hdr_.direct_bits != 0 ? std::uint64_t{1} << hdr_.direct_bits : 0;
     if (hdr_.direct_count != want_direct)
         throw ImageError("direct section count inconsistent with direct_bits");
-    validate_section(hdr_.nodes, hdr_.node_count, sizeof(Node), hdr_.header_bytes,
-                     hdr_.total_bytes, "node");
-    validate_section(hdr_.leaves, hdr_.leaf_count, sizeof(NextHop), hdr_.header_bytes,
-                     hdr_.total_bytes, "leaf");
-    validate_section(hdr_.direct, hdr_.direct_count, sizeof(std::uint32_t), hdr_.header_bytes,
-                     hdr_.total_bytes, "direct");
-    validate_section(hdr_.leaves8, hdr_.leaf8_count, sizeof(std::uint8_t), hdr_.header_bytes,
-                     hdr_.total_bytes, "leaf8");
-    validate_section(hdr_.leaf_dict, hdr_.leaf_dict_count, sizeof(NextHop), hdr_.header_bytes,
-                     hdr_.total_bytes, "leaf-dict");
+    // Sections must also be disjoint and in writer order; anything else is a
+    // forged layout even if each section is individually in bounds.
+    std::uint64_t end = hdr_.header_bytes;
+    for (const SectionField& f : kSections<Node>) {
+        const SectionDesc& s = hdr_.*f.desc;
+        const std::uint64_t count = hdr_.*f.count;
+        const std::string what = f.name;
+        // Counts are bounded first so the product below cannot overflow:
+        // pool indices are 32-bit, so anything larger is corrupt regardless.
+        if (count > std::numeric_limits<std::uint32_t>::max())
+            throw ImageError(what + " section count out of range");
+        if (s.bytes != count * f.element_bytes)
+            throw ImageError(what + " section size inconsistent with its count");
+        if (s.offset % kSectionAlign != 0) throw ImageError(what + " section misaligned");
+        if (s.offset > size || s.bytes > size - s.offset)
+            throw ImageError(what + " section out of image bounds");
+        if (s.offset < end) throw ImageError("snapshot sections overlap");
+        end = s.offset + s.bytes;
+    }
     // A dictionary past the 8-bit code space, or codes with no dictionary to
     // decode through, cannot have come from the writer.
     if (hdr_.leaf_dict_count > 256)
         throw ImageError("leaf dictionary exceeds the 8-bit code space");
     if (hdr_.leaf8_count != 0 && hdr_.leaf_dict_count == 0)
         throw ImageError("dict-coded leaves present but the dictionary is empty");
-    // Sections must be disjoint and in writer order; anything else is a
-    // forged layout even if each section is individually in bounds.
-    if (hdr_.nodes.offset + hdr_.nodes.bytes > hdr_.leaves.offset ||
-        hdr_.leaves.offset + hdr_.leaves.bytes > hdr_.direct.offset ||
-        hdr_.direct.offset + hdr_.direct.bytes > hdr_.leaves8.offset ||
-        hdr_.leaves8.offset + hdr_.leaves8.bytes > hdr_.leaf_dict.offset)
-        throw ImageError("snapshot sections overlap");
     if (hdr_.direct_bits == 0 &&
         (hdr_.node_count == 0 || hdr_.root_index >= hdr_.node_count))
         throw ImageError("root index out of range");
-    if (fnv1a64(base + hdr_.header_bytes, size - hdr_.header_bytes) != hdr_.payload_checksum)
+    const ImageHeader want = with_checksums<Node>(base, hdr_);
+    if (want.payload_checksum != hdr_.payload_checksum)
         throw ImageError("snapshot image checksum mismatch");
-    check_section_sum(hdr_.nodes, base, "node");
-    check_section_sum(hdr_.leaves, base, "leaf");
-    check_section_sum(hdr_.direct, base, "direct");
-    check_section_sum(hdr_.leaves8, base, "leaf8");
-    check_section_sum(hdr_.leaf_dict, base, "leaf-dict");
+    for (const SectionField& f : kSections<Node>)
+        if ((want.*f.desc).checksum != (hdr_.*f.desc).checksum)
+            throw ImageError(std::string(f.name) + " section checksum mismatch");
 
     view_ = {reinterpret_cast<const Node*>(base + hdr_.nodes.offset),
              reinterpret_cast<const NextHop*>(base + hdr_.leaves.offset),

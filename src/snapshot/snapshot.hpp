@@ -7,7 +7,7 @@
 //
 //   * serialize()/save()  — writer: on the writer thread, copy the touched
 //     extent of the current pool set (allocator high-water marks) plus a
-//     Config echo, per-section and whole-image FNV-1a checksums, and a
+//     Config echo, per-section and whole-image checksums (one sweep), and a
 //     provenance stamp (benchkit git_sha/build fingerprint) into a versioned
 //     image; save() makes it durable before it replaces the target;
 //   * SnapshotFib<Addr>   — loader: validate the header and checksums, then
@@ -23,8 +23,8 @@
 // Versioning/compat policy (DESIGN.md §11): images carry a format version
 // and an endianness tag; a loader accepts exactly its own version and host
 // byte order, and rejects anything else up front — images are a warm-start
-// and replication format, not an archival one. Any layout change bumps
-// kFormatVersion.
+// and replication format, not an archival one. Any layout or checksum
+// change bumps kFormatVersion.
 //
 // Error model: ImageIoError for filesystem problems (missing file, short
 // write), ImageError for malformed or corrupted images (bad magic/version,
@@ -64,7 +64,7 @@ public:
 };
 
 inline constexpr char kMagic[8] = {'P', 'O', 'P', 'T', 'S', 'N', 'A', 'P'};
-inline constexpr std::uint32_t kFormatVersion = 2;
+inline constexpr std::uint32_t kFormatVersion = 3;
 /// Written as a native uint32: a loader on the other byte order reads
 /// 0x04030201 and rejects the image instead of mis-decoding it.
 inline constexpr std::uint32_t kEndianTag = 0x01020304u;
@@ -72,15 +72,16 @@ inline constexpr std::uint32_t kEndianTag = 0x01020304u;
 /// every element type's alignment).
 inline constexpr std::size_t kSectionAlign = 64;
 
-/// FNV-1a over `n` bytes, seeded so section checksums can be chained.
-[[nodiscard]] std::uint64_t fnv1a64(const void* data, std::size_t n,
-                                    std::uint64_t seed = 0xCBF29CE484222325ull) noexcept;
+/// The image checksum (format v3) of header, sections and payload: xxHash64's
+/// round chained over the native words of `data[0, n)`, a partial last word
+/// zero-extended. It detects every change confined to one word (§11).
+[[nodiscard]] std::uint64_t image_checksum(const void* data, std::size_t n) noexcept;
 
 /// One serialized pool: where it sits in the image and its own checksum.
 struct SectionDesc {
     std::uint64_t offset = 0;    ///< from image start, kSectionAlign-aligned
     std::uint64_t bytes = 0;     ///< payload bytes (element count × size)
-    std::uint64_t checksum = 0;  ///< fnv1a64 of the payload
+    std::uint64_t checksum = 0;  ///< image_checksum of the payload
 };
 
 /// The fixed-size image header (DESIGN.md §11 has the byte-layout table).
@@ -121,8 +122,8 @@ struct ImageHeader {
     SectionDesc leaf_dict;  ///< dictionary next-hop values (v2)
     char git_sha[24] = {};     ///< benchkit provenance, NUL-padded
     char build_type[16] = {};  ///< CMake build type at write time
-    std::uint64_t payload_checksum = 0;  ///< fnv1a64 over [header_bytes, total_bytes)
-    std::uint64_t header_checksum = 0;   ///< fnv1a64 over the header, this field 0
+    std::uint64_t payload_checksum = 0;  ///< checksum of [header_bytes, total_bytes)
+    std::uint64_t header_checksum = 0;   ///< checksum of the header, this field 0
 };
 static_assert(std::is_trivially_copyable_v<ImageHeader>);
 static_assert(sizeof(ImageHeader) == 288, "bump kFormatVersion when the header grows");
@@ -221,16 +222,7 @@ public:
     {
         return mapping_->arena.report();
     }
-    [[nodiscard]] std::uint64_t node_count() const noexcept { return hdr_.node_count; }
-    [[nodiscard]] std::uint64_t leaf_count() const noexcept { return hdr_.leaf_count; }
-    [[nodiscard]] std::uint64_t direct_slots() const noexcept { return hdr_.direct_count; }
     [[nodiscard]] std::uint64_t image_bytes() const noexcept { return hdr_.total_bytes; }
-
-    [[nodiscard]] std::uint64_t leaf8_count() const noexcept { return hdr_.leaf8_count; }
-    [[nodiscard]] std::uint64_t leaf_dict_count() const noexcept
-    {
-        return hdr_.leaf_dict_count;
-    }
 
 private:
     /// The image pages and the arena that accounts for them (one file

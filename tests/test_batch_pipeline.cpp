@@ -177,7 +177,7 @@ TEST(BatchPipeline, KernelsMatchScalarOnDictCodedImage)
         const psync::QuiescentSection q;
         fib.compact();
     }
-    ASSERT_GT(image_of(fib).leaf8_count(), 0u) << "table did not dict-code";
+    ASSERT_GT(image_of(fib).header().leaf8_count, 0u) << "table did not dict-code";
     expect_batch_matches_scalar(fib, probe_keys(routes, 4096));
 }
 

@@ -226,7 +226,7 @@ TEST(ScaleDict, SnapshotRoundTripEquivalence)
         snapshot::SnapshotFib<Ipv4Addr>::load_buffer(dict_img.data(), dict_img.size());
     EXPECT_FALSE(basic_fib.config().leaf_dict);
     EXPECT_TRUE(dict_fib.config().leaf_dict);
-    EXPECT_GT(dict_fib.leaf8_count(), 0u);
+    EXPECT_GT(dict_fib.header().leaf8_count, 0u);
     EXPECT_LT(dict_img.size(), basic_img.size());
     workload::Xorshift128 rng(0x9E37);
     for (std::size_t i = 0; i < 200'000; ++i) {

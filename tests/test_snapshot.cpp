@@ -3,17 +3,22 @@
 // build → (churn) → compact → save → load must resolve every probe exactly
 // like the live trie and the RIB oracle, for both address families and for
 // both load placements (mmap and copy-in). The rejection tests prove the
-// loader refuses every corruption class: flipped payload bits, short reads,
-// bad magic, wrong format version, and a family mismatch.
+// loader refuses every corruption class: a flipped bit at any byte of the
+// image, bit flips that a weak checksum step would let cancel, short reads,
+// bad magic, wrong format version, and a family mismatch; and that each
+// section checksum names its section.
 #include <gtest/gtest.h>
 #include <sys/resource.h>
 
+#include <algorithm>
 #include <csignal>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <iterator>
+#include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "alloc/arena.hpp"
@@ -65,7 +70,7 @@ TEST(Snapshot, RoundTripCornerTableAllConfigs)
         pt.compact();
         const auto img = snapshot::serialize(pt);
         const auto fib = SnapshotFib4::load_buffer(img.data(), img.size());
-        EXPECT_EQ(fib.node_count(), pt.stats().node_high_water);
+        EXPECT_EQ(fib.header().node_count, pt.stats().node_high_water);
         EXPECT_EQ(boundary_and_random_mismatches(
                       rib, corner_case_table(),
                       [&](Ipv4Addr a) { return fib.lookup(a); }, 50'000, db + 1),
@@ -244,7 +249,7 @@ TEST(Snapshot, BadMagicAndWrongVersionRejected)
     std::memcpy(&hdr, bad_version.data(), sizeof(hdr));
     hdr.format_version = snapshot::kFormatVersion + 7;
     hdr.header_checksum = 0;
-    hdr.header_checksum = snapshot::fnv1a64(&hdr, sizeof(hdr));
+    hdr.header_checksum = snapshot::image_checksum(&hdr, sizeof(hdr));
     std::memcpy(bad_version.data(), &hdr, sizeof(hdr));
     try {
         static_cast<void>(SnapshotFib4::load_buffer(bad_version.data(), bad_version.size()));
@@ -365,4 +370,225 @@ TEST(Snapshot, FailedSaveLeavesPreviousImageIntact)
                   small_rib, corner_case_table(),
                   [&](Ipv4Addr a) { return fib.lookup(a); }, 10'000),
               0u);
+}
+
+namespace {
+
+/// A small image of each family whose sections can end inside a checksum
+/// word: IPv4 dict-coded (Config::leaf_dict) without direct pointing — its
+/// leaves are 1-byte codes and 2-byte dictionary entries — and IPv6 with
+/// 2-byte leaves and a 64-slot direct array. Between them every section is
+/// non-empty.
+struct SmallImage {
+    const char* name;
+    bool v6;
+    std::vector<std::uint8_t> bytes;
+};
+
+std::vector<SmallImage> small_images()
+{
+    // quiescent: single-threaded test — no reader thread ever exists.
+    const psync::QuiescentSection quiescent;
+    Config cfg;
+    cfg.leaf_dict = true;
+    cfg.direct_bits = 0;
+    auto rib4 = load(corner_case_table());
+    Poptrie4 pt4{rib4, cfg};
+    pt4.compact();
+
+    workload::TableGen6Config gen;
+    gen.seed = 71;
+    gen.target_routes = 300;
+    rib::RadixTrie<Ipv6Addr> rib6;
+    rib6.insert_all(workload::generate_table6(gen));
+    cfg.leaf_dict = false;
+    cfg.direct_bits = 6;
+    Poptrie6 pt6{rib6, cfg};
+    pt6.compact();
+    return {{"ipv4", false, snapshot::serialize(pt4)},
+            {"ipv6", true, snapshot::serialize(pt6)}};
+}
+
+void load_image(const SmallImage& img, const std::vector<std::uint8_t>& bytes)
+{
+    if (img.v6)
+        static_cast<void>(SnapshotFib6::load_buffer(bytes.data(), bytes.size()));
+    else
+        static_cast<void>(SnapshotFib4::load_buffer(bytes.data(), bytes.size()));
+}
+
+snapshot::ImageHeader header_of(const std::vector<std::uint8_t>& bytes)
+{
+    snapshot::ImageHeader hdr;
+    std::memcpy(&hdr, bytes.data(), sizeof(hdr));
+    return hdr;
+}
+
+/// The five section descriptors, in file order, with the names the
+/// loader's errors use.
+std::vector<std::pair<snapshot::SectionDesc, std::string>> sections_of(
+    const snapshot::ImageHeader& hdr)
+{
+    return {{hdr.nodes, "node"},
+            {hdr.leaves, "leaf"},
+            {hdr.direct, "direct"},
+            {hdr.leaves8, "leaf8"},
+            {hdr.leaf_dict, "leaf-dict"}};
+}
+
+}  // namespace
+
+TEST(Snapshot, EveryByteFlipRejected)
+{
+    // One flipped bit anywhere — header, a section, the padding between
+    // sections, the image's last partial word — must fail the load: the
+    // header and payload checksums cover every byte between them.
+    for (SmallImage& img : small_images()) {
+        if (!img.v6) {
+            // Keeps the sweep's partial-word paths under test.
+            const auto sections = sections_of(header_of(img.bytes));
+            EXPECT_TRUE(std::any_of(sections.begin(), sections.end(),
+                                    [](const auto& s) { return s.first.bytes % 8 != 0; }))
+                << "no section ends inside a word";
+            EXPECT_NE(img.bytes.size() % 8, 0u) << "the image ends on a whole word";
+        }
+        ASSERT_NO_THROW(load_image(img, img.bytes)) << img.name;
+        for (std::size_t off = 0; off < img.bytes.size(); ++off) {
+            const auto bit = static_cast<std::uint8_t>(1u << (off % 8));
+            img.bytes[off] ^= bit;
+            EXPECT_THROW(load_image(img, img.bytes), ImageError)
+                << img.name << ": bit " << off % 8 << " of byte " << off << " of "
+                << img.bytes.size();
+            img.bytes[off] ^= bit;
+        }
+    }
+}
+
+TEST(Snapshot, SectionChecksumsNameTheirSection)
+{
+    // A change inside a section — in its middle, and in its last byte,
+    // which may sit in a partial word — with the payload and header
+    // checksums re-sealed over it reaches the section's own checksum, which
+    // names it.
+    std::set<std::string> named;
+    for (const SmallImage& img : small_images()) {
+        const snapshot::ImageHeader hdr = header_of(img.bytes);
+        for (const auto& [s, what] : sections_of(hdr)) {
+            if (s.bytes == 0) continue;
+            for (const std::uint64_t off : {s.offset + s.bytes / 2, s.offset + s.bytes - 1}) {
+                auto bad = img.bytes;
+                bad[off] ^= 0x01;
+                snapshot::ImageHeader sealed = hdr;
+                sealed.payload_checksum = snapshot::image_checksum(
+                    bad.data() + sizeof(sealed), bad.size() - sizeof(sealed));
+                sealed.header_checksum = 0;
+                sealed.header_checksum = snapshot::image_checksum(&sealed, sizeof(sealed));
+                std::memcpy(bad.data(), &sealed, sizeof(sealed));
+                try {
+                    load_image(img, bad);
+                    ADD_FAILURE() << img.name << ": byte " << off << " of the " << what
+                                  << " section changed and was accepted";
+                } catch (const ImageError& e) {
+                    EXPECT_EQ(std::string(e.what()), what + " section checksum mismatch")
+                        << img.name << ", byte " << off;
+                }
+            }
+            named.insert(what);
+        }
+    }
+    EXPECT_EQ(named.size(), 5u) << "some section is empty in every image";
+}
+
+TEST(Snapshot, ForgedSectionLayoutRejected)
+{
+    // The sweep reads the image by the header's section layout, so a layout
+    // that is out of bounds, overlaps the header or another section, or is
+    // out of file order must be refused first. The header is re-sealed so
+    // its checksum is not what refuses it.
+    const std::vector<std::uint8_t> clean = small_images().front().bytes;
+    const auto load_forged = [&](auto forge) {
+        auto bad = clean;
+        snapshot::ImageHeader hdr = header_of(bad);
+        forge(hdr);
+        hdr.header_checksum = 0;
+        hdr.header_checksum = snapshot::image_checksum(&hdr, sizeof(hdr));
+        std::memcpy(bad.data(), &hdr, sizeof(hdr));
+        try {
+            static_cast<void>(SnapshotFib4::load_buffer(bad.data(), bad.size()));
+        } catch (const ImageError& e) {
+            return std::string(e.what());
+        }
+        return std::string("accepted");
+    };
+    using Hdr = snapshot::ImageHeader;
+    EXPECT_EQ(load_forged([](Hdr& h) { h.leaves.offset = h.nodes.offset; }),
+              "snapshot sections overlap");
+    EXPECT_EQ(load_forged([](Hdr& h) { h.nodes.offset = 0; }), "snapshot sections overlap");
+    EXPECT_EQ(load_forged([](Hdr& h) { h.leaf_dict.offset = h.total_bytes / 64 * 64 + 64; }),
+              "leaf-dict section out of image bounds");
+}
+
+TEST(Snapshot, ImageChecksumCatchesEveryTwoAndThreeBitFlip)
+{
+    // Over three words, zero (like padding) and patterned. A step that let a
+    // change pass unaltered would let later flips cancel it: a plain
+    // multiply passes the top bit, so FNV-1a's word step misses two top-bit
+    // flips, and rotating or xor-shifting after that multiply only moves the
+    // cancelling flips into the next word.
+    for (const std::uint64_t fill : {0ull, 0x0123456789ABCDEFull}) {
+        std::uint64_t words[3];
+        for (std::size_t i = 0; i < std::size(words); ++i) words[i] = fill * (i + 1);
+        const std::uint64_t clean = snapshot::image_checksum(words, sizeof(words));
+        const auto flip = [&](unsigned bit) {
+            words[bit / 64] ^= std::uint64_t{1} << (bit % 64);
+        };
+        const auto missed = [&] {
+            return snapshot::image_checksum(words, sizeof(words)) == clean;
+        };
+        constexpr unsigned kBits = 64 * std::size(words);
+        unsigned misses = 0;
+        for (unsigned a = 0; a < kBits; ++a) {
+            flip(a);
+            for (unsigned b = a + 1; b < kBits; ++b) {
+                flip(b);
+                if (missed() && misses++ == 0)
+                    ADD_FAILURE() << "fill " << fill << ": bits " << a << ", " << b;
+                for (unsigned c = b + 1; c < kBits; ++c) {
+                    flip(c);
+                    if (missed() && misses++ == 0)
+                        ADD_FAILURE()
+                            << "fill " << fill << ": bits " << a << ", " << b << ", " << c;
+                    flip(c);
+                }
+                flip(b);
+            }
+            flip(a);
+        }
+        EXPECT_EQ(misses, 0u) << "fill " << fill;
+    }
+}
+
+TEST(Snapshot, TopBitFlipPairsInASectionRejected)
+{
+    // Bit 63 of a section's first word flipped together with bit 63 of any
+    // later word, or with any bit of the next word: each pair must fail the
+    // load through both the section and the payload chain of the sweep.
+    for (SmallImage& img : small_images()) {
+        const snapshot::SectionDesc nodes = header_of(img.bytes).nodes;
+        ASSERT_GE(nodes.bytes, 16u) << img.name;
+        const auto flip = [&](std::uint64_t bit) {
+            img.bytes[nodes.offset + bit / 8] ^= static_cast<std::uint8_t>(1u << (bit % 8));
+        };
+        std::vector<std::uint64_t> partners;
+        for (std::uint64_t w = 1; w < nodes.bytes / 8; ++w) partners.push_back(64 * w + 63);
+        for (std::uint64_t bit = 64; bit < 128; ++bit) partners.push_back(bit);
+        for (const std::uint64_t other : partners) {
+            flip(63);
+            flip(other);
+            EXPECT_THROW(load_image(img, img.bytes), ImageError)
+                << img.name << ": node section bits 63 and " << other;
+            flip(63);
+            flip(other);
+        }
+    }
 }

@@ -9,12 +9,15 @@ Modes mirror the failure classes --verify-image must catch:
   flipbit   -- flip one bit in the middle of the payload (checksum mismatch)
   version   -- stamp format_version = 999 and RE-SEAL the header checksum,
                so the loader's rejection is the version check specifically,
-               not a checksum side effect
+               not a checksum side effect; exits 2 when the checksum mirror
+               below does not reproduce the image's own header checksum
 
 The header layout constants below must match snapshot::ImageHeader
 (src/snapshot/snapshot.hpp): format_version is the uint32 at offset 8,
 header_checksum the uint64 at offset 280 of the 288-byte header, computed
-as FNV-1a 64 over the header with the checksum field zeroed.
+with snapshot::image_checksum (format v3: xxHash64's round chained over
+little-endian 8-byte words, a partial last word zero-extended) over the
+header with the checksum field zeroed.
 """
 import struct
 import sys
@@ -22,13 +25,14 @@ import sys
 HEADER_BYTES = 288
 VERSION_OFF = 8
 HEADER_CHECKSUM_OFF = 280
+MASK = 0xFFFFFFFFFFFFFFFF
 
 
-def fnv1a64(data: bytes) -> int:
-    h = 0xCBF29CE484222325
-    for b in data:
-        h ^= b
-        h = (h * 0x100000001B3) & 0xFFFFFFFFFFFFFFFF
+def image_checksum(data: bytes) -> int:
+    h = 0x27D4EB2F165667C5
+    for (word,) in struct.iter_unpack("<Q", data + bytes(-len(data) % 8)):
+        h = (h + word * 0xC2B2AE3D27D4EB4F) & MASK
+        h = (((h << 31) | (h >> 33)) & MASK) * 0x9E3779B185EBCA87 & MASK
     return h
 
 
@@ -48,10 +52,15 @@ def main() -> int:
     elif mode == "flipbit":
         data[(HEADER_BYTES + len(data)) // 2] ^= 0x10
     elif mode == "version":
-        struct.pack_into("<I", data, VERSION_OFF, 999)
         header = bytearray(data[:HEADER_BYTES])
         header[HEADER_CHECKSUM_OFF : HEADER_CHECKSUM_OFF + 8] = bytes(8)
-        struct.pack_into("<Q", data, HEADER_CHECKSUM_OFF, fnv1a64(bytes(header)))
+        # The mirror must reproduce the image's own seal before it re-seals.
+        if image_checksum(bytes(header)) != struct.unpack_from("<Q", data, HEADER_CHECKSUM_OFF)[0]:
+            print("corrupt_file.py: checksum mirror disagrees with the image", file=sys.stderr)
+            return 2
+        struct.pack_into("<I", header, VERSION_OFF, 999)
+        data[:HEADER_BYTES] = header
+        struct.pack_into("<Q", data, HEADER_CHECKSUM_OFF, image_checksum(bytes(header)))
     else:
         print(f"corrupt_file.py: unknown mode '{mode}'", file=sys.stderr)
         return 2

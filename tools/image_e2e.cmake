@@ -5,7 +5,7 @@
 # its *binary* contents, then assert --verify-image's exact exit code:
 #
 #   cmake -DFSCK=<poptrie_fsck> -DIMG=<path> -DMODE=<mode> -DEXPECT=<code>
-#         [-DSAVE_ARGS=<a|b|c>] [-DSAVE_EXPECT=<code>]
+#         [-DSAVE_ARGS=<a|b|c>] [-DSAVE_EXPECT=<code>] [-DEXPECT_OUTPUT=<regex>]
 #         [-DPYTHON3=<python> -DCORRUPT=<corrupt_file.py>]  -P image_e2e.cmake
 #
 # MODE 'none' skips corruption (clean round trip, or an image saved from a
@@ -13,6 +13,9 @@
 # corrupt_file.py, which needs PYTHON3 + CORRUPT. SAVE_EXPECT (default 0)
 # is the expected exit of the --save-image run: saving a deliberately
 # faulted FIB exits 1 from its own audit while still writing the image.
+# EXPECT_OUTPUT, when given, is a regex the --verify-image output (stdout and
+# stderr) must match, so a test can demand one specific rejection rather
+# than any exit 1.
 
 if(NOT DEFINED FSCK OR NOT DEFINED IMG OR NOT DEFINED MODE OR NOT DEFINED EXPECT)
   message(FATAL_ERROR "image_e2e.cmake needs -DFSCK, -DIMG, -DMODE and -DEXPECT")
@@ -41,8 +44,14 @@ if(NOT MODE STREQUAL "none")
   endif()
 endif()
 
-execute_process(COMMAND ${FSCK} --verify-image ${IMG} RESULT_VARIABLE code)
+execute_process(COMMAND ${FSCK} --verify-image ${IMG} RESULT_VARIABLE code
+  OUTPUT_VARIABLE out ERROR_VARIABLE out)
+message("${out}")
 if(NOT code EQUAL EXPECT)
   message(FATAL_ERROR
     "--verify-image after '${MODE}': expected exit ${EXPECT}, got '${code}'")
+endif()
+if(DEFINED EXPECT_OUTPUT AND NOT out MATCHES "${EXPECT_OUTPUT}")
+  message(FATAL_ERROR
+    "--verify-image after '${MODE}': output does not match '${EXPECT_OUTPUT}'")
 endif()

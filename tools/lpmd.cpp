@@ -90,7 +90,15 @@ struct RunResult {
     bool has_load = false;
     double load_s = 0;
     std::size_t fib_bytes = 0;
+    // snapshot engine: image file -> validated, servable FIB.
+    double snapshot_load_ms = 0;
 };
+
+double ms_since(std::chrono::steady_clock::time_point t0)
+{
+    return std::chrono::duration<double, std::milli>(std::chrono::steady_clock::now() - t0)
+        .count();
+}
 
 /// One-line fragmentation view of both FIB pools, printed after each
 /// compaction and in the final summary — the same counters poptrie_fsck
@@ -101,6 +109,18 @@ void print_frag(const poptrie::Stats& s, const char* tag)
                 "leaf pool used=%zu hw=%zu free_blocks=%zu\n",
                 tag, s.node_pool_used, s.node_high_water, s.node_free_blocks,
                 s.leaf_pool_used, s.leaf_high_water, s.leaf_free_blocks);
+}
+
+/// Writes the FIB's image to `path`, compacted first so the image is the
+/// canonical minimal layout, and reports how long the write took.
+void save_image(router::Router4& router, const std::string& path)
+    POPTRIE_REQUIRES(psync::cap::ebr)
+{
+    router.compact_fib();
+    const auto t0 = std::chrono::steady_clock::now();
+    router.save_fib_snapshot(path);
+    std::printf("[snapshot] image written to %s in %.1f ms\n", path.c_str(), ms_since(t0));
+    std::fflush(stdout);
 }
 
 /// Producer loop + periodic stats, shared by every engine instantiation.
@@ -283,6 +303,7 @@ int finish(const Options& opt, const RunResult& r, std::string_view engine_name)
             rec.field("load_s", r.load_s);
             rec.field("fib_bytes", std::uint64_t{r.fib_bytes});
         }
+        if (engine_name == "snapshot") rec.field("snapshot_load_ms", r.snapshot_load_ms);
         rec.field("snapshots_saved", r.snapshots_saved);
         if (r.has_fib_stats) {
             rec.field("node_free_blocks", std::uint64_t{r.fib_stats.node_free_blocks});
@@ -444,17 +465,20 @@ int main(int argc, char** argv)
     try {
         // --- warm start: serve a restored image, no table build at all ---
         if (opt.engine == "snapshot") {
+            const auto load_t0 = std::chrono::steady_clock::now();
             snapshot::SnapshotFib4 fib =
                 snapshot::SnapshotFib4::load_file(opt.snapshot_load, load_opt);
+            const double load_ms = ms_since(load_t0);
             const auto mem = fib.memory_report();
             std::printf("lpmd: snapshot %s: %llu nodes, %llu leaves, "
-                        "direct-bits=%u, %llu bytes, backing=%s\n",
+                        "direct-bits=%u, %llu bytes, backing=%s, loaded and verified "
+                        "in %.2f ms\n",
                         opt.snapshot_load.c_str(),
-                        static_cast<unsigned long long>(fib.node_count()),
-                        static_cast<unsigned long long>(fib.leaf_count()),
+                        static_cast<unsigned long long>(fib.header().node_count),
+                        static_cast<unsigned long long>(fib.header().leaf_count),
                         fib.header().direct_bits,
                         static_cast<unsigned long long>(fib.image_bytes()),
-                        alloc::backing_name(mem.backing));
+                        alloc::backing_name(mem.backing), load_ms);
             benchkit::note_arena_backing(alloc::backing_name(mem.backing));
 
             std::signal(SIGINT, handle_signal);
@@ -470,6 +494,7 @@ int main(int argc, char** argv)
                 dataplane::SnapshotEngine{fib}, dcfg};
             auto r = run_pipeline(dp, opt, {}, nullptr);
             r.fib_backing = alloc::backing_name(mem.backing);
+            r.snapshot_load_ms = load_ms;
             return finish(opt, r, "snapshot");
         }
 
@@ -550,14 +575,9 @@ int main(int argc, char** argv)
                     // writer: run_pipeline only invokes this with the churn
                     // writer parked, or there is none (the std::function
                     // boundary hides the caller's capabilities from the
-                    // analysis). Compact first so the image is the
-                    // canonical minimal layout.
+                    // analysis).
                     const psync::EbrWriterSection writer;
-                    router.compact_fib();
-                    router.save_fib_snapshot(opt.snapshot_save);
-                    std::printf("[snapshot] image written to %s\n",
-                                opt.snapshot_save.c_str());
-                    std::fflush(stdout);
+                    save_image(router, opt.snapshot_save);
                 })
                                            : std::function<void()>{};
             if (!opt.snapshot_save.empty()) std::signal(SIGUSR1, handle_sigusr1);
@@ -580,9 +600,7 @@ int main(int argc, char** argv)
                 // writer: workers stopped and churn joined; only this thread
                 // touches the FIB.
                 const psync::EbrWriterSection writer;
-                router.compact_fib();
-                router.save_fib_snapshot(opt.snapshot_save);
-                std::printf("[snapshot] image written to %s\n", opt.snapshot_save.c_str());
+                save_image(router, opt.snapshot_save);
             }
             r.fib_backing = alloc::backing_name(router.fib().memory_report().backing);
             if (opt.churn_updates > 0) {

@@ -306,9 +306,9 @@ int verify_image_family(const std::string& path, const FsckOptions& opt)
     }
     std::printf("poptrie_fsck: image '%s' clean (%llu nodes, %llu leaves, "
                 "%llu direct slots)\n",
-                path.c_str(), static_cast<unsigned long long>(fib.node_count()),
-                static_cast<unsigned long long>(fib.leaf_count()),
-                static_cast<unsigned long long>(fib.direct_slots()));
+                path.c_str(), static_cast<unsigned long long>(fib.header().node_count),
+                static_cast<unsigned long long>(fib.header().leaf_count),
+                static_cast<unsigned long long>(fib.header().direct_count));
     return 0;
 }
 
