@@ -84,7 +84,6 @@ int main(int argc, char** argv)
             "  --lookups=N       lookups per trial (default 2097152)\n"
             "  --trials=N        timed trials per phase (default 5)\n"
             "  --direct-bits=N   direct pointing bits (default 18)\n"
-            "  --hugepages=M     arena policy: auto | on | off (default auto)\n"
             "  --seed=S          table/feed/probe seed (default 1)\n"
             "  --json-out=FILE   write poptrie-bench/1 records to FILE"))
         return 0;
@@ -94,18 +93,9 @@ int main(int argc, char** argv)
     const std::size_t lookups = args.get_u64("lookups", std::size_t{1} << 21);
     const auto trials = static_cast<unsigned>(args.get_u64("trials", 5));
     const std::uint64_t seed = args.seed(1);
-    const std::string hugepages = args.get("hugepages", "auto");
 
     poptrie::Config cfg;
     cfg.direct_bits = static_cast<unsigned>(args.get_u64("direct-bits", 18));
-    if (hugepages == "on") {
-        cfg.hugepages = alloc::HugepagePolicy::kOn;
-    } else if (hugepages == "off") {
-        cfg.hugepages = alloc::HugepagePolicy::kOff;
-    } else if (hugepages != "auto") {
-        std::fprintf(stderr, "bench_churn_locality: --hugepages must be auto|on|off\n");
-        return 2;
-    }
 
     // Table-5-style synthetic table (§4.6 generator), then the §4.9-shaped
     // update feed against it; withdrawals and re-announcements of new
@@ -118,9 +108,8 @@ int main(int argc, char** argv)
     rib.insert_all(routes);
 
     std::printf("# churn locality: %zu routes, %zu updates, %zu lookups x %u trials, "
-                "direct_bits=%u, hugepages=%s\n",
-                routes.size(), n_updates, lookups, trials, cfg.direct_bits,
-                hugepages.c_str());
+                "direct_bits=%u\n",
+                routes.size(), n_updates, lookups, trials, cfg.direct_bits);
 
     auto pt = std::make_unique<poptrie::Poptrie4>(rib, cfg);
     benchkit::note_arena_backing(

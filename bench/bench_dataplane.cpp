@@ -143,9 +143,6 @@ int main(int argc, char** argv)
 
     poptrie::Config pcfg;
     pcfg.direct_bits = 18;
-    // Churn cells update while workers read: build with headroom so the
-    // pools never grow mid-run (growth is not reader-safe; §3.5).
-    pcfg.pool_headroom_log2 = 6;
     router::Router4 router{pcfg};
     const auto load_t0 = std::chrono::steady_clock::now();
     dataplane::load_routes(router, d.routes);

@@ -57,10 +57,8 @@ int main(int argc, char** argv)
         std::printf("  total %.2f ms => %.2f us/update (paper: 58.90 ms, 2.51 us)\n", ms,
                     us_per_update);
         std::printf("  replaced per update: %.3f top-level slots (paper 0.041),"
-                    " %.2f leaves (paper 6.05), %.2f inodes (paper 0.48)\n",
+                    " %.2f leaves (paper 6.05), %.2f inodes (paper 0.48)\n\n",
                     per(c.direct_stores), per(c.leaves_allocated), per(c.nodes_allocated));
-        std::printf("  pool growths during updates: %llu\n\n",
-                    static_cast<unsigned long long>(c.pool_growths));
         json.begin_record();
         json.field("bench", std::string_view{"update"});
         json.field("phase", std::string_view{"feed"});
@@ -69,7 +67,6 @@ int main(int argc, char** argv)
         json.field("us_per_update", us_per_update);
         json.field("leaves_per_update", per(c.leaves_allocated));
         json.field("inodes_per_update", per(c.nodes_allocated));
-        json.field("pool_growths", c.pool_growths);
         benchkit::stamp_provenance(json);
     }
 

@@ -4,7 +4,7 @@
 // arrays; a bad coalesce or a mis-aligned split silently hands two live node
 // runs the same slots, which is exactly the failure class poptrie-fsck's
 // allocator checks exist for. This harness drives an allocator with a
-// fuzz-decoded alloc/free/grow sequence while mirroring every live run in a
+// fuzz-decoded alloc/free sequence while mirroring every live run in a
 // shadow model, checking after each op that
 //
 //   * every allocation is inside the pool, aligned to its rounded size, and
@@ -52,11 +52,9 @@ void check_state(const alloc::BuddyAllocator& pool, const std::vector<LiveRun>& 
 extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data, std::size_t size)
 {
     fuzz::ByteReader in(data, size);
-    // Initial capacity 2^(0..10); grow() can double it a bounded number of
-    // times so the pool never exceeds ~2^20 slots in one execution.
+    // Capacity 2^(0..10): small enough that exhaustion is common.
     alloc::BuddyAllocator pool(std::uint32_t{1} << (in.u8() % 11));
     std::vector<LiveRun> live;
-    unsigned grows_left = 8;
 
     std::size_t ops = 0;
     while (!in.empty() && ops < 512) {
@@ -103,13 +101,7 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data, std::size_t size
             live.erase(live.begin() + static_cast<std::ptrdiff_t>(i));
             break;
         }
-        case 6:  // grow (bounded)
-            if (grows_left > 0 && pool.capacity() <= (std::uint32_t{1} << 19)) {
-                --grows_left;
-                pool.grow();
-            }
-            break;
-        default:  // audit checkpoint
+        default:  // audit checkpoint (tags 6 and 7)
             check_state(pool, live, "mid-sequence audit");
             break;
         }

@@ -1,30 +1,20 @@
-// alloc/arena.cpp — mmap/madvise plumbing behind the arena.
+// alloc/arena.cpp — mmap/mprotect/madvise plumbing behind the arena.
 #include "alloc/arena.hpp"
 
+#include <algorithm>
 #include <cassert>
+#include <cstdint>
 #include <cstdio>
-#include <cstdlib>
+#include <new>
 
-#if defined(__linux__)
 #include <fcntl.h>
 #include <sys/mman.h>
 #include <sys/stat.h>
 #include <unistd.h>
-#endif
 
 namespace alloc {
 
 namespace {
-
-// Test hook state (see set_force_hugetlb_failure). Plain bool: the hook is
-// documented single-threaded and set before any mapping happens.
-bool g_force_hugetlb_failure = false;
-
-// MAP_HUGETLB without a size flag uses the default hugepage size, 2 MiB on
-// every x86-64/aarch64 distribution we target; mapping lengths must be a
-// multiple of it. (A non-2MiB default would only make the explicit attempt
-// fail and fall back, never corrupt.)
-constexpr std::size_t kHugetlbPageSize = std::size_t{2} << 20;
 
 std::size_t round_up(std::size_t n, std::size_t align)
 {
@@ -33,24 +23,8 @@ std::size_t round_up(std::size_t n, std::size_t align)
 
 std::size_t base_page_size() noexcept
 {
-#if defined(__linux__)
     const long ps = sysconf(_SC_PAGESIZE);
     return ps > 0 ? static_cast<std::size_t>(ps) : 4096;
-#else
-    return 4096;
-#endif
-}
-
-/// Zeroed heap block — the backing of last resort (and the only one off
-/// Linux). calloc gives the same zero-fill contract as anonymous mmap.
-Arena::Block heap_block(std::size_t bytes)
-{
-    void* p = std::calloc(bytes, 1);
-    if (p == nullptr) {
-        std::fprintf(stderr, "alloc::Arena: out of memory mapping %zu bytes\n", bytes);
-        std::abort();
-    }
-    return {p, bytes, Backing::kHeap};
 }
 
 }  // namespace
@@ -58,20 +32,15 @@ Arena::Block heap_block(std::size_t bytes)
 const char* backing_name(Backing b) noexcept
 {
     switch (b) {
-        case Backing::kHugetlb: return "hugetlb";
         case Backing::kThpAdvised: return "thp-advised";
         case Backing::kNormalPages: return "normal-pages";
         case Backing::kFileMapped: return "file-mapped";
-        case Backing::kHeap: return "heap";
     }
     return "unknown";
 }
 
-void set_force_hugetlb_failure(bool force) noexcept { g_force_hugetlb_failure = force; }
-
 std::string thp_status()
 {
-#if defined(__linux__)
     std::FILE* f = std::fopen("/sys/kernel/mm/transparent_hugepage/enabled", "re");
     if (f == nullptr) return "unavailable";
     char buf[128] = {};
@@ -84,59 +53,58 @@ std::string thp_status()
     if (open == std::string::npos || close == std::string::npos || close <= open)
         return "unavailable";
     return line.substr(open + 1, close - open - 1);
-#else
-    return "unavailable";
+}
+
+Arena::Block Arena::reserve(std::size_t bytes)
+{
+    if (bytes == 0) return {};
+    const std::size_t len = round_up(bytes, base_page_size());
+    // Over-reserve by one step and trim both ends, so the block starts on a
+    // kCommitStep boundary and every committed step can be one huge page.
+    const std::size_t span = len + kCommitStep;
+    void* const raw = mmap(nullptr, span, PROT_NONE, MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+    if (raw == MAP_FAILED) throw std::bad_alloc();
+    auto* const base = static_cast<char*>(raw);
+    const std::size_t head =
+        round_up(reinterpret_cast<std::uintptr_t>(base), kCommitStep) -
+        reinterpret_cast<std::uintptr_t>(base);
+    if (head != 0) munmap(base, head);
+    munmap(base + head + len, kCommitStep - head);
+    // A refused madvise (old kernel, THP "never") just leaves base pages.
+    Backing backing = Backing::kNormalPages;
+#ifdef MADV_HUGEPAGE
+    if (madvise(base + head, len, MADV_HUGEPAGE) == 0) backing = Backing::kThpAdvised;
 #endif
+    ++live_blocks_[static_cast<int>(backing)];
+    return {base + head, len, 0, backing};
+}
+
+void Arena::commit(Block& block, std::size_t bytes)
+{
+    if (bytes <= block.committed) return;
+    if (bytes > block.reserved) throw std::bad_alloc();
+    const std::size_t target = std::min(round_up(bytes, kCommitStep), block.reserved);
+    if (mprotect(static_cast<char*>(block.ptr) + block.committed, target - block.committed,
+                 PROT_READ | PROT_WRITE) != 0)
+        throw std::bad_alloc();
+    live_bytes_ += target - block.committed;
+    block.committed = target;
 }
 
 Arena::Block Arena::map(std::size_t bytes)
 {
-    if (bytes == 0) bytes = 1;
-#if defined(__linux__)
-    // 1. Explicit hugetlb reservation, opt-in only: it either succeeds
-    // outright or fails fast (ENOMEM when nr_hugepages is 0 — every CI
-    // runner), so the fallback is deterministic and cheap.
-    if (policy_ == HugepagePolicy::kOn) {
-        const std::size_t len = round_up(bytes, kHugetlbPageSize);
-        void* p = MAP_FAILED;
-        if (!g_force_hugetlb_failure) {
-            p = mmap(nullptr, len, PROT_READ | PROT_WRITE,
-                     MAP_PRIVATE | MAP_ANONYMOUS | MAP_HUGETLB, -1, 0);
-        }
-        if (p != MAP_FAILED) {
-            ++live_blocks_[static_cast<int>(Backing::kHugetlb)];
-            live_bytes_ += len;
-            return {p, len, Backing::kHugetlb};
-        }
-        hugetlb_failed_ = true;
+    Block block = reserve(bytes);
+    try {
+        commit(block, block.reserved);
+    } catch (...) {
+        unmap(block);
+        throw;
     }
-
-    // 2. Anonymous mapping; unless hugepages are off, advise the kernel to
-    // back it with THP. madvise failing (old kernel, THP "never") just
-    // leaves base pages — correctness is unaffected either way.
-    const std::size_t len = round_up(bytes, base_page_size());
-    void* p = mmap(nullptr, len, PROT_READ | PROT_WRITE, MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
-    if (p != MAP_FAILED) {
-        Backing backing = Backing::kNormalPages;
-#ifdef MADV_HUGEPAGE
-        if (policy_ != HugepagePolicy::kOff && madvise(p, len, MADV_HUGEPAGE) == 0)
-            backing = Backing::kThpAdvised;
-#endif
-        ++live_blocks_[static_cast<int>(backing)];
-        live_bytes_ += len;
-        return {p, len, backing};
-    }
-#endif  // __linux__
-
-    Block b = heap_block(bytes);
-    ++live_blocks_[static_cast<int>(Backing::kHeap)];
-    live_bytes_ += b.bytes;
-    return b;
+    return block;
 }
 
 Arena::Block Arena::map_file(const std::string& path) noexcept
 {
-#if defined(__linux__)
     const int fd = open(path.c_str(), O_RDONLY | O_CLOEXEC);
     if (fd < 0) return {};
     struct stat st{};
@@ -152,11 +120,7 @@ Arena::Block Arena::map_file(const std::string& path) noexcept
     if (p == MAP_FAILED) return {};
     ++live_blocks_[static_cast<int>(Backing::kFileMapped)];
     live_bytes_ += len;
-    return {p, len, Backing::kFileMapped};
-#else
-    (void)path;
-    return {};
-#endif
+    return {p, len, len, Backing::kFileMapped};
 }
 
 void Arena::unmap(Block& block) noexcept
@@ -164,43 +128,24 @@ void Arena::unmap(Block& block) noexcept
     if (block.ptr == nullptr) return;
     assert(live_blocks_[static_cast<int>(block.backing)] > 0);
     --live_blocks_[static_cast<int>(block.backing)];
-    live_bytes_ -= block.bytes;
-    if (block.backing == Backing::kHeap) {
-        std::free(block.ptr);
-    } else {
-#if defined(__linux__)
-        munmap(block.ptr, block.bytes);
-#endif
-    }
+    live_bytes_ -= block.committed;
+    munmap(block.ptr, block.reserved);
     block = {};
 }
 
 MemoryReport Arena::report() const noexcept
 {
     MemoryReport r;
-    r.hugetlb_requested = policy_ == HugepagePolicy::kOn;
-    r.hugetlb_failed = hugetlb_failed_;
     r.bytes_reserved = live_bytes_;
+    r.page_size = base_page_size();
     // Weakest live backing: the conservative answer to "what pages is this
-    // FIB on". With nothing mapped yet, report what a mapping would get.
-    r.backing = Backing::kHugetlb;
-    bool any = false;
+    // FIB on". With nothing mapped yet, plain pages.
     for (int b = 0; b < kBackingCount; ++b) {
         if (live_blocks_[b] != 0) {
             r.backing = static_cast<Backing>(b);
-            any = true;
             break;
         }
     }
-    if (!any) {
-#if defined(__linux__)
-        r.backing = Backing::kNormalPages;
-#else
-        r.backing = Backing::kHeap;
-#endif
-    }
-    r.page_size =
-        r.backing == Backing::kHugetlb ? kHugetlbPageSize : base_page_size();
     return r;
 }
 

@@ -4,34 +4,34 @@
 // and contiguous enough to live in cache — but the *TLB* sees page-sized
 // chunks, and a 1 MiB direct-pointing array on 4 KiB pages alone costs 256
 // TLB entries before a single node is touched. This arena maps the node,
-// leaf, and direct arrays with mmap and asks the kernel for huge pages:
+// leaf, and direct arrays with mmap and advises the kernel to back them with
+// transparent huge pages (madvise(MADV_HUGEPAGE); silently base pages where
+// THP is off).
 //
-//   * HugepagePolicy::kAuto  — anonymous mmap + madvise(MADV_HUGEPAGE), so
-//     THP backs the arrays when the system allows it (the common case);
-//   * HugepagePolicy::kOn    — explicit MAP_HUGETLB first (pre-reserved
-//     2 MiB pages, no khugepaged latency), falling back to the kAuto path
-//     when the reservation is empty — CI runners have no hugepages at all;
-//   * HugepagePolicy::kOff   — plain mmap, for A/B measurement.
+// Each array reserves its maximum extent once, as one inaccessible mapping
+// that starts on a 2 MiB boundary, and commits pages in place (mprotect) as
+// it grows, kCommitStep bytes at a time. Its storage therefore never moves:
+// a reader that loaded data() may keep using it while the single writer
+// grows the array, which is what makes §3.5's "updates never disturb
+// readers" a property of the memory layer rather than a sizing rule. The
+// reservation is address space only; the arena accounts committed bytes.
 //
 // The backing *actually obtained* is recorded per block and aggregated into
 // a MemoryReport (the weakest live backing wins), which benchkit stamps into
 // bench provenance so hugepage and non-hugepage runs are distinguishable.
-// Non-Linux builds degrade to zeroed heap blocks and report Backing::kHeap.
 //
 // ArenaVector<T> is the minimal std::vector replacement the pools need:
-// trivially-copyable elements, geometric growth, zero-fill on resize. It is
-// a control-path container — growth remaps and memcpys, so (like the
-// vectors it replaces) growing is NOT safe under concurrent readers. In the
-// capability model (sync/annotations.hpp, DESIGN.md §9) that rule surfaces
-// one level up: the Poptrie pools built on ArenaVector are GUARDED_BY the
-// EBR capability, and every path that can *grow or replace* them —
-// ensure_headroom, compact — requires the quiescence capability too. The
-// container itself stays annotation-free: it has no concurrency machinery
-// of its own, only a lifetime contract its owners enforce.
+// trivially-copyable elements, a fixed maximum size, zero-fill on resize.
+// Growing never moves the elements, so a reader may index the vector while
+// the writer resizes it, provided it reads only indices the writer published
+// before (the pools publish with release stores; sync/atomic_utils.hpp).
+// Shrinking and destruction are the owner's business: the Poptrie pool sets
+// never shrink a pool and retire whole sets through EBR.
 #pragma once
 
 #include <cstddef>
 #include <cstring>
+#include <stdexcept>
 #include <string>
 #include <type_traits>
 #include <utility>
@@ -40,110 +40,114 @@
 
 namespace alloc {
 
-/// How hard the arena tries to obtain huge pages (Config::hugepages).
-enum class HugepagePolicy {
-    kAuto,  ///< madvise(MADV_HUGEPAGE): THP if available, silent otherwise
-    kOn,    ///< MAP_HUGETLB first, then the kAuto path — never fails outright
-    kOff,   ///< normal pages only (A/B baseline)
-};
-
 /// What actually backs a mapped block, weakest to strongest.
 enum class Backing {
-    kHeap,         ///< zeroed heap block (non-Linux or mmap failure)
     kFileMapped,   ///< read-only mmap of an on-disk image (snapshot restore)
     kNormalPages,  ///< anonymous mmap, base page size
     kThpAdvised,   ///< anonymous mmap + MADV_HUGEPAGE accepted by the kernel
-    kHugetlb,      ///< explicit MAP_HUGETLB reservation
 };
 
 /// Number of Backing enumerators (sizes the per-backing accounting).
-inline constexpr int kBackingCount = 5;
+inline constexpr int kBackingCount = 3;
 
-/// Stable lowercase name for provenance / logs ("hugetlb", "thp-advised",
-/// "normal-pages", "file-mapped", "heap").
+/// Granularity of a commit, and the alignment of every reservation: one
+/// x86-64/aarch64 huge page, so THP can back each committed step whole.
+inline constexpr std::size_t kCommitStep = std::size_t{2} << 20;
+
+/// Stable lowercase name for provenance / logs ("thp-advised",
+/// "normal-pages", "file-mapped").
 [[nodiscard]] const char* backing_name(Backing b) noexcept;
 
 /// Aggregate view of an arena's live mappings.
 struct MemoryReport {
-    Backing backing = Backing::kHeap;  ///< weakest backing among live blocks
-    std::size_t page_size = 0;         ///< page size of that backing, bytes
-    std::size_t bytes_reserved = 0;    ///< total bytes currently mapped
-    bool hugetlb_requested = false;    ///< policy was kOn
-    bool hugetlb_failed = false;       ///< MAP_HUGETLB was tried and refused
+    Backing backing = Backing::kNormalPages;  ///< weakest backing among live blocks
+    std::size_t page_size = 0;                ///< base page size, bytes
+    /// Bytes committed (readable anonymous pages plus file mappings). The
+    /// inaccessible rest of each reservation is address space, not memory,
+    /// and is not counted.
+    std::size_t bytes_reserved = 0;
 };
-
-/// Test hook: when set, MAP_HUGETLB attempts fail deterministically (as on a
-/// machine with an empty hugepage reservation), exercising the fallback path
-/// regardless of host configuration. Not thread-safe; set before mapping.
-void set_force_hugetlb_failure(bool force) noexcept;
 
 /// The kernel's transparent-hugepage mode: the bracketed token of
 /// /sys/kernel/mm/transparent_hugepage/enabled ("always", "madvise",
 /// "never"), or "unavailable" when the file cannot be read.
 [[nodiscard]] std::string thp_status();
 
-/// Owns the mapping policy and accounts for the blocks handed out. Blocks
-/// are held by ArenaVectors, which return them via unmap(); the arena must
-/// outlive every vector it backs (Poptrie keeps it in a unique_ptr declared
-/// before the pools for exactly that reason).
+/// Owns the mappings and accounts for the blocks handed out. Blocks are held
+/// by ArenaVectors, which return them via unmap(); the arena must outlive
+/// every vector it backs (Poptrie keeps it in a unique_ptr declared before
+/// the pools for exactly that reason).
 class Arena {
 public:
-    /// One mapped block. `bytes` is the mapped length (page-rounded), needed
-    /// to unmap; `backing` selects the deallocation path.
+    /// One mapping: `reserved` bytes of address space at `ptr`, of which the
+    /// first `committed` are readable and writable (all of them, read-only,
+    /// for a file mapping).
     struct Block {
         void* ptr = nullptr;
-        std::size_t bytes = 0;
-        Backing backing = Backing::kHeap;
+        std::size_t reserved = 0;
+        std::size_t committed = 0;
+        Backing backing = Backing::kNormalPages;
     };
 
-    explicit Arena(HugepagePolicy policy = HugepagePolicy::kAuto) noexcept
-        : policy_(policy)
-    {
-    }
+    Arena() noexcept = default;
     Arena(const Arena&) = delete;
     Arena& operator=(const Arena&) = delete;
     ~Arena() = default;
 
-    /// Maps a zero-filled block of at least `bytes` bytes (page-rounded up).
-    /// Never returns a null block: every backing failure falls through to
-    /// the next-weaker one, ending at the heap.
+    /// Reserves `bytes` of address space (page-rounded up) starting on a
+    /// kCommitStep boundary, inaccessible until commit(). Zero bytes give an
+    /// empty block and no mapping. Throws std::bad_alloc when the kernel
+    /// refuses the reservation (RLIMIT_AS, address-space exhaustion).
+    [[nodiscard]] Block reserve(std::size_t bytes);
+
+    /// Makes at least the first `bytes` of `block` readable and writable, in
+    /// whole kCommitStep steps capped at the reservation. Committed pages
+    /// read as zero until written; the block never moves. Throws
+    /// std::bad_alloc, leaving `block` unchanged, when `bytes` exceeds the
+    /// reservation or the kernel refuses (ENOMEM: overcommit, RLIMIT_DATA).
+    void commit(Block& block, std::size_t bytes);
+
+    /// reserve() and commit() in one: a zero-filled block of at least
+    /// `bytes` writable bytes (the snapshot copy-in path).
     [[nodiscard]] Block map(std::size_t bytes);
 
     /// Maps an existing file read-only in its entirety (Backing::kFileMapped,
     /// for snapshot warm start — the pages stay in the page cache and are
-    /// shared across processes mapping the same image). Unlike map() this CAN
-    /// fail: a null block means the file could not be opened/mapped (or the
-    /// platform has no mmap), and the caller falls back to copy-in via map().
-    /// The hugepage policy does not apply — file mappings cannot be
-    /// hugetlb-backed.
+    /// shared across processes mapping the same image). A null block means
+    /// the file could not be opened or mapped, and the caller falls back to
+    /// copy-in via map().
     [[nodiscard]] Block map_file(const std::string& path) noexcept;
 
-    /// Returns a block obtained from map() or map_file(). Safe on empty
-    /// blocks.
+    /// Returns a block obtained from reserve(), map() or map_file(). Safe on
+    /// empty blocks.
     void unmap(Block& block) noexcept;
 
     [[nodiscard]] MemoryReport report() const noexcept;
-    [[nodiscard]] HugepagePolicy policy() const noexcept { return policy_; }
 
 private:
-    HugepagePolicy policy_;
-    // Live block/byte counts per Backing enumerator, for report().
+    // Live block counts per Backing enumerator, for report().
     std::size_t live_blocks_[kBackingCount] = {};
     std::size_t live_bytes_ = 0;
-    bool hugetlb_failed_ = false;
 };
 
-/// Flat array of trivially-copyable elements in arena-backed storage. Only
-/// the surface Poptrie's pools use: size/capacity, element access, resize
-/// (zero-fills growth, like value-initialising std::vector), assign.
+/// Flat array of trivially-copyable elements in arena-backed storage that
+/// never moves. Only the surface Poptrie's pools use: size/capacity, element
+/// access, resize (zero-fills growth, like value-initialising std::vector),
+/// assign.
 template <class T>
 class ArenaVector {
     static_assert(std::is_trivially_copyable_v<T>,
-                  "ArenaVector memcpys on growth; elements must be trivially copyable");
+                  "ArenaVector zero-fills with memset; elements must be trivially copyable");
 
 public:
     ArenaVector() noexcept = default;
-    explicit ArenaVector(Arena* arena) noexcept : arena_(arena) {}
+    /// Reserves room for `max_size` elements and commits none; data() is
+    /// fixed from here until destruction. Throws std::bad_alloc when the
+    /// reservation is refused.
+    ArenaVector(Arena* arena, std::size_t max_size)
+        : arena_(arena), block_(arena->reserve(max_size * sizeof(T)))
+    {
+    }
     ArenaVector(ArenaVector&& other) noexcept
         : arena_(other.arena_), block_(other.block_), size_(other.size_)
     {
@@ -167,10 +171,10 @@ public:
     ~ArenaVector() { release(); }
 
     [[nodiscard]] std::size_t size() const noexcept { return size_; }
-    [[nodiscard]] std::size_t capacity() const noexcept
-    {
-        return block_.bytes / sizeof(T);
-    }
+    /// Elements that fit in the committed pages.
+    [[nodiscard]] std::size_t capacity() const noexcept { return block_.committed / sizeof(T); }
+    /// Elements that fit in the reservation; resize() past it throws.
+    [[nodiscard]] std::size_t max_size() const noexcept { return block_.reserved / sizeof(T); }
     [[nodiscard]] bool empty() const noexcept { return size_ == 0; }
 
     POPTRIE_HOT [[nodiscard]] T* data() noexcept { return static_cast<T*>(block_.ptr); }
@@ -185,12 +189,13 @@ public:
     POPTRIE_HOT [[nodiscard]] T& operator[](std::size_t i) noexcept { return data()[i]; }
     POPTRIE_HOT [[nodiscard]] const T& operator[](std::size_t i) const noexcept { return data()[i]; }
 
-    /// Grows or shrinks to `n` elements; new elements are zero bytes (all
-    /// pool element types value-initialise to exactly that). Quiescent-point
-    /// only when growth is possible — growing remaps the storage.
+    /// Grows or shrinks to `n` elements in place; new elements are zero
+    /// bytes (all pool element types value-initialise to exactly that).
+    /// Throws std::length_error past max_size() and std::bad_alloc when a
+    /// commit is refused; either way the vector is unchanged.
     void resize(std::size_t n)
     {
-        if (n > capacity()) grow_to(n);
+        commit(n);
         // void* cast: T is trivially copyable (asserted above) but may have
         // default member initialisers, which -Wclass-memaccess objects to;
         // all-zero bytes IS the value-initialised state of every pool type.
@@ -202,28 +207,25 @@ public:
     /// Replaces the contents with `n` copies of `value`.
     void assign(std::size_t n, const T& value)
     {
-        if (n > capacity()) grow_to(n);
+        commit(n);
         size_ = n;
         T* p = data();
         for (std::size_t i = 0; i < n; ++i) p[i] = value;
     }
 
 private:
-    void grow_to(std::size_t n)
+    void commit(std::size_t n)
     {
-        // Geometric growth amortises repeated resize; the mapping is
-        // page-granular anyway, so doubling wastes at most one remap's
-        // worth of headroom.
-        const std::size_t want = std::max(n, capacity() * 2);
-        Arena::Block fresh = arena_->map(want * sizeof(T));
-        if (size_ != 0) std::memcpy(fresh.ptr, block_.ptr, size_ * sizeof(T));
-        if (block_.ptr != nullptr) arena_->unmap(block_);
-        block_ = fresh;
+        if (n > max_size())
+            throw std::length_error("alloc::ArenaVector: " + std::to_string(n) +
+                                    " elements exceed the reserved " +
+                                    std::to_string(max_size()));
+        if (n > capacity()) arena_->commit(block_, n * sizeof(T));
     }
 
     void release() noexcept
     {
-        if (arena_ != nullptr && block_.ptr != nullptr) arena_->unmap(block_);
+        if (arena_ != nullptr) arena_->unmap(block_);
         block_ = {};
         size_ = 0;
     }

@@ -104,30 +104,6 @@ void BuddyAllocator::free(index_type offset, index_type count)
     free_lists_[k].insert(offset);
 }
 
-void BuddyAllocator::grow()
-{
-    if (capacity_ >= kMaxCapacity)
-        throw netbase::StructuralLimit(
-            "buddy allocator: growing past 2^31 slots would overflow the "
-            "31-bit index space (tagged 32-bit slot indices)");
-    const unsigned old_top = order_for(capacity_);
-    free_lists_.resize(old_top + 2);
-    // The upper half of the doubled pool becomes one free block of the old
-    // size; it may immediately coalesce with a fully-free lower half.
-    index_type offset = capacity_;
-    unsigned k = old_top;
-    while (k + 1 < free_lists_.size()) {
-        const index_type buddy = offset ^ (index_type{1} << k);
-        const auto it = free_lists_[k].find(buddy);
-        if (it == free_lists_[k].end()) break;
-        free_lists_[k].erase(it);
-        offset &= ~(index_type{1} << k);
-        ++k;
-    }
-    free_lists_[k].insert(offset);
-    capacity_ *= 2;
-}
-
 std::vector<BuddyAllocator::FreeBlock> BuddyAllocator::free_blocks() const
 {
     std::vector<FreeBlock> out;

@@ -32,9 +32,8 @@ public:
     /// Largest capacity the allocator will manage: 2^31 slots. The pools it
     /// serves refer to slots through 32-bit indices whose MSB is reserved as
     /// a tag (poptrie's kDirectLeafBit / kLeaf8Bit), so every index must stay
-    /// below bit 31 — and `capacity_ *= 2` past this would silently wrap the
-    /// 32-bit capacity to zero. grow() throws netbase::StructuralLimit
-    /// instead of crossing it.
+    /// below bit 31. Poptrie's pool sets are created at exactly this
+    /// capacity, over storage reserved for it, so they never grow.
     static constexpr index_type kMaxCapacity = index_type{1} << 31;
 
     /// Creates an allocator over `capacity` slots, rounded up to a power of
@@ -58,13 +57,6 @@ public:
     /// pass to rebuild an allocator that exactly describes a bump-laid-out
     /// pool; `free(offset, count)` releases it like any allocation.
     [[nodiscard]] bool reserve(index_type offset, index_type count);
-
-    /// Doubles the pool. New slots become immediately allocatable. Existing
-    /// allocations are unaffected (indices are stable). Throws
-    /// netbase::StructuralLimit when the doubled capacity would exceed
-    /// kMaxCapacity — the caller sees a clean rejection, never a wrapped
-    /// 32-bit capacity.
-    void grow();
 
     /// Total slots managed (always a power of two).
     [[nodiscard]] index_type capacity() const noexcept { return capacity_; }

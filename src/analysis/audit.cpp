@@ -514,14 +514,16 @@ AuditReport audit(const poptrie::Poptrie<Addr>& pt, const rib::RadixTrie<Addr>& 
     const std::vector<rib::NextHop> dict_values(pools.leaf_dict.begin(), pools.leaf_dict.end());
     check_leaf8_runs(r, runs.leaves8, pools.leaves8.size(), dict_values,
                      AuditAccess::leaf8_live(pt), opt.expect_compacted);
-    if (pools.nodes.size() != pools.node_alloc.capacity())
-        r.add("node-pool-size-mismatch",
-              "pool " + std::to_string(pools.nodes.size()) + " != allocator capacity " +
-                  std::to_string(pools.node_alloc.capacity()));
-    if (pools.leaves.size() != pools.leaf_alloc.capacity())
-        r.add("leaf-pool-size-mismatch",
-              "pool " + std::to_string(pools.leaves.size()) + " != allocator capacity " +
-                  std::to_string(pools.leaf_alloc.capacity()));
+    // Every slot the allocators ever handed out must sit in committed
+    // storage: the pools commit up to the high-water mark as they grow.
+    if (pools.nodes.size() < pools.node_alloc.high_water())
+        r.add("node-pool-uncommitted",
+              "pool " + std::to_string(pools.nodes.size()) + " < allocator high water " +
+                  std::to_string(pools.node_alloc.high_water()));
+    if (pools.leaves.size() < pools.leaf_alloc.high_water())
+        r.add("leaf-pool-uncommitted",
+              "pool " + std::to_string(pools.leaves.size()) + " < allocator high water " +
+                  std::to_string(pools.leaf_alloc.high_water()));
 
     // 2b. Canonical compacted layout, when the caller vouches the table was
     // just compacted (poptrie_fsck --compact, the compaction tests).

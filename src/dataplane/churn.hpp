@@ -23,9 +23,9 @@ namespace dataplane {
 /// Loads a route list into an empty Router with one FIB compile
 /// (Router::load), interning adjacencies with the same hop mapping
 /// ChurnRunner uses — so a feed announcement that re-announces an existing
-/// hop reuses the existing adjacency index. The compile sizes the pools
-/// with the Config's headroom, so churn may start right after. Call before
-/// any forwarding or churn thread exists.
+/// hop reuses the existing adjacency index. Churn may start right after:
+/// the pools grow in place under live readers. Call before any forwarding
+/// or churn thread exists.
 void load_routes(router::Router4& router,
                  const rib::RouteList<netbase::Ipv4Addr>& routes);
 
@@ -41,13 +41,9 @@ struct ChurnConfig {
 
 /// Applies a synthetic BGP feed to a Router on a dedicated thread. The
 /// Router's single-writer contract is preserved: this thread is the only
-/// one calling add_route/remove_route while it runs.
-///
-/// Callers running churn concurrently with forwarding must give the FIB
-/// enough pool headroom that the feed never forces a growth — growing
-/// reallocates the node/leaf arrays under readers' feet. Set
-/// `pool_headroom_log2` in the build config (load_routes() sizes the pools
-/// with it) and verify `fib().update_counters().pool_growths == 0` after.
+/// one calling add_route/remove_route while it runs. Forwarding may run
+/// concurrently: the FIB's pools commit pages in place and never move, so
+/// a feed that outgrows them disturbs no reader.
 class ChurnRunner {
 public:
     /// Builds the feed against `routes` (the table the router currently

@@ -5,7 +5,6 @@
 #include <cstdint>
 #include <type_traits>
 
-#include "alloc/arena.hpp"
 #include "rib/route.hpp"
 
 namespace poptrie {
@@ -39,17 +38,6 @@ struct Config {
     /// identical either way). Post-compaction incremental updates allocate
     /// plain 16-bit runs; the next compact() re-encodes them.
     bool leaf_dict = false;
-
-    /// Initial pool capacity in nodes/leaves is the built size times
-    /// 2^pool_headroom_log2, so incremental updates rarely need to grow the
-    /// pools (growing is not safe under concurrent lookups; see Poptrie docs).
-    unsigned pool_headroom_log2 = 1;
-
-    /// Page backing for the node/leaf/direct arrays (alloc/arena.hpp):
-    /// kAuto advises THP, kOn demands MAP_HUGETLB (with graceful fallback),
-    /// kOff measures on plain pages. The backing actually obtained is
-    /// reported by Poptrie::memory_report().
-    alloc::HugepagePolicy hugepages = alloc::HugepagePolicy::kAuto;
 };
 
 // --- compile-time invariants of the structure's layout ---------------------
@@ -70,12 +58,6 @@ inline constexpr unsigned kStrideBits = 6;
 /// slots (4 GiB), far above the paper's s = 18 sweet spot.
 inline constexpr unsigned kMaxDirectBits = 30;
 
-/// Upper bound valid_config() puts on Config::pool_headroom_log2. Headroom
-/// multiplies the built pool size by 2^log2; 16 (65536x) is already absurd,
-/// and the cap keeps every `size << pool_headroom_log2` on a 64-bit operand
-/// trivially in range.
-inline constexpr unsigned kMaxPoolHeadroomLog2 = 16;
-
 /// Leaf-index tag for Config::leaf_dict: a Node::base0 with this MSB set
 /// addresses a dictionary-coded 8-bit run at `base0 & ~kLeaf8Bit` in the
 /// dense code array instead of a 16-bit run in the leaf pool. Shares the
@@ -94,23 +76,18 @@ static_assert(std::is_same_v<rib::NextHop, std::uint16_t>,
 static_assert(kMaxDirectBits < 31,
               "direct slots are uint32 with the MSB reserved as kDirectLeafBit; "
               "2^direct_bits slot indices must stay below bit 31");
-static_assert(kMaxPoolHeadroomLog2 < 32,
-              "pool sizes are 32-bit buddy-allocator capacities; larger headroom "
-              "shifts could not produce a representable target");
 
-/// Validity of a Config for an address of `width` bits. Both Poptrie
-/// constructors assert this (via build_from) before touching the RIB, so
+/// Validity of a Config for an address of `width` bits. Every Poptrie pool
+/// set asserts this (via Poptrie::direct_slots) before reserving storage, so
 /// everything downstream — the builder, the incremental updater, the
 /// compactor — may rely on these bounds:
 ///   * direct_bits == 0 (direct pointing off) or 1 <= direct_bits < width,
 ///     and direct_bits <= kMaxDirectBits (< 64, so `1 << direct_bits` on a
-///     64-bit operand is well defined);
-///   * pool_headroom_log2 <= kMaxPoolHeadroomLog2 (< 64, likewise).
+///     64-bit operand is well defined).
 [[nodiscard]] constexpr bool valid_config(const Config& cfg, unsigned width) noexcept
 {
-    const bool direct_ok =
-        cfg.direct_bits == 0 || (cfg.direct_bits < width && cfg.direct_bits <= kMaxDirectBits);
-    return direct_ok && cfg.pool_headroom_log2 <= kMaxPoolHeadroomLog2;
+    return cfg.direct_bits == 0 ||
+           (cfg.direct_bits < width && cfg.direct_bits <= kMaxDirectBits);
 }
 
 /// Size and shape statistics, matching the columns of Table 2.
@@ -130,8 +107,10 @@ struct Stats {
     /// + direct slots x 4 bytes.
     std::size_t memory_bytes = 0;
 
-    /// Actual bytes reserved by the node/leaf pools and the direct array
-    /// (includes buddy-allocator headroom).
+    /// Bytes committed to the five arrays: each commits whole 2 MiB steps
+    /// (alloc::kCommitStep) as it grows, so this runs ahead of the touched
+    /// extent by less than one step per array. The reserved address space
+    /// past the committed pages is not memory and is not counted.
     std::size_t allocated_bytes = 0;
 
     /// Buddy-allocator slots currently handed out (power-of-two rounded).

@@ -19,21 +19,22 @@
 // replacement array with a release store; compact() builds a whole fresh set
 // and publishes it with one. Replaced arrays and sets are reclaimed through
 // the EbrDomain; readers that run concurrently with the writer must hold an
-// EbrDomain::Guard around batches of lookups. Growing the node/leaf pools
-// remaps a pool in place and is NOT safe under concurrent readers — size
-// headroom via Config, or quiesce.
+// EbrDomain::Guard around batches of lookups. No array ever moves: each one
+// reserves its maximum extent when its set is created and commits pages in
+// place as the writer grows it (alloc/arena.hpp), so growth needs nothing
+// from the readers either.
 //
 // The contract is enforced statically (clang -Wthread-safety, DESIGN.md §9):
 // the pool set is GUARDED_BY the EBR capability (psync::cap::ebr), the
 // serving path lookup_batch REQUIRES it shared (hold a real EBR guard and
 // claim an EbrReadSection), and the writer paths — apply(), compact() —
-// REQUIRE it exclusive. reserve_headroom(), which grows pools in place,
-// additionally REQUIRES psync::cap::quiescent (no reader anywhere). Scalar
-// lookup()/lookup_raw() and apply() claim their sections internally: they
-// are the single-threaded convenience API, and the claim marks the caller's
-// obligation rather than spreading annotations through every test.
+// REQUIRE it exclusive. Scalar lookup()/lookup_raw() and apply() claim
+// their sections internally: they are the single-threaded convenience API,
+// and the claim marks the caller's obligation rather than spreading
+// annotations through every test.
 #pragma once
 
+#include <cassert>
 #include <cstdint>
 #include <memory>
 #include <utility>
@@ -102,11 +103,15 @@ public:
         std::uint64_t leaves_allocated = 0;  ///< leaf slots written
         std::uint64_t nodes_retired = 0;
         std::uint64_t leaves_retired = 0;
-        std::uint64_t pool_growths = 0;  ///< pool grew mid-update (reader-unsafe)
+        /// Always 0: the pools commit pages in place and never move, so no
+        /// growth is reader-unsafe. Kept for the perfbench harness, which
+        /// still reads it.
+        std::uint64_t pool_growths = 0;
     };
 
     /// The flat pools live in arena-backed storage (alloc/arena.hpp), so
     /// the node, leaf, and direct arrays sit on huge pages when available.
+    /// Each reserves its maximum extent up front and never moves.
     using NodePool = alloc::ArenaVector<Node>;
     using LeafPool = alloc::ArenaVector<NextHop>;
     using DirectPool = alloc::ArenaVector<std::uint32_t>;
@@ -122,9 +127,21 @@ public:
     /// patches the current set; compact() builds a fresh one, publishes it,
     /// and retires the old set whole through EBR. A set never moves, so
     /// deleters may hold pointers to its allocators.
+    ///
+    /// Each array reserves the largest extent its indices can address — the
+    /// node and leaf pools and the code array 2^31 slots (the allocators'
+    /// kMaxCapacity), the dictionary 256 entries, the direct array
+    /// 2^direct_bits — about 54 GiB of address space per set, and commits
+    /// only what the allocators' high-water marks reach. The allocators
+    /// start at full capacity too, so nothing ever grows. Throws
+    /// std::bad_alloc when a reservation is refused.
     struct PoolSet {
-        explicit PoolSet(alloc::Arena* arena) noexcept
-            : nodes(arena), leaves(arena), leaves8(arena), leaf_dict(arena), direct(arena)
+        PoolSet(alloc::Arena* arena, const Config& cfg)
+            : nodes(arena, alloc::BuddyAllocator::kMaxCapacity),
+              leaves(arena, alloc::BuddyAllocator::kMaxCapacity),
+              leaves8(arena, alloc::BuddyAllocator::kMaxCapacity),
+              leaf_dict(arena, 256),
+              direct(arena, direct_slots(cfg))
         {
         }
 
@@ -148,8 +165,8 @@ public:
         LeafPool leaf_dict;
         DirectPool direct;       // 2^s entries when direct_bits > 0
         std::uint32_t root = 0;  // root node index when direct_bits == 0
-        alloc::BuddyAllocator node_alloc{1024};
-        alloc::BuddyAllocator leaf_alloc{1024};
+        alloc::BuddyAllocator node_alloc{alloc::BuddyAllocator::kMaxCapacity};
+        alloc::BuddyAllocator leaf_alloc{alloc::BuddyAllocator::kMaxCapacity};
     };
 
     /// Builds an empty FIB (every lookup returns rib::kNoRoute).
@@ -226,7 +243,10 @@ public:
     /// currently reflects. When the FIB was built with route aggregation the
     /// touched subtrees are recompiled from the unaggregated RIB — the
     /// lookup results are identical, the touched region is merely compressed
-    /// a little less tightly than a full rebuild would achieve.
+    /// a little less tightly than a full rebuild would achieve. Growing a
+    /// pool commits pages in place, readers running; if the kernel refuses
+    /// a commit, std::bad_alloc escapes after `rib` was already updated
+    /// (a rollback is not implemented).
     void apply(rib::RadixTrie<Addr>& rib, const prefix_type& prefix, NextHop next_hop);
 
     /// Registers the calling thread for safe lookups concurrent with apply().
@@ -235,16 +255,6 @@ public:
     /// Runs pending reclamation to completion. Writer-role only (exclusive
     /// EBR capability): claim an EbrWriterSection on the updater thread.
     void drain() POPTRIE_REQUIRES(psync::cap::ebr) { ebr_->drain(); }
-
-    /// Pre-grows the node/leaf pools to the configured headroom over the
-    /// current occupancy. Quiescent-point only: growing reallocates the
-    /// arrays, which is not safe under concurrent lookups — call after
-    /// bulk-loading routes incrementally and *before* starting forwarding
-    /// threads, so a subsequent update feed never grows under readers.
-    void reserve_headroom() POPTRIE_REQUIRES(psync::cap::quiescent, psync::cap::ebr)
-    {
-        ensure_headroom();
-    }
 
     /// Rewrites the FIB into a fresh pool set in DFS traversal order —
     /// every node's children contiguous and adjacent to their parent, leaf
@@ -256,7 +266,10 @@ public:
     ///
     /// A writer operation like apply(): readers keep forwarding through it,
     /// each burst on whichever set it loaded, and lookup results are
-    /// identical before and after.
+    /// identical before and after. Throws std::bad_alloc when the fresh set
+    /// cannot be reserved or committed, and netbase::StructuralLimit when
+    /// its layout would pass 2^31 slots; either way before publishing, so
+    /// the old set keeps serving.
     void compact() POPTRIE_REQUIRES(psync::cap::ebr);
 
     /// The canonical compacted layout rule, shared with the auditor: a run
@@ -305,7 +318,16 @@ private:
         POPTRIE_REQUIRES(psync::cap::ebr);
     std::uint32_t alloc_nodes(std::uint32_t n) POPTRIE_REQUIRES(psync::cap::ebr);
     std::uint32_t alloc_leaves(std::uint32_t n) POPTRIE_REQUIRES(psync::cap::ebr);
-    void ensure_headroom() POPTRIE_REQUIRES(psync::cap::ebr);
+
+    /// Slots in the direct array: 2^direct_bits, or 0 with direct pointing
+    /// off. Asserts valid_config(), which bounds the shift.
+    [[nodiscard]] static std::size_t direct_slots(const Config& cfg) noexcept
+    {
+        assert(valid_config(cfg, kWidth));
+        // shift-ok: valid_config() (asserted above) bounds direct_bits
+        // <= kMaxDirectBits (30) < 64.
+        return cfg.direct_bits == 0 ? 0 : std::size_t{1} << cfg.direct_bits;
+    }
 
     // --- updater internals ---
     struct Rebuilt {
@@ -409,18 +431,18 @@ private:
     // EBR domain; it is declared before them (so destroyed after ebr_ drops
     // pending deleters) and heap-allocated so the sets' raw Arena*
     // references survive moves of the Poptrie object itself.
-    std::unique_ptr<alloc::Arena> arena_ = std::make_unique<alloc::Arena>(cfg_.hugepages);
+    std::unique_ptr<alloc::Arena> arena_ = std::make_unique<alloc::Arena>();
     // The pool set is the EBR-protected state: readers may traverse it only
     // inside a read-side critical section, and only the single writer may
     // mutate or replace it.
     psync::Published<PoolSet> set_ POPTRIE_GUARDED_BY(psync::cap::ebr) =
-        psync::Published<PoolSet>{std::make_unique<PoolSet>(arena_.get())};
+        psync::Published<PoolSet>{std::make_unique<PoolSet>(arena_.get(), cfg_)};
     std::unique_ptr<psync::EbrDomain> ebr_ = std::make_unique<psync::EbrDomain>();
     std::size_t inode_count_ = 0;
     std::size_t leaf_count_ = 0;
     // Of leaf_count_, how many slots live in the dict-coded 8-bit array.
     // leaf_count_ - leaf8_live_ is the 16-bit pool's live population, which
-    // is what the headroom policy and the allocator cross-check care about.
+    // is what the allocator cross-check cares about.
     std::size_t leaf8_live_ = 0;
     UpdateCounters updates_{};
     bool in_update_ = false;

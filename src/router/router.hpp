@@ -154,14 +154,11 @@ public:
     /// thread).
     void drain() POPTRIE_REQUIRES(psync::cap::ebr) { fib_.drain(); }
 
-    /// Pre-grows FIB pools to the configured headroom over their current
-    /// occupancy (quiescent point; see Poptrie::reserve_headroom). load()
-    /// already sizes them; call this after building a table with add_route,
-    /// before forwarding threads start, when updates will run concurrently.
-    void reserve_fib_headroom() POPTRIE_REQUIRES(psync::cap::quiescent, psync::cap::ebr)
-    {
-        fib_.reserve_headroom();
-    }
+    /// Does nothing. The FIB's pools reserve their whole index space when
+    /// they are created and commit pages in place as they grow, so there is
+    /// no headroom to size before forwarding starts. Kept for the perfbench
+    /// harness, which still calls it.
+    void reserve_fib_headroom() noexcept {}
 
     /// Rewrites the FIB into a fresh DFS-ordered pool set, restoring
     /// fresh-build cache locality after a long update churn (see

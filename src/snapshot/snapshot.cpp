@@ -155,8 +155,6 @@ std::vector<std::uint8_t> serialize(const poptrie::Poptrie<Addr>& fib)
     hdr.direct_bits = static_cast<std::uint8_t>(cfg.direct_bits);
     hdr.leaf_compression = cfg.leaf_compression ? 1 : 0;
     hdr.route_aggregation = cfg.route_aggregation ? 1 : 0;
-    hdr.pool_headroom_log2 = static_cast<std::uint8_t>(cfg.pool_headroom_log2);
-    hdr.hugepage_policy = static_cast<std::uint8_t>(cfg.hugepages);
     hdr.leaf_dict_enabled = cfg.leaf_dict ? 1 : 0;
     hdr.root_index = view.root;
     // The touched extent of each pool: every reachable index is below the
@@ -280,8 +278,6 @@ void SnapshotFib<Addr>::attach(const std::uint8_t* base, std::size_t size)
     if (hdr_.total_bytes != size)
         throw ImageError("truncated snapshot image: " + std::to_string(size) +
                          " bytes on disk, header says " + std::to_string(hdr_.total_bytes));
-    if (hdr_.hugepage_policy > static_cast<std::uint8_t>(alloc::HugepagePolicy::kOff))
-        throw ImageError("invalid hugepage policy in configuration echo");
     if (!poptrie::valid_config(config(), Addr::kWidth))
         throw ImageError("invalid configuration echo");
     const std::uint64_t want_direct =
@@ -341,14 +337,14 @@ void SnapshotFib<Addr>::attach(const std::uint8_t* base, std::size_t size)
 template <class Addr>
 SnapshotFib<Addr> SnapshotFib<Addr>::load_file(const std::string& path, const LoadOptions& opt)
 {
-    SnapshotFib fib{opt};
+    SnapshotFib fib;
     Mapping& m = *fib.mapping_;
     if (opt.placement != LoadOptions::Placement::kCopy) {
         m.block = m.arena.map_file(path);
         if (m.block.ptr != nullptr) {
             // Validation errors propagate (a corrupt image must be reported,
             // not silently re-read); only a failed *mapping* falls back.
-            fib.attach(static_cast<const std::uint8_t*>(m.block.ptr), m.block.bytes);
+            fib.attach(static_cast<const std::uint8_t*>(m.block.ptr), m.block.committed);
             return fib;
         }
     }
@@ -368,10 +364,9 @@ SnapshotFib<Addr> SnapshotFib<Addr>::load_file(const std::string& path, const Lo
 }
 
 template <class Addr>
-SnapshotFib<Addr> SnapshotFib<Addr>::load_buffer(const std::uint8_t* data, std::size_t size,
-                                                 const LoadOptions& opt)
+SnapshotFib<Addr> SnapshotFib<Addr>::load_buffer(const std::uint8_t* data, std::size_t size)
 {
-    SnapshotFib fib{opt};
+    SnapshotFib fib;
     if (size == 0) throw ImageError("truncated snapshot image: empty buffer");
     Mapping& m = *fib.mapping_;
     m.block = m.arena.map(size);
@@ -387,8 +382,6 @@ poptrie::Config SnapshotFib<Addr>::config() const noexcept
     cfg.direct_bits = hdr_.direct_bits;
     cfg.leaf_compression = hdr_.leaf_compression != 0;
     cfg.route_aggregation = hdr_.route_aggregation != 0;
-    cfg.pool_headroom_log2 = hdr_.pool_headroom_log2;
-    cfg.hugepages = static_cast<alloc::HugepagePolicy>(hdr_.hugepage_policy);
     cfg.leaf_dict = hdr_.leaf_dict_enabled != 0;
     return cfg;
 }

@@ -12,8 +12,8 @@
 //     image; save() makes it durable before it replaces the target;
 //   * SnapshotFib<Addr>   — loader: validate the header and checksums, then
 //     either mmap the file read-only (Backing::kFileMapped — pages shared
-//     across every process mapping the same image) or copy it into arena
-//     pages honoring the hugepage policy; serve lookups over the immutable
+//     across every process mapping the same image) or copy it into
+//     THP-advised arena pages; serve lookups over the immutable
 //     arrays with zero writer-side machinery — no EBR domain, no buddy
 //     allocators, no pool growth, no atomics;
 //   * verify_image()      — the auditor's structural walk over a loaded
@@ -97,12 +97,13 @@ struct ImageHeader {
     std::uint32_t family_width = 0;  ///< Addr::kWidth: 32 or 128
     std::uint32_t node_bytes = 0;    ///< sizeof(Node) — layout drift guard
     std::uint32_t leaf_bytes = 0;    ///< sizeof(NextHop)
-    // Config echo (poptrie::Config, hugepages as the policy enumerator).
+    // Config echo (poptrie::Config).
     std::uint8_t direct_bits = 0;
     std::uint8_t leaf_compression = 0;
     std::uint8_t route_aggregation = 0;
-    std::uint8_t pool_headroom_log2 = 0;
-    std::uint8_t hugepage_policy = 0;
+    /// Held the pool headroom and hugepage policy, both since deleted from
+    /// Config. Written 0 and never read, so images keep loading both ways.
+    std::uint8_t reserved_echo[2] = {};
     std::uint8_t leaf_dict_enabled = 0;  ///< Config::leaf_dict (v2)
     std::uint8_t reserved8[2] = {};
     std::uint32_t root_index = 0;  ///< published root when direct_bits == 0
@@ -156,12 +157,9 @@ void save(const poptrie::Poptrie<Addr>& fib, const std::string& path)
 struct LoadOptions {
     enum class Placement {
         kAuto,  ///< mmap the file; fall back to copy-in if mapping fails
-        kCopy,  ///< always copy into arena pages (hugepage policy applies)
+        kCopy,  ///< always copy into THP-advised arena pages
     };
     Placement placement = Placement::kAuto;
-    /// Arena policy for the copy-in path (mmap'd files cannot be hugepage-
-    /// backed, so the policy is moot when the mapping succeeds).
-    alloc::HugepagePolicy hugepages = alloc::HugepagePolicy::kAuto;
 };
 
 /// A read-only FIB served straight out of a validated snapshot image.
@@ -186,8 +184,7 @@ public:
                                                const LoadOptions& opt = {});
 
     /// Loads from an in-memory image (always copy-in). Same validation.
-    [[nodiscard]] static SnapshotFib load_buffer(const std::uint8_t* data, std::size_t size,
-                                                 const LoadOptions& opt = {});
+    [[nodiscard]] static SnapshotFib load_buffer(const std::uint8_t* data, std::size_t size);
 
     /// Longest-prefix-match lookup; kNoRoute on miss. One configuration
     /// branch, then the same walk as the live trie (the shared scalar
@@ -217,7 +214,7 @@ public:
     /// The Config the FIB was built with, reconstructed from the echo.
     [[nodiscard]] poptrie::Config config() const noexcept;
     /// Backing of the image pages: kFileMapped under mmap placement, the
-    /// arena's usual report (hugetlb/thp/normal/heap) under copy-in.
+    /// arena's usual report (thp-advised or normal pages) under copy-in.
     [[nodiscard]] alloc::MemoryReport memory_report() const noexcept
     {
         return mapping_->arena.report();
@@ -230,7 +227,7 @@ private:
     /// vs restored FIBs. Heap-held: the view points into it, and moving a
     /// SnapshotFib moves only the pointer.
     struct Mapping {
-        explicit Mapping(alloc::HugepagePolicy policy) : arena(policy) {}
+        Mapping() = default;
         Mapping(const Mapping&) = delete;
         Mapping& operator=(const Mapping&) = delete;
         ~Mapping() { arena.unmap(block); }
@@ -239,10 +236,7 @@ private:
         alloc::Arena::Block block{};
     };
 
-    explicit SnapshotFib(const LoadOptions& opt)
-        : mapping_(std::make_unique<Mapping>(opt.hugepages))
-    {
-    }
+    SnapshotFib() : mapping_(std::make_unique<Mapping>()) {}
 
     /// Validates `base[0, size)` as an image for this family and points the
     /// view into it. Throws ImageError; never takes ownership.

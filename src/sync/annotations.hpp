@@ -18,10 +18,10 @@
 //                     replaced blocks into the domain's limbo list.
 //   cap::quiescent  the quiescence capability: no reader is inside a
 //                   critical section anywhere (workers joined, local
-//                   Readers destroyed/exited). Only then may pool storage
-//                   grow in place (reserve_headroom()), a Router load a
-//                   whole table, or the workers' private latency
-//                   reservoirs be merged.
+//                   Readers destroyed/exited). Only then may a Router load
+//                   a whole table, or the workers' private latency
+//                   reservoirs be merged. (Pool storage never moves, so
+//                   growing it needs only the writer role.)
 //
 // These are phantom (token) capabilities: no runtime object enforces them;
 // acquiring one is a *claim* whose truth is established by the surrounding
@@ -34,7 +34,7 @@
 //   * the FIB's published pool set is GUARDED_BY(cap::ebr)
 //   * lookup paths REQUIRES_SHARED(cap::ebr); writer paths — apply(),
 //     compact(), snapshot save — REQUIRES(cap::ebr)
-//   * reserve_headroom()/Router::load/merged_latency REQUIRES(cap::quiescent)
+//   * Router::load/merged_latency REQUIRES(cap::quiescent)
 //   * quiescence implies writer exclusivity: QuiescentSection acquires BOTH
 //     capabilities, so a quiescent caller can reach writer paths directly.
 #pragma once
@@ -136,7 +136,7 @@ public:
 /// Scoped claim: "no reader exists anywhere" (workers joined, local Readers
 /// destroyed). Acquires BOTH capabilities — quiescence subsumes writer
 /// exclusivity — so paths that REQUIRE(cap::quiescent, cap::ebr), such as
-/// reserve_headroom(), need exactly one section. R5 demands an adjacent
+/// Router::load, need exactly one section. R5 demands an adjacent
 /// `// quiescent:` comment naming the join or construction point that
 /// emptied the read side.
 class POPTRIE_SCOPED_CAPABILITY QuiescentSection {

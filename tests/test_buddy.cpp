@@ -63,27 +63,6 @@ TEST(Buddy, LargestFreeRunTracksFragmentation)
     EXPECT_EQ(a.largest_free_run(), 16u);
 }
 
-TEST(Buddy, GrowDoublesAndKeepsAllocations)
-{
-    BuddyAllocator a{4};
-    const auto x = a.allocate(4);
-    ASSERT_TRUE(x);
-    EXPECT_FALSE(a.allocate(1));
-    a.grow();
-    EXPECT_EQ(a.capacity(), 8u);
-    const auto y = a.allocate(4);
-    ASSERT_TRUE(y);
-    EXPECT_NE(*x, *y);
-}
-
-TEST(Buddy, GrowCoalescesWithFreeLowerHalf)
-{
-    BuddyAllocator a{4};
-    a.grow();  // entirely free: should become one block of 8
-    EXPECT_EQ(a.largest_free_run(), 8u);
-    EXPECT_TRUE(a.allocate(8).has_value());
-}
-
 // Property test: random allocate/free interleavings never hand out
 // overlapping runs, and freeing everything coalesces back to one block.
 TEST(Buddy, PropertyNoOverlapAndFullCoalesce)
@@ -167,25 +146,15 @@ TEST(BuddyEdge, ExhaustionGrowthPathStaysAuditClean)
     while (const auto got = a.allocate(1)) held.push_back(*got);
     EXPECT_EQ(held.size(), 8u);
     EXPECT_EQ(a.largest_free_run(), 0u);
+    EXPECT_FALSE(a.allocate(1));
     EXPECT_TRUE(analysis::audit_allocator(a).ok());
 
-    // Grow and verify the new upper half is immediately allocatable as one
-    // max-order block of the old capacity.
-    a.grow();
-    EXPECT_EQ(a.capacity(), 16u);
-    EXPECT_EQ(a.largest_free_run(), 8u);
-    EXPECT_TRUE(analysis::audit_allocator(a).ok());
-    const auto big = a.allocate(8);
-    ASSERT_TRUE(big);
-    EXPECT_EQ(*big % 8, 0u);
-    EXPECT_TRUE(analysis::audit_allocator(a).ok());
-
-    // Free everything; repeated growth must keep coalescing to one block.
-    a.free(*big, 8);
+    // The allocator never grows (pool sets start at kMaxCapacity): freeing
+    // everything must coalesce the exhausted pool back to one block.
     for (const auto off : held) a.free(off, 1);
     EXPECT_TRUE(a.all_free());
-    a.grow();
-    EXPECT_EQ(a.largest_free_run(), 32u);
+    EXPECT_EQ(a.largest_free_run(), 8u);
+    EXPECT_EQ(a.free_block_count(), 1u);
     EXPECT_TRUE(analysis::audit_allocator(a).ok());
 }
 

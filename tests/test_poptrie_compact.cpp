@@ -268,7 +268,6 @@ void online_compaction_under_live_readers(bool leaf_dict)
 
     Config cfg;
     cfg.direct_bits = 16;
-    cfg.pool_headroom_log2 = 3;  // pool growth is still not reader-safe
     cfg.leaf_dict = leaf_dict;
     Poptrie4 pt{rib, cfg};
 

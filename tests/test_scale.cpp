@@ -7,8 +7,8 @@
 //   * compressed-leaf (Config::leaf_dict) lookup equivalence against basic
 //     mode, through compact(), post-compact churn, recompaction, and a
 //     snapshot round trip;
-//   * the 32-bit pool/slot-index audit: unsatisfiable pool targets surface
-//     as netbase::StructuralLimit, never UB or a silently-wrapped size.
+//   * the 32-bit pool/slot-index audit: an allocator past 2^31 slots is a
+//     netbase::StructuralLimit, never UB or a silently-wrapped size.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -245,32 +245,4 @@ TEST(ScaleLimits, BuddyCtorRejectsOverCapacity)
     EXPECT_NO_THROW(BuddyAllocator{BuddyAllocator::kMaxCapacity});
     EXPECT_THROW(BuddyAllocator{BuddyAllocator::kMaxCapacity + 1},
                  netbase::StructuralLimit);
-}
-
-TEST(ScaleLimits, BuddyGrowRejectsAtCeiling)
-{
-    alloc::BuddyAllocator a{alloc::BuddyAllocator::kMaxCapacity};
-    EXPECT_EQ(a.capacity(), alloc::BuddyAllocator::kMaxCapacity);
-    EXPECT_THROW(a.grow(), netbase::StructuralLimit);
-}
-
-TEST(ScaleLimits, HeadroomOverflowIsStructuralLimit)
-{
-    // 1M routes yield tens of thousands of internal nodes; with maximum
-    // headroom (x 65536) the node-pool target exceeds the 2^31 slot-index
-    // space, so the grow loop must hit the allocator ceiling and throw
-    // before attempting any resize. The old uint32 arithmetic wrapped this
-    // to a tiny target and built a corrupt table; it must be a clean
-    // StructuralLimit instead. (A table small enough that the node target
-    // stays below 2^31 would instead grow a multi-GiB node pool chasing the
-    // leaf-pool overflow — the route count here is load-bearing.)
-    workload::ScaledTableConfig cfg;
-    cfg.seed = 3;
-    cfg.target_routes = 1'000'000;
-    Rib4 rib;
-    rib.insert_all(workload::generate_scaled_table(cfg));
-    poptrie::Config pc;
-    pc.direct_bits = 18;
-    pc.pool_headroom_log2 = poptrie::kMaxPoolHeadroomLog2;
-    EXPECT_THROW((void)poptrie::Poptrie4(rib, pc), netbase::StructuralLimit);
 }

@@ -3,7 +3,7 @@
 
 Clang's thread-safety analysis (the POPTRIE_TSA build) checks everything a
 capability annotation can express: lookup_batch REQUIRES the shared EBR
-capability, compact() REQUIRES the writer role, reserve_headroom() REQUIRES
+capability, compact() REQUIRES the writer role, Router::load REQUIRES
 quiescence, GUARDED_BY fields need their mutex. This linter checks the
 protocol shapes the analysis structurally cannot see -- cross-function,
 cross-thread and by-convention rules:

@@ -206,12 +206,12 @@ def seeds_buddy():
         ladder += bytes([0x03, 8 - i])  # free newest-first
     out["pow2_ladder"] = ladder
 
-    # Fragmentation: odd sizes (2^s +/- 1), interleaved frees, a grow.
+    # Fragmentation: odd sizes (2^s +/- 1), interleaved frees, an audit.
     frag = bytes([0x06])  # capacity 2^6
     for s in range(2, 7):
         frag += bytes([0x01, 0x40 | s])  # alloc 2^s - 1
         frag += bytes([0x02, 0x80 | s])  # alloc 2^s + 1
-    frag += bytes([0x03, 0x01, 0x04, 0x02, 0x06])  # free, free, grow
+    frag += bytes([0x03, 0x01, 0x04, 0x02, 0x06])  # free, free, audit
     for s in range(2, 5):
         frag += bytes([0x00, 0x80 | s])
     frag += bytes([0x07])
