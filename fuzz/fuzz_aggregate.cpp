@@ -15,7 +15,13 @@
 //   * aggregation is idempotent: aggregating the aggregated set changes
 //     nothing (a canonical form, or the merge missed something);
 //   * a Poptrie built with cfg.route_aggregation on equals one built with it
-//     off, probe for probe (the in-build aggregation path).
+//     off, probe for probe (the in-build aggregation path);
+//   * the in-build aggregation compiles the very FIB that the aggregated
+//     route set compiles to without it: same stats, same image payload;
+//   * RadixTrie::insert_all over the announcements (duplicates included,
+//     in fuzz order) leaves the routes and node count of an insert() loop.
+#include <array>
+#include <cstring>
 #include <string>
 #include <vector>
 
@@ -23,22 +29,57 @@
 #include "poptrie/poptrie.hpp"
 #include "rib/aggregate.hpp"
 #include "rib/radix_trie.hpp"
+#include "snapshot/snapshot.hpp"
 
 namespace {
 
 constexpr const char* kHarness = "fuzz_aggregate";
+
+auto stat_fields(const poptrie::Stats& s)
+{
+    return std::array{s.internal_nodes,        s.leaves,           s.direct_slots,
+                      s.memory_bytes,          s.allocated_bytes,  s.node_pool_used,
+                      s.leaf_pool_used,        s.node_free_blocks, s.leaf_free_blocks,
+                      s.node_largest_free_run, s.leaf_largest_free_run,
+                      s.node_high_water,       s.leaf_high_water};
+}
+
+template <class Addr>
+std::uint64_t payload_checksum(const poptrie::Poptrie<Addr>& pt)
+{
+    // writer: single-threaded harness — no other thread touches the FIB.
+    const psync::EbrWriterSection writer;
+    const auto img = snapshot::serialize(pt);
+    snapshot::ImageHeader h;
+    std::memcpy(&h, img.data(), sizeof h);
+    return h.payload_checksum;
+}
 
 template <class Addr>
 void run(fuzz::ByteReader& in, unsigned direct_bits)
 {
     const auto ops = fuzz::decode_ops<Addr>(in);
     rib::RadixTrie<Addr> original;
+    rib::RouteList<Addr> announced;
     for (const auto& op : ops) {
-        if (op.next_hop == rib::kNoRoute)
+        if (op.next_hop == rib::kNoRoute) {
             original.erase(op.prefix);
-        else
+        } else {
             original.insert(op.prefix, op.next_hop);
+            announced.push_back({op.prefix, op.next_hop});
+        }
     }
+
+    rib::RadixTrie<Addr> looped;
+    for (const auto& r : announced) looped.insert(r.prefix, r.next_hop);
+    rib::RadixTrie<Addr> bulk;
+    bulk.insert_all(announced);
+    if (bulk.routes() != looped.routes() || bulk.node_count() != looped.node_count())
+        fuzz::fail(kHarness, "insert_all differs from an insert loop",
+                   std::to_string(bulk.route_count()) + " routes / " +
+                       std::to_string(bulk.node_count()) + " nodes vs " +
+                       std::to_string(looped.route_count()) + " / " +
+                       std::to_string(looped.node_count()));
 
     const auto aggregated_routes = rib::aggregate_routes(original);
     if (aggregated_routes.size() > original.route_count())
@@ -61,6 +102,13 @@ void run(fuzz::ByteReader& in, unsigned direct_bits)
     cfg_agg.route_aggregation = true;
     const poptrie::Poptrie<Addr> pt_raw{original, cfg_raw};
     const poptrie::Poptrie<Addr> pt_agg{original, cfg_agg};
+    const poptrie::Poptrie<Addr> pt_of_aggregated{aggregated, cfg_raw};
+    if (stat_fields(pt_agg.stats()) != stat_fields(pt_of_aggregated.stats()) ||
+        payload_checksum(pt_agg) != payload_checksum(pt_of_aggregated))
+        fuzz::fail(kHarness, "in-build aggregation compiles another FIB",
+                   "than the aggregated route set: " +
+                       std::to_string(pt_agg.stats().internal_nodes) + " vs " +
+                       std::to_string(pt_of_aggregated.stats().internal_nodes) + " inodes");
 
     std::vector<typename Addr::value_type> probes;
     fuzz::boundary_probes(original.routes(), probes);

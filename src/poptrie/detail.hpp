@@ -1,5 +1,5 @@
 // poptrie/detail.hpp — radix-tree expansion helpers shared by the Poptrie
-// builder (builder.cpp) and the incremental updater (updater.cpp).
+// builder (builder.ipp) and the incremental updater (updater.ipp).
 //
 // Both compile FIB nodes out of the binary radix RIB by expanding it 2^k ways
 // per poptrie level (k = 6). A `SlotCtx` is a cursor into the radix tree for
@@ -7,11 +7,19 @@
 // any), the next hop inherited from the deepest route on the path, and that
 // route's depth (used by the updater's shadowing test: a route deeper than
 // the updated prefix makes the slot's whole subtree unaffected).
+//
+// An aggregating cursor (aggregated_root_ctx) walks the RIB as its §3
+// route-aggregated equivalent without building it: a child whose subtree
+// resolves to one hop (rib::resolves_uniformly) becomes a leaf cursor that
+// carries that hop, exactly where the aggregated RIB has no node or a
+// childless one. The builder compiles such a cursor into the FIB that
+// rib::aggregate()'s trie would give, slot for slot.
 #pragma once
 
 #include <cstdint>
 #include <span>
 
+#include "rib/aggregate.hpp"
 #include "rib/radix_trie.hpp"
 
 namespace poptrie::detail {
@@ -20,6 +28,8 @@ template <class Addr>
 struct SlotCtx {
     const typename rib::RadixTrie<Addr>::Node* node = nullptr;
     rib::NextHop inherited = rib::kNoRoute;
+    /// The cursor walks the aggregated view of a classified RIB (above).
+    bool aggregated = false;
     /// Absolute bit-depth of the deepest route folded into `inherited`
     /// (0 when inherited == kNoRoute, or for a default route — either way a
     /// depth-0 route can never shadow an update).
@@ -35,10 +45,27 @@ template <class Addr>
     return s.node != nullptr && (s.node->child[0] != nullptr || s.node->child[1] != nullptr);
 }
 
+/// Moves `ctx` one bit down, to the radix child `child` at absolute bit-depth
+/// `depth`. A missing child leaves a null cursor that keeps the inherited
+/// next hop, which is how shorter prefixes span many slots; an aggregating
+/// cursor also stops at a child whose subtree resolves to one hop.
+template <class Addr>
+inline void descend(SlotCtx<Addr>& ctx, const typename rib::RadixTrie<Addr>::Node* child,
+                    unsigned depth) noexcept
+{
+    ctx.node = child;
+    if (child == nullptr) return;
+    if (ctx.aggregated && rib::resolves_uniformly(*child, ctx.inherited, ctx.inherited)) {
+        ctx.node = nullptr;
+    } else if (child->has_route) {
+        ctx.inherited = child->next_hop;
+        ctx.route_depth = depth;
+    }
+}
+
 /// Expands `parent` (a cursor at absolute bit-depth `depth`) by `levels`
 /// bits, invoking `emit(SlotCtx)` for each of the 2^levels slots in address
-/// order. Missing radix children are emitted as null cursors that keep the
-/// inherited next hop, which is how shorter prefixes span many slots.
+/// order.
 template <class Addr, class F>
 void expand(SlotCtx<Addr> parent, unsigned depth, unsigned levels, F&& emit)
 {
@@ -48,14 +75,7 @@ void expand(SlotCtx<Addr> parent, unsigned depth, unsigned levels, F&& emit)
     }
     for (unsigned b = 0; b < 2; ++b) {
         SlotCtx<Addr> next = parent;
-        if (parent.node != nullptr) {
-            const auto* child = parent.node->child[b].get();
-            next.node = child;
-            if (child != nullptr && child->has_route) {
-                next.inherited = child->next_hop;
-                next.route_depth = depth + 1;
-            }
-        }
+        if (parent.node != nullptr) descend(next, parent.node->child[b].get(), depth + 1);
         expand(next, depth + 1, levels - 1, emit);
     }
 }
@@ -75,8 +95,18 @@ template <class Addr>
 [[nodiscard]] SlotCtx<Addr> root_ctx(const rib::RadixTrie<Addr>& rib) noexcept
 {
     SlotCtx<Addr> ctx;
-    ctx.node = rib.root();
-    if (ctx.node != nullptr && ctx.node->has_route) ctx.inherited = ctx.node->next_hop;
+    descend(ctx, rib.root(), 0);
+    return ctx;
+}
+
+/// Aggregating cursor for the RIB root (see the file comment). Classifies
+/// `rib` first, so it takes the single-threaded access rib::classify needs.
+template <class Addr>
+[[nodiscard]] SlotCtx<Addr> aggregated_root_ctx(const rib::RadixTrie<Addr>& rib)
+{
+    rib::classify(rib);
+    SlotCtx<Addr> ctx{.aggregated = true};
+    descend(ctx, rib.root(), 0);
     return ctx;
 }
 
@@ -93,12 +123,7 @@ template <class Addr>
         // shift-ok: d < levels (loop bound) and levels <= direct_bits < 64,
         // so the count stays in [0, levels - 1].
         const unsigned b = static_cast<unsigned>((path >> (levels - 1 - d)) & 1);
-        const auto* child = ctx.node->child[b].get();
-        ctx.node = child;
-        if (child != nullptr && child->has_route) {
-            ctx.inherited = child->next_hop;
-            ctx.route_depth = d + 1;
-        }
+        descend(ctx, ctx.node->child[b].get(), d + 1);
     }
     return ctx;
 }

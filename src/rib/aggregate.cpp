@@ -3,20 +3,10 @@
 namespace rib {
 namespace {
 
-// Coverage classification of a subtree's address space, considering only the
-// routes inside the subtree:
-//   kEmpty   — no routes at all: every address resolves to the inherited hop;
-//   kFull    — fully covered, every address resolves to `val`;
-//   kPartial — the routed portion uniformly resolves to `val`, but gaps
-//              remain: uniform overall iff the inherited hop equals `val`;
-//   kMixed   — at least two different resolutions regardless of inheritance.
-//
-// The classification is cached in the radix node's scratch fields between
-// the bottom-up compute pass and the top-down emit pass.
-enum Kind : std::uint8_t { kEmpty, kFull, kPartial, kMixed };
-
+// A subtree's label (Coverage and hop), considering only the routes inside
+// the subtree.
 struct Cov {
-    Kind kind = kEmpty;
+    Coverage kind = Coverage::kEmpty;
     NextHop val = kNoRoute;
 };
 
@@ -24,10 +14,11 @@ struct Cov {
 Cov fill(const Cov& c, NextHop r)
 {
     switch (c.kind) {
-    case kEmpty: return {kFull, r};
-    case kFull: return c;
-    case kPartial: return c.val == r ? Cov{kFull, r} : Cov{kMixed, kNoRoute};
-    case kMixed: return c;
+    case Coverage::kEmpty: return {Coverage::kFull, r};
+    case Coverage::kFull: return c;
+    case Coverage::kPartial:
+        return c.val == r ? Cov{Coverage::kFull, r} : Cov{Coverage::kMixed, kNoRoute};
+    case Coverage::kMixed: return c;
     }
     return c;
 }
@@ -35,6 +26,7 @@ Cov fill(const Cov& c, NextHop r)
 // Merges sibling coverages when the parent has no route of its own.
 Cov merge(const Cov& a, const Cov& b)
 {
+    using enum Coverage;
     if (a.kind == kMixed || b.kind == kMixed) return {kMixed, kNoRoute};
     if (a.kind == kEmpty && b.kind == kEmpty) return {kEmpty, kNoRoute};
     if (a.kind == kEmpty) return {kPartial, b.val};
@@ -47,7 +39,7 @@ Cov merge(const Cov& a, const Cov& b)
 template <class Node>
 Cov compute(const Node* n)
 {
-    if (n == nullptr) return {kEmpty, kNoRoute};
+    if (n == nullptr) return {};
     const Cov c0 = compute(n->child[0].get());
     const Cov c1 = compute(n->child[1].get());
     Cov result;
@@ -55,13 +47,13 @@ Cov compute(const Node* n)
         // The node's own route fills both children's gaps.
         const Cov e0 = fill(c0, n->next_hop);
         const Cov e1 = fill(c1, n->next_hop);
-        result = (e0.kind == kFull && e1.kind == kFull && e0.val == e1.val)
-                     ? Cov{kFull, e0.val}
-                     : Cov{kMixed, kNoRoute};
+        result = (e0.kind == Coverage::kFull && e1.kind == Coverage::kFull && e0.val == e1.val)
+                     ? Cov{Coverage::kFull, e0.val}
+                     : Cov{Coverage::kMixed, kNoRoute};
     } else {
         result = merge(c0, c1);
     }
-    n->scratch_kind = result.kind;
+    n->scratch_kind = static_cast<std::uint8_t>(result.kind);
     n->scratch_value = result.val;
     return result;
 }
@@ -70,18 +62,9 @@ template <class Node, class Prefix, class Out>
 void emit(const Node* n, Prefix at, NextHop inherited, Out& out)
 {
     if (n == nullptr) return;
-    const Cov c{static_cast<Kind>(n->scratch_kind), n->scratch_value};
-    switch (c.kind) {
-    case kEmpty:
+    if (NextHop hop; resolves_uniformly(*n, inherited, hop)) {
+        if (hop != inherited) out.push_back({at, hop});
         return;
-    case kFull:
-        if (c.val != inherited) out.push_back({at, c.val});
-        return;
-    case kPartial:
-        if (c.val == inherited) return;  // gaps and routes both resolve to `inherited`
-        break;                           // must descend, like kMixed
-    case kMixed:
-        break;
     }
     NextHop next_inherited = inherited;
     if (n->has_route) {
@@ -95,14 +78,22 @@ void emit(const Node* n, Prefix at, NextHop inherited, Out& out)
 }  // namespace
 
 template <class Addr>
+void classify(const RadixTrie<Addr>& rib)
+{
+    compute(rib.root());
+}
+
+template <class Addr>
 RouteList<Addr> aggregate_routes(const RadixTrie<Addr>& input)
 {
     RouteList<Addr> out;
-    compute(input.root());
+    classify(input);
     emit(input.root(), typename RadixTrie<Addr>::prefix_type{}, kNoRoute, out);
     return out;
 }
 
+template void classify(const RadixTrie<netbase::Ipv4Addr>&);
+template void classify(const RadixTrie<netbase::Ipv6Addr>&);
 template RouteList<netbase::Ipv4Addr> aggregate_routes(const RadixTrie<netbase::Ipv4Addr>&);
 template RouteList<netbase::Ipv6Addr> aggregate_routes(const RadixTrie<netbase::Ipv6Addr>&);
 

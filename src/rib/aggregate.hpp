@@ -7,22 +7,63 @@
 // applies this RIB→FIB step before building Poptrie (it is equally applicable
 // to the other structures, and the ablation bench measures it separately).
 //
+// Aggregation is two passes over the RIB. classify() labels every node
+// bottom-up with how the routes inside its subtree cover its address space;
+// aggregate_routes() then emits the aggregated route set top-down. The
+// Poptrie compile (Config::route_aggregation) runs only the first pass and
+// compiles the RIB itself, reading each node's label through
+// resolves_uniformly(), so it never builds the aggregated set.
+//
 // The transformation is semantics-preserving: for every address, the longest-
 // prefix-match result over the aggregated route set equals the result over
 // the original set (tests verify this property exhaustively on small tables
 // and at all prefix boundaries on large ones).
 #pragma once
 
+#include <cstdint>
+
 #include "rib/radix_trie.hpp"
 #include "rib/route.hpp"
 
 namespace rib {
 
+/// How the routes inside a subtree cover its address space (classify()):
+enum class Coverage : std::uint8_t {
+    kEmpty,    ///< no routes: every address resolves to the inherited hop
+    kFull,     ///< fully covered: every address resolves to the label's hop
+    kPartial,  ///< the routed part resolves to the label's hop, gaps remain
+    kMixed,    ///< at least two resolutions, whatever is inherited
+};
+
+/// Labels every node of `rib` with its subtree's Coverage and hop, in the
+/// nodes' scratch fields. Single-threaded: each call rewrites the labels.
+template <class Addr>
+void classify(const RadixTrie<Addr>& rib);
+
+/// After classify(): true when every address under `n` resolves to one hop,
+/// given that the hop inherited from above `n` is `inherited`; the hop is
+/// stored in `hop`. Aggregation replaces such a subtree by at most one route
+/// at `n` (none when `hop` == `inherited`).
+template <class Node>
+[[nodiscard]] inline bool resolves_uniformly(const Node& n, NextHop inherited,
+                                             NextHop& hop) noexcept
+{
+    switch (static_cast<Coverage>(n.scratch_kind)) {
+    case Coverage::kEmpty: hop = inherited; return true;
+    case Coverage::kFull: hop = n.scratch_value; return true;
+    case Coverage::kPartial: hop = inherited; return n.scratch_value == inherited;
+    case Coverage::kMixed: return false;
+    }
+    return false;
+}
+
 /// Returns the aggregated equivalent of `input`'s route set.
 template <class Addr>
 [[nodiscard]] RouteList<Addr> aggregate_routes(const RadixTrie<Addr>& input);
 
-/// Convenience: aggregates and loads the result into a fresh trie.
+/// Convenience: aggregates and loads the result into a fresh trie. The
+/// Poptrie compile does not need it (see above); the baselines, lpmd and the
+/// benches build their structures from its result.
 template <class Addr>
 [[nodiscard]] RadixTrie<Addr> aggregate(const RadixTrie<Addr>& input)
 {
@@ -31,6 +72,8 @@ template <class Addr>
     return out;
 }
 
+extern template void classify(const RadixTrie<netbase::Ipv4Addr>&);
+extern template void classify(const RadixTrie<netbase::Ipv6Addr>&);
 extern template RouteList<netbase::Ipv4Addr> aggregate_routes(
     const RadixTrie<netbase::Ipv4Addr>&);
 extern template RouteList<netbase::Ipv6Addr> aggregate_routes(

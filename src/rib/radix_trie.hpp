@@ -14,10 +14,12 @@
 #pragma once
 
 #include <algorithm>
+#include <array>
 #include <cassert>
 #include <cstdint>
 #include <memory>
 #include <utility>
+#include <vector>
 
 #include "netbase/bits.hpp"
 #include "netbase/prefix.hpp"
@@ -41,8 +43,10 @@ public:
         bool has_route = false;
         /// §3.5 update mark: resolution under this node may have changed.
         bool marked = false;
-        /// Scratch space for single-threaded analyses (route aggregation's
-        /// coverage classification); fits the struct's padding, costs nothing.
+        /// Route aggregation's coverage class of this subtree and its hop
+        /// (rib::classify in aggregate.hpp), which the aggregating FIB
+        /// compile reads back. Written by every classify() of the trie, so
+        /// it is single-threaded scratch; fits the struct's padding.
         mutable NextHop scratch_value = kNoRoute;
         mutable std::uint8_t scratch_kind = 0;
     };
@@ -117,20 +121,27 @@ public:
     /// Clears marks under `prefix` (after the FIB consumed them).
     void clear_marks(const prefix_type& prefix);
 
-    /// Bulk load: inserts every route in `list` in prefix order. The copy is
-    /// stably sorted first, so consecutive inserts share their path and the
-    /// nodes are allocated in DFS order; of duplicate prefixes the last one
-    /// in `list` wins, as with an insert() loop.
+    /// Bulk load, with the result of an insert() loop over `list`: of
+    /// duplicate prefixes the last one in `list` wins. The copy is put in
+    /// prefix order by a stable radix sort (sort_routes), and each route is
+    /// inserted from the deepest node it shares with the route before it, so
+    /// no path is walked twice and the nodes are allocated in DFS order.
+    /// `displaced(hop)` runs for every route that a later one replaces, the
+    /// trie's own routes included.
+    template <class Displaced>
+    void insert_all(RouteList<Addr> list, Displaced&& displaced);
+
     void insert_all(RouteList<Addr> list)
     {
-        std::stable_sort(list.begin(), list.end(),
-                         [](const Route<Addr>& a, const Route<Addr>& b) {
-                             return a.prefix < b.prefix;
-                         });
-        for (const auto& r : list) insert(r.prefix, r.next_hop);
+        insert_all(std::move(list), [](NextHop) {});
     }
 
 private:
+    // Stable LSD radix sort of `list` into Prefix order (address, then
+    // length), one byte per pass, skipping every pass whose byte is the same
+    // in all routes.
+    static void sort_routes(RouteList<Addr>& list);
+
     // Walks to the node for `prefix`, returns nullptr if the path is absent.
     [[nodiscard]] Node* walk_to(const prefix_type& prefix) const noexcept;
 
@@ -198,6 +209,76 @@ void RadixTrie<Addr>::insert(const prefix_type& prefix, NextHop next_hop)
     if (!n->has_route) ++routes_;
     n->has_route = true;
     n->next_hop = next_hop;
+}
+
+template <class Addr>
+template <class Displaced>
+void RadixTrie<Addr>::insert_all(RouteList<Addr> list, Displaced&& displaced)
+{
+    if (list.empty()) return;
+    sort_routes(list);
+    if (!root_) {
+        root_ = std::make_unique<Node>();
+        ++nodes_;
+    }
+    // path[d] is the node at depth d on the previous route's path, valid for
+    // d <= prev_len; the root starts every path.
+    Node* path[kWidth + 1];
+    path[0] = root_.get();
+    value_type prev_bits = 0;
+    unsigned prev_len = 0;
+    for (const auto& r : list) {
+        assert(r.next_hop != kNoRoute);
+        const value_type bits = r.prefix.bits();
+        const unsigned len = r.prefix.length();
+        unsigned depth =
+            netbase::common_prefix_length(prev_bits, bits, std::min(prev_len, len));
+        Node* n = path[depth];
+        for (; depth < len; ++depth) {
+            auto& child = n->child[netbase::bit_at(bits, depth)];
+            if (!child) {
+                child = std::make_unique<Node>();
+                ++nodes_;
+            }
+            n = child.get();
+            path[depth + 1] = n;
+        }
+        if (n->has_route)
+            displaced(n->next_hop);
+        else
+            ++routes_;
+        n->has_route = true;
+        n->next_hop = r.next_hop;
+        prev_bits = bits;
+        prev_len = len;
+    }
+}
+
+template <class Addr>
+void RadixTrie<Addr>::sort_routes(RouteList<Addr>& list)
+{
+    // Digit 0 is the length (the least significant key), digits 1..kBytes
+    // the address bytes from the lowest up. All histograms come from one
+    // read of the list: a digit's histogram does not depend on the order.
+    constexpr unsigned kBytes = sizeof(value_type);
+    constexpr unsigned kDigits = kBytes + 1;
+    const auto digit = [](const Route<Addr>& r, unsigned d) -> unsigned {
+        if (d == 0) return r.prefix.length();
+        // shift-ok: 1 <= d <= kBytes, so the count is at most width - 8.
+        return static_cast<unsigned>(r.prefix.bits() >> (8 * (d - 1))) & 0xFFu;
+    };
+    std::vector<std::array<std::size_t, 256>> count(kDigits);
+    for (const auto& r : list)
+        for (unsigned d = 0; d < kDigits; ++d) ++count[d][digit(r, d)];
+    RouteList<Addr> out(list.size());
+    for (unsigned d = 0; d < kDigits; ++d) {
+        auto& at = count[d];
+        if (at[digit(list.front(), d)] == list.size()) continue;  // one bucket: already in order
+        std::size_t next = 0;
+        for (auto& c : at) next += std::exchange(c, next);
+        for (const auto& r : list) out[at[digit(r, d)]++] = r;
+        list.swap(out);
+    }
 }
 
 template <class Addr>

@@ -91,17 +91,19 @@ public:
         rib::RouteList<Addr> table;
         table.reserve(routes.size());
         for (const auto& r : routes) {
+            // One reference per route; intern() takes the first one.
             rib::NextHop& index = index_of_hop[r.next_hop];
-            if (index == rib::kNoRoute) index = fresh.intern(adjacency_of(r.next_hop));
+            if (index == rib::kNoRoute)
+                index = fresh.intern(adjacency_of(r.next_hop));
+            else
+                ++fresh.refcounts_[index];
             table.push_back({r.prefix, index});
         }
-        fresh.rib_.insert_all(std::move(table));
-        // One reference per installed route. An adjacency named only by
-        // duplicates that a later route replaced is released, as the
-        // replacing add_route() would have done.
-        std::fill(fresh.refcounts_.begin(), fresh.refcounts_.end(), 0);
-        fresh.rib_.for_each_route(
-            [&](const prefix_type&, rib::NextHop index) { ++fresh.refcounts_[index]; });
+        // A duplicate prefix displaces the earlier route and drops its
+        // reference, as the replacing add_route() would; an adjacency left
+        // with none is released.
+        fresh.rib_.insert_all(std::move(table),
+                              [&](rib::NextHop displaced) { --fresh.refcounts_[displaced]; });
         for (std::size_t index = 1; index < fresh.refcounts_.size(); ++index)
             if (fresh.refcounts_[index] == 0) fresh.free_index(static_cast<rib::NextHop>(index));
         fresh.fib_ = poptrie::Poptrie<Addr>{fresh.rib_, fib_.config()};

@@ -24,6 +24,7 @@
 #include <bit>
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
 #include <vector>
 
 #include "sync/annotations.hpp"
@@ -51,7 +52,7 @@ class POPTRIE_CAPABILITY("spsc-consumer") SpscConsumerRole {};
 template <class T>
 class SpscRing {
     static_assert(std::is_trivially_copyable_v<T>,
-                  "ring items are copied with plain assignment in batches");
+                  "ring items are copied with memcpy in batches");
 
 public:
     /// Capacity is rounded up to a power of two (masked indexing).
@@ -92,8 +93,12 @@ public:
             free = capacity() - static_cast<std::size_t>(tail - head_cache_);
         }
         const std::size_t count = n < free ? n : free;
-        for (std::size_t i = 0; i < count; ++i)
-            buf_[static_cast<std::size_t>(tail + i) & mask_] = items[i];
+        // The slots from `at` are at most two runs: to the buffer's end,
+        // then from slot 0.
+        const std::size_t at = static_cast<std::size_t>(tail) & mask_;
+        const std::size_t first = count < capacity() - at ? count : capacity() - at;
+        if (first != 0) std::memcpy(&buf_[at], items, first * sizeof(T));
+        if (first != count) std::memcpy(buf_.data(), items + first, (count - first) * sizeof(T));
         // order: release [cap:ring] — publishes the slot writes above to the
         // consumer's acquire load of tail_ in pop().
         tail_.store(tail + count, std::memory_order_release);
@@ -121,8 +126,10 @@ public:
             avail = static_cast<std::size_t>(tail_cache_ - head);
         }
         const std::size_t count = max < avail ? max : avail;
-        for (std::size_t i = 0; i < count; ++i)
-            out[i] = buf_[static_cast<std::size_t>(head + i) & mask_];
+        const std::size_t at = static_cast<std::size_t>(head) & mask_;
+        const std::size_t first = count < capacity() - at ? count : capacity() - at;
+        if (first != 0) std::memcpy(out, &buf_[at], first * sizeof(T));
+        if (first != count) std::memcpy(out + first, buf_.data(), (count - first) * sizeof(T));
         // order: release [cap:ring] — signals the producer (acquire reload in
         // push()) that the slots above are fully read and may be overwritten.
         head_.store(head + count, std::memory_order_release);

@@ -4,6 +4,7 @@
 // (the §3.5 concurrency contract; run under TSan by the tsan CI leg).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <numeric>
 #include <stdexcept>
 #include <thread>
@@ -93,6 +94,41 @@ TEST(SpscRing, WraparoundPreservesFifo)
     }
     while (ring.pop(buf, 1) == 1) EXPECT_EQ(buf[0], next_out++);
     EXPECT_EQ(next_in, next_out);
+
+    // Bursts of every length from 0 to capacity, pushed onto every fill
+    // level at every start offset, then popped in two bursts: each copy runs
+    // up to the buffer's end and on from slot 0 wherever that falls.
+    constexpr std::size_t kCap = 8;
+    for (std::size_t offset = 0; offset < kCap; ++offset) {
+        for (std::size_t fill = 0; fill <= kCap; ++fill) {
+            for (std::size_t len = 0; len <= kCap; ++len) {
+                psync::SpscRing<std::uint32_t> r(kCap);
+                const psync::SpscProducerToken p{r};  // single-threaded test
+                const psync::SpscConsumerToken c{r};
+                std::uint32_t value = 0;
+                for (std::size_t i = 0; i < offset; ++i) {
+                    ASSERT_TRUE(r.try_push(value));
+                    std::uint32_t out = 0;
+                    ASSERT_TRUE(r.try_pop(out));
+                }
+                std::uint32_t in[2 * kCap];
+                for (auto& x : in) x = value++;
+                ASSERT_EQ(r.push(in, fill), fill);
+                const std::size_t accepted = std::min(len, kCap - fill);
+                ASSERT_EQ(r.push(in + fill, len), accepted)
+                    << "offset " << offset << " fill " << fill << " len " << len;
+                std::uint32_t out[2 * kCap] = {};
+                const std::size_t total = fill + accepted;
+                const std::size_t head_part = total / 2;
+                ASSERT_EQ(r.pop(out, head_part), head_part);
+                ASSERT_EQ(r.pop(out + head_part, 2 * kCap), total - head_part);
+                for (std::size_t i = 0; i < total; ++i)
+                    ASSERT_EQ(out[i], in[i])
+                        << "offset " << offset << " fill " << fill << " len " << len;
+                ASSERT_TRUE(r.empty());
+            }
+        }
+    }
 }
 
 TEST(SpscRing, CrossThreadTransferIntegrity)

@@ -2,8 +2,14 @@
 // (§3.3), direct pointing (§3.4), statistics and small-table exhaustiveness.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
+#include <string>
+
+#include "analysis/audit.hpp"
 #include "helpers.hpp"
 #include "poptrie/poptrie.hpp"
+#include "rib/aggregate.hpp"
 #include "workload/tablegen.hpp"
 
 using namespace testhelpers;
@@ -13,6 +19,77 @@ using rib::kNoRoute;
 
 namespace {
 Prefix4 pfx(const char* text) { return *netbase::parse_prefix4(text); }
+
+auto stat_fields(const poptrie::Stats& s)
+{
+    return std::array{s.internal_nodes,         s.leaves,
+                      s.direct_slots,           s.leaf8_slots,
+                      s.leaf_dict_entries,      s.memory_bytes,
+                      s.allocated_bytes,        s.node_pool_used,
+                      s.leaf_pool_used,         s.node_free_blocks,
+                      s.leaf_free_blocks,       s.node_largest_free_run,
+                      s.leaf_largest_free_run,  s.node_high_water,
+                      s.leaf_high_water};
+}
+
+// Compiles `rib` with route aggregation (the in-place compile) and
+// rib::aggregate(rib) without it: the two FIBs must be the same array for
+// array, up to each pool's high water.
+template <class Addr>
+void expect_in_place_compile_matches(const rib::RadixTrie<Addr>& rib, Config cfg,
+                                     const std::string& what)
+{
+    cfg.route_aggregation = true;
+    const poptrie::Poptrie<Addr> in_place{rib, cfg};
+    cfg.route_aggregation = false;
+    const poptrie::Poptrie<Addr> from_copy{rib::aggregate(rib), cfg};
+
+    const auto stats = in_place.stats();
+    ASSERT_EQ(stat_fields(stats), stat_fields(from_copy.stats())) << what;
+    const auto& a = analysis::AuditAccess::pools(in_place);
+    const auto& b = analysis::AuditAccess::pools(from_copy);
+    EXPECT_EQ(a.root, b.root) << what;
+    EXPECT_TRUE(std::equal(a.nodes.data(), a.nodes.data() + stats.node_high_water,
+                           b.nodes.data()))
+        << what << ": nodes";
+    EXPECT_TRUE(std::equal(a.leaves.data(), a.leaves.data() + stats.leaf_high_water,
+                           b.leaves.data()))
+        << what << ": leaves";
+    EXPECT_TRUE(std::equal(a.direct.data(), a.direct.data() + stats.direct_slots,
+                           b.direct.data()))
+        << what << ": direct";
+}
+
+// The tables of test_aggregate.cpp: each corner of the classification.
+std::vector<rib::RouteList<Ipv4Addr>> aggregation_corner_tables()
+{
+    std::vector<rib::RouteList<Ipv4Addr>> tables = {
+        {},
+        {{pfx("10.0.0.0/9"), 5}, {pfx("10.128.0.0/9"), 5}},
+        {{pfx("10.0.0.0/9"), 5}, {pfx("10.128.0.0/9"), 6}},
+        {{pfx("10.0.0.0/9"), 5}, {pfx("10.128.0.0/10"), 5}},
+        {{pfx("10.0.0.0/8"), 5}, {pfx("10.1.0.0/16"), 5}},
+        {{pfx("10.0.0.0/8"), 5}, {pfx("10.1.0.0/16"), 6}},
+        {{pfx("10.0.0.0/8"), 1}, {pfx("10.0.0.0/9"), 2}, {pfx("10.128.0.0/9"), 2}},
+        corner_case_table(),
+    };
+    workload::Xorshift128 rng(42);
+    auto& dense = tables.emplace_back();
+    for (int i = 0; i < 400; ++i) {
+        const unsigned len = 16 + rng.next_below(17);
+        const std::uint32_t addr = 0x0A140000u | (rng.next() & 0xFFFF);
+        dense.push_back({Prefix4{Ipv4Addr{addr}, len}, static_cast<NextHop>(1 + rng.next_below(5))});
+    }
+    for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+        workload::TableGenConfig gen;
+        gen.seed = seed;
+        gen.target_routes = 20'000;
+        gen.next_hops = seed == 1 ? 100 : 7;
+        gen.igp_routes = 300;
+        tables.push_back(workload::generate_table(gen));
+    }
+    return tables;
+}
 }  // namespace
 
 TEST(PoptrieBuild, EmptyTableAlwaysMisses)
@@ -195,4 +272,46 @@ TEST(PoptrieBuild, MoveSemantics)
     const auto want = a.lookup(*netbase::parse_ipv4("10.32.5.193"));
     const Poptrie4 b{std::move(a)};
     EXPECT_EQ(b.lookup(*netbase::parse_ipv4("10.32.5.193")), want);
+}
+
+TEST(PoptrieBuild, AggregatedCompileMatchesAggregatedRib)
+{
+    const auto tables = aggregation_corner_tables();
+    for (std::size_t t = 0; t < tables.size(); ++t) {
+        const auto rib = load(tables[t]);
+        for (const unsigned s : {18u, 16u, 0u}) {
+            for (const bool lc : {true, false}) {
+                Config cfg;
+                cfg.direct_bits = s;
+                cfg.leaf_compression = lc;
+                expect_in_place_compile_matches(
+                    rib, cfg,
+                    "table " + std::to_string(t) + " s=" + std::to_string(s) +
+                        " leafvec=" + std::to_string(lc));
+            }
+        }
+    }
+
+    std::vector<rib::RouteList<netbase::Ipv6Addr>> tables6 = {{
+        {*netbase::parse_prefix6("2001:db8::/33"), 3},
+        {*netbase::parse_prefix6("2001:db8:8000::/33"), 3},
+        {*netbase::parse_prefix6("2001:db8:1::/48"), 3},
+    }};
+    for (std::uint64_t seed = 1; seed <= 2; ++seed) {
+        workload::TableGen6Config gen;
+        gen.seed = seed;
+        gen.target_routes = 10'000;
+        gen.next_hops = seed == 1 ? 13 : 3;
+        tables6.push_back(workload::generate_table6(gen));
+    }
+    for (std::size_t t = 0; t < tables6.size(); ++t) {
+        rib::RadixTrie<netbase::Ipv6Addr> rib;
+        rib.insert_all(tables6[t]);
+        for (const unsigned s : {18u, 0u}) {
+            Config cfg;
+            cfg.direct_bits = s;
+            expect_in_place_compile_matches(
+                rib, cfg, "ipv6 table " + std::to_string(t) + " s=" + std::to_string(s));
+        }
+    }
 }

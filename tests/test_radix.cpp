@@ -1,6 +1,8 @@
 // Tests for the binary radix trie (RIB substrate / "Radix" baseline).
 #include <gtest/gtest.h>
 
+#include <utility>
+
 #include "baselines/linear.hpp"
 #include "helpers.hpp"
 #include "rib/radix_trie.hpp"
@@ -13,6 +15,62 @@ using rib::RadixTrie;
 
 namespace {
 Prefix4 pfx(const char* text) { return *netbase::parse_prefix4(text); }
+netbase::Prefix6 pfx6(const char* text) { return *netbase::parse_prefix6(text); }
+
+/// Deterministic Fisher-Yates shuffle, so insert_all has to sort.
+template <class Addr>
+void shuffle(rib::RouteList<Addr>& routes, std::uint64_t seed)
+{
+    workload::Xorshift128 rng(seed);
+    for (std::size_t i = routes.size(); i > 1; --i)
+        std::swap(routes[i - 1], routes[rng.next_below(static_cast<std::uint32_t>(i))]);
+}
+
+/// insert_all(list) on a trie holding `base` must leave what an insert()
+/// loop leaves: the same routes, node count and lookups, with one
+/// displaced() call per route replaced.
+template <class Addr>
+void expect_insert_all_matches_loop(const rib::RouteList<Addr>& base,
+                                    const rib::RouteList<Addr>& list, const char* what)
+{
+    using value_type = typename Addr::value_type;
+    RadixTrie<Addr> looped;
+    RadixTrie<Addr> bulk;
+    for (const auto& r : base) {
+        looped.insert(r.prefix, r.next_hop);
+        bulk.insert(r.prefix, r.next_hop);
+    }
+    for (const auto& r : list) looped.insert(r.prefix, r.next_hop);
+    const std::size_t before = bulk.route_count();
+    std::size_t displaced = 0;
+    bulk.insert_all(list, [&](NextHop) { ++displaced; });
+
+    EXPECT_EQ(bulk.routes(), looped.routes()) << what;
+    EXPECT_EQ(bulk.route_count(), looped.route_count()) << what;
+    EXPECT_EQ(bulk.node_count(), looped.node_count()) << what;
+    EXPECT_EQ(displaced, before + list.size() - bulk.route_count()) << what;
+    const auto check = [&](value_type v) {
+        ASSERT_EQ(bulk.lookup(Addr{v}), looped.lookup(Addr{v})) << what << ": "
+                                                               << netbase::to_string(Addr{v});
+    };
+    for (const auto* routes : {&base, &list}) {
+        for (const auto& r : *routes) {
+            const value_type lo = r.prefix.first_address().value();
+            const value_type hi = r.prefix.last_address().value();
+            for (const value_type v : {lo, hi, static_cast<value_type>(lo - 1),
+                                       static_cast<value_type>(hi + 1)})
+                check(v);
+        }
+    }
+    workload::Xorshift128 rng(9);
+    for (int i = 0; i < 20'000; ++i) {
+        value_type v = 0;
+        for (unsigned w = 0; w < sizeof(value_type) / 4; ++w)
+            // shift-ok: 32-bit steps inside a value_type of at least 32 bits.
+            v = static_cast<value_type>((v << 16) << 16) | rng.next();
+        check(v);
+    }
+}
 }  // namespace
 
 TEST(Radix, EmptyTrieMisses)
@@ -161,6 +219,58 @@ TEST(Radix, InsertAllKeepsLastDuplicateAndMatchesInsertLoop)
     EXPECT_EQ(bulk.node_count(), looped.node_count());
     EXPECT_EQ(bulk.find(routes[0].prefix), 999);
     EXPECT_EQ(bulk.find(routes[7].prefix), routes[7].next_hop + 1);
+
+    shuffle(routes, 3);
+    expect_insert_all_matches_loop<Ipv4Addr>({}, routes, "ipv4 shuffled");
+
+    // Prefixes that differ only in length, /0 and /32 among them, and the
+    // same in reverse: the length is the sort's least significant key.
+    rib::RouteList<Ipv4Addr> lengths;
+    for (const unsigned len : {32u, 24u, 0u, 9u, 8u, 16u, 31u, 1u})
+        lengths.push_back({Prefix4{Ipv4Addr{0x0A000000u}, len}, static_cast<NextHop>(len + 1)});
+    lengths.push_back({Prefix4{Ipv4Addr{0}, 32}, 40});
+    lengths.push_back({Prefix4{Ipv4Addr{0xFFFFFFFFu}, 32}, 41});
+    expect_insert_all_matches_loop<Ipv4Addr>({}, lengths, "ipv4 lengths");
+
+    // Into a non-empty trie: some prefixes replace installed routes (the
+    // trie's own, and a duplicate within the list), others are new.
+    const rib::RouteList<Ipv4Addr> base = {
+        {pfx("0.0.0.0/0"), 1}, {pfx("10.0.0.0/8"), 2}, {pfx("10.1.0.0/16"), 3},
+        {pfx("192.168.0.0/24"), 4}, {pfx("255.255.255.255/32"), 5}};
+    const rib::RouteList<Ipv4Addr> more = {
+        {pfx("10.1.2.0/24"), 6}, {pfx("10.0.0.0/8"), 7}, {pfx("172.16.0.0/12"), 8},
+        {pfx("192.168.0.0/24"), 9}, {pfx("10.1.2.0/24"), 10}, {pfx("0.0.0.0/0"), 11}};
+    expect_insert_all_matches_loop(base, more, "ipv4 into non-empty");
+    expect_insert_all_matches_loop(base, {}, "ipv4 empty list");
+
+    // IPv6: /0 and /128, prefixes that differ only below bit 64 (the low
+    // half of the key, which the sort reaches last), and lengths alone.
+    const rib::RouteList<netbase::Ipv6Addr> v6 = {
+        {pfx6("2001:db8::1/128"), 1},       {pfx6("::/0"), 2},
+        {pfx6("2001:db8::/64"), 3},         {pfx6("2001:db8::8000:0:0:0/65"), 4},
+        {pfx6("2001:db8::2/127"), 5},       {pfx6("2001:db8::ff00/120"), 6},
+        {pfx6("2001:db8::1:0:0/96"), 7},    {pfx6("2001:db8::/128"), 8},
+        {pfx6("::/128"), 9},                {pfx6("ffff:ffff:ffff:ffff:ffff:ffff:ffff:ffff/128"), 10},
+        {pfx6("2001:db8::/32"), 11},        {pfx6("2001:db8::/48"), 12},
+        {pfx6("2001:db8::1/128"), 13},      {pfx6("::/0"), 14},
+        {pfx6("2001:db8:0:1::/64"), 15},    {pfx6("2001:db8::8000:0:0:1/128"), 16},
+    };
+    expect_insert_all_matches_loop<netbase::Ipv6Addr>({}, v6, "ipv6 corners");
+    expect_insert_all_matches_loop<netbase::Ipv6Addr>(
+        {{pfx6("2001:db8::/64"), 20}, {pfx6("::/0"), 21}, {pfx6("3fff::/16"), 22}}, v6,
+        "ipv6 into non-empty");
+
+    // A generated IPv6 table with duplicates far apart.
+    workload::TableGen6Config gen6;
+    gen6.seed = 5;
+    gen6.target_routes = 4'000;
+    auto routes6 = workload::generate_table6(gen6);
+    const std::size_t n6 = routes6.size();
+    for (std::size_t i = 0; i < n6; i += 13)
+        routes6.push_back({routes6[i].prefix, static_cast<NextHop>(routes6[i].next_hop + 1)});
+    routes6.push_back({routes6[0].prefix, 999});
+    shuffle(routes6, 4);
+    expect_insert_all_matches_loop<netbase::Ipv6Addr>({}, routes6, "ipv6 generated");
 }
 
 TEST(Radix, MatchesLinearOracle)
