@@ -150,8 +150,10 @@ int main(int argc, char** argv)
                                std::chrono::steady_clock::now() - load_t0)
                                .count();
     const std::size_t fib_bytes = router.fib().stats().memory_bytes;
-    std::printf("# load_routes: %zu routes in %.1f ms, %zu bytes of structure\n\n",
-                d.routes.size(), load_ms, fib_bytes);
+    const std::size_t rib_bytes = router.rib().memory_bytes();
+    std::printf("# load_routes: %zu routes in %.1f ms, %zu bytes of structure, "
+                "%zu bytes of RIB\n\n",
+                d.routes.size(), load_ms, fib_bytes, rib_bytes);
     const baselines::TreeBitmap16 tbm{d.fib_src};
     std::unique_ptr<baselines::Sail> sail;
     std::string sail_error;
@@ -177,6 +179,7 @@ int main(int argc, char** argv)
     json.field("routes", std::uint64_t{d.routes.size()});
     json.field("load_ms", load_ms);
     json.field("fib_bytes", std::uint64_t{fib_bytes});
+    json.field("rib_bytes", std::uint64_t{rib_bytes});
     benchkit::stamp_provenance(json);
 
     const auto report = [&](std::string_view engine, unsigned workers, bool churn,

@@ -1,4 +1,5 @@
-// alloc/arena.hpp — page-aligned arena backing the FIB's flat arrays.
+// alloc/arena.hpp — page-aligned arena backing the FIB's flat arrays and
+// the RIB's node array.
 //
 // Poptrie's performance argument (§3.1, §4.4) is that the whole FIB is small
 // and contiguous enough to live in cache — but the *TLB* sees page-sized
@@ -20,11 +21,12 @@
 // a MemoryReport (the weakest live backing wins), which benchkit stamps into
 // bench provenance so hugepage and non-hugepage runs are distinguishable.
 //
-// ArenaVector<T> is the minimal std::vector replacement the pools need:
-// trivially-copyable elements, a fixed maximum size, zero-fill on resize.
-// Growing never moves the elements, so a reader may index the vector while
-// the writer resizes it, provided it reads only indices the writer published
-// before (the pools publish with release stores; sync/atomic_utils.hpp).
+// ArenaVector<T> is the minimal std::vector replacement the pools and the
+// RIB need: trivially-copyable elements, a fixed maximum size, zero-fill on
+// resize. Growing never moves the elements, so a reader may index the vector
+// while the writer resizes it, provided it reads only indices the writer
+// published before (the pools publish with release stores;
+// sync/atomic_utils.hpp).
 // Shrinking and destruction are the owner's business: the Poptrie pool sets
 // never shrink a pool and retire whole sets through EBR.
 #pragma once
@@ -76,7 +78,8 @@ struct MemoryReport {
 /// Owns the mappings and accounts for the blocks handed out. Blocks are held
 /// by ArenaVectors, which return them via unmap(); the arena must outlive
 /// every vector it backs (Poptrie keeps it in a unique_ptr declared before
-/// the pools for exactly that reason).
+/// the pools for exactly that reason, and the RIB beside its node array in
+/// one heap object).
 class Arena {
 public:
     /// One mapping: `reserved` bytes of address space at `ptr`, of which the
@@ -131,9 +134,9 @@ private:
 };
 
 /// Flat array of trivially-copyable elements in arena-backed storage that
-/// never moves. Only the surface Poptrie's pools use: size/capacity, element
-/// access, resize (zero-fills growth, like value-initialising std::vector),
-/// assign.
+/// never moves. Only the surface Poptrie's pools and the RIB use:
+/// size/capacity, element access, resize and emplace_back (zero-fill growth,
+/// like value-initialising std::vector), assign.
 template <class T>
 class ArenaVector {
     static_assert(std::is_trivially_copyable_v<T>,
@@ -202,6 +205,16 @@ public:
         if (n > size_)
             std::memset(static_cast<void*>(data() + size_), 0, (n - size_) * sizeof(T));
         size_ = n;
+    }
+
+    /// Appends one zero-byte element, like resize(size() + 1), and returns
+    /// it; throws as resize() does.
+    T& emplace_back()
+    {
+        if (size_ == capacity()) commit(size_ + 1);
+        T* const p = data() + size_++;
+        std::memset(static_cast<void*>(p), 0, sizeof(T));
+        return *p;
     }
 
     /// Replaces the contents with `n` copies of `value`.

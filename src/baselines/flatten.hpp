@@ -6,6 +6,7 @@
 // next hop. One DFS over the radix trie produces them in address order.
 #pragma once
 
+#include <cstdint>
 #include <vector>
 
 #include "rib/radix_trie.hpp"
@@ -29,25 +30,34 @@ template <class Addr>
 [[nodiscard]] std::vector<Run<Addr>> flatten(const rib::RadixTrie<Addr>& rib)
 {
     using value_type = typename Addr::value_type;
-    using Node = typename rib::RadixTrie<Addr>::Node;
+    const auto* const nodes = rib.nodes().data();
     std::vector<Run<Addr>> runs;
     auto emit = [&](value_type base, rib::NextHop nh) {
         if (runs.empty() || runs.back().next_hop != nh) runs.push_back({base, nh});
     };
     // Iterative DFS would also do; recursion depth is bounded by the address
-    // width (<= 128).
-    auto rec = [&](auto&& self, const Node* n, rib::NextHop inherited, value_type base,
+    // width (<= 128). A missing child (index kRoot) is one run.
+    auto rec = [&](auto&& self, std::uint32_t i, rib::NextHop inherited, value_type base,
                    unsigned depth) -> void {
-        if (n != nullptr && n->has_route) inherited = n->next_hop;
-        if (n == nullptr || (n->child[0] == nullptr && n->child[1] == nullptr)) {
+        const auto& n = nodes[i];
+        if (n.has_route()) inherited = n.next_hop;
+        if (!n.has_children()) {
             emit(base, inherited);
             return;
         }
         const value_type half = value_type{1} << (Addr::kWidth - 1 - depth);
-        self(self, n->child[0].get(), inherited, base, depth + 1);
-        self(self, n->child[1].get(), inherited, base | half, depth + 1);
+        for (unsigned b = 0; b < 2; ++b) {
+            const value_type at = b == 0 ? base : base | half;
+            if (n.child[b] == rib::RadixTrie<Addr>::kRoot)
+                emit(at, inherited);
+            else
+                self(self, n.child[b], inherited, at, depth + 1);
+        }
     };
-    rec(rec, rib.root(), rib::kNoRoute, value_type{0}, 0);
+    if (rib.empty())
+        emit(value_type{0}, rib::kNoRoute);
+    else
+        rec(rec, rib::RadixTrie<Addr>::kRoot, rib::kNoRoute, value_type{0}, 0);
     return runs;
 }
 

@@ -40,8 +40,8 @@ public:
     /// Figure 1 strawman).
     explicit MultiwayTrie(const rib::RadixTrie<Addr>& rib)
     {
-        const auto root = poptrie::detail::root_ctx(rib);
-        root_ = build(root, 0);
+        const poptrie::detail::RibView<Addr> view{rib.nodes().data()};
+        root_ = build(view, poptrie::detail::root_ctx(view), 0);
     }
 
     /// Longest-prefix match; rib::kNoRoute on miss.
@@ -73,11 +73,12 @@ private:
                                        (kWidth - kStride));
     }
 
-    std::uint32_t build(const poptrie::detail::SlotCtx<Addr>& slot, unsigned level)
+    std::uint32_t build(const poptrie::detail::RibView<Addr>& rib,
+                        const poptrie::detail::SlotCtx& slot, unsigned level)
     {
-        poptrie::detail::SlotCtx<Addr> slots[64];
-        poptrie::detail::expand_stride<Addr>(
-            slot, level, std::span<poptrie::detail::SlotCtx<Addr>, 64>{slots});
+        poptrie::detail::SlotCtx slots[64];
+        poptrie::detail::expand_stride(rib, slot, level,
+                                       std::span<poptrie::detail::SlotCtx, 64>{slots});
         const auto index = static_cast<std::uint32_t>(nodes_.size());
         nodes_.emplace_back();
         for (unsigned v = 0; v < 64; ++v) {
@@ -86,7 +87,7 @@ private:
         }
         for (unsigned v = 0; v < 64; ++v) {
             if (poptrie::detail::is_internal(slots[v])) {
-                const auto child = build(slots[v], level + kStride);
+                const auto child = build(rib, slots[v], level + kStride);
                 nodes_[index].child[v] = static_cast<std::int32_t>(child);
             }
         }

@@ -102,7 +102,8 @@ private:
         return static_cast<value_type>(static_cast<value_type>(key << off) >> (kWidth - K));
     }
 
-    void fill(std::uint32_t index, const RadixNode* n);
+    // Builds node `index` from radix node `n`; `rib` is the trie's nodes().
+    void fill(std::uint32_t index, const RadixNode* n, const RadixNode* rib);
 
     std::vector<Node> nodes_;
     std::vector<rib::NextHop> results_;

@@ -3,16 +3,18 @@
 //
 // Both compile FIB nodes out of the binary radix RIB by expanding it 2^k ways
 // per poptrie level (k = 6). A `SlotCtx` is a cursor into the radix tree for
-// one slot of a poptrie node: the radix node the slot's path ends at (if
-// any), the next hop inherited from the deepest route on the path, and that
+// one slot of a poptrie node: the child indices of the radix node the slot's
+// path ends at (none when the path ends at a childless node or leaves the
+// tree), the next hop inherited from the deepest route on the path, and that
 // route's depth (used by the updater's shadowing test: a route deeper than
-// the updated prefix makes the slot's whole subtree unaffected).
+// the updated prefix makes the slot's whole subtree unaffected). Cursors read
+// the RIB's node array through a `RibView`.
 //
-// An aggregating cursor (aggregated_root_ctx) walks the RIB as its §3
-// route-aggregated equivalent without building it: a child whose subtree
-// resolves to one hop (rib::resolves_uniformly) becomes a leaf cursor that
-// carries that hop, exactly where the aggregated RIB has no node or a
-// childless one. The builder compiles such a cursor into the FIB that
+// An aggregating view (one that carries rib::classify()'s labels) walks the
+// RIB as its §3 route-aggregated equivalent without building it: a child
+// whose subtree resolves to one hop (rib::resolves_uniformly) becomes a leaf
+// cursor that carries that hop, exactly where the aggregated RIB has no node
+// or a childless one. The builder compiles such a cursor into the FIB that
 // rib::aggregate()'s trie would give, slot for slot.
 #pragma once
 
@@ -24,12 +26,20 @@
 
 namespace poptrie::detail {
 
+/// What cursors read: the RIB's nodes and, for an aggregating view, their
+/// labels.
 template <class Addr>
+struct RibView {
+    /// rib::RadixTrie::nodes().data(): null exactly when the RIB is empty.
+    const typename rib::RadixTrie<Addr>::Node* nodes = nullptr;
+    /// rib::classify() of the same RIB, or null to walk the RIB as it is.
+    const rib::Label* labels = nullptr;
+};
+
 struct SlotCtx {
-    const typename rib::RadixTrie<Addr>::Node* node = nullptr;
+    /// The radix node's children (rib::RadixTrie::kRoot: none).
+    std::uint32_t child[2] = {0, 0};
     rib::NextHop inherited = rib::kNoRoute;
-    /// The cursor walks the aggregated view of a classified RIB (above).
-    bool aggregated = false;
     /// Absolute bit-depth of the deepest route folded into `inherited`
     /// (0 when inherited == kNoRoute, or for a default route — either way a
     /// depth-0 route can never shadow an update).
@@ -39,27 +49,43 @@ struct SlotCtx {
 /// A slot is compiled to an internal node iff its radix subtree branches
 /// further down; a childless radix node's own route is already folded into
 /// `inherited` and becomes a plain leaf.
-template <class Addr>
-[[nodiscard]] inline bool is_internal(const SlotCtx<Addr>& s) noexcept
+[[nodiscard]] inline bool is_internal(const SlotCtx& s) noexcept
 {
-    return s.node != nullptr && (s.node->child[0] != nullptr || s.node->child[1] != nullptr);
+    return (s.child[0] | s.child[1]) != 0;
 }
 
-/// Moves `ctx` one bit down, to the radix child `child` at absolute bit-depth
-/// `depth`. A missing child leaves a null cursor that keeps the inherited
-/// next hop, which is how shorter prefixes span many slots; an aggregating
-/// cursor also stops at a child whose subtree resolves to one hop.
+/// Moves `ctx` onto radix node `i` at absolute bit-depth `depth`, folding its
+/// route into `inherited`. An aggregating view stops at a node whose subtree
+/// resolves to one hop: the cursor keeps that hop and no children.
 template <class Addr>
-inline void descend(SlotCtx<Addr>& ctx, const typename rib::RadixTrie<Addr>::Node* child,
-                    unsigned depth) noexcept
+inline void enter(SlotCtx& ctx, const RibView<Addr>& rib, std::uint32_t i,
+                  unsigned depth) noexcept
 {
-    ctx.node = child;
-    if (child == nullptr) return;
-    if (ctx.aggregated && rib::resolves_uniformly(*child, ctx.inherited, ctx.inherited)) {
-        ctx.node = nullptr;
-    } else if (child->has_route) {
-        ctx.inherited = child->next_hop;
+    if (rib.labels != nullptr &&
+        rib::resolves_uniformly(rib.labels[i], ctx.inherited, ctx.inherited)) {
+        ctx.child[0] = ctx.child[1] = 0;
+        return;
+    }
+    const auto& n = rib.nodes[i];
+    ctx.child[0] = n.child[0];
+    ctx.child[1] = n.child[1];
+    if (n.has_route()) {
+        ctx.inherited = n.next_hop;
         ctx.route_depth = depth;
+    }
+}
+
+/// Moves `ctx` one bit down, to its radix child `b` at absolute bit-depth
+/// `depth`. A missing child leaves a cursor without children that keeps the
+/// inherited next hop, which is how shorter prefixes span many slots.
+template <class Addr>
+inline void descend(SlotCtx& ctx, const RibView<Addr>& rib, unsigned b, unsigned depth) noexcept
+{
+    const std::uint32_t i = ctx.child[b];
+    if (i != 0) {
+        enter(ctx, rib, i, depth);
+    } else {
+        ctx.child[0] = ctx.child[1] = 0;
     }
 }
 
@@ -67,46 +93,39 @@ inline void descend(SlotCtx<Addr>& ctx, const typename rib::RadixTrie<Addr>::Nod
 /// bits, invoking `emit(SlotCtx)` for each of the 2^levels slots in address
 /// order.
 template <class Addr, class F>
-void expand(SlotCtx<Addr> parent, unsigned depth, unsigned levels, F&& emit)
+void expand(const RibView<Addr>& rib, const SlotCtx& parent, unsigned depth, unsigned levels,
+            F&& emit)
 {
-    if (levels == 0) {
-        emit(parent);
+    if (levels == 0 || !is_internal(parent)) {
+        // Every slot under a cursor without children is that cursor.
+        // shift-ok: levels <= kMaxDirectBits (30) < 64.
+        for (std::uint64_t n = std::uint64_t{1} << levels; n != 0; --n) emit(parent);
         return;
     }
     for (unsigned b = 0; b < 2; ++b) {
-        SlotCtx<Addr> next = parent;
-        if (parent.node != nullptr) descend(next, parent.node->child[b].get(), depth + 1);
-        expand(next, depth + 1, levels - 1, emit);
+        SlotCtx next = parent;
+        descend(next, rib, b, depth + 1);
+        expand(rib, next, depth + 1, levels - 1, emit);
     }
 }
 
 /// Convenience: fills a 64-entry array with one poptrie stride of slots.
 template <class Addr>
-void expand_stride(const SlotCtx<Addr>& parent, unsigned depth, std::span<SlotCtx<Addr>, 64> out)
+void expand_stride(const RibView<Addr>& rib, const SlotCtx& parent, unsigned depth,
+                   std::span<SlotCtx, 64> out)
 {
     unsigned pos = 0;
-    expand(parent, depth, 6, [&](const SlotCtx<Addr>& s) { out[pos++] = s; });
+    expand(rib, parent, depth, 6, [&](const SlotCtx& s) { out[pos++] = s; });
 }
 
-/// Cursor for the RIB root: the root node with its own route (a default
-/// route) already folded in, matching the invariant that a SlotCtx's
-/// `inherited` includes the route at `node` itself.
+/// Cursor for the RIB root: the root's children with its own route (a
+/// default route) already folded in, matching the invariant that a SlotCtx's
+/// `inherited` includes the route at the node itself.
 template <class Addr>
-[[nodiscard]] SlotCtx<Addr> root_ctx(const rib::RadixTrie<Addr>& rib) noexcept
+[[nodiscard]] SlotCtx root_ctx(const RibView<Addr>& rib) noexcept
 {
-    SlotCtx<Addr> ctx;
-    descend(ctx, rib.root(), 0);
-    return ctx;
-}
-
-/// Aggregating cursor for the RIB root (see the file comment). Classifies
-/// `rib` first, so it takes the single-threaded access rib::classify needs.
-template <class Addr>
-[[nodiscard]] SlotCtx<Addr> aggregated_root_ctx(const rib::RadixTrie<Addr>& rib)
-{
-    rib::classify(rib);
-    SlotCtx<Addr> ctx{.aggregated = true};
-    descend(ctx, rib.root(), 0);
+    SlotCtx ctx;
+    if (rib.nodes != nullptr) enter(ctx, rib, rib::RadixTrie<Addr>::kRoot, 0);
     return ctx;
 }
 
@@ -114,16 +133,15 @@ template <class Addr>
 /// `path` (the direct-pointing slot index), maintaining the SlotCtx
 /// invariants. Used by the updater to locate one direct slot's cursor.
 template <class Addr>
-[[nodiscard]] SlotCtx<Addr> walk_to(const rib::RadixTrie<Addr>& rib, std::uint64_t path,
-                                    unsigned levels) noexcept
+[[nodiscard]] SlotCtx walk_to(const RibView<Addr>& rib, std::uint64_t path,
+                              unsigned levels) noexcept
 {
-    SlotCtx<Addr> ctx = root_ctx(rib);
-    for (unsigned d = 0; d < levels; ++d) {
-        if (ctx.node == nullptr) break;
+    SlotCtx ctx = root_ctx(rib);
+    for (unsigned d = 0; d < levels && is_internal(ctx); ++d) {
         // shift-ok: d < levels (loop bound) and levels <= direct_bits < 64,
         // so the count stays in [0, levels - 1].
         const unsigned b = static_cast<unsigned>((path >> (levels - 1 - d)) & 1);
-        descend(ctx, ctx.node->child[b].get(), d + 1);
+        descend(ctx, rib, b, d + 1);
     }
     return ctx;
 }

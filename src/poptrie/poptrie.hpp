@@ -312,10 +312,10 @@ private:
     // --- capability (held via apply()'s writer section, a ctor's quiescent
     // --- section, or compact()'s caller).
     void build_from(const rib::RadixTrie<Addr>& rib) POPTRIE_REQUIRES(psync::cap::ebr);
-    Node make_node(const detail::SlotCtx<Addr>& slot, unsigned level)
-        POPTRIE_REQUIRES(psync::cap::ebr);
-    std::uint32_t build_root(const detail::SlotCtx<Addr>& slot, unsigned level)
-        POPTRIE_REQUIRES(psync::cap::ebr);
+    Node make_node(const detail::RibView<Addr>& rib, const detail::SlotCtx& slot,
+                   unsigned level) POPTRIE_REQUIRES(psync::cap::ebr);
+    std::uint32_t build_root(const detail::RibView<Addr>& rib, const detail::SlotCtx& slot,
+                             unsigned level) POPTRIE_REQUIRES(psync::cap::ebr);
     std::uint32_t alloc_nodes(std::uint32_t n) POPTRIE_REQUIRES(psync::cap::ebr);
     std::uint32_t alloc_leaves(std::uint32_t n) POPTRIE_REQUIRES(psync::cap::ebr);
 
@@ -339,9 +339,10 @@ private:
         value_type hi{};
         unsigned plen = 0;
     };
-    Rebuilt update_node(std::uint32_t index, const detail::SlotCtx<Addr>& slot, unsigned level,
-                        value_type base, const Affected& aff) POPTRIE_REQUIRES(psync::cap::ebr);
-    void update_direct_slot(const rib::RadixTrie<Addr>& rib, std::uint64_t d,
+    Rebuilt update_node(const detail::RibView<Addr>& rib, std::uint32_t index,
+                        const detail::SlotCtx& slot, unsigned level, value_type base,
+                        const Affected& aff) POPTRIE_REQUIRES(psync::cap::ebr);
+    void update_direct_slot(const detail::RibView<Addr>& rib, std::uint64_t d,
                             const Affected& aff) POPTRIE_REQUIRES(psync::cap::ebr);
     void retire_nodes(std::uint32_t offset, std::uint32_t count)
         POPTRIE_REQUIRES(psync::cap::ebr);

@@ -36,64 +36,71 @@ Cov merge(const Cov& a, const Cov& b)
     return {kPartial, a.val};
 }
 
+// Labels node `i` and its subtree bottom-up; returns node `i`'s label. A
+// child index of 0 (RadixTrie::kRoot) means no child.
 template <class Node>
-Cov compute(const Node* n)
+Cov compute(const Node* nodes, std::uint32_t i, Label* labels)
 {
-    if (n == nullptr) return {};
-    const Cov c0 = compute(n->child[0].get());
-    const Cov c1 = compute(n->child[1].get());
+    const Node& n = nodes[i];
+    const Cov c0 = n.child[0] != 0 ? compute(nodes, n.child[0], labels) : Cov{};
+    const Cov c1 = n.child[1] != 0 ? compute(nodes, n.child[1], labels) : Cov{};
     Cov result;
-    if (n->has_route) {
+    if (n.has_route()) {
         // The node's own route fills both children's gaps.
-        const Cov e0 = fill(c0, n->next_hop);
-        const Cov e1 = fill(c1, n->next_hop);
+        const Cov e0 = fill(c0, n.next_hop);
+        const Cov e1 = fill(c1, n.next_hop);
         result = (e0.kind == Coverage::kFull && e1.kind == Coverage::kFull && e0.val == e1.val)
                      ? Cov{Coverage::kFull, e0.val}
                      : Cov{Coverage::kMixed, kNoRoute};
     } else {
         result = merge(c0, c1);
     }
-    n->scratch_kind = static_cast<std::uint8_t>(result.kind);
-    n->scratch_value = result.val;
+    labels[i] = {result.val, result.kind};
     return result;
 }
 
 template <class Node, class Prefix, class Out>
-void emit(const Node* n, Prefix at, NextHop inherited, Out& out)
+void emit(const Node* nodes, const Label* labels, std::uint32_t i, Prefix at,
+          NextHop inherited, Out& out)
 {
-    if (n == nullptr) return;
-    if (NextHop hop; resolves_uniformly(*n, inherited, hop)) {
+    if (NextHop hop; resolves_uniformly(labels[i], inherited, hop)) {
         if (hop != inherited) out.push_back({at, hop});
         return;
     }
+    const Node& n = nodes[i];
     NextHop next_inherited = inherited;
-    if (n->has_route) {
-        next_inherited = n->next_hop;
-        if (n->next_hop != inherited) out.push_back({at, n->next_hop});
+    if (n.has_route()) {
+        next_inherited = n.next_hop;
+        if (n.next_hop != inherited) out.push_back({at, n.next_hop});
     }
-    emit(n->child[0].get(), at.child(0), next_inherited, out);
-    emit(n->child[1].get(), at.child(1), next_inherited, out);
+    for (unsigned b = 0; b < 2; ++b)
+        if (n.child[b] != 0) emit(nodes, labels, n.child[b], at.child(b), next_inherited, out);
 }
 
 }  // namespace
 
 template <class Addr>
-void classify(const RadixTrie<Addr>& rib)
+std::vector<Label> classify(const RadixTrie<Addr>& rib)
 {
-    compute(rib.root());
+    const auto nodes = rib.nodes();
+    std::vector<Label> labels(nodes.size());
+    if (!rib.empty()) compute(nodes.data(), RadixTrie<Addr>::kRoot, labels.data());
+    return labels;
 }
 
 template <class Addr>
 RouteList<Addr> aggregate_routes(const RadixTrie<Addr>& input)
 {
     RouteList<Addr> out;
-    classify(input);
-    emit(input.root(), typename RadixTrie<Addr>::prefix_type{}, kNoRoute, out);
+    if (input.empty()) return out;
+    const auto labels = classify(input);
+    emit(input.nodes().data(), labels.data(), RadixTrie<Addr>::kRoot,
+         typename RadixTrie<Addr>::prefix_type{}, kNoRoute, out);
     return out;
 }
 
-template void classify(const RadixTrie<netbase::Ipv4Addr>&);
-template void classify(const RadixTrie<netbase::Ipv6Addr>&);
+template std::vector<Label> classify(const RadixTrie<netbase::Ipv4Addr>&);
+template std::vector<Label> classify(const RadixTrie<netbase::Ipv6Addr>&);
 template RouteList<netbase::Ipv4Addr> aggregate_routes(const RadixTrie<netbase::Ipv4Addr>&);
 template RouteList<netbase::Ipv6Addr> aggregate_routes(const RadixTrie<netbase::Ipv6Addr>&);
 

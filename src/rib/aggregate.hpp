@@ -8,11 +8,12 @@
 // to the other structures, and the ablation bench measures it separately).
 //
 // Aggregation is two passes over the RIB. classify() labels every node
-// bottom-up with how the routes inside its subtree cover its address space;
-// aggregate_routes() then emits the aggregated route set top-down. The
-// Poptrie compile (Config::route_aggregation) runs only the first pass and
-// compiles the RIB itself, reading each node's label through
-// resolves_uniformly(), so it never builds the aggregated set.
+// bottom-up with how the routes inside its subtree cover its address space,
+// in an array beside the trie's nodes; aggregate_routes() then emits the
+// aggregated route set top-down. The Poptrie compile
+// (Config::route_aggregation) runs only the first pass and compiles the RIB
+// itself, reading each node's label through resolves_uniformly(), so it never
+// builds the aggregated set.
 //
 // The transformation is semantics-preserving: for every address, the longest-
 // prefix-match result over the aggregated route set equals the result over
@@ -21,6 +22,7 @@
 #pragma once
 
 #include <cstdint>
+#include <vector>
 
 #include "rib/radix_trie.hpp"
 #include "rib/route.hpp"
@@ -35,23 +37,29 @@ enum class Coverage : std::uint8_t {
     kMixed,    ///< at least two resolutions, whatever is inherited
 };
 
-/// Labels every node of `rib` with its subtree's Coverage and hop, in the
-/// nodes' scratch fields. Single-threaded: each call rewrites the labels.
-template <class Addr>
-void classify(const RadixTrie<Addr>& rib);
+/// classify()'s label of one node: how the routes inside its subtree cover
+/// its address space, and the hop they resolve to (kFull, kPartial).
+struct Label {
+    NextHop hop = kNoRoute;
+    Coverage kind = Coverage::kEmpty;
+};
 
-/// After classify(): true when every address under `n` resolves to one hop,
-/// given that the hop inherited from above `n` is `inherited`; the hop is
-/// stored in `hop`. Aggregation replaces such a subtree by at most one route
-/// at `n` (none when `hop` == `inherited`).
-template <class Node>
-[[nodiscard]] inline bool resolves_uniformly(const Node& n, NextHop inherited,
+/// Labels every node of `rib` with its subtree's Coverage and hop. The
+/// result is indexed like rib.nodes(); free slots keep the empty label.
+template <class Addr>
+[[nodiscard]] std::vector<Label> classify(const RadixTrie<Addr>& rib);
+
+/// True when every address under a node labelled `label` resolves to one
+/// hop, given that the hop inherited from above the node is `inherited`;
+/// the hop is stored in `hop`. Aggregation replaces such a subtree by at
+/// most one route at the node (none when `hop` == `inherited`).
+[[nodiscard]] inline bool resolves_uniformly(const Label& label, NextHop inherited,
                                              NextHop& hop) noexcept
 {
-    switch (static_cast<Coverage>(n.scratch_kind)) {
+    switch (label.kind) {
     case Coverage::kEmpty: hop = inherited; return true;
-    case Coverage::kFull: hop = n.scratch_value; return true;
-    case Coverage::kPartial: hop = inherited; return n.scratch_value == inherited;
+    case Coverage::kFull: hop = label.hop; return true;
+    case Coverage::kPartial: hop = inherited; return label.hop == inherited;
     case Coverage::kMixed: return false;
     }
     return false;
@@ -72,8 +80,8 @@ template <class Addr>
     return out;
 }
 
-extern template void classify(const RadixTrie<netbase::Ipv4Addr>&);
-extern template void classify(const RadixTrie<netbase::Ipv6Addr>&);
+extern template std::vector<Label> classify(const RadixTrie<netbase::Ipv4Addr>&);
+extern template std::vector<Label> classify(const RadixTrie<netbase::Ipv6Addr>&);
 extern template RouteList<netbase::Ipv4Addr> aggregate_routes(
     const RadixTrie<netbase::Ipv4Addr>&);
 extern template RouteList<netbase::Ipv6Addr> aggregate_routes(

@@ -4,13 +4,18 @@
 // children. It serves three roles here:
 //   1. the RIB all FIB structures are compiled from (§3: "the routes are
 //      preserved in a separate routing table (RIB) such as radix or Patricia
-//      trie");
+//      trie"), and that the §3.5 updater patches the FIB from;
 //   2. the slowest baseline in Tables 2/3 and Figure 9 ("Radix");
 //   3. the reference implementation tests validate every other structure
 //      against, and the source of the "binary radix depth" metric of Fig. 7.
 //
-// Nodes carry the `marked` flag the incremental-update procedure of §3.5 uses
-// to find which parts of the Poptrie must be rebuilt.
+// The nodes live in one array of 12-byte nodes linked by 32-bit index, in
+// arena-backed storage that is reserved on the first insert and never moves
+// (alloc/arena.hpp): a table load commits pages instead of allocating a heap
+// object per node, and dropping the trie is one unmap. Nodes that erase()
+// prunes go on a free list that later inserts take from first. insert_all()
+// allocates a fresh trie's nodes in DFS order, so a compile that walks the
+// trie reads the array front to back.
 #pragma once
 
 #include <algorithm>
@@ -18,9 +23,11 @@
 #include <cassert>
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <utility>
 #include <vector>
 
+#include "alloc/arena.hpp"
 #include "netbase/bits.hpp"
 #include "netbase/prefix.hpp"
 #include "rib/route.hpp"
@@ -36,27 +43,34 @@ public:
     using prefix_type = netbase::Prefix<Addr>;
     static constexpr unsigned kWidth = Addr::kWidth;
 
-    /// Trie node. Exposed (read-only) so FIB compilers can walk the tree.
-    struct Node {
-        std::unique_ptr<Node> child[2];
-        NextHop next_hop = kNoRoute;
-        bool has_route = false;
-        /// §3.5 update mark: resolution under this node may have changed.
-        bool marked = false;
-        /// Route aggregation's coverage class of this subtree and its hop
-        /// (rib::classify in aggregate.hpp), which the aggregating FIB
-        /// compile reads back. Written by every classify() of the trie, so
-        /// it is single-threaded scratch; fits the struct's padding.
-        mutable NextHop scratch_value = kNoRoute;
-        mutable std::uint8_t scratch_kind = 0;
-    };
+    /// Index of a node in nodes().
+    using Index = std::uint32_t;
+    /// The root's index. The root is no node's child, so a child index of
+    /// kRoot means "no child".
+    static constexpr Index kRoot = 0;
 
-    RadixTrie() = default;
+    /// Trie node, exposed read-only (nodes()) so FIB compilers can walk it.
+    struct Node {
+        Index child[2] = {kRoot, kRoot};  ///< kRoot: no child on that side
+        /// kNoRoute when no route ends here (it is never a route's target).
+        NextHop next_hop = kNoRoute;
+
+        [[nodiscard]] bool has_route() const noexcept { return next_hop != kNoRoute; }
+        [[nodiscard]] bool has_children() const noexcept
+        {
+            return (child[0] | child[1]) != kRoot;
+        }
+    };
+    static_assert(sizeof(Node) == 12);
+
+    RadixTrie() noexcept = default;
+    /// Moves take the storage whole; the source is left empty.
     RadixTrie(RadixTrie&&) noexcept = default;
     RadixTrie& operator=(RadixTrie&&) noexcept = default;
 
     /// Inserts `prefix -> next_hop`, replacing any existing route at the same
-    /// prefix. `next_hop` must not be kNoRoute.
+    /// prefix. `next_hop` must not be kNoRoute. Throws std::bad_alloc when
+    /// the storage cannot be reserved or committed.
     void insert(const prefix_type& prefix, NextHop next_hop);
 
     /// Removes the route at exactly `prefix`. Returns false if absent.
@@ -82,44 +96,48 @@ public:
     [[nodiscard]] NextHop find(const prefix_type& prefix) const noexcept;
 
     /// Number of routes installed.
-    [[nodiscard]] std::size_t route_count() const noexcept { return routes_; }
+    [[nodiscard]] std::size_t route_count() const noexcept { return s_ ? s_->routes : 0; }
 
-    /// Number of trie nodes allocated.
-    [[nodiscard]] std::size_t node_count() const noexcept { return nodes_; }
+    /// Number of live trie nodes (free slots not counted).
+    [[nodiscard]] std::size_t node_count() const noexcept { return s_ ? s_->live : 0; }
 
-    /// Approximate heap footprint (nodes * sizeof(Node)), the number reported
-    /// as "Radix" memory in Table 3.
-    [[nodiscard]] std::size_t memory_bytes() const noexcept { return nodes_ * sizeof(Node); }
+    /// True while the trie owns no storage: before the first insert, after
+    /// the last route is erased, and after a move out of it.
+    [[nodiscard]] bool empty() const noexcept { return s_ == nullptr; }
 
-    /// Root node (null when the trie is empty... the root always exists once
-    /// any route was inserted; may be null for an empty trie).
-    [[nodiscard]] const Node* root() const noexcept { return root_.get(); }
+    /// Live node bytes (node_count() * sizeof(Node)), the number reported as
+    /// "Radix" memory in Table 3.
+    [[nodiscard]] std::size_t memory_bytes() const noexcept
+    {
+        return node_count() * sizeof(Node);
+    }
+
+    /// Every node slot, the root at kRoot; the slots on the free list are
+    /// in it too, unreachable from the root. Empty (null data()) exactly
+    /// when the trie is; otherwise the array stays in place until the trie
+    /// is emptied or destroyed.
+    [[nodiscard]] std::span<const Node> nodes() const noexcept
+    {
+        if (!s_) return {};
+        return {s_->nodes.data(), s_->nodes.size()};
+    }
 
     /// Visits every route as (prefix, next_hop) in trie (DFS, shorter-first)
     /// order.
     template <class F>
     void for_each_route(F&& fn) const
     {
-        walk(root_.get(), prefix_type{}, fn);
+        if (s_) walk(s_->nodes.data(), kRoot, prefix_type{}, fn);
     }
 
     /// Collects all routes into a list (convenience for generators/tests).
     [[nodiscard]] RouteList<Addr> routes() const
     {
         RouteList<Addr> out;
-        out.reserve(routes_);
+        out.reserve(route_count());
         for_each_route([&](const prefix_type& p, NextHop nh) { out.push_back({p, nh}); });
         return out;
     }
-
-    /// Marks every node on and under `prefix`'s node whose resolution can be
-    /// affected by a change of the route at `prefix` (stops descending at
-    /// nodes shadowed by a more specific route). Creates the path if needed?
-    /// No — call after insert / before erase while the node still exists.
-    void mark_subtree(const prefix_type& prefix);
-
-    /// Clears marks under `prefix` (after the FIB consumed them).
-    void clear_marks(const prefix_type& prefix);
 
     /// Bulk load, with the result of an insert() loop over `list`: of
     /// duplicate prefixes the last one in `list` wins. The copy is put in
@@ -137,52 +155,47 @@ public:
     }
 
 private:
+    // One index per node of the fullest trie the index type can address.
+    static constexpr std::size_t kMaxNodes = std::size_t{1} << 32;
+
+    // Everything a non-empty trie owns, heap-held so that the node array's
+    // Arena* stays valid when the trie moves.
+    struct Storage {
+        alloc::Arena arena;
+        alloc::ArenaVector<Node> nodes{&arena, kMaxNodes};
+        Index free = kRoot;     // free-list head, linked through child[0]
+        std::size_t live = 0;   // nodes reachable from the root
+        std::size_t routes = 0;
+    };
+
     // Stable LSD radix sort of `list` into Prefix order (address, then
     // length), one byte per pass, skipping every pass whose byte is the same
     // in all routes.
     static void sort_routes(RouteList<Addr>& list);
 
-    // Walks to the node for `prefix`, returns nullptr if the path is absent.
+    // Reserves the storage and commits the root of an empty trie.
+    void make_root();
+
+    // A zeroed node: the free list's head, or a new slot at the end.
+    Index alloc_node();
+
+    // The node for `prefix`, nullptr if the path is absent.
     [[nodiscard]] Node* walk_to(const prefix_type& prefix) const noexcept;
 
     template <class F>
-    static void walk(const Node* n, prefix_type at, F& fn)
+    static void walk(const Node* nodes, Index i, prefix_type at, F& fn)
     {
-        if (n == nullptr) return;
-        if (n->has_route) fn(at, n->next_hop);
-        if (at.length() < kWidth) {
-            walk(n->child[0].get(), at.child(0), fn);
-            walk(n->child[1].get(), at.child(1), fn);
-        }
+        const Node& n = nodes[i];
+        if (n.has_route()) fn(at, n.next_hop);
+        for (unsigned b = 0; b < 2; ++b)
+            if (n.child[b] != kRoot) walk(nodes, n.child[b], at.child(b), fn);
     }
 
-    static void mark_rec(Node* n)
-    {
-        if (n == nullptr) return;
-        n->marked = true;
-        // A more specific route shadows the change below it — but its node
-        // itself is on the boundary and stays marked above. Descend only
-        // through unshadowed children.
-        for (auto& c : n->child) {
-            if (c != nullptr && !c->has_route) mark_rec(c.get());
-            // Children that carry their own route shadow everything beneath.
-        }
-    }
-
-    static void clear_rec(Node* n)
-    {
-        if (n == nullptr) return;
-        n->marked = false;
-        clear_rec(n->child[0].get());
-        clear_rec(n->child[1].get());
-    }
-
-    // Prunes route-less leaf nodes on the path to `prefix` after an erase.
+    // Frees the route-less leaf nodes on the path to `prefix` after an
+    // erase; drops the storage when the root goes too.
     void prune(const prefix_type& prefix);
 
-    std::unique_ptr<Node> root_;
-    std::size_t routes_ = 0;
-    std::size_t nodes_ = 0;
+    std::unique_ptr<Storage> s_;  // null while the trie is empty
 };
 
 // ---------------------------------------------------------------------------
@@ -190,25 +203,44 @@ private:
 // for the two address families to keep client compile times down).
 
 template <class Addr>
+void RadixTrie<Addr>::make_root()
+{
+    auto s = std::make_unique<Storage>();
+    s->nodes.resize(1);
+    s->live = 1;
+    s_ = std::move(s);
+}
+
+template <class Addr>
+typename RadixTrie<Addr>::Index RadixTrie<Addr>::alloc_node()
+{
+    Storage& s = *s_;
+    Index i = s.free;
+    if (i != kRoot) {
+        s.free = s.nodes[i].child[0];
+        s.nodes[i] = Node{};
+    } else {
+        i = static_cast<Index>(s.nodes.size());
+        s.nodes.emplace_back();
+    }
+    ++s.live;
+    return i;
+}
+
+template <class Addr>
 void RadixTrie<Addr>::insert(const prefix_type& prefix, NextHop next_hop)
 {
     assert(next_hop != kNoRoute);
-    if (!root_) {
-        root_ = std::make_unique<Node>();
-        ++nodes_;
-    }
-    Node* n = root_.get();
+    if (!s_) make_root();
+    Node* const nodes = s_->nodes.data();
+    Index i = kRoot;
     for (unsigned depth = 0; depth < prefix.length(); ++depth) {
-        const unsigned b = netbase::bit_at(prefix.bits(), depth);
-        if (!n->child[b]) {
-            n->child[b] = std::make_unique<Node>();
-            ++nodes_;
-        }
-        n = n->child[b].get();
+        Index& child = nodes[i].child[netbase::bit_at(prefix.bits(), depth)];
+        if (child == kRoot) child = alloc_node();
+        i = child;
     }
-    if (!n->has_route) ++routes_;
-    n->has_route = true;
-    n->next_hop = next_hop;
+    if (!nodes[i].has_route()) ++s_->routes;
+    nodes[i].next_hop = next_hop;
 }
 
 template <class Addr>
@@ -217,14 +249,12 @@ void RadixTrie<Addr>::insert_all(RouteList<Addr> list, Displaced&& displaced)
 {
     if (list.empty()) return;
     sort_routes(list);
-    if (!root_) {
-        root_ = std::make_unique<Node>();
-        ++nodes_;
-    }
+    if (!s_) make_root();
+    Node* const nodes = s_->nodes.data();
     // path[d] is the node at depth d on the previous route's path, valid for
     // d <= prev_len; the root starts every path.
-    Node* path[kWidth + 1];
-    path[0] = root_.get();
+    Index path[kWidth + 1];
+    path[0] = kRoot;
     value_type prev_bits = 0;
     unsigned prev_len = 0;
     for (const auto& r : list) {
@@ -233,22 +263,19 @@ void RadixTrie<Addr>::insert_all(RouteList<Addr> list, Displaced&& displaced)
         const unsigned len = r.prefix.length();
         unsigned depth =
             netbase::common_prefix_length(prev_bits, bits, std::min(prev_len, len));
-        Node* n = path[depth];
+        Index i = path[depth];
         for (; depth < len; ++depth) {
-            auto& child = n->child[netbase::bit_at(bits, depth)];
-            if (!child) {
-                child = std::make_unique<Node>();
-                ++nodes_;
-            }
-            n = child.get();
-            path[depth + 1] = n;
+            Index& child = nodes[i].child[netbase::bit_at(bits, depth)];
+            if (child == kRoot) child = alloc_node();
+            i = child;
+            path[depth + 1] = i;
         }
-        if (n->has_route)
-            displaced(n->next_hop);
+        Node& n = nodes[i];
+        if (n.has_route())
+            displaced(n.next_hop);
         else
-            ++routes_;
-        n->has_route = true;
-        n->next_hop = r.next_hop;
+            ++s_->routes;
+        n.next_hop = r.next_hop;
         prev_bits = bits;
         prev_len = len;
     }
@@ -285,10 +312,9 @@ template <class Addr>
 bool RadixTrie<Addr>::erase(const prefix_type& prefix)
 {
     Node* n = walk_to(prefix);
-    if (n == nullptr || !n->has_route) return false;
-    n->has_route = false;
+    if (n == nullptr || !n->has_route()) return false;
     n->next_hop = kNoRoute;
-    --routes_;
+    --s_->routes;
     prune(prefix);
     return true;
 }
@@ -296,54 +322,55 @@ bool RadixTrie<Addr>::erase(const prefix_type& prefix)
 template <class Addr>
 typename RadixTrie<Addr>::Node* RadixTrie<Addr>::walk_to(const prefix_type& prefix) const noexcept
 {
-    Node* n = root_.get();
-    for (unsigned depth = 0; n != nullptr && depth < prefix.length(); ++depth)
-        n = n->child[netbase::bit_at(prefix.bits(), depth)].get();
-    return n;
+    if (!s_) return nullptr;
+    Node* const nodes = s_->nodes.data();
+    Index i = kRoot;
+    for (unsigned depth = 0; depth < prefix.length(); ++depth) {
+        i = nodes[i].child[netbase::bit_at(prefix.bits(), depth)];
+        if (i == kRoot) return nullptr;
+    }
+    return &nodes[i];
 }
 
 template <class Addr>
 void RadixTrie<Addr>::prune(const prefix_type& prefix)
 {
-    // Re-walk the path recording it, then delete trailing route-less leaves.
+    // Re-walk the path recording it, then free trailing route-less leaves.
     // Path length <= kWidth, so a fixed-size array suffices.
-    Node* path[Addr::kWidth + 1];
-    unsigned len = 0;
-    Node* n = root_.get();
-    path[len++] = n;
-    for (unsigned depth = 0; n != nullptr && depth < prefix.length(); ++depth) {
-        n = n->child[netbase::bit_at(prefix.bits(), depth)].get();
-        if (n == nullptr) return;  // path vanished (shouldn't happen right after erase)
-        path[len++] = n;
+    Storage& s = *s_;
+    Node* const nodes = s.nodes.data();
+    Index path[kWidth + 1];
+    path[0] = kRoot;
+    unsigned len = prefix.length();
+    for (unsigned depth = 0; depth < len; ++depth)
+        path[depth + 1] = nodes[path[depth]].child[netbase::bit_at(prefix.bits(), depth)];
+    for (; len > 0; --len) {
+        const Index leaf = path[len];
+        if (nodes[leaf].has_route() || nodes[leaf].has_children()) return;
+        Index& link = nodes[path[len - 1]].child[netbase::bit_at(prefix.bits(), len - 1)];
+        assert(link == leaf);
+        link = kRoot;
+        nodes[leaf].child[0] = s.free;
+        s.free = leaf;
+        --s.live;
     }
-    while (len > 1) {
-        Node* leaf = path[len - 1];
-        if (leaf->has_route || leaf->child[0] || leaf->child[1]) break;
-        Node* parent = path[len - 2];
-        const unsigned b = netbase::bit_at(prefix.bits(), len - 2);
-        assert(parent->child[b].get() == leaf);
-        parent->child[b].reset();
-        --nodes_;
-        --len;
-    }
-    if (root_ && !root_->has_route && !root_->child[0] && !root_->child[1]) {
-        root_.reset();
-        --nodes_;
-    }
+    if (!nodes[kRoot].has_route() && !nodes[kRoot].has_children()) s_.reset();
 }
 
 template <class Addr>
 NextHop RadixTrie<Addr>::lookup(Addr addr) const noexcept
 {
+    if (!s_) return kNoRoute;
     const value_type key = addr.value();
+    const Node* const nodes = s_->nodes.data();
     NextHop best = kNoRoute;
-    const Node* n = root_.get();
-    unsigned depth = 0;
-    while (n != nullptr) {
-        if (n->has_route) best = n->next_hop;
+    Index i = kRoot;
+    for (unsigned depth = 0;; ++depth) {
+        const Node& n = nodes[i];
+        if (n.has_route()) best = n.next_hop;
         if (depth == kWidth) break;
-        n = n->child[netbase::bit_at(key, depth)].get();
-        ++depth;
+        i = n.child[netbase::bit_at(key, depth)];
+        if (i == kRoot) break;
     }
     return best;
 }
@@ -351,20 +378,22 @@ NextHop RadixTrie<Addr>::lookup(Addr addr) const noexcept
 template <class Addr>
 typename RadixTrie<Addr>::LookupDetail RadixTrie<Addr>::lookup_detail(Addr addr) const noexcept
 {
-    const value_type key = addr.value();
     LookupDetail out;
-    const Node* n = root_.get();
-    unsigned depth = 0;
-    while (n != nullptr) {
-        if (n->has_route) {
-            out.next_hop = n->next_hop;
+    if (!s_) return out;
+    const value_type key = addr.value();
+    const Node* const nodes = s_->nodes.data();
+    Index i = kRoot;
+    for (unsigned depth = 0;; ++depth) {
+        const Node& n = nodes[i];
+        if (n.has_route()) {
+            out.next_hop = n.next_hop;
             out.matched_length = depth;
             out.matched = true;
         }
         out.radix_depth = depth;
         if (depth == kWidth) break;
-        n = n->child[netbase::bit_at(key, depth)].get();
-        ++depth;
+        i = n.child[netbase::bit_at(key, depth)];
+        if (i == kRoot) break;
     }
     return out;
 }
@@ -373,39 +402,7 @@ template <class Addr>
 NextHop RadixTrie<Addr>::find(const prefix_type& prefix) const noexcept
 {
     const Node* n = walk_to(prefix);
-    return (n != nullptr && n->has_route) ? n->next_hop : kNoRoute;
-}
-
-template <class Addr>
-void RadixTrie<Addr>::mark_subtree(const prefix_type& prefix)
-{
-    // Mark the path from the root down (ancestors see a shape change when
-    // nodes appear/disappear), then the affected subtree.
-    Node* n = root_.get();
-    if (n == nullptr) return;
-    n->marked = true;
-    for (unsigned depth = 0; n != nullptr && depth < prefix.length(); ++depth) {
-        n = n->child[netbase::bit_at(prefix.bits(), depth)].get();
-        if (n != nullptr) n->marked = true;
-    }
-    if (n == nullptr) return;
-    // Below the prefix, resolution changes only where this route is the
-    // longest match: stop at more specific routes.
-    for (auto& c : n->child)
-        if (c != nullptr && !c->has_route) mark_rec(c.get());
-}
-
-template <class Addr>
-void RadixTrie<Addr>::clear_marks(const prefix_type& prefix)
-{
-    Node* n = root_.get();
-    if (n == nullptr) return;
-    n->marked = false;
-    for (unsigned depth = 0; n != nullptr && depth < prefix.length(); ++depth) {
-        n = n->child[netbase::bit_at(prefix.bits(), depth)].get();
-        if (n != nullptr) n->marked = false;
-    }
-    if (n != nullptr) clear_rec(n);
+    return n != nullptr ? n->next_hop : kNoRoute;
 }
 
 using RadixTrie4 = RadixTrie<netbase::Ipv4Addr>;

@@ -57,16 +57,7 @@ public:
     using prefix_type = netbase::Prefix<Addr>;
     using adjacency_type = Adjacency<Addr>;
 
-    explicit Router(const poptrie::Config& cfg = {}) : fib_(cfg)
-    {
-        // Full 16-bit index space reserved up front so adjacency element
-        // addresses stay stable for concurrent resolve() readers even as
-        // new adjacencies are interned.
-        adjacencies_.reserve(0x10000);
-        refcounts_.reserve(0x10000);
-        adjacencies_.resize(1);  // index 0 = kNoRoute, never a real adjacency
-        refcounts_.resize(1);
-    }
+    explicit Router(const poptrie::Config& cfg = {}) : fib_(cfg) {}
 
     /// Loads a whole table into this empty Router with one FIB compile
     /// (§3), aggregated per the Config, instead of one §3.5 update per
@@ -75,8 +66,10 @@ public:
     /// adjacency is interned once. Of duplicate prefixes the last wins, as
     /// with a run of add_route() calls.
     ///
-    /// All-or-nothing: the table is built into locals and committed by move,
-    /// so AdjacencyTableFull, a netbase::StructuralLimit or std::bad_alloc
+    /// All-or-nothing: the adjacency table and the RIB are built into
+    /// locals, the FIB is compiled from them into a new Router, and that is
+    /// committed by move, so AdjacencyTableFull, a netbase::StructuralLimit
+    /// or std::bad_alloc (the RIB's storage refused as much as the FIB's)
     /// leaves the Router empty. Quiescent-point only, before any reader
     /// registers: the FIB and its EBR domain are replaced. Throws
     /// std::logic_error if the Router holds routes.
@@ -86,7 +79,7 @@ public:
     {
         if (route_count() != 0)
             throw std::logic_error("Router::load: the router already holds routes");
-        Router fresh{fib_.config()};
+        Adjacencies adj;
         std::vector<rib::NextHop> index_of_hop(0x10000, rib::kNoRoute);
         rib::RouteList<Addr> table;
         table.reserve(routes.size());
@@ -94,30 +87,30 @@ public:
             // One reference per route; intern() takes the first one.
             rib::NextHop& index = index_of_hop[r.next_hop];
             if (index == rib::kNoRoute)
-                index = fresh.intern(adjacency_of(r.next_hop));
+                index = adj.intern(adjacency_of(r.next_hop));
             else
-                ++fresh.refcounts_[index];
+                ++adj.refcounts[index];
             table.push_back({r.prefix, index});
         }
         // A duplicate prefix displaces the earlier route and drops its
         // reference, as the replacing add_route() would; an adjacency left
         // with none is released.
-        fresh.rib_.insert_all(std::move(table),
-                              [&](rib::NextHop displaced) { --fresh.refcounts_[displaced]; });
-        for (std::size_t index = 1; index < fresh.refcounts_.size(); ++index)
-            if (fresh.refcounts_[index] == 0) fresh.free_index(static_cast<rib::NextHop>(index));
-        fresh.fib_ = poptrie::Poptrie<Addr>{fresh.rib_, fib_.config()};
-        *this = std::move(fresh);
+        rib::RadixTrie<Addr> fresh;
+        fresh.insert_all(std::move(table),
+                         [&](rib::NextHop displaced) { --adj.refcounts[displaced]; });
+        for (std::size_t index = 1; index < adj.refcounts.size(); ++index)
+            if (adj.refcounts[index] == 0) adj.free_index(static_cast<rib::NextHop>(index));
+        *this = Router{std::move(fresh), std::move(adj), fib_.config()};
     }
 
     /// Installs or replaces the route for `prefix`. Allocates (or reuses) a
     /// FIB index for the adjacency and patches the FIB incrementally.
     void add_route(const prefix_type& prefix, const adjacency_type& adjacency)
     {
-        const rib::NextHop index = intern(adjacency);
+        const rib::NextHop index = adj_.intern(adjacency);
         const rib::NextHop previous = rib_.find(prefix);
         fib_.apply(rib_, prefix, index);
-        if (previous != rib::kNoRoute) release(previous);
+        if (previous != rib::kNoRoute) adj_.release(previous);
     }
 
     /// Withdraws the route at `prefix`. Returns false if absent.
@@ -126,7 +119,7 @@ public:
         const rib::NextHop previous = rib_.find(prefix);
         if (previous == rib::kNoRoute) return false;
         fib_.apply(rib_, prefix, rib::kNoRoute);
-        release(previous);
+        adj_.release(previous);
         return true;
     }
 
@@ -134,7 +127,7 @@ public:
     [[nodiscard]] const adjacency_type* resolve(Addr addr) const noexcept
     {
         const rib::NextHop index = fib_.lookup(addr);
-        return index == rib::kNoRoute ? nullptr : &adjacencies_[index];
+        return index == rib::kNoRoute ? nullptr : &adj_.entries[index];
     }
 
     /// Raw FIB-index lookup (what the paper's benches measure).
@@ -147,7 +140,7 @@ public:
     [[nodiscard]] psync::EbrDomain::Reader register_reader() { return fib_.register_reader(); }
 
     [[nodiscard]] std::size_t route_count() const noexcept { return rib_.route_count(); }
-    [[nodiscard]] std::size_t adjacency_count() const noexcept { return live_adjacencies_; }
+    [[nodiscard]] std::size_t adjacency_count() const noexcept { return adj_.live; }
     [[nodiscard]] const poptrie::Poptrie<Addr>& fib() const noexcept { return fib_; }
     [[nodiscard]] const rib::RadixTrie<Addr>& rib() const noexcept { return rib_; }
 
@@ -182,53 +175,78 @@ public:
 private:
     using Key = std::pair<typename Addr::value_type, std::string>;
 
-    rib::NextHop intern(const adjacency_type& adjacency)
-    {
-        const Key key{adjacency.gateway.value(), adjacency.interface};
-        if (const auto it = index_of_.find(key); it != index_of_.end()) {
-            ++refcounts_[it->second];
-            return it->second;
+    /// The adjacency table: FIB index -> adjacency, reference-counted by
+    /// the routes that use it.
+    struct Adjacencies {
+        // Full 16-bit index space reserved up front so adjacency element
+        // addresses stay stable for concurrent resolve() readers even as
+        // new adjacencies are interned. Index 0 is kNoRoute, never a real
+        // adjacency.
+        Adjacencies()
+        {
+            entries.reserve(0x10000);
+            refcounts.reserve(0x10000);
+            entries.resize(1);
+            refcounts.resize(1);
         }
-        rib::NextHop index;
-        if (!free_indices_.empty()) {
-            index = free_indices_.back();
-            free_indices_.pop_back();
-        } else {
-            if (adjacencies_.size() > 0xFFFF) throw AdjacencyTableFull{};
-            index = static_cast<rib::NextHop>(adjacencies_.size());
-            adjacencies_.emplace_back();
-            refcounts_.push_back(0);
+
+        rib::NextHop intern(const adjacency_type& adjacency)
+        {
+            const Key key{adjacency.gateway.value(), adjacency.interface};
+            if (const auto it = index_of.find(key); it != index_of.end()) {
+                ++refcounts[it->second];
+                return it->second;
+            }
+            rib::NextHop index;
+            if (!free_indices.empty()) {
+                index = free_indices.back();
+                free_indices.pop_back();
+            } else {
+                if (entries.size() > 0xFFFF) throw AdjacencyTableFull{};
+                index = static_cast<rib::NextHop>(entries.size());
+                entries.emplace_back();
+                refcounts.push_back(0);
+            }
+            entries[index] = adjacency;
+            refcounts[index] = 1;
+            index_of.emplace(key, index);
+            ++live;
+            return index;
         }
-        adjacencies_[index] = adjacency;
-        refcounts_[index] = 1;
-        index_of_.emplace(key, index);
-        ++live_adjacencies_;
-        return index;
-    }
 
-    void release(rib::NextHop index)
-    {
-        if (--refcounts_[index] == 0) free_index(index);
-    }
+        void release(rib::NextHop index)
+        {
+            if (--refcounts[index] == 0) free_index(index);
+        }
 
-    void free_index(rib::NextHop index)
+        void free_index(rib::NextHop index)
+        {
+            index_of.erase(Key{entries[index].gateway.value(), entries[index].interface});
+            entries[index] = adjacency_type{};
+            free_indices.push_back(index);
+            --live;
+        }
+
+        // Storage is append-only in capacity (indices stay stable for
+        // concurrent readers); freed slots are recycled through
+        // free_indices.
+        std::vector<adjacency_type> entries;
+        std::vector<std::uint32_t> refcounts;
+        std::vector<rib::NextHop> free_indices;
+        std::map<Key, rib::NextHop> index_of;
+        std::size_t live = 0;
+    };
+
+    /// load()'s commit: the FIB compiled from `table`, with no empty FIB
+    /// built first.
+    Router(rib::RadixTrie<Addr> table, Adjacencies adj, const poptrie::Config& cfg)
+        : rib_(std::move(table)), fib_(rib_, cfg), adj_(std::move(adj))
     {
-        index_of_.erase(Key{adjacencies_[index].gateway.value(),
-                            adjacencies_[index].interface});
-        adjacencies_[index] = adjacency_type{};
-        free_indices_.push_back(index);
-        --live_adjacencies_;
     }
 
     rib::RadixTrie<Addr> rib_;
     poptrie::Poptrie<Addr> fib_;
-    // Adjacency storage is append-only in capacity (indices stay stable for
-    // concurrent readers); freed slots are recycled through free_indices_.
-    std::vector<adjacency_type> adjacencies_;
-    std::vector<std::uint32_t> refcounts_;
-    std::vector<rib::NextHop> free_indices_;
-    std::map<Key, rib::NextHop> index_of_;
-    std::size_t live_adjacencies_ = 0;
+    Adjacencies adj_;
 };
 
 using Router4 = Router<netbase::Ipv4Addr>;

@@ -272,12 +272,28 @@ std::size_t vm_bytes(const std::string& field)
     return 0;
 }
 
-/// Death-test child: lowers `resource` just above what the process uses
-/// (RLIMIT_DATA: a commit is refused; RLIMIT_AS: a reservation is), then
-/// checks that Router::load and Poptrie::compact both throw std::bad_alloc
-/// and leave the FIB they would have replaced serving. Exits with the
-/// number of the first failed check, 0 when all hold.
-[[noreturn]] void out_of_memory_child(int resource, const char* usage_field, std::size_t slack)
+/// Lowers `resource` to `room` bytes above what the process uses now.
+bool lower_limit(int resource, const std::string& usage_field, std::size_t room)
+{
+    rlimit lowered{};
+    if (getrlimit(resource, &lowered) != 0) return false;
+    lowered.rlim_cur = vm_bytes(usage_field) + room;
+    return lowered.rlim_cur > room && setrlimit(resource, &lowered) == 0;
+}
+
+/// Death-test child: lowers `resource` to `slack` bytes above what the
+/// process uses (RLIMIT_DATA: a commit is refused; RLIMIT_AS: a reservation
+/// is) and checks that Router::load throws std::bad_alloc and leaves the
+/// router empty; then that Poptrie::compact does the same with
+/// `compact_slack` and leaves the FIB it would have replaced serving. Then
+/// it doubles the load's room until the load fits, and each refusal on the
+/// way must leave the router empty too. The slacks are chosen so that only
+/// the arenas' mmap/mprotect calls are ever refused, never a heap
+/// allocation (which a sanitizer's allocator reports as a fatal error
+/// instead of throwing). Exits with the number of the first failed check,
+/// 0 when all hold.
+[[noreturn]] void out_of_memory_child(int resource, const char* usage_field, std::size_t slack,
+                                      std::size_t compact_slack)
 {
     rib::RouteList<Ipv4Addr> routes;
     rib::RadixTrie<Ipv4Addr> rib;
@@ -291,27 +307,30 @@ std::size_t vm_bytes(const std::string& field)
     const auto adjacency_of = [](rib::NextHop hop) {
         return router::Adjacency<Ipv4Addr>{Ipv4Addr{0x0A000000u + hop}, "eth0"};
     };
-
     rlimit saved{};
     if (getrlimit(resource, &saved) != 0) std::_Exit(10);
-    rlimit lowered = saved;
-    lowered.rlim_cur = vm_bytes(usage_field) + slack;
-    if (lowered.rlim_cur <= slack || setrlimit(resource, &lowered) != 0) std::_Exit(11);
+    // Loads the table with `room` bytes to spare; true when it fit.
+    const auto load_with = [&](std::size_t room) {
+        if (!lower_limit(resource, usage_field, room)) std::_Exit(11);
+        bool threw = false;
+        try {
+            // quiescent: this child has no other thread.
+            const psync::QuiescentSection quiescent;
+            router.load(routes, adjacency_of);
+        } catch (const std::bad_alloc&) {
+            threw = true;
+        }
+        if (setrlimit(resource, &saved) != 0) std::_Exit(12);
+        if (threw && (router.route_count() != 0 ||
+                      router.lookup_index(Ipv4Addr{route_addr(97)}) != rib::kNoRoute))
+            std::_Exit(2);
+        return !threw;
+    };
 
+    if (load_with(slack)) std::_Exit(1);
+
+    if (!lower_limit(resource, usage_field, compact_slack)) std::_Exit(11);
     bool threw = false;
-    try {
-        // quiescent: this child has no other thread.
-        const psync::QuiescentSection quiescent;
-        router.load(routes, adjacency_of);
-    } catch (const std::bad_alloc&) {
-        threw = true;
-    }
-    if (!threw) std::_Exit(1);
-    if (router.route_count() != 0 ||
-        router.lookup_index(Ipv4Addr{route_addr(97)}) != rib::kNoRoute)
-        std::_Exit(2);
-
-    threw = false;
     try {
         // writer: this child has no other thread.
         const psync::EbrWriterSection writer;
@@ -319,14 +338,25 @@ std::size_t vm_bytes(const std::string& field)
     } catch (const std::bad_alloc&) {
         threw = true;
     }
-    if (!threw) std::_Exit(3);
-
     if (setrlimit(resource, &saved) != 0) std::_Exit(12);
+    if (!threw) std::_Exit(3);
     for (const auto& r : routes) {
         const Ipv4Addr a = r.prefix.first_address();
         if (pt.lookup(a) != rib.lookup(a)) std::_Exit(4);
     }
     if (!analysis::audit(pt, rib).ok()) std::_Exit(5);
+
+    std::size_t room = slack;
+    do {
+        room *= 2;
+        if (room > (std::size_t{1} << 40)) std::_Exit(6);  // never fitted
+    } while (!load_with(room));
+    for (const auto& r : routes) {
+        const Ipv4Addr a = r.prefix.first_address();
+        const auto* adj = router.resolve(a);
+        if (adj == nullptr || adj->gateway.value() - 0x0A000000u != rib.lookup(a))
+            std::_Exit(7);
+    }
     std::_Exit(0);
 }
 
@@ -336,17 +366,23 @@ std::size_t vm_bytes(const std::string& field)
 // refused commit (RLIMIT_DATA counts committed pages, not reservations) and
 // a refused reservation (RLIMIT_AS) each make Router::load and compact()
 // throw std::bad_alloc, with the router left empty and the old pool set
-// still serving. Each child lowers its own limit, so the test process is
-// untouched.
+// still serving, whether the RIB's storage or the FIB's is refused. Each
+// child lowers its own limit, so the test process is untouched.
 TEST(ArenaPoptrieDeathTest, OutOfMemoryThrowsAndKeepsTheFibServing)
 {
-    // Slack: room for the small heap allocations on the way, but less than
-    // the direct array's 1 MiB first commit.
-    EXPECT_EXIT(out_of_memory_child(RLIMIT_DATA, "VmData", 256 << 10),
+    // Load: 4 MiB is room for the heap the load allocates before its RIB
+    // (the adjacency table's 2.6 MB reservation among it) but not for the
+    // RIB's first 2 MiB commit on top; at 8 MiB a FIB pool's commit is
+    // refused, and 16 MiB fits. Compact: 256 KiB is room for its small heap
+    // allocations but not for the direct array's 1 MiB first commit.
+    EXPECT_EXIT(out_of_memory_child(RLIMIT_DATA, "VmData", 4 << 20, 256 << 10),
                 ::testing::ExitedWithCode(0), "")
         << "refused commit";
-    // Slack: far less than one pool's 48 GiB reservation.
-    EXPECT_EXIT(out_of_memory_child(RLIMIT_AS, "VmSize", std::size_t{1} << 30),
+    // 1 GiB is far less than the RIB's or any pool's 48 GiB reservation;
+    // at 64 GiB the RIB's fits and the FIB's node pool is refused, and
+    // 128 GiB fits both.
+    EXPECT_EXIT(out_of_memory_child(RLIMIT_AS, "VmSize", std::size_t{1} << 30,
+                                    std::size_t{1} << 30),
                 ::testing::ExitedWithCode(0), "")
         << "refused reservation";
 }

@@ -91,22 +91,39 @@ TEST(PoptrieConcurrent, ReclamationMakesProgressUnderReaders)
     cfg.direct_bits = 0;
     Poptrie4 pt{rib, cfg};
     std::atomic<bool> stop{false};
+    // Guards the reader has completed. A reader preempted inside a guard
+    // holds the epoch back for as long as it is off the CPU, which on a
+    // loaded host can outlast thousands of applies; the writer waits on
+    // this heartbeat every kApplies applies, so each stretch of churn ends
+    // with a guard begun after it started, and everything retired before
+    // that guard is reclaimable by construction.
+    std::atomic<std::uint64_t> guards{0};
     std::jthread reader([&] {
         auto slot = pt.register_reader();
         workload::Xorshift128 rng(4);
         while (!stop.load(std::memory_order_relaxed)) {
-            const psync::EbrDomain::Guard g{slot};
-            for (int i = 0; i < 128; ++i) (void)pt.lookup(Ipv4Addr{rng.next()});
+            {
+                const psync::EbrDomain::Guard g{slot};
+                for (int i = 0; i < 128; ++i) (void)pt.lookup(Ipv4Addr{rng.next()});
+            }
+            guards.fetch_add(1, std::memory_order_release);
         }
     });
     // Churn one prefix. Each update replaces the /24's four-slot leaf run
     // and retires the old one, so if grace periods never elapsed the leaf
     // pool's high water would climb to 80k slots. Reclamation behind the
-    // reader keeps both pools far below that (a few thousand slots here;
-    // the bound leaves room for a slow, sanitized reader).
+    // reader keeps both pools far below that: between heartbeats at most
+    // kApplies updates' runs wait for a grace period.
+    constexpr int kApplies = 500;
     const auto p = *netbase::parse_prefix4("10.1.2.0/24");
-    for (int i = 0; i < 20'000; ++i)
+    for (int i = 0; i < 20'000; ++i) {
+        if (i % kApplies == 0) {
+            // Two more completed guards: the second began after this wait.
+            const std::uint64_t target = guards.load(std::memory_order_acquire) + 2;
+            while (guards.load(std::memory_order_acquire) < target) std::this_thread::yield();
+        }
         pt.apply(rib, p, static_cast<NextHop>(1 + (i % 9)));
+    }
     stop = true;
     reader = {};
     const auto st = pt.stats();

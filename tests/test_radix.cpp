@@ -1,6 +1,7 @@
 // Tests for the binary radix trie (RIB substrate / "Radix" baseline).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <utility>
 
 #include "baselines/linear.hpp"
@@ -79,7 +80,8 @@ TEST(Radix, EmptyTrieMisses)
     EXPECT_EQ(t.lookup(Ipv4Addr{0x01020304}), kNoRoute);
     EXPECT_EQ(t.route_count(), 0u);
     EXPECT_EQ(t.node_count(), 0u);
-    EXPECT_EQ(t.root(), nullptr);
+    EXPECT_TRUE(t.empty());
+    EXPECT_TRUE(t.nodes().empty());
 }
 
 TEST(Radix, LongestPrefixWins)
@@ -293,20 +295,137 @@ TEST(Radix, MatchesLinearOracle)
     }
 }
 
-TEST(Radix, MarkSubtreeStopsAtMoreSpecificRoutes)
+TEST(Radix, ChurnReusesFreedNodeSlots)
 {
+    // Erased paths go on the free list and inserts take from it first, so
+    // the node array never grows past the peak number of live nodes.
+    workload::TableGenConfig gen;
+    gen.seed = 23;
+    gen.target_routes = 3'000;
+    const auto routes = workload::generate_table(gen);
     RadixTrie<Ipv4Addr> t;
+    t.insert_all(routes);
+    std::size_t peak = t.node_count();
+    ASSERT_EQ(t.nodes().size(), peak);
+    workload::Xorshift128 rng(29);
+    for (int round = 0; round < 20'000; ++round) {
+        const auto& r = routes[rng.next_below(static_cast<std::uint32_t>(routes.size()))];
+        if (t.find(r.prefix) != kNoRoute) {
+            EXPECT_TRUE(t.erase(r.prefix));
+        } else {
+            // Now and then a host route far from the table's paths.
+            t.insert(r.prefix, r.next_hop);
+            if (round % 16 == 0) t.insert(Prefix4{Ipv4Addr{rng.next()}, 32}, 7);
+        }
+        peak = std::max(peak, t.node_count());
+        ASSERT_LE(t.nodes().size(), peak) << "round " << round;
+    }
+    const RadixTrie<Ipv4Addr> rebuilt = load(t.routes());
+    EXPECT_EQ(t.node_count(), rebuilt.node_count());
+    for (const auto& r : t.routes()) {
+        for (const auto v : {r.prefix.first_address().value(), r.prefix.last_address().value(),
+                             r.prefix.last_address().value() + 1})
+            ASSERT_EQ(t.lookup(Ipv4Addr{v}), rebuilt.lookup(Ipv4Addr{v}));
+    }
+    // Erasing every route empties the trie and drops its storage.
+    for (const auto& r : t.routes()) t.erase(r.prefix);
+    EXPECT_TRUE(t.empty());
+    EXPECT_EQ(t.node_count(), 0u);
+    EXPECT_TRUE(t.nodes().empty());
     t.insert(pfx("10.0.0.0/8"), 1);
-    t.insert(pfx("10.1.0.0/16"), 2);
-    t.insert(pfx("10.1.2.0/24"), 3);
-    t.mark_subtree(pfx("10.0.0.0/8"));
-    // The /16's node is a boundary: it is on the path but its subtree is
-    // shadowed from the /8's change.
-    const auto* n = t.root();
-    ASSERT_NE(n, nullptr);
-    EXPECT_TRUE(n->marked);
-    t.clear_marks(pfx("10.0.0.0/8"));
-    EXPECT_FALSE(t.root()->marked);
+    EXPECT_EQ(t.lookup(*netbase::parse_ipv4("10.1.2.3")), 1);
+}
+
+TEST(Radix, MovesKeepLookupsAndEmptyTheSource)
+{
+    const auto routes = corner_case_table();
+    RadixTrie<Ipv4Addr> source = load(routes);
+    const RadixTrie<Ipv4Addr> expect = load(routes);
+    const std::size_t nodes = source.node_count();
+    const auto check = [&](const RadixTrie<Ipv4Addr>& t) {
+        EXPECT_EQ(t.node_count(), nodes);
+        EXPECT_EQ(t.route_count(), routes.size());
+        workload::Xorshift128 rng(31);
+        for (int i = 0; i < 20'000; ++i) {
+            const Ipv4Addr a{rng.next()};
+            ASSERT_EQ(t.lookup(a), expect.lookup(a));
+        }
+    };
+    const auto expect_empty = [](const RadixTrie<Ipv4Addr>& t) {
+        EXPECT_TRUE(t.empty());
+        EXPECT_EQ(t.route_count(), 0u);
+        EXPECT_EQ(t.node_count(), 0u);
+        EXPECT_EQ(t.lookup(Ipv4Addr{0x0A010203u}), kNoRoute);
+    };
+
+    RadixTrie<Ipv4Addr> constructed{std::move(source)};
+    check(constructed);
+    expect_empty(source);  // NOLINT(bugprone-use-after-move): moved-from state is the contract
+
+    RadixTrie<Ipv4Addr> assigned;
+    assigned.insert(pfx("192.0.2.0/24"), 9);  // replaced storage is released
+    assigned = std::move(constructed);
+    check(assigned);
+    expect_empty(constructed);  // NOLINT(bugprone-use-after-move)
+    EXPECT_EQ(assigned.find(pfx("192.0.2.0/24")), kNoRoute);
+
+    // A moved-from trie is reusable, and the moved-to one keeps growing.
+    source.insert(pfx("10.0.0.0/8"), 3);
+    EXPECT_EQ(source.lookup(*netbase::parse_ipv4("10.9.9.9")), 3);
+    assigned.insert(pfx("203.0.113.0/24"), 4);
+    EXPECT_EQ(assigned.lookup(*netbase::parse_ipv4("203.0.113.9")), 4);
+}
+
+TEST(Radix, Ipv6DefaultAndFullLengthPaths)
+{
+    using netbase::Ipv6Addr;
+    RadixTrie<Ipv6Addr> t;
+    const auto all = pfx6("::/0");
+    const auto low = pfx6("::/128");
+    const auto high = pfx6("ffff:ffff:ffff:ffff:ffff:ffff:ffff:ffff/128");
+    t.insert(all, 1);
+    EXPECT_EQ(t.node_count(), 1u);  // the default route lives in the root
+    t.insert(low, 2);
+    t.insert(high, 3);
+    EXPECT_EQ(t.node_count(), 1u + 128 + 128);
+    const Ipv6Addr zero{};
+    const Ipv6Addr ones = high.first_address();
+    EXPECT_EQ(t.lookup(zero), 2);
+    EXPECT_EQ(t.lookup(ones), 3);
+    EXPECT_EQ(t.lookup(*netbase::parse_ipv6("::1")), 1);
+    EXPECT_EQ(t.lookup(*netbase::parse_ipv6("ffff:ffff:ffff:ffff:ffff:ffff:ffff:fffe")), 1);
+    const auto deep = t.lookup_detail(ones);
+    EXPECT_EQ(deep.radix_depth, 128u);
+    EXPECT_EQ(deep.matched_length, 128u);
+    EXPECT_EQ(t.find(all), 1);
+    EXPECT_EQ(t.find(low), 2);
+
+    EXPECT_TRUE(t.erase(high));
+    EXPECT_EQ(t.node_count(), 1u + 128);
+    EXPECT_EQ(t.lookup(ones), 1);
+    EXPECT_TRUE(t.erase(all));
+    EXPECT_EQ(t.lookup(ones), kNoRoute);
+    EXPECT_EQ(t.lookup(zero), 2);
+    EXPECT_EQ(t.node_count(), 1u + 128);  // the root still leads to ::/128
+    EXPECT_TRUE(t.erase(low));
+    EXPECT_TRUE(t.empty());
+    EXPECT_EQ(t.node_count(), 0u);
+}
+
+TEST(Radix, MemoryIsTwelveBytesPerLiveNode)
+{
+    static_assert(sizeof(RadixTrie<Ipv4Addr>::Node) == 12);
+    static_assert(sizeof(RadixTrie<netbase::Ipv6Addr>::Node) == 12);
+    RadixTrie<Ipv4Addr> t = load(corner_case_table());
+    EXPECT_EQ(t.memory_bytes(), t.node_count() * sizeof(RadixTrie<Ipv4Addr>::Node));
+    const std::size_t before = t.node_count();
+    t.insert(pfx("198.51.100.1/32"), 5);
+    EXPECT_GT(t.node_count(), before);
+    t.erase(pfx("198.51.100.1/32"));
+    // The freed slots stay in the array but are not counted.
+    EXPECT_EQ(t.node_count(), before);
+    EXPECT_GT(t.nodes().size(), before);
+    EXPECT_EQ(t.memory_bytes(), before * sizeof(RadixTrie<Ipv4Addr>::Node));
 }
 
 TEST(Radix, TableStats)

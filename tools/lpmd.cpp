@@ -500,11 +500,13 @@ int main(int argc, char** argv)
             tg.next_hops = 64;
             routes = workload::generate_table(tg);
         }
-        rib::RadixTrie<netbase::Ipv4Addr> rib;
-        rib.insert_all(routes);
         std::printf("lpmd: %zu routes, engine=%s, workers=%u, pattern=%s\n",
                     routes.size(), opt.engine.c_str(), opt.workers,
                     opt.pattern.c_str());
+        // A RIB of lpmd's own, for the trace generator and the baselines'
+        // aggregation; the poptrie engine's Router builds its own.
+        rib::RadixTrie<netbase::Ipv4Addr> rib;
+        if (opt.pattern == "trace" || opt.engine != "poptrie") rib.insert_all(routes);
 
         std::vector<std::uint32_t> trace;
         if (opt.pattern == "trace") {

@@ -103,6 +103,9 @@ class RuleTest(unittest.TestCase):
         rule = benchctl.rule_for("dataplane.fib_mib")
         self.assertEqual(rule["direction"], "lower")
         self.assertEqual(rule["band"], 0.02)
+        rule = benchctl.rule_for("dataplane.rib_mib")
+        self.assertEqual(rule["direction"], "lower")
+        self.assertEqual(rule["band"], 0.02)
 
     def test_cycles_lower_better(self):
         rule = benchctl.rule_for("table4.realtier1a.poptrie18.mean_cycles")
@@ -116,7 +119,8 @@ class RuleTest(unittest.TestCase):
 class ParseDataplaneTest(unittest.TestCase):
     def test_load_record_and_cells(self):
         records = [
-            {"phase": "load", "routes": 100000, "load_ms": 61.5, "fib_bytes": 3 << 20},
+            {"phase": "load", "routes": 100000, "load_ms": 61.5, "fib_bytes": 3 << 20,
+             "rib_bytes": 9 << 19},
             {"engine": "poptrie", "workers": 1, "churn": False, "mlps": 4.2,
              "lat_p50_ns": 2800.0, "lat_p99_ns": 8800.0},
             {"engine": "sail", "workers": 1, "status": "structural_limit"},
@@ -128,8 +132,9 @@ class ParseDataplaneTest(unittest.TestCase):
             out = benchctl.parse_dataplane("", path)
         self.assertEqual(out["dataplane.load_ms"], 61.5)
         self.assertEqual(out["dataplane.fib_mib"], 3.0)
+        self.assertEqual(out["dataplane.rib_mib"], 4.5)
         self.assertEqual(out["dataplane.poptrie.w1.mlps"], 4.2)
-        self.assertEqual(len(out), 5)
+        self.assertEqual(len(out), 6)
 
 
 class CompareMetricTest(unittest.TestCase):
