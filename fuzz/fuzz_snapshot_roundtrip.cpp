@@ -8,7 +8,10 @@
 // Second, corruption rejection: every byte of the image is covered by a
 // checksum (header or payload), so a single bit flip at ANY fuzz-chosen
 // offset must make the loader throw ImageError rather than serve a mangled
-// table. This harness checks both properties on every input.
+// table. This harness checks both properties on every input. And the image
+// is dense — only the reachable runs, packed in DFS pre-order — so it is a
+// function of the reachable FIB alone: when compact() runs without the
+// dictionary re-encoding, the image before it and after it must be equal.
 //
 // The restored batch check drives the batch walk over the image's view(), so
 // a walk that disagrees with the scalar walk on any fuzz-grown (or
@@ -41,9 +44,17 @@ void run(fuzz::ByteReader& in, const poptrie::Config& cfg, bool compact,
     poptrie::Poptrie<Addr> pt{cfg};
     for (const auto& op : ops) pt.apply(rib, op.prefix, op.next_hop);
     pt.drain();
-    if (compact) pt.compact();
+    std::vector<std::uint8_t> uncompacted;
+    if (compact) {
+        if (!cfg.leaf_dict) uncompacted = snapshot::serialize(pt);
+        pt.compact();
+    }
 
     const auto img = snapshot::serialize(pt);
+    if (!uncompacted.empty() && uncompacted != img)
+        fuzz::fail(kHarness, "compaction changed the dense image",
+                   std::to_string(uncompacted.size()) + " bytes before compact(), " +
+                       std::to_string(img.size()) + " after");
     const auto fib = snapshot::SnapshotFib<Addr>::load_buffer(img.data(), img.size());
 
     fuzz::boundary_probes(rib.routes(), probes);

@@ -128,20 +128,25 @@ std::string format_addr(netbase::Ipv4Addr a) { return netbase::to_string(a); }
 std::string format_addr(netbase::Ipv6Addr a) { return netbase::to_string(a); }
 
 /// One live allocation extent reconstructed from the trie walk: `count`
-/// requested slots occupying the rounded `size` block at `offset`.
+/// requested slots occupying the `size` slots at `offset`.
 struct LiveRun {
     std::uint32_t offset = 0;
-    std::uint32_t size = 0;   // power-of-two block extent
+    std::uint32_t size = 0;   // power-of-two block extent; == count when dense
     std::uint32_t count = 0;  // slots actually in use
 };
 
 /// The live runs of one FIB in DFS order (roots, child arrays, leaf runs).
-/// Dict-coded runs live in the dense 8-bit code array: size == count.
+/// Dict-coded runs, and every run of a dense layout, have size == count.
 struct LiveRuns {
     std::vector<LiveRun> nodes;
     std::vector<LiveRun> leaves;
     std::vector<LiveRun> leaves8;
 };
+
+/// Where a FIB's runs sit in its arrays. Live pools place each node and
+/// 16-bit leaf run in a buddy block aligned to its power-of-two size; a
+/// snapshot image packs the reachable runs back to back.
+enum class RunLayout { kBuddy, kDense };
 
 /// Walks the reachable structure of one FIB's arrays, recording violations
 /// and live runs. Template over Addr only for the node type and width.
@@ -151,8 +156,13 @@ public:
     using PT = poptrie::Poptrie<Addr>;
     using Node = typename PT::Node;
 
-    StructureWalker(const typename PT::View& view, AuditReport& r, LiveRuns& runs)
-        : view_(view), report_(r), runs_(runs), visited_(view.node_count, false)
+    StructureWalker(const typename PT::View& view, RunLayout layout, AuditReport& r,
+                    LiveRuns& runs)
+        : view_(view),
+          dense_(layout == RunLayout::kDense),
+          report_(r),
+          runs_(runs),
+          visited_(view.node_count, false)
     {
     }
 
@@ -243,9 +253,9 @@ private:
                             where + ": node " + std::to_string(index));
         }
 
-        // Leaf run: bounds, alignment (16-bit pool only — dict-coded runs
-        // are dense, unaligned bump placements), minimality over the
-        // *decoded* values either way.
+        // Leaf run: bounds, alignment (16-bit buddy pool only — dict-coded
+        // runs and dense images are unaligned back-to-back placements),
+        // minimality over the *decoded* values either way.
         if (nleaves != 0 && (n.base0 & poptrie::kLeaf8Bit)) {
             const std::uint32_t off = n.base0 & ~poptrie::kLeaf8Bit;
             if (std::uint64_t{off} + nleaves > view_.leaf8_count) {
@@ -271,14 +281,14 @@ private:
                     check_minimal(index, n.base0, nleaves, where, "dict-coded leaves ");
             }
         } else if (nleaves != 0) {
-            const auto block = alloc::BuddyAllocator::block_size_for(nleaves);
+            const auto block = extent(nleaves);
             if (std::uint64_t{n.base0} + block > view_.leaf_count) {
                 report_.add("leaf-run-out-of-range",
                             where + ": node " + std::to_string(index) + " base0 " +
                                 std::to_string(n.base0) + " +" + std::to_string(block) +
                                 " > pool size " + std::to_string(view_.leaf_count));
             } else {
-                if (n.base0 % block != 0)
+                if (!dense_ && n.base0 % block != 0)
                     report_.add("leaf-run-misaligned",
                                 where + ": node " + std::to_string(index) + " base0 " +
                                     std::to_string(n.base0) + " not aligned to " +
@@ -292,7 +302,7 @@ private:
 
         // Child run: bounds, alignment, then recurse.
         if (nkids != 0) {
-            const auto block = alloc::BuddyAllocator::block_size_for(nkids);
+            const auto block = extent(nkids);
             if (std::uint64_t{n.base1} + block > view_.node_count) {
                 report_.add("node-run-out-of-range",
                             where + ": node " + std::to_string(index) + " base1 " +
@@ -300,7 +310,7 @@ private:
                                 " > pool size " + std::to_string(view_.node_count));
                 return;  // children unreadable
             }
-            if (n.base1 % block != 0)
+            if (!dense_ && n.base1 % block != 0)
                 report_.add("node-run-misaligned",
                             where + ": node " + std::to_string(index) + " base1 " +
                                 std::to_string(n.base1) + " not aligned to " +
@@ -309,6 +319,13 @@ private:
             for (std::uint32_t i = 0; i < nkids; ++i)
                 walk_node(n.base1 + i, level + PT::kStride, where);
         }
+    }
+
+    /// Slots a run of `count` occupies: its buddy block, or exactly `count`
+    /// when packed.
+    [[nodiscard]] std::uint32_t extent(std::uint32_t count) const noexcept
+    {
+        return dense_ ? count : alloc::BuddyAllocator::block_size_for(count);
     }
 
     /// Leafvec runs are minimal: two adjacent leaves never repeat a next hop.
@@ -326,6 +343,7 @@ private:
     }
 
     const typename PT::View& view_;
+    const bool dense_;
     AuditReport& report_;
     LiveRuns& runs_;
     std::vector<bool> visited_;
@@ -412,6 +430,34 @@ void check_compacted_layout(AuditReport& r, const std::vector<LiveRun>& runs,
                                        std::to_string(cursor));
 }
 
+/// Dense-image layout check: sorted by offset, the runs must cover
+/// [0, slots) of their section exactly once, each one starting where the one
+/// before it ended. A gap is a slot no lookup reaches; an overlap is a slot
+/// two runs share.
+void check_tiling(AuditReport& r, std::vector<LiveRun> runs, std::uint64_t slots,
+                  const std::string& what)
+{
+    std::sort(runs.begin(), runs.end(),
+              [](const LiveRun& a, const LiveRun& b) { return a.offset < b.offset; });
+    std::uint64_t cursor = 0;
+    for (const auto& run : runs) {
+        if (run.offset > cursor)
+            r.add("section-not-tiled", what + " section: slots [" + std::to_string(cursor) +
+                                           ", " + std::to_string(run.offset) +
+                                           ") lie in no run");
+        else if (run.offset < cursor)
+            r.add("section-not-tiled", what + " section: run at " +
+                                           std::to_string(run.offset) + "(+" +
+                                           std::to_string(run.size) +
+                                           ") overlaps slots already covered up to " +
+                                           std::to_string(cursor));
+        cursor = std::max(cursor, std::uint64_t{run.offset} + run.size);
+    }
+    if (cursor < slots)
+        r.add("section-not-tiled", what + " section: slots [" + std::to_string(cursor) + ", " +
+                                       std::to_string(slots) + ") lie in no run");
+}
+
 /// Dict-coded run checks: no two tagged runs may share code slots, the live
 /// count must match the trie's leaf8 accounting, and the dictionary must be
 /// sorted strictly ascending (compact() emits it that way — a violation
@@ -485,7 +531,10 @@ AuditReport audit_structure(const typename poptrie::Poptrie<Addr>::View& view)
 {
     AuditReport r;
     LiveRuns runs;
-    StructureWalker<Addr>(view, r, runs).walk();
+    StructureWalker<Addr>(view, RunLayout::kDense, r, runs).walk();
+    check_tiling(r, std::move(runs.nodes), view.node_count, "node");
+    check_tiling(r, std::move(runs.leaves), view.leaf_count, "leaf");
+    check_tiling(r, std::move(runs.leaves8), view.leaf8_count, "leaf8");
     return r;
 }
 
@@ -500,7 +549,7 @@ AuditReport audit(const poptrie::Poptrie<Addr>& pt, const rib::RadixTrie<Addr>& 
     AuditReport r;
     LiveRuns runs;
     const auto view = pools.view(pt.config());
-    StructureWalker<Addr>(view, r, runs).walk();
+    StructureWalker<Addr>(view, RunLayout::kBuddy, r, runs).walk();
 
     // 2. Live runs vs the buddy allocators, and slot accounting.
     const std::size_t pending = AuditAccess::ebr(pt).pending();

@@ -20,9 +20,10 @@
 //   * differential lookup checks against the RIB oracle at every route
 //     boundary and at random probe addresses.
 //
-// The structural part (audit_structure) needs only the arrays, read as a
-// PlainView, so it is the one walker for live tries and loaded images
-// alike: snapshot::verify_image() runs it too.
+// The structural walk needs only the arrays, read as a PlainView, so it is
+// the one walker for live tries and loaded images alike: audit() runs it
+// over the live pools' buddy layout, and audit_structure() (behind
+// snapshot::verify_image()) over a snapshot image's dense layout.
 //
 // All of it is control-path-only: the auditor never runs during lookups, and
 // audits must be called from the writer thread (they read writer-private
@@ -107,12 +108,15 @@ struct AuditOptions {
 /// Checks an EBR domain's epoch bookkeeping. Writer-thread only.
 [[nodiscard]] AuditReport audit_ebr(const psync::EbrDomain& domain);
 
-/// The structural walk over one FIB's arrays — a live pool set or a loaded
-/// image, both as a PlainView: direct-slot payloads and root bounds,
-/// vector/leafvec consistency, leaf-run minimality (§3.3), run bounds and
-/// alignment, dictionary codes, aliasing, depth. Everything that needs only
-/// the arrays is here; audit() runs the same walk, so snapshot::
-/// verify_image() and audit() fire the same named check for the same fault.
+/// The structural walk over a snapshot image's arrays (a PlainView), whose
+/// sections hold the reachable runs packed back to back: direct-slot
+/// payloads and root bounds, vector/leafvec consistency, leaf-run minimality
+/// (§3.3), each run inside its section by its exact length, dictionary
+/// codes, aliasing, depth, and the runs tiling every section exactly once
+/// ("section-not-tiled": no slot that no run holds, none that two share).
+/// audit() runs the same walk over the live pools, where each run instead
+/// fills an aligned power-of-two buddy block, so snapshot::verify_image()
+/// and audit() fire the same named check for the same fault.
 template <class Addr>
 [[nodiscard]] AuditReport audit_structure(const typename poptrie::Poptrie<Addr>::View& view);
 

@@ -126,6 +126,91 @@ ImageHeader with_checksums(const std::uint8_t* base, ImageHeader hdr) noexcept
     return hdr;
 }
 
+/// The reachable FIB packed back to back in compact()'s DFS pre-order: a
+/// root's slot, then for each node its leaf run, its child run, and each
+/// child's subtree in turn. Each array then holds exactly its live slots,
+/// whatever the pools' placement, compaction or churn history (DESIGN.md §11).
+///
+/// Faults stay visible to verify_image(). The packer follows an index only
+/// when its whole run lies inside the pool, and copies any other unchanged: a
+/// packed array is never larger than its pool, so an out-of-range index stays
+/// out of range. It places each node run once, keyed by its first slot, so an
+/// aliased subtree stays aliased (and a cycle ends). It stops where the
+/// structural walk stops, at a node below the address width.
+template <class Addr>
+class DensePacker {
+public:
+    using PT = poptrie::Poptrie<Addr>;
+    using Node = typename PT::Node;
+
+    DensePacker(const typename PT::View& view, const poptrie::Stats& live)
+        : v_(view), placed_(view.node_count, kUnplaced)
+    {
+        nodes.reserve(live.internal_nodes);
+        leaves.reserve(live.leaves - live.leaf8_slots);
+        leaves8.reserve(live.leaf8_slots);
+        if (v_.direct_bits == 0) {
+            root = place(v_.root, 1, 0);
+            return;
+        }
+        direct.assign(v_.direct, v_.direct + v_.direct_count);
+        for (std::uint32_t& slot : direct)
+            if ((slot & PT::kDirectLeafBit) == 0) slot = place(slot, 1, v_.direct_bits);
+    }
+
+    std::vector<Node> nodes;
+    std::vector<rib::NextHop> leaves;
+    std::vector<std::uint8_t> leaves8;
+    std::vector<std::uint32_t> direct;
+    std::uint32_t root = 0;
+
+private:
+    static constexpr std::uint32_t kUnplaced = ~std::uint32_t{0};
+
+    /// Packs the source node run [first, first + count) at bit level `level`
+    /// and everything below it; returns the run's packed index.
+    std::uint32_t place(std::uint32_t first, std::uint32_t count, unsigned level)
+    {
+        if (std::uint64_t{first} + count > v_.node_count) return first;
+        if (placed_[first] != kUnplaced) return placed_[first];
+        const auto at = static_cast<std::uint32_t>(nodes.size());
+        placed_[first] = at;
+        nodes.insert(nodes.end(), v_.nodes + first, v_.nodes + first + count);
+        for (std::uint32_t i = 0; i < count; ++i) pack_runs(at + i, level);
+        return at;
+    }
+
+    /// Packs the leaf run and the child run of the node at packed index `at`
+    /// and points its base0/base1 at them (0 for an empty run, as compact()
+    /// leaves them).
+    void pack_runs(std::uint32_t at, unsigned level)
+    {
+        if (level >= PT::kWidth) return;
+        Node n = nodes[at];
+        const auto nkids = static_cast<std::uint32_t>(netbase::popcount64(n.vector));
+        const std::uint32_t nleaves =
+            v_.leaf_compression ? static_cast<std::uint32_t>(netbase::popcount64(n.leafvec))
+                                : 64 - nkids;
+        const std::uint32_t b0 = n.base0 & ~PT::kLeaf8Bit;
+        if (nleaves == 0) {
+            n.base0 = 0;
+        } else if ((n.base0 & PT::kLeaf8Bit) != 0) {
+            if (std::uint64_t{b0} + nleaves <= v_.leaf8_count) {
+                n.base0 = PT::kLeaf8Bit | static_cast<std::uint32_t>(leaves8.size());
+                leaves8.insert(leaves8.end(), v_.leaves8 + b0, v_.leaves8 + b0 + nleaves);
+            }
+        } else if (std::uint64_t{b0} + nleaves <= v_.leaf_count) {
+            n.base0 = static_cast<std::uint32_t>(leaves.size());
+            leaves.insert(leaves.end(), v_.leaves + b0, v_.leaves + b0 + nleaves);
+        }
+        n.base1 = nkids == 0 ? 0 : place(n.base1, nkids, level + PT::kStride);
+        nodes[at] = n;
+    }
+
+    const typename PT::View& v_;
+    std::vector<std::uint32_t> placed_;  // source run start -> packed index
+};
+
 }  // namespace
 
 std::uint64_t image_checksum(const void* data, std::size_t n) noexcept
@@ -141,8 +226,9 @@ std::vector<std::uint8_t> serialize(const poptrie::Poptrie<Addr>& fib)
 {
     using Node = typename poptrie::Poptrie<Addr>::Node;
     const poptrie::Config& cfg = fib.config();
-    const auto& pools = fib.pools();
-    const auto view = pools.view(cfg);
+    const auto view = fib.pools().view(cfg);
+    const poptrie::Stats stats = fib.stats();
+    const DensePacker<Addr> packed(view, stats);
 
     ImageHeader hdr;
     std::memcpy(hdr.magic, kMagic, sizeof(kMagic));
@@ -156,18 +242,12 @@ std::vector<std::uint8_t> serialize(const poptrie::Poptrie<Addr>& fib)
     hdr.leaf_compression = cfg.leaf_compression ? 1 : 0;
     hdr.route_aggregation = cfg.route_aggregation ? 1 : 0;
     hdr.leaf_dict_enabled = cfg.leaf_dict ? 1 : 0;
-    hdr.root_index = view.root;
-    // The touched extent of each pool: every reachable index is below the
-    // allocator's high-water mark, so nothing past it needs to survive. The
-    // dict-coded array has no allocator — its full extent is the compaction
-    // bump cursor (tagged base0 offsets are never reused, so every reachable
-    // one is below its size).
-    hdr.node_count = pools.node_alloc.high_water();
-    hdr.leaf_count = pools.leaf_alloc.high_water();
-    hdr.direct_count = view.direct_count;
-    hdr.leaf8_count = view.leaf8_count;
+    hdr.root_index = packed.root;
+    hdr.node_count = packed.nodes.size();
+    hdr.leaf_count = packed.leaves.size();
+    hdr.direct_count = packed.direct.size();
+    hdr.leaf8_count = packed.leaves8.size();
     hdr.leaf_dict_count = view.leaf_dict_count;
-    const poptrie::Stats stats = fib.stats();
     hdr.inode_live = stats.internal_nodes;
     hdr.leaf_live = stats.leaves;
     const benchkit::Provenance prov = benchkit::provenance();
@@ -176,8 +256,8 @@ std::vector<std::uint8_t> serialize(const poptrie::Poptrie<Addr>& fib)
 
     // Sections follow the header in kSections order, each at the next
     // kSectionAlign boundary; the image ends with the last one.
-    const void* const arrays[] = {view.nodes, view.leaves, view.direct, view.leaves8,
-                                  view.leaf_dict};
+    const void* const arrays[] = {packed.nodes.data(), packed.leaves.data(),
+                                  packed.direct.data(), packed.leaves8.data(), view.leaf_dict};
     std::uint64_t end = sizeof(ImageHeader);
     for (const SectionField& f : kSections<Node>) {
         SectionDesc& s = hdr.*f.desc;

@@ -1,15 +1,16 @@
 // snapshot/snapshot.hpp — versioned on-disk FIB images and warm start.
 //
-// The compacted DFS pre-order layout (Poptrie::compact, DESIGN.md §8) is a
-// pure function of the trie, so the whole FIB — node pool, leaf pool, direct
-// array, root metadata — serializes as raw arenas and maps back byte for
-// byte. This module is that round trip:
+// compact()'s DFS pre-order (DESIGN.md §8) is a pure function of the trie,
+// so the reachable FIB — nodes, leaves, direct array, root — packed in that
+// order without the buddy allocator's alignment is a dense image that maps
+// back as the arrays a lookup walks. This module is that round trip:
 //
-//   * serialize()/save()  — writer: on the writer thread, copy the touched
-//     extent of the current pool set (allocator high-water marks) plus a
-//     Config echo, per-section and whole-image checksums (one sweep), and a
-//     provenance stamp (benchkit git_sha/build fingerprint) into a versioned
-//     image; save() makes it durable before it replaces the target;
+//   * serialize()/save()  — writer: on the writer thread, pack the reachable
+//     runs of the current pool set back to back (each section holds exactly
+//     its live slots), add a Config echo, per-section and whole-image
+//     checksums (one sweep), and a provenance stamp (benchkit git_sha/build
+//     fingerprint) into a versioned image; save() makes it durable before it
+//     replaces the target;
 //   * SnapshotFib<Addr>   — loader: validate the header and checksums, then
 //     either mmap the file read-only (Backing::kFileMapped — pages shared
 //     across every process mapping the same image) or copy it into
@@ -18,7 +19,8 @@
 //     allocators, no pool growth, no atomics;
 //   * verify_image()      — the auditor's structural walk over a loaded
 //     image (bounds, leafvec/vector consistency, run minimality,
-//     reachability), backing poptrie_fsck --verify-image.
+//     reachability, every section tiled by its runs), backing poptrie_fsck
+//     --verify-image.
 //
 // Versioning/compat policy (DESIGN.md §11): images carry a format version
 // and an endianness tag; a loader accepts exactly its own version and host
@@ -64,7 +66,7 @@ public:
 };
 
 inline constexpr char kMagic[8] = {'P', 'O', 'P', 'T', 'S', 'N', 'A', 'P'};
-inline constexpr std::uint32_t kFormatVersion = 3;
+inline constexpr std::uint32_t kFormatVersion = 4;
 /// Written as a native uint32: a loader on the other byte order reads
 /// 0x04030201 and rejects the image instead of mis-decoding it.
 inline constexpr std::uint32_t kEndianTag = 0x01020304u;
@@ -72,7 +74,7 @@ inline constexpr std::uint32_t kEndianTag = 0x01020304u;
 /// every element type's alignment).
 inline constexpr std::size_t kSectionAlign = 64;
 
-/// The image checksum (format v3) of header, sections and payload: xxHash64's
+/// The image checksum (since format v3) of header, sections and payload: xxHash64's
 /// round chained over the native words of `data[0, n)`, a partial last word
 /// zero-extended. It detects every change confined to one word (§11).
 [[nodiscard]] std::uint64_t image_checksum(const void* data, std::size_t n) noexcept;
@@ -106,10 +108,10 @@ struct ImageHeader {
     std::uint8_t reserved_echo[2] = {};
     std::uint8_t leaf_dict_enabled = 0;  ///< Config::leaf_dict (v2)
     std::uint8_t reserved8[2] = {};
-    std::uint32_t root_index = 0;  ///< published root when direct_bits == 0
+    std::uint32_t root_index = 0;  ///< packed root when direct_bits == 0
     std::uint32_t reserved32 = 0;
-    std::uint64_t node_count = 0;    ///< node slots serialized ([0, high water))
-    std::uint64_t leaf_count = 0;    ///< leaf slots serialized
+    std::uint64_t node_count = 0;    ///< node slots serialized: the reachable nodes (v4)
+    std::uint64_t leaf_count = 0;    ///< 16-bit leaf slots serialized: the reachable ones (v4)
     std::uint64_t direct_count = 0;  ///< direct slots (2^direct_bits or 0)
     std::uint64_t inode_live = 0;    ///< live internal nodes (stats echo)
     std::uint64_t leaf_live = 0;     ///< live leaf slots (stats echo)
@@ -129,10 +131,11 @@ struct ImageHeader {
 static_assert(std::is_trivially_copyable_v<ImageHeader>);
 static_assert(sizeof(ImageHeader) == 288, "bump kFormatVersion when the header grows");
 
-/// Serializes `fib` into an in-memory image: header + node/leaf/direct
-/// sections at aligned offsets, checksums filled in. Writer role only: the
-/// current pool set is read in place, so neither apply() nor compact() may
-/// run concurrently. Readers may keep forwarding.
+/// Serializes `fib` into an in-memory dense image: header + node/leaf/direct
+/// sections at aligned offsets, each holding only the reachable runs packed
+/// in DFS pre-order, checksums filled in. Writer role only: the current pool
+/// set is read in place, so neither apply() nor compact() may run
+/// concurrently. Readers may keep forwarding.
 template <class Addr>
 [[nodiscard]] std::vector<std::uint8_t> serialize(const poptrie::Poptrie<Addr>& fib)
     POPTRIE_REQUIRES(psync::cap::ebr);
@@ -254,13 +257,14 @@ extern template class SnapshotFib<netbase::Ipv4Addr>;
 extern template class SnapshotFib<netbase::Ipv6Addr>;
 
 /// Walks the reachable structure of a loaded image with the auditor's
-/// structural walk (analysis::audit_structure): every direct slot either a
-/// tagged leaf with a representable next hop or an in-bounds node index;
-/// every child/leaf run inside its section and aligned; leafvec consistent
-/// with vector and runs minimal under leaf compression; no node reachable
-/// twice; depth bounded by the address width. The checks carry the same
-/// names audit() reports for a live trie. (Header and checksum validation
-/// already happened at load.)
+/// structural walk (analysis::audit_structure) over the dense layout: every
+/// direct slot either a tagged leaf with a representable next hop or an
+/// in-bounds node index; every child/leaf run inside its section by its
+/// exact length; leafvec consistent with vector and runs minimal under leaf
+/// compression; no node reachable twice; depth bounded by the address width;
+/// and the runs tiling each section exactly once, with no slot that no run
+/// holds. The checks carry the same names audit() reports for a live trie.
+/// (Header and checksum validation already happened at load.)
 template <class Addr>
 [[nodiscard]] analysis::AuditReport verify_image(const SnapshotFib<Addr>& fib)
 {

@@ -70,7 +70,7 @@ TEST(Snapshot, RoundTripCornerTableAllConfigs)
         pt.compact();
         const auto img = snapshot::serialize(pt);
         const auto fib = SnapshotFib4::load_buffer(img.data(), img.size());
-        EXPECT_EQ(fib.header().node_count, pt.stats().node_high_water);
+        EXPECT_EQ(fib.header().node_count, pt.stats().internal_nodes);
         EXPECT_EQ(boundary_and_random_mismatches(
                       rib, corner_case_table(),
                       [&](Ipv4Addr a) { return fib.lookup(a); }, 50'000, db + 1),
@@ -109,8 +109,9 @@ TEST(Snapshot, RoundTripGeneratedTableAfterChurnAndCompact)
 
 TEST(Snapshot, RoundTripWithoutCompaction)
 {
-    // An uncompacted FIB serializes its full touched extent (free-pool holes
-    // included); the image must still resolve identically.
+    // An uncompacted FIB's pools hold free blocks between its runs after
+    // churn; the image packs only the reachable runs and must still resolve
+    // identically.
     workload::TableGenConfig gen;
     gen.seed = 21;
     gen.target_routes = 10'000;
@@ -590,5 +591,312 @@ TEST(Snapshot, TopBitFlipPairsInASectionRejected)
             flip(63);
             flip(other);
         }
+    }
+}
+
+namespace {
+
+std::uint64_t align_section(std::uint64_t n)
+{
+    constexpr std::uint64_t kAlign = snapshot::kSectionAlign;
+    return (n + kAlign - 1) / kAlign * kAlign;
+}
+
+/// Withdraws every fifth route and re-announces every seventh with another
+/// hop, so the pools hold free blocks between their live runs.
+template <class Addr>
+void churn(poptrie::Poptrie<Addr>& pt, rib::RadixTrie<Addr>& rib,
+           const rib::RouteList<Addr>& routes) POPTRIE_REQUIRES(psync::cap::ebr)
+{
+    for (std::size_t i = 0; i < routes.size(); i += 5)
+        pt.apply(rib, routes[i].prefix, rib::kNoRoute);
+    for (std::size_t i = 0; i < routes.size(); i += 7)
+        pt.apply(rib, routes[i].prefix, static_cast<NextHop>(routes[i].next_hop % 50 + 1));
+    pt.drain();
+}
+
+/// Serializes `pt` and requires the image to be exactly the header plus
+/// aligned sections holding the live node, leaf, direct, leaf8 and
+/// dictionary counts, to pass verify_image(), and to resolve random probes
+/// like the live FIB.
+template <class Addr>
+std::vector<std::uint8_t> expect_dense_image(const poptrie::Poptrie<Addr>& pt,
+                                             const std::string& what)
+    POPTRIE_REQUIRES(psync::cap::ebr)
+{
+    using V = typename Addr::value_type;
+    const poptrie::Stats st = pt.stats();
+    auto img = snapshot::serialize(pt);
+    const snapshot::ImageHeader hdr = header_of(img);
+    EXPECT_EQ(hdr.node_count, st.internal_nodes) << what;
+    EXPECT_EQ(hdr.leaf_count, st.leaves - st.leaf8_slots) << what;
+    EXPECT_EQ(hdr.direct_count, st.direct_slots) << what;
+    EXPECT_EQ(hdr.leaf8_count, st.leaf8_slots) << what;
+    EXPECT_EQ(hdr.leaf_dict_count, st.leaf_dict_entries) << what;
+    std::uint64_t end = sizeof(snapshot::ImageHeader);
+    for (const std::uint64_t bytes :
+         {hdr.node_count * sizeof(typename poptrie::Poptrie<Addr>::Node),
+          hdr.leaf_count * sizeof(NextHop), hdr.direct_count * sizeof(std::uint32_t),
+          hdr.leaf8_count, hdr.leaf_dict_count * sizeof(NextHop)})
+        end = align_section(end) + bytes;
+    EXPECT_EQ(img.size(), end) << what;
+    EXPECT_EQ(hdr.total_bytes, end) << what;
+
+    const auto fib = snapshot::SnapshotFib<Addr>::load_buffer(img.data(), img.size());
+    const auto report = snapshot::verify_image(fib);
+    EXPECT_TRUE(report.ok()) << what << "\n" << report.summary();
+    workload::Xorshift128 rng(91);
+    for (int i = 0; i < 20'000; ++i) {
+        V key = rng.next();
+        if constexpr (Addr::kWidth == 128)
+            key = (key << 96) | (V{rng.next()} << 64) | (V{rng.next()} << 32) | rng.next();
+        const Addr a{key};
+        EXPECT_EQ(fib.lookup(a), pt.lookup(a)) << what << ": " << netbase::to_string(a);
+        if (::testing::Test::HasFailure()) break;
+    }
+    return img;
+}
+
+/// The image payload checksums of `pt` before and after compact().
+template <class Addr>
+std::pair<std::uint64_t, std::uint64_t> payload_around_compaction(poptrie::Poptrie<Addr>& pt)
+    POPTRIE_REQUIRES(psync::cap::ebr)
+{
+    const snapshot::ImageHeader before = header_of(snapshot::serialize(pt));
+    pt.compact();
+    const snapshot::ImageHeader after = header_of(snapshot::serialize(pt));
+    EXPECT_EQ(before.total_bytes, after.total_bytes);
+    return {before.payload_checksum, after.payload_checksum};
+}
+
+rib::RouteList<Ipv4Addr> table4(std::uint64_t seed)
+{
+    workload::TableGenConfig gen;
+    gen.seed = seed;
+    gen.target_routes = 20'000;
+    return workload::generate_table(gen);
+}
+
+rib::RouteList<Ipv6Addr> table6(std::uint64_t seed)
+{
+    workload::TableGen6Config gen;
+    gen.seed = seed;
+    gen.target_routes = 3'000;
+    return workload::generate_table6(gen);
+}
+
+}  // namespace
+
+TEST(Snapshot, DenseImageHoldsExactlyTheLiveSlots)
+{
+    // quiescent: single-threaded test — no reader thread ever exists.
+    const psync::QuiescentSection quiescent;
+    const auto routes = table4(81);
+    {
+        auto rib = load(routes);
+        Poptrie4 pt{rib, Config{}};
+        expect_dense_image(pt, "fresh build");
+        churn(pt, rib, routes);
+        ASSERT_GT(pt.stats().leaf_high_water, pt.stats().leaves);
+        expect_dense_image(pt, "churned");
+        pt.compact();
+        // compact()'s aligned bump leaves gaps inside the pools; the image
+        // carries none of them.
+        ASSERT_GT(pt.stats().leaf_high_water, pt.stats().leaves);
+        const auto img = expect_dense_image(pt, "compacted");
+        EXPECT_GE(img.size(), pt.stats().memory_bytes + sizeof(snapshot::ImageHeader));
+        EXPECT_LT(img.size(), pt.stats().memory_bytes + sizeof(snapshot::ImageHeader) +
+                                  5 * snapshot::kSectionAlign);
+    }
+    {
+        Config cfg;
+        cfg.direct_bits = 0;
+        cfg.leaf_compression = false;
+        auto rib = load(routes);
+        Poptrie4 pt{rib, cfg};
+        churn(pt, rib, routes);
+        expect_dense_image(pt, "basic, no direct pointing, churned");
+    }
+    {
+        Config cfg;
+        cfg.leaf_dict = true;
+        auto rib = load(routes);
+        Poptrie4 pt{rib, cfg};
+        pt.compact();
+        ASSERT_GT(pt.stats().leaf8_slots, 0u);
+        churn(pt, rib, routes);
+        expect_dense_image(pt, "dict-compacted, churned");
+    }
+    {
+        const auto routes6 = table6(82);
+        rib::RadixTrie<Ipv6Addr> rib;
+        rib.insert_all(routes6);
+        Config cfg;
+        cfg.direct_bits = 16;
+        Poptrie6 pt{rib, cfg};
+        churn(pt, rib, routes6);
+        expect_dense_image(pt, "ipv6, churned");
+        pt.compact();
+        expect_dense_image(pt, "ipv6, compacted");
+    }
+}
+
+TEST(Snapshot, CompactionLeavesTheDensePayloadUnchanged)
+{
+    // A dense image is a function of the reachable FIB alone: without the
+    // dictionary re-encoding, compact() changes where runs sit in the pools
+    // but not one byte of the image payload.
+    // quiescent: single-threaded test — no reader thread ever exists.
+    const psync::QuiescentSection quiescent;
+    const auto routes4 = table4(83);
+    const auto routes6 = table6(84);
+    for (const unsigned s : {0u, 16u, 18u}) {
+        for (const bool leafvec : {true, false}) {
+            SCOPED_TRACE("s=" + std::to_string(s) + (leafvec ? " leafvec" : " basic"));
+            Config cfg;
+            cfg.direct_bits = s;
+            cfg.leaf_compression = leafvec;
+            auto rib4 = load(routes4);
+            Poptrie4 pt4{rib4, cfg};
+            churn(pt4, rib4, routes4);
+            const auto [before4, after4] = payload_around_compaction(pt4);
+            EXPECT_EQ(before4, after4) << "ipv4";
+
+            rib::RadixTrie<Ipv6Addr> rib6;
+            rib6.insert_all(routes6);
+            Poptrie6 pt6{rib6, cfg};
+            churn(pt6, rib6, routes6);
+            const auto [before6, after6] = payload_around_compaction(pt6);
+            EXPECT_EQ(before6, after6) << "ipv6";
+        }
+    }
+}
+
+TEST(Snapshot, FormatV3ImageRefused)
+{
+    // v3 images were buddy-aligned copies of the pools' touched extent; a v4
+    // loader refuses them by version before reading a section.
+    // quiescent: single-threaded test — no reader thread ever exists.
+    const psync::QuiescentSection quiescent;
+    auto rib = load(corner_case_table());
+    Poptrie4 pt{rib, Config{}};
+    auto img = snapshot::serialize(pt);
+    snapshot::ImageHeader hdr = header_of(img);
+    hdr.format_version = 3;
+    hdr.header_checksum = 0;
+    hdr.header_checksum = snapshot::image_checksum(&hdr, sizeof(hdr));
+    std::memcpy(img.data(), &hdr, sizeof(hdr));
+    try {
+        static_cast<void>(SnapshotFib4::load_buffer(img.data(), img.size()));
+        FAIL() << "a v3 image was accepted";
+    } catch (const ImageError& e) {
+        EXPECT_NE(std::string(e.what()).find("unsupported snapshot format version 3"),
+                  std::string::npos)
+            << e.what();
+    }
+}
+
+TEST(Snapshot, DictCompactedFibWithPlainRunsRoundTrips)
+{
+    // After a dict-coding compact(), updates add plain 16-bit runs beside
+    // the 8-bit code runs; the image packs both kinds and keeps the
+    // dictionary whole.
+    const auto routes = table4(85);
+    auto rib = load(routes);
+    Config cfg;
+    cfg.leaf_dict = true;
+    Poptrie4 pt{rib, cfg};
+    // quiescent: single-threaded test — no reader thread ever exists.
+    const psync::QuiescentSection quiescent;
+    pt.compact();
+    workload::UpdateFeedConfig ucfg;
+    ucfg.seed = 86;
+    ucfg.updates = 2'000;
+    for (const auto& ev : workload::make_update_feed(routes, ucfg))
+        pt.apply(rib, ev.prefix, ev.next_hop);
+    pt.drain();
+    const poptrie::Stats st = pt.stats();
+    ASSERT_GT(st.leaf8_slots, 0u);
+    ASSERT_GT(st.leaves, st.leaf8_slots);
+
+    const auto img = snapshot::serialize(pt);
+    const auto fib = SnapshotFib4::load_buffer(img.data(), img.size());
+    EXPECT_EQ(fib.header().leaf8_count, st.leaf8_slots);
+    EXPECT_EQ(fib.header().leaf_count, st.leaves - st.leaf8_slots);
+    const auto report = snapshot::verify_image(fib);
+    EXPECT_TRUE(report.ok()) << report.summary();
+    EXPECT_EQ(boundary_and_random_mismatches(
+                  rib, routes, [&](Ipv4Addr a) { return fib.lookup(a); }, 100'000),
+              0u);
+    workload::Xorshift128 rng(87);
+    std::vector<std::uint32_t> keys(8192);
+    for (auto& k : keys) k = rng.next();
+    std::vector<rib::NextHop> out(keys.size());
+    fib.lookup_batch(keys.data(), out.data(), keys.size());
+    for (std::size_t i = 0; i < keys.size(); ++i) {
+        const Ipv4Addr a{keys[i]};
+        ASSERT_EQ(out[i], pt.lookup(a)) << netbase::to_string(a);
+    }
+}
+
+namespace {
+
+/// `img` rebuilt with one zero element appended to its node or its leaf
+/// section, the later sections moved along and every checksum re-sealed: an
+/// image that loads, but whose section holds a slot that no run reaches.
+std::vector<std::uint8_t> with_unreachable_slot(const std::vector<std::uint8_t>& img,
+                                                bool in_node_section)
+{
+    snapshot::ImageHeader hdr = header_of(img);
+    ++(in_node_section ? hdr.node_count : hdr.leaf_count);
+    snapshot::SectionDesc* const sections[] = {&hdr.nodes, &hdr.leaves, &hdr.direct,
+                                               &hdr.leaves8, &hdr.leaf_dict};
+    const std::uint64_t grow[] = {in_node_section ? sizeof(Poptrie4::Node) : 0,
+                                  in_node_section ? 0 : sizeof(NextHop), 0, 0, 0};
+    std::vector<std::uint8_t> out(sizeof(hdr), 0);
+    for (std::size_t k = 0; k < std::size(sections); ++k) {
+        snapshot::SectionDesc& s = *sections[k];
+        const auto from = img.begin() + static_cast<std::ptrdiff_t>(s.offset);
+        out.resize(align_section(out.size()), 0);
+        s.offset = out.size();
+        out.insert(out.end(), from, from + static_cast<std::ptrdiff_t>(s.bytes));
+        s.bytes += grow[k];
+        out.resize(s.offset + s.bytes, 0);
+        s.checksum = snapshot::image_checksum(out.data() + s.offset, s.bytes);
+    }
+    hdr.total_bytes = out.size();
+    hdr.payload_checksum =
+        snapshot::image_checksum(out.data() + sizeof(hdr), out.size() - sizeof(hdr));
+    hdr.header_checksum = 0;
+    hdr.header_checksum = snapshot::image_checksum(&hdr, sizeof(hdr));
+    std::memcpy(out.data(), &hdr, sizeof(hdr));
+    return out;
+}
+
+}  // namespace
+
+TEST(Snapshot, VerifierRejectsAnUnreachableSlot)
+{
+    // verify_image() requires the runs to tile every section exactly once:
+    // a slot past the last run is slack no lookup reads, and the writer
+    // never leaves one.
+    // quiescent: single-threaded test — no reader thread ever exists.
+    const psync::QuiescentSection quiescent;
+    auto rib = load(corner_case_table());
+    Poptrie4 pt{rib, Config{}};
+    const auto img = snapshot::serialize(pt);
+    const auto clean = SnapshotFib4::load_buffer(img.data(), img.size());
+    ASSERT_TRUE(snapshot::verify_image(clean).ok()) << snapshot::verify_image(clean).summary();
+    for (const bool in_node_section : {true, false}) {
+        SCOPED_TRACE(in_node_section ? "node section" : "leaf section");
+        const auto bad = with_unreachable_slot(img, in_node_section);
+        const auto fib = SnapshotFib4::load_buffer(bad.data(), bad.size());
+        const auto report = snapshot::verify_image(fib);
+        ASSERT_EQ(report.violation_count(), 1u) << report.summary();
+        EXPECT_EQ(report.violations().front().check, "section-not-tiled");
+        EXPECT_EQ(boundary_and_random_mismatches(
+                      rib, corner_case_table(),
+                      [&](Ipv4Addr a) { return fib.lookup(a); }, 10'000),
+                  0u);
     }
 }

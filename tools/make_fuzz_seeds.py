@@ -268,9 +268,10 @@ def seeds_snapshot_roundtrip():
     out["compacted_churn_v4"] = churn
 
     # Uncompacted basic mode (no leafvec, no direct pointing): the snapshot
-    # must capture a churned, never-compacted pool extent faithfully. The
-    # flip selector points well past the header, into the node section.
-    basic = config(0, leaf_compression=False) + bytes([0x00]) + u32(0x00000400)
+    # must pack a churned, never-compacted FIB faithfully. The flip
+    # selector points past the header, into the node section (byte 336 of
+    # the 832-byte dense image).
+    basic = config(0, leaf_compression=False) + bytes([0x00]) + u32(0x00000150)
     basic += fresh4(v4(192, 168, 0, 0), 16, 1)
     for i in range(16):
         basic += child(0, i & 1, 2 + i)

@@ -107,6 +107,12 @@ class RuleTest(unittest.TestCase):
         self.assertEqual(rule["direction"], "lower")
         self.assertEqual(rule["band"], 0.02)
 
+    def test_snapshot_image_bytes_gate_tightly(self):
+        rule = benchctl.rule_for("snap.image_mib")
+        self.assertEqual(rule["direction"], "lower")
+        self.assertEqual(rule["unit"], "MiB")
+        self.assertEqual(rule["band"], 0.02)
+
     def test_cycles_lower_better(self):
         rule = benchctl.rule_for("table4.realtier1a.poptrie18.mean_cycles")
         self.assertEqual(rule["direction"], "lower")
@@ -135,6 +141,27 @@ class ParseDataplaneTest(unittest.TestCase):
         self.assertEqual(out["dataplane.rib_mib"], 4.5)
         self.assertEqual(out["dataplane.poptrie.w1.mlps"], 4.2)
         self.assertEqual(len(out), 6)
+
+
+class ParseSnapshotTest(unittest.TestCase):
+    def test_summary_and_phases(self):
+        records = [
+            {"phase": "live", "mlps": 50.0},
+            {"phase": "snapshot_map", "mlps": 48.0, "load_ms": 2.5, "first_pass_ms": 9.0},
+            {"phase": "snapshot_copy", "mlps": 49.0, "load_ms": 4.0, "first_pass_ms": 7.5},
+            {"phase": "summary", "routes": 100000, "image_bytes": 5 << 19,
+             "save_ms": 12.0, "snapshot_vs_live": 0.96},
+        ]
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "snapshot.json")
+            with open(path, "w", encoding="utf-8") as f:
+                json.dump(records, f)
+            out = benchctl.parse_snapshot("", path)
+        self.assertEqual(out["snap.image_mib"], 2.5)
+        self.assertEqual(out["snap.save_ms"], 12.0)
+        self.assertEqual(out["snap.map.load_ms"], 2.5)
+        self.assertEqual(out["snap.copy.mlps"], 49.0)
+        self.assertEqual(len(out), 10)
 
 
 class CompareMetricTest(unittest.TestCase):
