@@ -47,6 +47,7 @@ int main(int argc, char** argv)
         table.print_header();
         for (const unsigned s : {0u, 8u, 12u, 14u, 16u, 18u, 20u, 22u}) {
             poptrie::Config cfg;
+            cfg.leaf_dict = false;  // the paper's 16-bit leaves
             cfg.direct_bits = s;
             const poptrie::Poptrie4 pt{d.rib, cfg};
             const auto r = benchkit::measure_random(
@@ -64,6 +65,7 @@ int main(int argc, char** argv)
     std::printf("\nAblation 2: hardware popcnt vs software fallback (Poptrie18)\n\n");
     {
         poptrie::Config cfg;
+        cfg.leaf_dict = false;  // the paper's 16-bit leaves
         cfg.direct_bits = 18;
         const poptrie::Poptrie4 pt{d.rib, cfg};
         const auto hw = benchkit::measure_random(
@@ -103,6 +105,7 @@ int main(int argc, char** argv)
         for (const bool lc : {false, true}) {
             for (const bool agg : {false, true}) {
                 poptrie::Config cfg;
+                cfg.leaf_dict = false;  // the paper's 16-bit leaves
                 cfg.direct_bits = 18;
                 cfg.leaf_compression = lc;
                 cfg.route_aggregation = agg;

@@ -35,6 +35,7 @@ int main(int argc, char** argv)
     for (const auto& spec : {workload::real_tier1_a(), workload::real_tier1_b()}) {
         const auto d = load_dataset(spec);
         poptrie::Config cfg;
+        cfg.leaf_dict = false;  // the paper's 16-bit leaves
         cfg.direct_bits = 18;
         const poptrie::Poptrie4 pt{d.rib, cfg};
         double base = 0;

@@ -153,6 +153,7 @@ int main(int argc, char** argv)
             const psync::QuiescentSection quiescent;
             poptrie::Config cfg;
             cfg.direct_bits = 18;
+            cfg.leaf_dict = false;
             auto pt = std::make_unique<poptrie::Poptrie4>(rib, cfg);
             pt->compact();
             basic.resident_bytes = pt->stats().memory_bytes;

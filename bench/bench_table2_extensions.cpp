@@ -1,7 +1,10 @@
 // Table 2 — effect of the Poptrie extensions on REAL-Tier1-A: for each of
 // basic / leafvec / leafvec+aggregation at s = 0, 16, 18, report the number
 // of internal nodes and leaves, the memory footprint, the compile time from
-// the radix RIB, and the random-pattern lookup rate.
+// the radix RIB, and the random-pattern lookup rate. The paper's rows use its
+// 16-bit leaves; one more row, "poptrie+dict" at s = 18, is the default
+// configuration lpmd serves (dictionary-coded leaves), and a second table
+// attributes every row's structure bytes to their arrays.
 #include <chrono>
 
 #include "common.hpp"
@@ -64,15 +67,22 @@ int main(int argc, char** argv)
                          benchkit::fmt_mean_std(r.mlps_mean, r.mlps_std), "8.82"});
     }
 
+    struct Row {
+        std::string variant;
+        unsigned s;
+        poptrie::Stats stats;
+    };
+    std::vector<Row> rows;
     std::size_t paper_idx = 0;
-    for (const auto& variant : {std::pair{"basic", poptrie::Config{}},
-                                std::pair{"leafvec", poptrie::Config{}},
-                                std::pair{"poptrie", poptrie::Config{}}}) {
+    for (const std::string variant : {"basic", "leafvec", "poptrie", "poptrie+dict"}) {
+        const bool dict = variant == "poptrie+dict";
         for (const unsigned s : {0u, 16u, 18u}) {
+            if (dict && s != 18) continue;
             poptrie::Config cfg;
             cfg.direct_bits = s;
-            cfg.leaf_compression = std::string{variant.first} != "basic";
-            cfg.route_aggregation = std::string{variant.first} == "poptrie";
+            cfg.leaf_compression = variant != "basic";
+            cfg.route_aggregation = variant.starts_with("poptrie");
+            cfg.leaf_dict = dict;
 
             // Compile time: paper measures RIB -> Poptrie compilation.
             std::vector<double> compile_ms;
@@ -98,15 +108,34 @@ int main(int argc, char** argv)
                           trials);
             sink.add(r.checksum);
 
-            const auto& paper = kPaper[paper_idx++];
-            table.print_row({variant.first, std::to_string(s),
+            table.print_row({variant, std::to_string(s),
                              benchkit::fmt_count(stats.internal_nodes),
                              benchkit::fmt_count(stats.leaves),
                              benchkit::fmt_mib(stats.memory_bytes),
                              benchkit::fmt_mean_std(cms.mean, cms.std),
                              benchkit::fmt_mean_std(r.mlps_mean, r.mlps_std),
-                             benchkit::fmt(paper.rate, 2)});
+                             dict ? "-" : benchkit::fmt(kPaper[paper_idx++].rate, 2)});
+            rows.push_back({variant, s, stats});
         }
     }
+
+    std::printf("\nStructure bytes by array (memory_bytes is their sum)\n\n");
+    benchkit::TablePrinter bytes({{"Variant", 16, false},
+                                  {"s", 2},
+                                  {"Nodes", 10},
+                                  {"Leaves", 10},
+                                  {"Codes", 9},
+                                  {"Dict", 5},
+                                  {"Direct", 10},
+                                  {"Total", 10}});
+    bytes.print_header();
+    for (const Row& row : rows)
+        bytes.print_row({row.variant, std::to_string(row.s),
+                         benchkit::fmt_count(row.stats.node_bytes),
+                         benchkit::fmt_count(row.stats.leaf_bytes),
+                         benchkit::fmt_count(row.stats.leaf8_bytes),
+                         benchkit::fmt_count(row.stats.dict_bytes),
+                         benchkit::fmt_count(row.stats.direct_bytes),
+                         benchkit::fmt_count(row.stats.memory_bytes)});
     return 0;
 }

@@ -55,6 +55,7 @@ int main(int argc, char** argv)
 
     for (const unsigned s : {0u, 16u, 18u}) {
         poptrie::Config cfg;
+        cfg.leaf_dict = false;  // the paper's 16-bit leaves
         cfg.direct_bits = s;
         std::vector<double> compile_ms;
         std::unique_ptr<poptrie::Poptrie6> pt;

@@ -34,6 +34,7 @@ int main(int argc, char** argv)
         });
         auto d = load_dataset(spec);
         poptrie::Config cfg;
+        cfg.leaf_dict = false;  // the paper's 16-bit leaves
         cfg.direct_bits = 18;
         poptrie::Poptrie4 pt{d.rib, cfg};
 
@@ -81,6 +82,7 @@ int main(int argc, char** argv)
 
             rib::RadixTrie<Ipv4Addr> rib;
             poptrie::Config cfg;
+            cfg.leaf_dict = false;  // the paper's 16-bit leaves
             cfg.direct_bits = 18;
             poptrie::Poptrie4 pt{rib, cfg};
             const auto t0 = std::chrono::steady_clock::now();

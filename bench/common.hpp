@@ -146,6 +146,7 @@ inline Structures build_structures(const Dataset& d, const BuildSelection& sel =
     const auto make_poptrie = [&](unsigned bits) {
         poptrie::Config cfg;
         cfg.direct_bits = bits;
+        cfg.leaf_dict = false;  // the paper's 16-bit leaves
         return std::make_unique<poptrie::Poptrie4>(d.rib, cfg);
     };
     if (sel.poptrie0) s.poptrie0 = make_poptrie(0);

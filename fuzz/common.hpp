@@ -203,9 +203,10 @@ template <class Addr>
     cfg.direct_bits = direct_choices[b % 6];
     cfg.leaf_compression = (b & 0x40u) != 0;
     cfg.route_aggregation = (b & 0x80u) != 0;
-    // Dictionary-coded leaves only engage at compact() time; harnesses that
-    // set this must also run a compact under a QuiescentSection so the
-    // oracle cross-check actually covers the 8-bit decode path.
+    // Dictionary-coded leaves: a compile (Poptrie(rib, cfg)) and compact()
+    // code the leaf runs of a table with at most 256 distinct leaf values;
+    // apply() writes 16-bit runs, so a table built op by op holds codes only
+    // after a compact().
     cfg.leaf_dict = (b & 0x20u) != 0;
     return cfg;
 }

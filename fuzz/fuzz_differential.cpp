@@ -16,18 +16,20 @@
 // Input layout: [config byte][family byte][route ops...][trailing bytes =
 // extra probe addresses]. Ops are decoded by fuzz::decode_ops (see
 // common.hpp); the RIB and the Poptrie are updated op by op, exercising the
-// §3.5 incremental-update path, then the baselines are built from the final
-// route set.
+// §3.5 incremental-update path, then the baselines and a second Poptrie,
+// compiled in one pass the way Router::load serves a table, are built from
+// the final route set.
 //
 // Bit 0 of the family byte picks the address family; the other bits are
 // ignored. After the scalar probes, the live EBR-guarded lookup_batch walk
 // replays the whole probe set against the radix oracle. (The same walk over
 // restored images runs in fuzz_snapshot_roundtrip.)
 //
-// Config-byte bit 0x20 selects Config::leaf_dict: after the scalar and
-// batch probes, the table is compacted at a quiescent point (which is when
-// dictionary coding engages) and the probe set replays, scalar and batch,
-// over the dict-coded layout.
+// Config-byte bit 0x20 selects Config::leaf_dict. The compiled Poptrie then
+// codes its leaf runs straight from the compile; the incrementally built
+// one writes 16-bit runs, so after the scalar and batch probes it is
+// compacted at a quiescent point (which codes them) and the probe set
+// replays, scalar and batch, over the dict-coded layout.
 #include <string>
 #include <vector>
 
@@ -78,6 +80,28 @@ void check_batch(const Poptrie& pt, bool leaf_compression, const rib::RadixTrie<
     }
 }
 
+/// The oracle's routes compiled in one pass: under config bit 0x20 its leaf
+/// runs are dictionary-coded from the compile. It must answer like the
+/// oracle, scalar and batch, and pass the audit.
+template <class Addr>
+void check_compiled(const rib::RadixTrie<Addr>& oracle, const poptrie::Config& cfg,
+                    const std::vector<typename Addr::value_type>& probes)
+{
+    const poptrie::Poptrie<Addr> compiled{oracle, cfg};
+    for (const auto key : probes) {
+        const Addr a{key};
+        if (const auto got = compiled.lookup(a), want = oracle.lookup(a); got != want)
+            mismatch("poptrie[compiled]", a, got, want);
+    }
+    check_batch(compiled, cfg.leaf_compression, oracle, probes, "lookup_batch[compiled]");
+    analysis::AuditOptions aopt;
+    aopt.random_probes = 512;
+    const auto report = analysis::audit(compiled, oracle, aopt);
+    if (!report.ok())
+        fuzz::fail(kHarness, "poptrie-fsck audit failure on the compiled table",
+                   report.summary());
+}
+
 void run_ipv4(fuzz::ByteReader& in, const poptrie::Config& cfg)
 {
     using Addr = netbase::Ipv4Addr;
@@ -122,11 +146,12 @@ void run_ipv4(fuzz::ByteReader& in, const poptrie::Config& cfg)
     }
 
     check_batch(pt, cfg.leaf_compression, oracle, probes, "lookup_batch");
+    check_compiled(oracle, cfg, probes);
 
-    // Dictionary-coded leaves (cfg.leaf_dict) only exist after a compact():
-    // run one at a quiescent point and replay the whole probe set over the
-    // re-laid-out (now dict-coded) structure, so the oracle cross-check
-    // covers the 8-bit decode path and the auditor below walks tagged runs.
+    // The incrementally built table holds 16-bit runs: compact it at a
+    // quiescent point and replay the whole probe set over the re-laid-out
+    // (now dict-coded) structure, so the auditor below walks tagged runs
+    // that compact() coded.
     if (cfg.leaf_dict) {
         {
             // quiescent: single-threaded harness — no reader exists.
@@ -180,6 +205,7 @@ void run_ipv6(fuzz::ByteReader& in, const poptrie::Config& cfg)
     }
 
     check_batch(pt, cfg.leaf_compression, oracle, probes, "lookup_batch6");
+    check_compiled(oracle, cfg, probes);
 
     // Same dict-compacted replay as the IPv4 leg.
     if (cfg.leaf_dict) {

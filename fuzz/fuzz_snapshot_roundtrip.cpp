@@ -12,6 +12,9 @@
 // is dense — only the reachable runs, packed in DFS pre-order — so it is a
 // function of the reachable FIB alone: when compact() runs without the
 // dictionary re-encoding, the image before it and after it must be equal.
+// The compile codes leaf runs with compact()'s coder, so a table compiled
+// from the final RIB saves the same image before and after compact() in
+// every configuration.
 //
 // The restored batch check drives the batch walk over the image's view(), so
 // a walk that disagrees with the scalar walk on any fuzz-grown (or
@@ -44,6 +47,14 @@ void run(fuzz::ByteReader& in, const poptrie::Config& cfg, bool compact,
     poptrie::Poptrie<Addr> pt{cfg};
     for (const auto& op : ops) pt.apply(rib, op.prefix, op.next_hop);
     pt.drain();
+    {
+        poptrie::Poptrie<Addr> compiled{rib, cfg};
+        const auto before = snapshot::serialize(compiled);
+        compiled.compact();
+        if (before != snapshot::serialize(compiled))
+            fuzz::fail(kHarness, "compaction changed a compiled FIB's image",
+                       std::to_string(before.size()) + " bytes before compact()");
+    }
     std::vector<std::uint8_t> uncompacted;
     if (compact) {
         if (!cfg.leaf_dict) uncompacted = snapshot::serialize(pt);

@@ -8,9 +8,13 @@
 // sequence into one Poptrie via apply() and, at fuzz-chosen checkpoints,
 // rebuilds a second Poptrie from the same RIB with the same configuration,
 // then compares the two over every route boundary and a set of fuzz-chosen
-// addresses. The structural auditor runs on the incrementally updated table
-// at every checkpoint, so allocator/EBR corruption shows up even when the
-// lookup relation still holds.
+// addresses. The structural auditor runs on both tables at every
+// checkpoint, so allocator/EBR corruption shows up even when the lookup
+// relation still holds, and under config bit 0x20 (Config::leaf_dict) the
+// rebuilt table's leaf runs are dictionary-coded straight from the compile.
+// With sel bit 3 the updated table starts as a compile too: the first half
+// of the ops is loaded into the RIB and compiled in one pass, the way
+// Router::load serves a table, and only the rest goes through apply().
 #include <string>
 #include <vector>
 
@@ -47,6 +51,10 @@ void check_equivalent(const poptrie::Poptrie<Addr>& incremental,
     }
     analysis::AuditOptions aopt;
     aopt.random_probes = 256;
+    const auto rebuilt_report = analysis::audit(rebuilt, rib, aopt);
+    if (!rebuilt_report.ok())
+        fuzz::fail(kHarness, "audit failure on the rebuilt table",
+                   "after op " + std::to_string(at_op) + "\n" + rebuilt_report.summary());
     aopt.expect_compacted = expect_compacted;
     const auto report = analysis::audit(incremental, rib, aopt);
     if (!report.ok())
@@ -56,7 +64,7 @@ void check_equivalent(const poptrie::Poptrie<Addr>& incremental,
 
 template <class Addr>
 void run(fuzz::ByteReader& in, const poptrie::Config& cfg, unsigned checkpoint_mask,
-         bool compact_at_checkpoints)
+         bool compact_at_checkpoints, bool compile_first)
 {
     const auto ops = fuzz::decode_ops<Addr>(in);
 
@@ -68,10 +76,18 @@ void run(fuzz::ByteReader& in, const poptrie::Config& cfg, unsigned checkpoint_m
     // exists, so the checkpoint compact()/drain() passes are safe.
     const psync::QuiescentSection quiescent;
     rib::RadixTrie<Addr> rib;
-    poptrie::Poptrie<Addr> pt{cfg};
-    std::size_t i = 0;
-    for (const auto& op : ops) {
-        pt.apply(rib, op.prefix, op.next_hop);
+    const std::size_t loaded = compile_first ? ops.size() / 2 : 0;
+    for (std::size_t k = 0; k < loaded; ++k) {
+        if (ops[k].next_hop == rib::kNoRoute)
+            static_cast<void>(rib.erase(ops[k].prefix));
+        else
+            rib.insert(ops[k].prefix, ops[k].next_hop);
+    }
+    poptrie::Poptrie<Addr> pt{rib, cfg};
+    if (compile_first) check_equivalent(pt, rib, cfg, extra_probes, loaded, false);
+    std::size_t i = loaded;
+    while (i < ops.size()) {
+        pt.apply(rib, ops[i].prefix, ops[i].next_hop);
         ++i;
         // Checkpoint cadence is fuzz-chosen (a power-of-two mask): some
         // inputs compare after every op, others only at the end, so both
@@ -98,9 +114,10 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data, std::size_t size
     const std::uint8_t sel = in.u8();
     const unsigned checkpoint_mask = (1u << (sel & 0x7u)) - 1;  // 0,1,3,...,127
     const bool compact = (sel & 0x40u) != 0;
+    const bool compile_first = (sel & 0x08u) != 0;
     if ((sel & 0x80u) != 0)
-        run<netbase::Ipv6Addr>(in, cfg, checkpoint_mask, compact);
+        run<netbase::Ipv6Addr>(in, cfg, checkpoint_mask, compact, compile_first);
     else
-        run<netbase::Ipv4Addr>(in, cfg, checkpoint_mask, compact);
+        run<netbase::Ipv4Addr>(in, cfg, checkpoint_mask, compact, compile_first);
     return 0;
 }

@@ -135,8 +135,8 @@ private:
 
 /// Flat array of trivially-copyable elements in arena-backed storage that
 /// never moves. Only the surface Poptrie's pools and the RIB use:
-/// size/capacity, element access, resize and emplace_back (zero-fill growth,
-/// like value-initialising std::vector), assign.
+/// size/capacity, element access, resize, reserve and emplace_back
+/// (zero-fill growth, like value-initialising std::vector), assign.
 template <class T>
 class ArenaVector {
     static_assert(std::is_trivially_copyable_v<T>,
@@ -206,6 +206,10 @@ public:
             std::memset(static_cast<void*>(data() + size_), 0, (n - size_) * sizeof(T));
         size_ = n;
     }
+
+    /// Commits room for `n` elements without changing size(); throws as
+    /// resize() does.
+    void reserve(std::size_t n) { commit(n); }
 
     /// Appends one zero-byte element, like resize(size() + 1), and returns
     /// it; throws as resize() does.

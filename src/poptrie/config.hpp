@@ -9,9 +9,10 @@
 
 namespace poptrie {
 
-/// Options controlling how a Poptrie is compiled. The defaults correspond to
-/// the paper's best configuration ("Poptrie18": leafvec + route aggregation +
-/// direct pointing with s = 18).
+/// Options controlling how a Poptrie is compiled. The defaults are the
+/// paper's best configuration ("Poptrie18": leafvec + route aggregation +
+/// direct pointing with s = 18) with dictionary-coded leaves; the paper's
+/// own 16-bit leaves are `leaf_dict = false`.
 struct Config {
     /// §3.4 direct pointing parameter `s`: the most significant s bits index
     /// a 2^s top-level array. 0 disables direct pointing ("Poptrie0").
@@ -28,16 +29,18 @@ struct Config {
 
     /// Dictionary-coded leaf storage (an extension beyond the paper, in the
     /// spirit of Rétvári et al.'s entropy bounds): real tables use far fewer
-    /// distinct next hops than the 16-bit leaf model can express, so at
-    /// compact()/snapshot time — never on the update path — the reachable
-    /// leaf runs are re-encoded as 8-bit codes into a dense side array plus a
-    /// <= 256-entry dictionary. A re-encoded run is addressed by
-    /// kLeaf8Bit | offset, so the hot path stays a popcount-indexed load with
-    /// one predictable tag test. Tables with > 256 distinct next hops fall
-    /// back to the plain 16-bit layout at compact time (lookup results are
-    /// identical either way). Post-compaction incremental updates allocate
-    /// plain 16-bit runs; the next compact() re-encodes them.
-    bool leaf_dict = false;
+    /// distinct next hops than the 16-bit leaf model can express, so the
+    /// compile and compact() store each leaf run as 8-bit codes in a dense
+    /// side array plus a <= 256-entry dictionary, sorted ascending and
+    /// holding exactly the values the runs use. A coded run is addressed by
+    /// kLeaf8Bit | offset, so the hot path stays a popcount-indexed load
+    /// plus a tag test (a mask, not a branch, in the live trie's walk,
+    /// where churn mixes both kinds of run). A table whose leaf runs hold
+    /// more than 256 distinct values gets the plain 16-bit layout (lookup
+    /// results are identical either way). Incremental updates write plain
+    /// 16-bit runs and drop the coded runs they replace; the next compact()
+    /// codes them again.
+    bool leaf_dict = true;
 };
 
 // --- compile-time invariants of the structure's layout ---------------------
@@ -97,14 +100,20 @@ struct Stats {
     std::size_t direct_slots = 0;    ///< 2^s (0 when direct pointing is off)
 
     /// Leaf slots currently served from the dictionary-coded 8-bit array
-    /// (Config::leaf_dict; populated by compact()), and the dictionary's
-    /// entry count. leaves - leaf8_slots is the plain 16-bit remainder.
+    /// (Config::leaf_dict; written by the compile and compact()), and the
+    /// dictionary's entry count. leaves - leaf8_slots is the plain 16-bit
+    /// remainder.
     std::size_t leaf8_slots = 0;
     std::size_t leaf_dict_entries = 0;
 
-    /// Paper-style analytic footprint: inodes x (24 or 16 in basic mode)
-    /// + 16-bit leaves x 2 + dict-coded leaves x 1 + dict entries x 2
-    /// + direct slots x 4 bytes.
+    /// Paper-style analytic footprint, array by array: inodes x (24, or 16
+    /// in basic mode), 16-bit leaves x 2, dict-coded leaves x 1, dictionary
+    /// entries x 2 and direct slots x 4 bytes. memory_bytes is their sum.
+    std::size_t node_bytes = 0;
+    std::size_t leaf_bytes = 0;
+    std::size_t leaf8_bytes = 0;
+    std::size_t dict_bytes = 0;
+    std::size_t direct_bytes = 0;
     std::size_t memory_bytes = 0;
 
     /// Bytes committed to the five arrays: each commits whole 2 MiB steps

@@ -187,11 +187,22 @@ TEST(Audit, CleanIPv6ThroughUpdateChurn)
 
 namespace {
 
-Poptrie4 corner_poptrie(unsigned direct_bits = 0)
+/// The corner table compiled with the paper's 16-bit leaf runs, or with
+/// dictionary-coded ones (`coded`).
+Poptrie4 corner_poptrie(unsigned direct_bits = 0, bool coded = false)
 {
     Config cfg;
     cfg.direct_bits = direct_bits;
+    cfg.leaf_dict = coded;
     return Poptrie4{load(corner_case_table()), cfg};
+}
+
+/// The code array offset of a coded node run.
+std::uint32_t code_offset(const Poptrie4::Node& n) { return n.base0 & ~poptrie::kLeaf8Bit; }
+
+bool has_coded_run(const Poptrie4::Node& n)
+{
+    return n.leafvec != 0 && (n.base0 & poptrie::kLeaf8Bit) != 0;
 }
 
 /// Finds a reachable node satisfying `pred` and hands it to `mutate`.
@@ -211,6 +222,7 @@ struct PlantedFault {
     unsigned direct_bits;
     const char* check;
     void (*plant)(Poptrie4&);
+    bool coded = false;  // planted in dictionary-coded leaf runs
 };
 
 const PlantedFault kClearedRunStart{
@@ -247,6 +259,34 @@ const PlantedFault kNonMinimalRun{
             pt, [](const Poptrie4::Node& n) { return netbase::popcount64(n.leafvec) >= 2; },
             [&](Poptrie4::Node& n) { leaves[n.base0 + 1] = leaves[n.base0]; });
     }};
+const PlantedFault kCodeOutOfDict{
+    "code outside the dictionary", 0, "leaf8-code-out-of-dict",
+    [](Poptrie4& pt) {
+        auto& pools = AuditAccess::pools(pt);
+        plant_in_node(pt, has_coded_run, [&](Poptrie4::Node& n) {
+            pools.leaves8[code_offset(n)] = static_cast<std::uint8_t>(pools.leaf_dict.size());
+        });
+    },
+    true};
+const PlantedFault kCodeRunOutOfRange{
+    "coded run out of range", 0, "leaf8-run-out-of-range",
+    [](Poptrie4& pt) {
+        plant_in_node(pt, has_coded_run,
+                      [](Poptrie4::Node& n) { n.base0 = poptrie::kLeaf8Bit | 0x0FFF'FFFFu; });
+    },
+    true};
+const PlantedFault kNonMinimalCodedRun{
+    "non-minimal coded run", 0, "leaf-run-not-minimal",
+    [](Poptrie4& pt) {
+        auto& codes = AuditAccess::pools(pt).leaves8;
+        plant_in_node(
+            pt,
+            [](const Poptrie4::Node& n) {
+                return has_coded_run(n) && netbase::popcount64(n.leafvec) >= 2;
+            },
+            [&](Poptrie4::Node& n) { codes[code_offset(n) + 1] = codes[code_offset(n)]; });
+    },
+    true};
 const PlantedFault kDirectLeafOverflow{
     "direct leaf payload overflow", 16, "direct-leaf-overflow", [](Poptrie4& pt) {
         // Leaf payload above the 16-bit next-hop range.
@@ -275,8 +315,10 @@ const PlantedFault kAliasedSubtree{
     }};
 
 const PlantedFault* const kStructuralFaults[] = {
-    &kClearedRunStart, &kLeafvecOnInternalSlot, &kBase1OutOfRange,       &kBase0OutOfRange,
-    &kNonMinimalRun,   &kDirectLeafOverflow,    &kDirectIndexOutOfRange, &kAliasedSubtree,
+    &kClearedRunStart,    &kLeafvecOnInternalSlot, &kBase1OutOfRange,
+    &kBase0OutOfRange,    &kNonMinimalRun,         &kCodeOutOfDict,
+    &kCodeRunOutOfRange,  &kNonMinimalCodedRun,    &kDirectLeafOverflow,
+    &kDirectIndexOutOfRange, &kAliasedSubtree,
 };
 
 /// Plants `fault` in a fresh corner-case trie and requires audit() to
@@ -284,7 +326,7 @@ const PlantedFault* const kStructuralFaults[] = {
 void expect_audit_detects(const PlantedFault& fault)
 {
     SCOPED_TRACE(fault.name);
-    auto pt = corner_poptrie(fault.direct_bits);
+    auto pt = corner_poptrie(fault.direct_bits, fault.coded);
     const auto rib = load(corner_case_table());
     fault.plant(pt);
     if (::testing::Test::HasFatalFailure()) return;
@@ -328,6 +370,24 @@ TEST(AuditFaultInjection, DetectsLeafValueCorruption)
         << report.summary();
 }
 
+TEST(AuditFaultInjection, DetectsCodedRunCorruption)
+{
+    expect_audit_detects(kCodeOutOfDict);
+    expect_audit_detects(kCodeRunOutOfRange);
+    expect_audit_detects(kNonMinimalCodedRun);
+}
+
+TEST(AuditFaultInjection, DetectsUnsortedDictionary)
+{
+    auto pt = corner_poptrie(0, true);
+    const auto rib = load(corner_case_table());
+    auto& dict = AuditAccess::pools(pt).leaf_dict;
+    ASSERT_GE(dict.size(), 2u);
+    std::swap(dict[0], dict[1]);
+    const auto report = analysis::audit(pt, rib);
+    EXPECT_TRUE(has_check(report, "leaf8-dict-unsorted")) << report.summary();
+}
+
 TEST(AuditFaultInjection, DetectsVectorCorruption)
 {
     auto pt = corner_poptrie();
@@ -355,7 +415,7 @@ TEST(AuditFaultInjection, ImageVerifierFiresTheSameChecks)
     const auto rib = load(corner_case_table());
     for (const PlantedFault* fault : kStructuralFaults) {
         SCOPED_TRACE(fault->name);
-        auto pt = corner_poptrie(fault->direct_bits);
+        auto pt = corner_poptrie(fault->direct_bits, fault->coded);
         fault->plant(pt);
         ASSERT_FALSE(HasFatalFailure());
         const auto audited = analysis::audit(pt, rib);

@@ -62,6 +62,7 @@ TEST_P(Differential, AllStructuresAgree)
     c18basic.direct_bits = 18;
     c18basic.leaf_compression = false;
     c18basic.route_aggregation = false;
+    c18basic.leaf_dict = false;
     poptrie::Config c16raw;
     c16raw.direct_bits = 16;
     c16raw.route_aggregation = false;

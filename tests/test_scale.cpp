@@ -151,6 +151,7 @@ DictPair make_pair_compacted(std::size_t n_routes)
     const psync::QuiescentSection quiescent;
     poptrie::Config pc;
     pc.direct_bits = 18;
+    pc.leaf_dict = false;
     p.basic = std::make_unique<poptrie::Poptrie4>(p.rib, pc);
     p.basic->compact();
     pc.leaf_dict = true;

@@ -693,8 +693,10 @@ TEST(Snapshot, DenseImageHoldsExactlyTheLiveSlots)
     const psync::QuiescentSection quiescent;
     const auto routes = table4(81);
     {
+        Config cfg;
+        cfg.leaf_dict = false;
         auto rib = load(routes);
-        Poptrie4 pt{rib, Config{}};
+        Poptrie4 pt{rib, cfg};
         expect_dense_image(pt, "fresh build");
         churn(pt, rib, routes);
         ASSERT_GT(pt.stats().leaf_high_water, pt.stats().leaves);
@@ -718,14 +720,16 @@ TEST(Snapshot, DenseImageHoldsExactlyTheLiveSlots)
         expect_dense_image(pt, "basic, no direct pointing, churned");
     }
     {
-        Config cfg;
-        cfg.leaf_dict = true;
         auto rib = load(routes);
-        Poptrie4 pt{rib, cfg};
-        pt.compact();
-        ASSERT_GT(pt.stats().leaf8_slots, 0u);
+        Poptrie4 pt{rib, Config{}};
+        ASSERT_EQ(pt.stats().leaf8_slots, pt.stats().leaves);
+        expect_dense_image(pt, "dict-compiled");
         churn(pt, rib, routes);
-        expect_dense_image(pt, "dict-compacted, churned");
+        ASSERT_GT(pt.stats().leaf8_slots, 0u);
+        ASSERT_GT(pt.stats().leaves, pt.stats().leaf8_slots);
+        expect_dense_image(pt, "dict-compiled, churned");
+        pt.compact();
+        expect_dense_image(pt, "dict-compacted");
     }
     {
         const auto routes6 = table6(82);
@@ -743,9 +747,10 @@ TEST(Snapshot, DenseImageHoldsExactlyTheLiveSlots)
 
 TEST(Snapshot, CompactionLeavesTheDensePayloadUnchanged)
 {
-    // A dense image is a function of the reachable FIB alone: without the
-    // dictionary re-encoding, compact() changes where runs sit in the pools
-    // but not one byte of the image payload.
+    // A dense image is a function of the reachable FIB alone: with 16-bit
+    // leaves (a churned table's 16-bit runs would be coded again), compact()
+    // changes where runs sit in the pools but not one byte of the image
+    // payload.
     // quiescent: single-threaded test — no reader thread ever exists.
     const psync::QuiescentSection quiescent;
     const auto routes4 = table4(83);
@@ -756,6 +761,7 @@ TEST(Snapshot, CompactionLeavesTheDensePayloadUnchanged)
             Config cfg;
             cfg.direct_bits = s;
             cfg.leaf_compression = leafvec;
+            cfg.leaf_dict = false;
             auto rib4 = load(routes4);
             Poptrie4 pt4{rib4, cfg};
             churn(pt4, rib4, routes4);
@@ -768,6 +774,39 @@ TEST(Snapshot, CompactionLeavesTheDensePayloadUnchanged)
             churn(pt6, rib6, routes6);
             const auto [before6, after6] = payload_around_compaction(pt6);
             EXPECT_EQ(before6, after6) << "ipv6";
+        }
+    }
+}
+
+TEST(Snapshot, CompiledCodesSaveTheImageTheirCompactionSaves)
+{
+    // The compile codes its leaf runs with compact()'s coder, so a freshly
+    // compiled dict-coded FIB and its compaction hold the same codes and the
+    // same dictionary: the whole image is the same before and after.
+    // quiescent: single-threaded test — no reader thread ever exists.
+    const psync::QuiescentSection quiescent;
+    const auto rib4 = load(table4(88));
+    rib::RadixTrie<Ipv6Addr> rib6;
+    rib6.insert_all(table6(89));
+    for (const unsigned s : {0u, 16u, 18u}) {
+        for (const bool leafvec : {true, false}) {
+            SCOPED_TRACE("s=" + std::to_string(s) + (leafvec ? " leafvec" : " basic"));
+            Config cfg;
+            cfg.direct_bits = s;
+            cfg.leaf_compression = leafvec;
+            Poptrie4 pt4{rib4, cfg};
+            ASSERT_EQ(pt4.stats().leaf8_slots, pt4.stats().leaves);
+            const auto before4 = snapshot::serialize(pt4);
+            pt4.compact();
+            EXPECT_TRUE(before4 == snapshot::serialize(pt4)) << "ipv4";
+            EXPECT_GT(header_of(before4).leaf8_count, 0u);
+            EXPECT_EQ(header_of(before4).leaf_count, 0u);
+
+            Poptrie6 pt6{rib6, cfg};
+            ASSERT_EQ(pt6.stats().leaf8_slots, pt6.stats().leaves);
+            const auto before6 = snapshot::serialize(pt6);
+            pt6.compact();
+            EXPECT_TRUE(before6 == snapshot::serialize(pt6)) << "ipv6";
         }
     }
 }
@@ -803,9 +842,7 @@ TEST(Snapshot, DictCompactedFibWithPlainRunsRoundTrips)
     // dictionary whole.
     const auto routes = table4(85);
     auto rib = load(routes);
-    Config cfg;
-    cfg.leaf_dict = true;
-    Poptrie4 pt{rib, cfg};
+    Poptrie4 pt{rib, Config{}};
     // quiescent: single-threaded test — no reader thread ever exists.
     const psync::QuiescentSection quiescent;
     pt.compact();

@@ -535,9 +535,12 @@ int main(int argc, char** argv)
             const double load_s =
                 std::chrono::duration<double>(std::chrono::steady_clock::now() - load_t0)
                     .count();
-            const std::size_t fib_bytes = router.fib().stats().memory_bytes;
-            std::printf("lpmd: fib loaded in %.3fs, %zu bytes of structure\n", load_s,
-                        fib_bytes);
+            const poptrie::Stats loaded = router.fib().stats();
+            const std::size_t fib_bytes = loaded.memory_bytes;
+            std::printf("lpmd: fib loaded in %.3fs, %zu bytes of structure (nodes %zu, "
+                        "leaves %zu, codes %zu, dictionary %zu, direct %zu)\n",
+                        load_s, fib_bytes, loaded.node_bytes, loaded.leaf_bytes,
+                        loaded.leaf8_bytes, loaded.dict_bytes, loaded.direct_bytes);
             benchkit::note_arena_backing(
                 alloc::backing_name(router.fib().memory_report().backing));
             dataplane::Dataplane<dataplane::PoptrieEngine> dp{

@@ -167,6 +167,19 @@ def seeds_update_rebuild():
         mods += dup(0, 2 + i)
     out["hop_modify_storm"] = mods
 
+    # A compiled dictionary under churn (config bit 0x20; sel bit 3 compiles
+    # the first half of the ops as the table, bit 6 compacts at every
+    # checkpoint, mask 7): a /24 sweep with five hops is compiled into 8-bit
+    # runs, then withdrawals and re-announcements with two new hops write
+    # 16-bit runs beside them, and each compaction codes the table again.
+    compiled = config(18, leaf_dict=True) + bytes([0x4B])
+    for i in range(48):
+        compiled += fresh4(v4(10, 60, i, 0), 24, 1 + (i % 5))
+    for i in range(24):
+        compiled += withdraw4(v4(10, 60, 2 * i, 0), 24)
+        compiled += fresh4(v4(10, 60, 2 * i + 1, 0), 24, 6 + (i % 2))
+    out["compiled_dict_churn"] = compiled
+
     # IPv6 with sparse checkpoints (sel bit7 set, mask 15).
     v6 = config(18) + bytes([0x84])
     v6 += fresh6(0x20010DB8 << 96, 32, 1)

@@ -184,12 +184,20 @@ bool inject_fault(poptrie::Poptrie<Addr>& pt, const FsckOptions& opt)
     auto& pools = analysis::AuditAccess::pools(pt);
     auto& nodes = pools.nodes;
     if (opt.inject_fault == "leaf") {
-        // Bump a reachable leaf's next hop: lookups over that chunk now
-        // disagree with the RIB (and the run may stop being minimal).
+        // Change a reachable leaf's next hop: lookups over that chunk now
+        // disagree with the RIB (and the run may stop being minimal). A
+        // dictionary-coded leaf takes the next dictionary entry's code.
         for (const auto idx : reachable_nodes(pt)) {
+            const std::uint32_t b0 = nodes[idx].base0;
             if (nodes[idx].leafvec == 0) continue;
-            auto& slot = pools.leaves[nodes[idx].base0];
-            slot = static_cast<rib::NextHop>(slot + 7);
+            if ((b0 & poptrie::kLeaf8Bit) == 0) {
+                auto& slot = pools.leaves[b0];
+                slot = static_cast<rib::NextHop>(slot + 7);
+                return true;
+            }
+            if (pools.leaf_dict.size() < 2) continue;
+            auto& code = pools.leaves8[b0 & ~poptrie::kLeaf8Bit];
+            code = static_cast<std::uint8_t>((code + 1u) % pools.leaf_dict.size());
             return true;
         }
         return false;
