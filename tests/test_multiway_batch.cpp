@@ -90,19 +90,22 @@ TEST_P(PoptrieBatch, MatchesScalarLookups)
     gen.next_hops = 31;
     gen.igp_routes = 1'000;
     const auto rib = load(workload::generate_table(gen));
-    poptrie::Config cfg;
-    cfg.direct_bits = GetParam();
-    const Poptrie4 pt{rib, cfg};
-
     workload::Xorshift128 rng(6);
     // Deliberately not a multiple of the lane width, to cover the tail path.
     std::vector<std::uint32_t> keys(100'003);
     for (auto& k : keys) k = rng.next();
     std::vector<rib::NextHop> out(keys.size());
 
-    pt.lookup_batch<true>(keys.data(), out.data(), keys.size());
-    for (std::size_t i = 0; i < keys.size(); ++i)
-        ASSERT_EQ(out[i], pt.lookup_raw<true>(keys[i])) << i;
+    // Both leaf layouts: the default dictionary codes and 16-bit runs.
+    for (const bool dict : {true, false}) {
+        poptrie::Config cfg;
+        cfg.direct_bits = GetParam();
+        cfg.leaf_dict = dict;
+        const Poptrie4 pt{rib, cfg};
+        pt.lookup_batch<true>(keys.data(), out.data(), keys.size());
+        for (std::size_t i = 0; i < keys.size(); ++i)
+            ASSERT_EQ(out[i], pt.lookup_raw<true>(keys[i])) << "leaf_dict=" << dict << " #" << i;
+    }
 }
 
 INSTANTIATE_TEST_SUITE_P(DirectBits, PoptrieBatch, testing::Values(0u, 16u, 18u),

@@ -59,14 +59,19 @@ TEST_P(PoptrieLookup, MatchesRadixAtBoundariesAndRandom)
 {
     const auto [s, lc, agg] = std::tuple{GetParam().direct_bits, GetParam().leaf_compression,
                                          GetParam().route_aggregation};
-    Config cfg;
-    cfg.direct_bits = s;
-    cfg.leaf_compression = lc;
-    cfg.route_aggregation = agg;
-    const Poptrie4 pt{*rib_, cfg};
-    EXPECT_EQ(boundary_and_random_mismatches(
-                  *rib_, *routes_, [&](Ipv4Addr a) { return pt.lookup(a); }, 500'000),
-              0u);
+    // Both leaf layouts: the default dictionary codes and 16-bit runs.
+    for (const bool dict : {true, false}) {
+        Config cfg;
+        cfg.direct_bits = s;
+        cfg.leaf_compression = lc;
+        cfg.route_aggregation = agg;
+        cfg.leaf_dict = dict;
+        const Poptrie4 pt{*rib_, cfg};
+        EXPECT_EQ(boundary_and_random_mismatches(
+                      *rib_, *routes_, [&](Ipv4Addr a) { return pt.lookup(a); }, 500'000),
+                  0u)
+            << "leaf_dict=" << dict;
+    }
 }
 
 INSTANTIATE_TEST_SUITE_P(AllConfigs, PoptrieLookup,

@@ -199,25 +199,33 @@ TEST(PoptrieUpdate, WithdrawEverythingReturnsToEmpty)
     // writer: single-threaded test — this thread is the sole updater.
     const psync::EbrWriterSection writer;
     const auto routes = corner_case_table();
-    auto rib = load(routes);
-    Config cfg;
-    cfg.direct_bits = 16;
-    Poptrie4 pt{rib, cfg};
-    for (const auto& r : routes) pt.apply(rib, r.prefix, kNoRoute);
-    pt.drain();
-    EXPECT_EQ(rib.route_count(), 0u);
-    workload::Xorshift128 rng(7);
-    for (int i = 0; i < 100'000; ++i)
-        ASSERT_EQ(pt.lookup(Ipv4Addr{rng.next()}), kNoRoute);
-    // With direct pointing, an empty FIB needs no nodes and no leaves at
-    // all: the pools must have been fully reclaimed (no leaks through the
-    // retire/EBR path).
-    const auto s = pt.stats();
-    EXPECT_EQ(s.internal_nodes, 0u);
-    EXPECT_EQ(s.leaves, 0u);
-    EXPECT_EQ(s.node_pool_used, 0u);
-    EXPECT_EQ(s.leaf_pool_used, 0u);
-    POPTRIE_AUDIT_ASSERT(pt, rib);
+    // Both leaf layouts of the compile: the 16-bit runs it places in the
+    // leaf pool must be freed, and its coded runs dropped.
+    for (const bool dict : {false, true}) {
+        SCOPED_TRACE(dict ? "dictionary-coded leaves" : "16-bit leaves");
+        auto rib = load(routes);
+        Config cfg;
+        cfg.direct_bits = 16;
+        cfg.leaf_dict = dict;
+        Poptrie4 pt{rib, cfg};
+        ASSERT_EQ(pt.stats().leaf_pool_used == 0, dict);
+        for (const auto& r : routes) pt.apply(rib, r.prefix, kNoRoute);
+        pt.drain();
+        EXPECT_EQ(rib.route_count(), 0u);
+        workload::Xorshift128 rng(7);
+        for (int i = 0; i < 100'000; ++i)
+            ASSERT_EQ(pt.lookup(Ipv4Addr{rng.next()}), kNoRoute);
+        // With direct pointing, an empty FIB needs no nodes and no leaves at
+        // all: the pools must have been fully reclaimed (no leaks through
+        // the retire/EBR path).
+        const auto s = pt.stats();
+        EXPECT_EQ(s.internal_nodes, 0u);
+        EXPECT_EQ(s.leaves, 0u);
+        EXPECT_EQ(s.leaf8_slots, 0u);
+        EXPECT_EQ(s.node_pool_used, 0u);
+        EXPECT_EQ(s.leaf_pool_used, 0u);
+        POPTRIE_AUDIT_ASSERT(pt, rib);
+    }
 }
 
 TEST(PoptrieUpdate, ChurnDoesNotLeakPoolSpace)
