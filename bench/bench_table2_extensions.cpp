@@ -3,11 +3,16 @@
 // of internal nodes and leaves, the memory footprint, the compile time from
 // the radix RIB, and the random-pattern lookup rate. The paper's rows use its
 // 16-bit leaves; one more row, "poptrie+dict" at s = 18, is the default
-// configuration lpmd serves (dictionary-coded leaves), and a second table
-// attributes every row's structure bytes to their arrays.
+// configuration lpmd serves (dictionary-coded leaves, childless direct-slot
+// roots folded into their runs), a second table attributes every row's
+// structure bytes to their arrays, and a third counts what a lookup reads
+// on uniform keys (analysis/lookup_cost.hpp): host-independent, so it
+// reads the same on every machine.
 #include <chrono>
 
+#include "analysis/lookup_cost.hpp"
 #include "common.hpp"
+#include "workload/xorshift.hpp"
 
 using namespace bench;
 
@@ -67,10 +72,16 @@ int main(int argc, char** argv)
                          benchkit::fmt_mean_std(r.mlps_mean, r.mlps_std), "8.82"});
     }
 
+    // The lookup-cost keys: uniform over the address space.
+    std::vector<std::uint32_t> cost_keys(std::size_t{1} << 16);
+    workload::Xorshift128 rng(0x7AB1E2u);
+    for (auto& k : cost_keys) k = rng.next();
+
     struct Row {
         std::string variant;
         unsigned s;
         poptrie::Stats stats;
+        analysis::LookupCost cost;
     };
     std::vector<Row> rows;
     std::size_t paper_idx = 0;
@@ -115,7 +126,8 @@ int main(int argc, char** argv)
                              benchkit::fmt_mean_std(cms.mean, cms.std),
                              benchkit::fmt_mean_std(r.mlps_mean, r.mlps_std),
                              dict ? "-" : benchkit::fmt(kPaper[paper_idx++].rate, 2)});
-            rows.push_back({variant, s, stats});
+            rows.push_back({variant, s, stats,
+                            analysis::lookup_cost(*pt, cost_keys.data(), cost_keys.size())});
         }
     }
 
@@ -125,6 +137,7 @@ int main(int argc, char** argv)
                                   {"Nodes", 10},
                                   {"Leaves", 10},
                                   {"Codes", 9},
+                                  {"Folded", 8},
                                   {"Dict", 5},
                                   {"Direct", 10},
                                   {"Total", 10}});
@@ -134,8 +147,37 @@ int main(int argc, char** argv)
                          benchkit::fmt_count(row.stats.node_bytes),
                          benchkit::fmt_count(row.stats.leaf_bytes),
                          benchkit::fmt_count(row.stats.leaf8_bytes),
+                         benchkit::fmt_count(row.stats.folded_bytes),
                          benchkit::fmt_count(row.stats.dict_bytes),
                          benchkit::fmt_count(row.stats.direct_bytes),
                          benchkit::fmt_count(row.stats.memory_bytes)});
+
+    std::printf("\nWhat a lookup reads, per lookup over %zu uniform keys: distinct 64-byte lines\n"
+                "and dependent loads (dictionary excluded), direct-hit and folded-run shares,\n"
+                "and the share of lookups visiting 0, 1, 2 and 3+ internal nodes\n\n",
+                cost_keys.size());
+    benchkit::TablePrinter cost({{"Variant", 16, false},
+                                 {"s", 2},
+                                 {"Lines", 6},
+                                 {"Loads", 6},
+                                 {"Direct", 7},
+                                 {"Folded", 7},
+                                 {"d0", 6},
+                                 {"d1", 6},
+                                 {"d2", 6},
+                                 {"d3+", 6}});
+    cost.print_header();
+    for (const Row& row : rows) {
+        const analysis::LookupCost& c = row.cost;
+        const auto share = [&](std::size_t from, std::size_t to) {
+            std::uint64_t n = 0;
+            for (std::size_t d = from; d < to; ++d) n += c.depth[d];
+            return benchkit::fmt(static_cast<double>(n) / static_cast<double>(c.lookups), 3);
+        };
+        cost.print_row({row.variant, std::to_string(row.s), benchkit::fmt(c.lines_per_lookup(), 3),
+                        benchkit::fmt(c.loads_per_lookup(), 3),
+                        benchkit::fmt(c.direct_hit_share(), 3), benchkit::fmt(c.folded_share(), 3),
+                        share(0, 1), share(1, 2), share(2, 3), share(3, c.depth.size())});
+    }
     return 0;
 }

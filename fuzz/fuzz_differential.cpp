@@ -26,10 +26,12 @@
 // restored images runs in fuzz_snapshot_roundtrip.)
 //
 // Config-byte bit 0x20 selects Config::leaf_dict. The compiled Poptrie then
-// codes its leaf runs straight from the compile; the incrementally built
-// one writes 16-bit runs, so after the scalar and batch probes it is
-// compacted at a quiescent point (which codes them) and the probe set
-// replays, scalar and batch, over the dict-coded layout.
+// codes its leaf runs straight from the compile and, with direct pointing
+// and leafvec, folds its childless direct-slot roots into runs of the code
+// array; the incrementally built one writes 16-bit runs and nodes, so after
+// the scalar and batch probes it is compacted at a quiescent point (which
+// codes and folds them) and the probe set replays, scalar and batch, over
+// the dict-coded layout.
 #include <string>
 #include <vector>
 

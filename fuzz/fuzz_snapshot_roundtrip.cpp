@@ -18,7 +18,9 @@
 //
 // The restored batch check drives the batch walk over the image's view(), so
 // a walk that disagrees with the scalar walk on any fuzz-grown (or
-// dict-coded) image is a finding.
+// dict-coded, or folded) image is a finding. Under config bit 0x20 with
+// direct pointing, compiled and compacted FIBs carry folded runs (format
+// v5), which the packer must place and the verifier must walk.
 #include <string>
 #include <vector>
 
@@ -55,7 +57,7 @@ void run(fuzz::ByteReader& in, const poptrie::Config& cfg, bool compact,
             fuzz::fail(kHarness, "compaction changed a compiled FIB's image",
                        std::to_string(before.size()) + " bytes before compact()");
     }
-    std::vector<std::uint8_t> uncompacted;
+    snapshot::Image uncompacted;
     if (compact) {
         if (!cfg.leaf_dict) uncompacted = snapshot::serialize(pt);
         pt.compact();

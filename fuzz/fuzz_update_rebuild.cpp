@@ -11,10 +11,13 @@
 // addresses. The structural auditor runs on both tables at every
 // checkpoint, so allocator/EBR corruption shows up even when the lookup
 // relation still holds, and under config bit 0x20 (Config::leaf_dict) the
-// rebuilt table's leaf runs are dictionary-coded straight from the compile.
-// With sel bit 3 the updated table starts as a compile too: the first half
-// of the ops is loaded into the RIB and compiled in one pass, the way
-// Router::load serves a table, and only the rest goes through apply().
+// rebuilt table's leaf runs are dictionary-coded straight from the compile,
+// its childless direct-slot roots folded. With sel bit 3 the updated table
+// starts as a compile too: the first half of the ops is loaded into the RIB
+// and compiled in one pass, the way Router::load serves a table, and only
+// the rest goes through apply(), which rebuilds every folded slot it
+// touches as a node or a next hop; compactions at checkpoints fold the
+// childless roots again.
 #include <string>
 #include <vector>
 

@@ -136,11 +136,13 @@ struct LiveRun {
 };
 
 /// The live runs of one FIB in DFS order (roots, child arrays, leaf runs).
-/// Dict-coded runs, and every run of a dense layout, have size == count.
+/// Dict-coded runs, and every run of a dense layout, have size == count; a
+/// folded run in leaves8 covers its 8 leafvec bytes and its `count` codes.
 struct LiveRuns {
     std::vector<LiveRun> nodes;
     std::vector<LiveRun> leaves;
     std::vector<LiveRun> leaves8;
+    std::size_t folded = 0;
 };
 
 /// Where a FIB's runs sit in its arrays. Live pools place each node and
@@ -184,19 +186,45 @@ public:
         for (std::uint64_t d = 0; d < view_.direct_count; ++d) {
             ++report_.direct_slots_checked;
             const std::uint32_t v = view_.direct[d];
-            if (v & PT::kDirectLeafBit) {
-                // Payload must be a representable next hop (16 bits).
-                if ((v & ~PT::kDirectLeafBit) > 0xFFFFu)
-                    report_.add("direct-leaf-overflow",
-                                "slot " + std::to_string(d) + " payload " +
-                                    std::to_string(v & ~PT::kDirectLeafBit));
-            } else {
+            if ((v & PT::kDirectLeafBit) == 0) {
                 walk_root(v, view_.direct_bits, "direct[" + std::to_string(d) + "]");
+            } else if (v & PT::kFoldedBit) {
+                walk_folded(v & poptrie::kFoldedOffsetMask, "direct[" + std::to_string(d) + "]");
+            } else if ((v & ~PT::kDirectLeafBit) > 0xFFFFu) {
+                // Payload must be a representable next hop (16 bits).
+                report_.add("direct-leaf-overflow", "slot " + std::to_string(d) + " payload " +
+                                                        std::to_string(v & ~PT::kDirectLeafBit));
             }
         }
     }
 
 private:
+    /// Audits the folded run at byte `at` of the code array: in range, a
+    /// leafvec whose first slot starts a run (the root has no children),
+    /// codes inside the dictionary, and minimal.
+    void walk_folded(std::uint32_t at, const std::string& where)
+    {
+        const std::string what = "folded run at " + std::to_string(at);
+        if (std::uint64_t{at} + 8 > view_.leaf8_count) {
+            report_.add("folded-run-out-of-range", where + ": " + what +
+                                                       " +8 > code array size " +
+                                                       std::to_string(view_.leaf8_count));
+            return;
+        }
+        const std::uint64_t leafvec = poptrie::batch::folded_leafvec(view_.leaves8, at);
+        const auto n = static_cast<std::uint32_t>(netbase::popcount64(leafvec));
+        if ((leafvec & 1) == 0)
+            report_.add("leafvec-first-run-missing", where + ": " + what + " leafvec bit 0 clear");
+        if (std::uint64_t{at} + 8 + n > view_.leaf8_count) {
+            report_.add("folded-run-out-of-range",
+                        where + ": " + what + " +" + std::to_string(8 + n) +
+                            " > code array size " + std::to_string(view_.leaf8_count));
+            return;
+        }
+        runs_.leaves8.push_back({at, 8 + n, n});
+        ++runs_.folded;
+        check_codes(poptrie::kLeaf8Bit | (at + 8), n, where, what);
+    }
     /// Audits the single-node block at `index` (a root published in a
     /// direct slot or as the root index) and the subtree below it.
     void walk_root(std::uint32_t index, unsigned level, const std::string& where)
@@ -265,20 +293,7 @@ private:
                                 " > code array size " + std::to_string(view_.leaf8_count));
             } else {
                 runs_.leaves8.push_back({off, nleaves, nleaves});
-                report_.leaves_checked += nleaves;
-                bool codes_ok = true;
-                for (std::uint32_t i = 0; i < nleaves; ++i) {
-                    if (view_.leaves8[off + i] >= view_.leaf_dict_count) {
-                        report_.add("leaf8-code-out-of-dict",
-                                    where + ": node " + std::to_string(index) + " code " +
-                                        std::to_string(view_.leaves8[off + i]) +
-                                        " >= dictionary size " +
-                                        std::to_string(view_.leaf_dict_count));
-                        codes_ok = false;
-                    }
-                }
-                if (codes_ok && view_.leaf_compression)
-                    check_minimal(index, n.base0, nleaves, where, "dict-coded leaves ");
+                check_codes(n.base0, nleaves, where, "node " + std::to_string(index));
             }
         } else if (nleaves != 0) {
             const auto block = extent(nleaves);
@@ -296,7 +311,8 @@ private:
                 runs_.leaves.push_back({n.base0, block, nleaves});
                 report_.leaves_checked += nleaves;
                 if (view_.leaf_compression)
-                    check_minimal(index, n.base0, nleaves, where, "leaves ");
+                    check_minimal("node " + std::to_string(index), n.base0, nleaves, where,
+                                  "leaves ");
             }
         }
 
@@ -328,15 +344,36 @@ private:
         return dense_ ? count : alloc::BuddyAllocator::block_size_for(count);
     }
 
+    /// The coded run at tagged leaf index `base0`, owned by `owner`: every
+    /// code inside the dictionary, and the run minimal under leaf
+    /// compression.
+    void check_codes(std::uint32_t base0, std::uint32_t nleaves, const std::string& where,
+                     const std::string& owner)
+    {
+        report_.leaves_checked += nleaves;
+        bool codes_ok = true;
+        for (std::uint32_t i = 0; i < nleaves; ++i) {
+            const std::uint8_t code = view_.leaves8[(base0 & ~poptrie::kLeaf8Bit) + i];
+            if (code >= view_.leaf_dict_count) {
+                report_.add("leaf8-code-out-of-dict",
+                            where + ": " + owner + " code " + std::to_string(code) +
+                                " >= dictionary size " + std::to_string(view_.leaf_dict_count));
+                codes_ok = false;
+            }
+        }
+        if (codes_ok && view_.leaf_compression)
+            check_minimal(owner, base0, nleaves, where, "dict-coded leaves ");
+    }
+
     /// Leafvec runs are minimal: two adjacent leaves never repeat a next hop.
-    void check_minimal(std::uint32_t index, std::uint32_t base0, std::uint32_t nleaves,
+    void check_minimal(const std::string& owner, std::uint32_t base0, std::uint32_t nleaves,
                        const std::string& where, const char* what)
     {
         for (std::uint32_t i = 1; i < nleaves; ++i) {
             const rib::NextHop hop = view_.leaf(base0 + i);
             if (hop == view_.leaf(base0 + i - 1))
                 report_.add("leaf-run-not-minimal",
-                            where + ": node " + std::to_string(index) + " " + what +
+                            where + ": " + owner + " " + what +
                                 std::to_string(i - 1) + "," + std::to_string(i) +
                                 " repeat next hop " + std::to_string(hop));
         }
@@ -458,12 +495,13 @@ void check_tiling(AuditReport& r, std::vector<LiveRun> runs, std::uint64_t slots
                                        std::to_string(slots) + ") lie in no run");
 }
 
-/// Dict-coded run checks: no two tagged runs may share code slots, the live
-/// count must match the trie's leaf8 accounting, and the dictionary must be
-/// sorted strictly ascending (compact() emits it that way — a violation
-/// means someone scribbled on it). Under expect_compacted the runs must
-/// additionally replay compact()'s dense bump exactly: run i starts where
-/// run i-1 ended and the array holds not one code more.
+/// Dict-coded and folded run checks: no two runs may share code-array
+/// bytes, the live code count must match the trie's leaf8 accounting, and
+/// the dictionary must be sorted strictly ascending (compact() emits it
+/// that way — a violation means someone scribbled on it). Under
+/// expect_compacted the runs must additionally replay compact()'s dense
+/// bump exactly: run i starts where run i-1 ended and the array holds not
+/// one byte more.
 void check_leaf8_runs(AuditReport& r, std::vector<LiveRun> runs, std::size_t code_array_size,
                       const std::vector<rib::NextHop>& dict_values,
                       std::uint64_t expected_count, bool expect_compacted)
@@ -483,13 +521,13 @@ void check_leaf8_runs(AuditReport& r, std::vector<LiveRun> runs, std::size_t cod
         for (const auto& run : runs) {
             if (run.offset != cursor) {
                 r.add("leaf8-not-compacted",
-                      "dict-coded run of " + std::to_string(run.count) + " at " +
+                      "dict-coded run of " + std::to_string(run.size) + " bytes at " +
                           std::to_string(run.offset) + ", dense DFS layout says " +
                           std::to_string(cursor));
                 dense_ok = false;
                 break;  // every later offset shifts too
             }
-            cursor += run.count;
+            cursor += run.size;
         }
         if (dense_ok && cursor != code_array_size)
             r.add("leaf8-not-dense", "code array size " + std::to_string(code_array_size) +
@@ -501,10 +539,10 @@ void check_leaf8_runs(AuditReport& r, std::vector<LiveRun> runs, std::size_t cod
     std::uint64_t count_total = 0;
     for (std::size_t i = 0; i < runs.size(); ++i) {
         count_total += runs[i].count;
-        if (i != 0 && std::uint64_t{runs[i - 1].offset} + runs[i - 1].count > runs[i].offset)
+        if (i != 0 && std::uint64_t{runs[i - 1].offset} + runs[i - 1].size > runs[i].offset)
             r.add("leaf8-runs-overlap",
                   "code runs at " + std::to_string(runs[i - 1].offset) + "(+" +
-                      std::to_string(runs[i - 1].count) + ") and " +
+                      std::to_string(runs[i - 1].size) + ") and " +
                       std::to_string(runs[i].offset) + " overlap");
     }
     if (count_total != expected_count)
@@ -563,6 +601,10 @@ AuditReport audit(const poptrie::Poptrie<Addr>& pt, const rib::RadixTrie<Addr>& 
     const std::vector<rib::NextHop> dict_values(pools.leaf_dict.begin(), pools.leaf_dict.end());
     check_leaf8_runs(r, runs.leaves8, pools.leaves8.size(), dict_values,
                      AuditAccess::leaf8_live(pt), opt.expect_compacted);
+    if (runs.folded != AuditAccess::folded_live(pt))
+        r.add("folded-count-mismatch", "reachable " + std::to_string(runs.folded) +
+                                           " folded runs, accounting says " +
+                                           std::to_string(AuditAccess::folded_live(pt)));
     // Every slot the allocators ever handed out must sit in committed
     // storage: the pools commit up to the high-water mark as they grow.
     if (pools.nodes.size() < pools.node_alloc.high_water())

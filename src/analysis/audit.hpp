@@ -12,7 +12,10 @@
 //     live run and a free block;
 //   * node/leaf accounting (inode and leaf counts vs reachable structure,
 //     allocator `used()` vs the sum of live blocks once limbo is empty);
-//   * direct-pointing array consistency with kDirectLeafBit (§3.4);
+//   * direct-pointing array consistency with kDirectLeafBit (§3.4), and
+//     each folded run (kFoldedBit) inside the code array, its leafvec's
+//     first slot starting a run, its codes inside the dictionary, and no
+//     folded run sharing a byte with another run;
 //   * BuddyAllocator free-list consistency (alignment, bounds, no double
 //     membership, eager coalescing, free + used == capacity);
 //   * EbrDomain invariants (retired epochs ≤ current, limbo ordered,
@@ -205,6 +208,11 @@ struct AuditAccess {
     [[nodiscard]] static std::size_t leaf8_live(const PT<Addr>& p) noexcept
     {
         return p.leaf8_live_;
+    }
+    template <class Addr>
+    [[nodiscard]] static std::size_t folded_live(const PT<Addr>& p) noexcept
+    {
+        return p.folded_live_;
     }
 };
 

@@ -37,9 +37,14 @@ struct Config {
     /// plus a tag test (a mask, not a branch, in the live trie's walk,
     /// where churn mixes both kinds of run). A table whose leaf runs hold
     /// more than 256 distinct values gets the plain 16-bit layout (lookup
-    /// results are identical either way). Incremental updates write plain
-    /// 16-bit runs and drop the coded runs they replace; the next compact()
-    /// codes them again.
+    /// results are identical either way). With direct pointing and leafvec
+    /// compression, a direct slot whose subtree is one childless node is
+    /// stored as a *folded run* instead: that node's 8-byte leafvec, then
+    /// its codes, back to back in the code array, addressed by the slot
+    /// itself (kFoldedBit), so the walk reads no node for it. Incremental
+    /// updates write plain 16-bit runs and nodes, and drop the coded and
+    /// folded runs they replace; the next compact() codes and folds them
+    /// again.
     bool leaf_dict = true;
 };
 
@@ -69,6 +74,16 @@ inline constexpr unsigned kMaxDirectBits = 30;
 /// The buddy allocator's kMaxCapacity of 2^31 slots is what keeps every
 /// tagged index unambiguous.
 inline constexpr std::uint32_t kLeaf8Bit = 0x8000'0000u;
+
+/// Folded-root tag for Config::leaf_dict: a direct slot holding
+/// kDirectLeafBit | kFoldedBit | offset addresses a folded run at byte
+/// `offset` of the code array — the childless root's 8-byte leafvec, then
+/// one code per leaf — instead of a next hop. A slot with kDirectLeafBit and
+/// this bit clear keeps the plain next hop; one with kDirectLeafBit clear is
+/// a node index, as before. Offsets stay below 2^30 (kFoldedOffsetMask), so
+/// a root whose run would start past that stays a node.
+inline constexpr std::uint32_t kFoldedBit = 0x4000'0000u;
+inline constexpr std::uint32_t kFoldedOffsetMask = kFoldedBit - 1;
 
 static_assert((std::uint64_t{1} << kStrideBits) == 64,
               "Node::vector/leafvec are std::uint64_t with one bit per child: "
@@ -105,13 +120,21 @@ struct Stats {
     /// remainder.
     std::size_t leaf8_slots = 0;
     std::size_t leaf_dict_entries = 0;
+    /// Direct slots served as folded runs (kFoldedBit): childless roots
+    /// stored as a leafvec and codes in the code array, counted in neither
+    /// internal_nodes nor node_bytes. Their codes count in leaves and
+    /// leaf8_slots.
+    std::size_t folded_roots = 0;
 
     /// Paper-style analytic footprint, array by array: inodes x (24, or 16
-    /// in basic mode), 16-bit leaves x 2, dict-coded leaves x 1, dictionary
-    /// entries x 2 and direct slots x 4 bytes. memory_bytes is their sum.
+    /// in basic mode), 16-bit leaves x 2, dict-coded leaves x 1, folded
+    /// roots' leafvecs x 8, dictionary entries x 2 and direct slots x 4
+    /// bytes. memory_bytes is their sum; leaf8_bytes + folded_bytes is the
+    /// code array's live extent.
     std::size_t node_bytes = 0;
     std::size_t leaf_bytes = 0;
     std::size_t leaf8_bytes = 0;
+    std::size_t folded_bytes = 0;
     std::size_t dict_bytes = 0;
     std::size_t direct_bytes = 0;
     std::size_t memory_bytes = 0;

@@ -87,6 +87,9 @@ public:
     /// Dictionary-coded leaf-run flag (Config::leaf_dict): a base0 with this
     /// MSB set addresses an 8-bit code run, not a 16-bit leaf run (config.hpp).
     static constexpr std::uint32_t kLeaf8Bit = poptrie::kLeaf8Bit;
+    /// Folded-root flag: a direct slot with kDirectLeafBit and this bit set
+    /// addresses a folded run in the code array (config.hpp).
+    static constexpr std::uint32_t kFoldedBit = poptrie::kFoldedBit;
 
     /// Internal node, exactly the paper's layout: 24 bytes with leafvec,
     /// 16 effective bytes in "basic" mode (leafvec unused).
@@ -162,11 +165,11 @@ public:
 
         NodePool nodes;
         LeafPool leaves;
-        // Dict-coded leaf storage (Config::leaf_dict): dense 8-bit codes plus
-        // the <= 256-entry dictionary. Written only while the compile or
-        // compact() builds the set; the updater only *drops* tagged runs, so
-        // readers reach them with relaxed loads through the published base0
-        // indices.
+        // Dict-coded leaf storage (Config::leaf_dict): dense 8-bit codes and
+        // folded runs plus the <= 256-entry dictionary. Written only while
+        // the compile or compact() builds the set; the updater only *drops*
+        // coded and folded runs, so readers reach them with plain loads
+        // through the published base0 indices and direct slots.
         Leaf8Pool leaves8;
         LeafPool leaf_dict;
         DirectPool direct;       // 2^s entries when direct_bits > 0
@@ -319,16 +322,19 @@ private:
     // --- section, or compact()'s caller).
     void build_from(const rib::RadixTrie<Addr>& rib) POPTRIE_REQUIRES(psync::cap::ebr);
     /// Compiles `rib` into the current (empty) set. With a coder, every leaf
-    /// run goes to the code array, and a 257th distinct value throws the
-    /// coder's Overflow out of the compile.
+    /// run goes to the code array, childless direct-slot roots fold, and a
+    /// 257th distinct value throws the coder's Overflow out of the compile.
     void compile(const detail::RibView<Addr>& rib, detail::LeafCoder* coder)
         POPTRIE_REQUIRES(psync::cap::ebr);
-    /// The updater passes no coder: its leaf runs are always 16-bit.
+    /// The updater passes no coder: its leaf runs are always 16-bit. With a
+    /// coder and a non-null `folded`, a childless node becomes a folded run
+    /// instead: *folded receives its direct slot and the Node is unused.
     Node make_node(const detail::RibView<Addr>& rib, const detail::SlotCtx& slot,
-                   unsigned level, detail::LeafCoder* coder = nullptr)
-        POPTRIE_REQUIRES(psync::cap::ebr);
+                   unsigned level, detail::LeafCoder* coder = nullptr,
+                   std::uint32_t* folded = nullptr) POPTRIE_REQUIRES(psync::cap::ebr);
+    /// A root node's index, or under `may_fold` possibly a folded slot.
     std::uint32_t build_root(const detail::RibView<Addr>& rib, const detail::SlotCtx& slot,
-                             unsigned level, detail::LeafCoder* coder)
+                             unsigned level, detail::LeafCoder* coder, bool may_fold)
         POPTRIE_REQUIRES(psync::cap::ebr);
     std::uint32_t alloc_nodes(std::uint32_t n) POPTRIE_REQUIRES(psync::cap::ebr);
     std::uint32_t alloc_leaves(std::uint32_t n) POPTRIE_REQUIRES(psync::cap::ebr);
@@ -364,6 +370,9 @@ private:
         POPTRIE_REQUIRES(psync::cap::ebr);
     // Descendant arrays incl. n's own.
     void retire_contents(const Node& n) POPTRIE_REQUIRES(psync::cap::ebr);
+    /// Drops the folded run a direct slot held. Like a dropped coded run,
+    /// its bytes stay in the code array until the next compact().
+    void retire_folded(std::uint32_t slot) POPTRIE_REQUIRES(psync::cap::ebr);
 
     // --- compaction internals (compactor.ipp) ---
     /// The fresh pool set being filled in DFS order, plus the (offset,
@@ -376,13 +385,16 @@ private:
         std::uint64_t node_cursor = 0;
         std::uint64_t leaf_cursor = 0;
         // Config::leaf_dict: codes every leaf run into set->leaves8 (back to
-        // back, never buddy-allocated); a 257th value throws out of the copy.
+        // back, never buddy-allocated) and folds childless direct-slot roots;
+        // a 257th value throws out of the copy.
         std::optional<detail::LeafCoder> coder;
     };
     /// compact()'s copy of the reachable FIB into a fresh set, its leaf runs
     /// coded when `code_leaves` is set.
     CompactPools copy_reachable(bool code_leaves) POPTRIE_REQUIRES(psync::cap::ebr);
-    std::uint32_t compact_root(std::uint32_t index, CompactPools& out)
+    /// Copies root `old` and its subtree, returning its node index or, when
+    /// `may_fold` and the copy codes, the folded slot of a childless root.
+    std::uint32_t compact_root(const Node& old, CompactPools& out, bool may_fold)
         POPTRIE_REQUIRES(psync::cap::ebr);
     Node compact_node(const Node& n, CompactPools& out) POPTRIE_REQUIRES(psync::cap::ebr);
 
@@ -419,6 +431,18 @@ private:
         return s.leaves[i];
     }
 
+    /// The childless root a folded direct slot stands for: the run's
+    /// leafvec, and its codes as a tagged leaf run.
+    [[nodiscard]] Node folded_root(std::uint32_t slot) const noexcept
+        POPTRIE_REQUIRES_SHARED(psync::cap::ebr)
+    {
+        Node n;
+        const std::uint32_t at = slot & kFoldedOffsetMask;
+        n.leafvec = batch::folded_leafvec(set_.get().leaves8.data(), at);
+        n.base0 = kLeaf8Bit | (at + static_cast<std::uint32_t>(sizeof n.leafvec));
+        return n;
+    }
+
     POPTRIE_HOT [[nodiscard]] NextHop old_leaf_value(const Node& n, unsigned u) const noexcept
         POPTRIE_REQUIRES_SHARED(psync::cap::ebr)
     {
@@ -450,10 +474,14 @@ private:
     std::unique_ptr<psync::EbrDomain> ebr_ = std::make_unique<psync::EbrDomain>();
     std::size_t inode_count_ = 0;
     std::size_t leaf_count_ = 0;
-    // Of leaf_count_, how many slots live in the dict-coded 8-bit array.
-    // leaf_count_ - leaf8_live_ is the 16-bit pool's live population, which
-    // is what the allocator cross-check cares about.
+    // Of leaf_count_, how many slots live in the dict-coded 8-bit array
+    // (folded runs' codes included). leaf_count_ - leaf8_live_ is the 16-bit
+    // pool's live population, which is what the allocator cross-check cares
+    // about.
     std::size_t leaf8_live_ = 0;
+    // Direct slots holding a folded run; each adds 8 leafvec bytes to the
+    // code array's live extent.
+    std::size_t folded_live_ = 0;
     UpdateCounters updates_{};
     bool in_update_ = false;
 

@@ -12,12 +12,14 @@
 #include <fstream>
 #include <iterator>
 #include <limits>
+#include <optional>
 #include <string_view>
 #include <system_error>
 
 #include "benchkit/provenance.hpp"
 #include "netbase/ipv4.hpp"
 #include "netbase/ipv6.hpp"
+#include "netbase/structural_limit.hpp"
 
 namespace snapshot {
 
@@ -126,46 +128,79 @@ ImageHeader with_checksums(const std::uint8_t* base, ImageHeader hdr) noexcept
     return hdr;
 }
 
-/// The reachable FIB packed back to back in compact()'s DFS pre-order: a
-/// root's slot, then for each node its leaf run, its child run, and each
-/// child's subtree in turn. Each array then holds exactly its live slots,
-/// whatever the pools' placement, compaction or churn history (DESIGN.md §11).
+/// The reachable FIB packed back to back in compact()'s DFS pre-order,
+/// straight into the image's sections: a root's slot (a folded run's bytes
+/// for a folded slot), then for each node its leaf run, its child run, and
+/// each child's subtree in turn. Each section then holds exactly its live
+/// slots, whatever the pools' placement, compaction or churn history
+/// (DESIGN.md §11). The sections are sized from the live counts (Stats),
+/// which a sound FIB's walk meets exactly.
 ///
 /// Faults stay visible to verify_image(). The packer follows an index only
 /// when its whole run lies inside the pool, and copies any other unchanged: a
-/// packed array is never larger than its pool, so an out-of-range index stays
-/// out of range. It places each node run once, keyed by its first slot, so an
-/// aliased subtree stays aliased (and a cycle ends). It stops where the
-/// structural walk stops, at a node below the address width.
+/// packed section is never larger than its pool, so an out-of-range index
+/// stays out of range. A run that does not fit in what is left of its
+/// section gets the section's size as its index, out of range too, and a
+/// section the walk leaves short keeps a zero tail that no run tiles. It
+/// places each node run once, keyed by its first slot, so an aliased
+/// subtree stays aliased (and a cycle ends). It stops where the structural
+/// walk stops, at a node below the address width.
 template <class Addr>
 class DensePacker {
 public:
     using PT = poptrie::Poptrie<Addr>;
     using Node = typename PT::Node;
 
-    DensePacker(const typename PT::View& view, const poptrie::Stats& live)
-        : v_(view), placed_(view.node_count, kUnplaced)
+    /// Packs `view` into the node, leaf, direct and leaf8 sections `hdr`
+    /// lays out in `image`, and sets hdr.root_index.
+    DensePacker(const typename PT::View& view, ImageHeader& hdr, std::uint8_t* image)
+        : v_(view),
+          placed_(view.node_count, kUnplaced),
+          nodes_{image + hdr.nodes.offset, hdr.node_count},
+          leaves_{image + hdr.leaves.offset, hdr.leaf_count},
+          leaves8_{image + hdr.leaves8.offset, hdr.leaf8_count}
     {
-        nodes.reserve(live.internal_nodes);
-        leaves.reserve(live.leaves - live.leaf8_slots);
-        leaves8.reserve(live.leaf8_slots);
         if (v_.direct_bits == 0) {
-            root = place(v_.root, 1, 0);
-            return;
+            hdr.root_index = place(v_.root, 1, 0);
+        } else {
+            std::uint8_t* const direct = image + hdr.direct.offset;
+            for (std::uint64_t d = 0; d < v_.direct_count; ++d) {
+                std::uint32_t slot = v_.direct[d];
+                if ((slot & PT::kDirectLeafBit) == 0)
+                    slot = place(slot, 1, v_.direct_bits);
+                else if (slot & PT::kFoldedBit)
+                    slot = pack_folded(slot);
+                std::memcpy(direct + d * sizeof slot, &slot, sizeof slot);
+            }
         }
-        direct.assign(v_.direct, v_.direct + v_.direct_count);
-        for (std::uint32_t& slot : direct)
-            if ((slot & PT::kDirectLeafBit) == 0) slot = place(slot, 1, v_.direct_bits);
+        nodes_.zero_tail(sizeof(Node));
+        leaves_.zero_tail(sizeof(rib::NextHop));
+        leaves8_.zero_tail(1);
     }
-
-    std::vector<Node> nodes;
-    std::vector<rib::NextHop> leaves;
-    std::vector<std::uint8_t> leaves8;
-    std::vector<std::uint32_t> direct;
-    std::uint32_t root = 0;
 
 private:
     static constexpr std::uint32_t kUnplaced = ~std::uint32_t{0};
+
+    /// One section being filled: its bytes, its size in elements, and the
+    /// elements placed so far.
+    struct Section {
+        std::uint8_t* base;
+        std::uint64_t size;
+        std::uint64_t used = 0;
+
+        /// Room for `n` more elements: their index, or nothing.
+        std::optional<std::uint32_t> claim(std::uint64_t n)
+        {
+            if (n > size - used) return std::nullopt;
+            used += n;
+            return static_cast<std::uint32_t>(used - n);
+        }
+        /// Zeroes the elements no run claimed.
+        void zero_tail(std::size_t element_bytes)
+        {
+            std::memset(base + used * element_bytes, 0, (size - used) * element_bytes);
+        }
+    };
 
     /// Packs the source node run [first, first + count) at bit level `level`
     /// and everything below it; returns the run's packed index.
@@ -173,20 +208,21 @@ private:
     {
         if (std::uint64_t{first} + count > v_.node_count) return first;
         if (placed_[first] != kUnplaced) return placed_[first];
-        const auto at = static_cast<std::uint32_t>(nodes.size());
-        placed_[first] = at;
-        nodes.insert(nodes.end(), v_.nodes + first, v_.nodes + first + count);
-        for (std::uint32_t i = 0; i < count; ++i) pack_runs(at + i, level);
-        return at;
+        const auto at = nodes_.claim(count);
+        if (!at) return static_cast<std::uint32_t>(nodes_.size);
+        placed_[first] = *at;
+        for (std::uint32_t i = 0; i < count; ++i) {
+            const Node n = pack_runs(v_.nodes[first + i], level);
+            std::memcpy(nodes_.base + (*at + i) * sizeof(Node), &n, sizeof n);
+        }
+        return *at;
     }
 
-    /// Packs the leaf run and the child run of the node at packed index `at`
-    /// and points its base0/base1 at them (0 for an empty run, as compact()
-    /// leaves them).
-    void pack_runs(std::uint32_t at, unsigned level)
+    /// `n` with its leaf run and its child run packed and base0/base1
+    /// pointing at them (0 for an empty run, as compact() leaves them).
+    Node pack_runs(Node n, unsigned level)
     {
-        if (level >= PT::kWidth) return;
-        Node n = nodes[at];
+        if (level >= PT::kWidth) return n;
         const auto nkids = static_cast<std::uint32_t>(netbase::popcount64(n.vector));
         const std::uint32_t nleaves =
             v_.leaf_compression ? static_cast<std::uint32_t>(netbase::popcount64(n.leafvec))
@@ -195,20 +231,45 @@ private:
         if (nleaves == 0) {
             n.base0 = 0;
         } else if ((n.base0 & PT::kLeaf8Bit) != 0) {
-            if (std::uint64_t{b0} + nleaves <= v_.leaf8_count) {
-                n.base0 = PT::kLeaf8Bit | static_cast<std::uint32_t>(leaves8.size());
-                leaves8.insert(leaves8.end(), v_.leaves8 + b0, v_.leaves8 + b0 + nleaves);
-            }
+            if (std::uint64_t{b0} + nleaves <= v_.leaf8_count)
+                n.base0 = PT::kLeaf8Bit | copy(leaves8_, v_.leaves8 + b0, nleaves, 1);
         } else if (std::uint64_t{b0} + nleaves <= v_.leaf_count) {
-            n.base0 = static_cast<std::uint32_t>(leaves.size());
-            leaves.insert(leaves.end(), v_.leaves + b0, v_.leaves + b0 + nleaves);
+            n.base0 = copy(leaves_, v_.leaves + b0, nleaves, sizeof(rib::NextHop));
         }
         n.base1 = nkids == 0 ? 0 : place(n.base1, nkids, level + PT::kStride);
-        nodes[at] = n;
+        return n;
+    }
+
+    /// A folded slot with its run — leafvec and codes — packed.
+    std::uint32_t pack_folded(std::uint32_t slot)
+    {
+        const std::uint32_t at = slot & poptrie::kFoldedOffsetMask;
+        if (std::uint64_t{at} + 8 > v_.leaf8_count) return slot;
+        const std::uint64_t bytes =
+            8 + netbase::popcount64(poptrie::batch::folded_leafvec(v_.leaves8, at));
+        if (at + bytes > v_.leaf8_count) return slot;
+        const std::uint32_t packed = copy(leaves8_, v_.leaves8 + at, bytes, 1);
+        if (packed > poptrie::kFoldedOffsetMask)
+            throw netbase::StructuralLimit(
+                "snapshot: a folded run lands past the 2^30-byte offset a direct slot holds");
+        return PT::kDirectLeafBit | PT::kFoldedBit | packed;
+    }
+
+    /// Copies `n` elements of `bytes` each from `from` into `to`; returns
+    /// their index there, or the section's size when they do not fit.
+    static std::uint32_t copy(Section& to, const void* from, std::uint64_t n, std::size_t bytes)
+    {
+        const auto at = to.claim(n);
+        if (!at) return static_cast<std::uint32_t>(to.size);
+        std::memcpy(to.base + *at * bytes, from, n * bytes);
+        return *at;
     }
 
     const typename PT::View& v_;
     std::vector<std::uint32_t> placed_;  // source run start -> packed index
+    Section nodes_;
+    Section leaves_;
+    Section leaves8_;
 };
 
 }  // namespace
@@ -222,13 +283,12 @@ std::uint64_t image_checksum(const void* data, std::size_t n) noexcept
 // Writer
 
 template <class Addr>
-std::vector<std::uint8_t> serialize(const poptrie::Poptrie<Addr>& fib)
+Image serialize(const poptrie::Poptrie<Addr>& fib)
 {
     using Node = typename poptrie::Poptrie<Addr>::Node;
     const poptrie::Config& cfg = fib.config();
     const auto view = fib.pools().view(cfg);
     const poptrie::Stats stats = fib.stats();
-    const DensePacker<Addr> packed(view, stats);
 
     ImageHeader hdr;
     std::memcpy(hdr.magic, kMagic, sizeof(kMagic));
@@ -242,11 +302,10 @@ std::vector<std::uint8_t> serialize(const poptrie::Poptrie<Addr>& fib)
     hdr.leaf_compression = cfg.leaf_compression ? 1 : 0;
     hdr.route_aggregation = cfg.route_aggregation ? 1 : 0;
     hdr.leaf_dict_enabled = cfg.leaf_dict ? 1 : 0;
-    hdr.root_index = packed.root;
-    hdr.node_count = packed.nodes.size();
-    hdr.leaf_count = packed.leaves.size();
-    hdr.direct_count = packed.direct.size();
-    hdr.leaf8_count = packed.leaves8.size();
+    hdr.node_count = stats.internal_nodes;
+    hdr.leaf_count = stats.leaves - stats.leaf8_slots;
+    hdr.direct_count = view.direct_count;
+    hdr.leaf8_count = stats.leaf8_bytes + stats.folded_bytes;
     hdr.leaf_dict_count = view.leaf_dict_count;
     hdr.inode_live = stats.internal_nodes;
     hdr.leaf_live = stats.leaves;
@@ -255,9 +314,10 @@ std::vector<std::uint8_t> serialize(const poptrie::Poptrie<Addr>& fib)
     copy_stamp(hdr.build_type, sizeof(hdr.build_type), prov.build_type);
 
     // Sections follow the header in kSections order, each at the next
-    // kSectionAlign boundary; the image ends with the last one.
-    const void* const arrays[] = {packed.nodes.data(), packed.leaves.data(),
-                                  packed.direct.data(), packed.leaves8.data(), view.leaf_dict};
+    // kSectionAlign boundary; the image ends with the last one. The packer
+    // fills the first four, the dictionary is copied, and the padding
+    // before each section is zeroed: every byte is written once.
+    Image out;
     std::uint64_t end = sizeof(ImageHeader);
     for (const SectionField& f : kSections<Node>) {
         SectionDesc& s = hdr.*f.desc;
@@ -266,13 +326,17 @@ std::vector<std::uint8_t> serialize(const poptrie::Poptrie<Addr>& fib)
         end = s.offset + s.bytes;
     }
     hdr.total_bytes = end;
-
-    std::vector<std::uint8_t> out(static_cast<std::size_t>(hdr.total_bytes), 0);
-    for (std::size_t k = 0; k < std::size(arrays); ++k) {
-        const SectionDesc& s = hdr.*kSections<Node>[k].desc;
-        if (s.bytes != 0)
-            std::memcpy(out.data() + s.offset, arrays[k], static_cast<std::size_t>(s.bytes));
+    out.resize(static_cast<std::size_t>(hdr.total_bytes));
+    end = sizeof(ImageHeader);
+    for (const SectionField& f : kSections<Node>) {
+        const SectionDesc& s = hdr.*f.desc;
+        std::memset(out.data() + end, 0, static_cast<std::size_t>(s.offset - end));
+        end = s.offset + s.bytes;
     }
+    if (hdr.leaf_dict.bytes != 0)
+        std::memcpy(out.data() + hdr.leaf_dict.offset, view.leaf_dict,
+                    static_cast<std::size_t>(hdr.leaf_dict.bytes));
+    DensePacker<Addr>(view, hdr, out.data());
     hdr = with_checksums<Node>(out.data(), hdr);
     hdr.header_checksum = image_checksum(&hdr, sizeof(hdr));
     std::memcpy(out.data(), &hdr, sizeof(hdr));
@@ -284,7 +348,7 @@ namespace {
 /// Writes `image` to `path` durably: a temp file beside it, fsync'ed, then
 /// renamed over `path`, then the directory fsync'ed so the rename itself
 /// survives a power loss. Any failure removes the temp file and throws.
-void write_durably(const std::vector<std::uint8_t>& image, const std::string& path)
+void write_durably(const Image& image, const std::string& path)
 {
     const std::string tmp = path + ".tmp";
     const auto fail = [&](const std::string& what, int fd) {
@@ -468,8 +532,8 @@ poptrie::Config SnapshotFib<Addr>::config() const noexcept
 
 template class SnapshotFib<netbase::Ipv4Addr>;
 template class SnapshotFib<netbase::Ipv6Addr>;
-template std::vector<std::uint8_t> serialize(const poptrie::Poptrie<netbase::Ipv4Addr>&);
-template std::vector<std::uint8_t> serialize(const poptrie::Poptrie<netbase::Ipv6Addr>&);
+template Image serialize(const poptrie::Poptrie<netbase::Ipv4Addr>&);
+template Image serialize(const poptrie::Poptrie<netbase::Ipv6Addr>&);
 template void save(const poptrie::Poptrie<netbase::Ipv4Addr>&, const std::string&);
 template void save(const poptrie::Poptrie<netbase::Ipv6Addr>&, const std::string&);
 

@@ -1,16 +1,17 @@
 // snapshot/snapshot.hpp — versioned on-disk FIB images and warm start.
 //
 // compact()'s DFS pre-order (DESIGN.md §8) is a pure function of the trie,
-// so the reachable FIB — nodes, leaves, direct array, root — packed in that
-// order without the buddy allocator's alignment is a dense image that maps
-// back as the arrays a lookup walks. This module is that round trip:
+// so the reachable FIB — nodes, leaves, folded runs, direct array, root —
+// packed in that order without the buddy allocator's alignment is a dense
+// image that maps back as the arrays a lookup walks. This module is that
+// round trip:
 //
 //   * serialize()/save()  — writer: on the writer thread, pack the reachable
-//     runs of the current pool set back to back (each section holds exactly
-//     its live slots), add a Config echo, per-section and whole-image
-//     checksums (one sweep), and a provenance stamp (benchkit git_sha/build
-//     fingerprint) into a versioned image; save() makes it durable before it
-//     replaces the target;
+//     runs of the current pool set back to back, straight into the image
+//     (each section holds exactly its live slots), add a Config echo,
+//     per-section and whole-image checksums (one sweep), and a provenance
+//     stamp (benchkit git_sha/build fingerprint) into a versioned image;
+//     save() makes it durable before it replaces the target;
 //   * SnapshotFib<Addr>   — loader: validate the header and checksums, then
 //     either mmap the file read-only (Backing::kFileMapped — pages shared
 //     across every process mapping the same image) or copy it into
@@ -36,9 +37,12 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <memory>
+#include <new>
 #include <stdexcept>
 #include <string>
 #include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "alloc/arena.hpp"
@@ -66,7 +70,7 @@ public:
 };
 
 inline constexpr char kMagic[8] = {'P', 'O', 'P', 'T', 'S', 'N', 'A', 'P'};
-inline constexpr std::uint32_t kFormatVersion = 4;
+inline constexpr std::uint32_t kFormatVersion = 5;
 /// Written as a native uint32: a loader on the other byte order reads
 /// 0x04030201 and rejects the image instead of mis-decoding it.
 inline constexpr std::uint32_t kEndianTag = 0x01020304u;
@@ -115,13 +119,13 @@ struct ImageHeader {
     std::uint64_t direct_count = 0;  ///< direct slots (2^direct_bits or 0)
     std::uint64_t inode_live = 0;    ///< live internal nodes (stats echo)
     std::uint64_t leaf_live = 0;     ///< live leaf slots (stats echo)
-    std::uint64_t leaf8_count = 0;      ///< dict-coded leaf slots serialized (v2)
+    std::uint64_t leaf8_count = 0;      ///< code-array bytes serialized: codes and folded runs (v5)
     std::uint64_t leaf_dict_count = 0;  ///< dictionary entries (≤ 256, v2)
     std::uint64_t total_bytes = 0;      ///< whole image, header included
     SectionDesc nodes;
     SectionDesc leaves;
     SectionDesc direct;
-    SectionDesc leaves8;    ///< 8-bit leaf codes (v2; empty unless dict-encoded)
+    SectionDesc leaves8;    ///< 8-bit leaf codes and folded runs (v5; empty unless dict-encoded)
     SectionDesc leaf_dict;  ///< dictionary next-hop values (v2)
     char git_sha[24] = {};     ///< benchkit provenance, NUL-padded
     char build_type[16] = {};  ///< CMake build type at write time
@@ -131,13 +135,42 @@ struct ImageHeader {
 static_assert(std::is_trivially_copyable_v<ImageHeader>);
 static_assert(sizeof(ImageHeader) == 288, "bump kFormatVersion when the header grows");
 
-/// Serializes `fib` into an in-memory dense image: header + node/leaf/direct
-/// sections at aligned offsets, each holding only the reachable runs packed
-/// in DFS pre-order, checksums filled in. Writer role only: the current pool
-/// set is read in place, so neither apply() nor compact() may run
-/// concurrently. Readers may keep forwarding.
+/// Allocates bytes without zeroing them: serialize() writes every byte of
+/// an image itself, so growing the buffer need not write it first.
+template <class T>
+struct UninitAllocator : std::allocator<T> {
+    template <class U>
+    struct rebind {
+        using other = UninitAllocator<U>;
+    };
+    UninitAllocator() noexcept = default;
+    template <class U>
+    UninitAllocator(const UninitAllocator<U>&) noexcept
+    {
+    }
+    template <class U>
+    void construct(U* p) noexcept
+    {
+        ::new (static_cast<void*>(p)) U;  // default-initialised: no zeroing
+    }
+    template <class U, class... Args>
+    void construct(U* p, Args&&... args)
+    {
+        ::new (static_cast<void*>(p)) U(std::forward<Args>(args)...);
+    }
+};
+
+/// An in-memory image, as serialize() returns it.
+using Image = std::vector<std::uint8_t, UninitAllocator<std::uint8_t>>;
+
+/// Serializes `fib` into an in-memory dense image: header + sections at
+/// aligned offsets, each holding only the reachable runs packed in DFS
+/// pre-order, checksums filled in. Writer role only: the current pool set
+/// is read in place, so neither apply() nor compact() may run concurrently.
+/// Readers may keep forwarding. Throws netbase::StructuralLimit for a FIB
+/// whose code array passes 2^30 bytes before its last folded run.
 template <class Addr>
-[[nodiscard]] std::vector<std::uint8_t> serialize(const poptrie::Poptrie<Addr>& fib)
+[[nodiscard]] Image serialize(const poptrie::Poptrie<Addr>& fib)
     POPTRIE_REQUIRES(psync::cap::ebr);
 
 /// serialize() + durable atomic file write: the image goes to a temp file
@@ -258,12 +291,14 @@ extern template class SnapshotFib<netbase::Ipv6Addr>;
 
 /// Walks the reachable structure of a loaded image with the auditor's
 /// structural walk (analysis::audit_structure) over the dense layout: every
-/// direct slot either a tagged leaf with a representable next hop or an
-/// in-bounds node index; every child/leaf run inside its section by its
-/// exact length; leafvec consistent with vector and runs minimal under leaf
-/// compression; no node reachable twice; depth bounded by the address width;
-/// and the runs tiling each section exactly once, with no slot that no run
-/// holds. The checks carry the same names audit() reports for a live trie.
+/// direct slot a tagged leaf with a representable next hop, a folded run
+/// inside the leaf8 section with leafvec bit 0 set and codes inside the
+/// dictionary, or an in-bounds node index; every child/leaf run inside its
+/// section by its exact length; leafvec consistent with vector and runs
+/// minimal under leaf compression; no node reachable twice; depth bounded
+/// by the address width; and the runs tiling each section exactly once,
+/// with no slot that no run holds. The checks carry the same names audit()
+/// reports for a live trie.
 /// (Header and checksum validation already happened at load.)
 template <class Addr>
 [[nodiscard]] analysis::AuditReport verify_image(const SnapshotFib<Addr>& fib)
@@ -271,10 +306,8 @@ template <class Addr>
     return analysis::audit_structure<Addr>(fib.view());
 }
 
-extern template std::vector<std::uint8_t> serialize(
-    const poptrie::Poptrie<netbase::Ipv4Addr>&);
-extern template std::vector<std::uint8_t> serialize(
-    const poptrie::Poptrie<netbase::Ipv6Addr>&);
+extern template Image serialize(const poptrie::Poptrie<netbase::Ipv4Addr>&);
+extern template Image serialize(const poptrie::Poptrie<netbase::Ipv6Addr>&);
 extern template void save(const poptrie::Poptrie<netbase::Ipv4Addr>&, const std::string&);
 extern template void save(const poptrie::Poptrie<netbase::Ipv6Addr>&, const std::string&);
 

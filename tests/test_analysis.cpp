@@ -4,16 +4,20 @@
 // An auditor that never fires is indistinguishable from no auditor.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstring>
 #include <deque>
 #include <optional>
 #include <string_view>
 
 #include "analysis/audit.hpp"
+#include "analysis/lookup_cost.hpp"
 #include "helpers.hpp"
 #include "poptrie/poptrie.hpp"
 #include "snapshot/snapshot.hpp"
 #include "workload/tablegen.hpp"
 #include "workload/updatefeed.hpp"
+#include "workload/xorshift.hpp"
 
 using namespace testhelpers;
 using analysis::AuditAccess;
@@ -314,11 +318,51 @@ const PlantedFault kAliasedSubtree{
         FAIL() << "fewer than two internal direct slots";
     }};
 
+/// The first direct slot of `pt` that holds a folded run.
+std::uint32_t& first_folded_slot(Poptrie4& pt)
+{
+    auto& direct = AuditAccess::pools(pt).direct;
+    const auto it = std::find_if(direct.begin(), direct.end(),
+                                 [](std::uint32_t v) { return (v >> 30) == 3; });
+    EXPECT_NE(it, direct.end()) << "no folded run";
+    return it == direct.end() ? direct[0] : *it;
+}
+
+/// The byte offset of the folded run a direct slot addresses.
+std::uint32_t folded_offset(std::uint32_t slot) { return slot & poptrie::kFoldedOffsetMask; }
+
+const PlantedFault kFoldedRunOutOfRange{
+    "folded run out of range", 16, "folded-run-out-of-range",
+    [](Poptrie4& pt) {
+        first_folded_slot(pt) = Poptrie4::kDirectLeafBit | Poptrie4::kFoldedBit | 0x0FFF'FFFFu;
+    },
+    true};
+const PlantedFault kFoldedRunStartCleared{
+    "folded leafvec bit 0 clear", 16, "leafvec-first-run-missing",
+    [](Poptrie4& pt) {
+        auto& codes = AuditAccess::pools(pt).leaves8;
+        std::uint8_t* const at = codes.data() + folded_offset(first_folded_slot(pt));
+        std::uint64_t leafvec;
+        std::memcpy(&leafvec, at, sizeof leafvec);
+        leafvec &= ~std::uint64_t{1};
+        std::memcpy(at, &leafvec, sizeof leafvec);
+    },
+    true};
+const PlantedFault kFoldedCodeOutOfDict{
+    "folded code outside the dictionary", 16, "leaf8-code-out-of-dict",
+    [](Poptrie4& pt) {
+        auto& pools = AuditAccess::pools(pt);
+        pools.leaves8[folded_offset(first_folded_slot(pt)) + 8] =
+            static_cast<std::uint8_t>(pools.leaf_dict.size());
+    },
+    true};
+
 const PlantedFault* const kStructuralFaults[] = {
-    &kClearedRunStart,    &kLeafvecOnInternalSlot, &kBase1OutOfRange,
-    &kBase0OutOfRange,    &kNonMinimalRun,         &kCodeOutOfDict,
-    &kCodeRunOutOfRange,  &kNonMinimalCodedRun,    &kDirectLeafOverflow,
-    &kDirectIndexOutOfRange, &kAliasedSubtree,
+    &kClearedRunStart,       &kLeafvecOnInternalSlot, &kBase1OutOfRange,
+    &kBase0OutOfRange,       &kNonMinimalRun,         &kCodeOutOfDict,
+    &kCodeRunOutOfRange,     &kNonMinimalCodedRun,    &kDirectLeafOverflow,
+    &kDirectIndexOutOfRange, &kAliasedSubtree,        &kFoldedRunOutOfRange,
+    &kFoldedRunStartCleared, &kFoldedCodeOutOfDict,
 };
 
 /// Plants `fault` in a fresh corner-case trie and requires audit() to
@@ -407,6 +451,28 @@ TEST(AuditFaultInjection, DetectsDirectSlotCorruption)
 
 TEST(AuditFaultInjection, DetectsAliasedSubtree) { expect_audit_detects(kAliasedSubtree); }
 
+TEST(AuditFaultInjection, DetectsFoldedRunCorruption)
+{
+    expect_audit_detects(kFoldedRunOutOfRange);
+    expect_audit_detects(kFoldedRunStartCleared);
+    expect_audit_detects(kFoldedCodeOutOfDict);
+}
+
+TEST(AuditFaultInjection, DetectsAFoldedRunOverlappingACodedRun)
+{
+    // A node's coded run pointed into a folded run's codes: both read the
+    // same bytes of the code array. The image packer copies each run on
+    // its own, so only the live audit can see this one.
+    auto pt = corner_poptrie(16, true);
+    const auto rib = load(corner_case_table());
+    const std::uint32_t folded = folded_offset(first_folded_slot(pt));
+    plant_in_node(pt, has_coded_run, [&](Poptrie4::Node& n) {
+        n.base0 = poptrie::kLeaf8Bit | (folded + 8);
+    });
+    const auto report = analysis::audit(pt, rib);
+    EXPECT_TRUE(has_check(report, "leaf8-runs-overlap")) << report.summary();
+}
+
 // The image verifier runs the auditor's structural walk, so every structural
 // fault must survive serialize() -> load_buffer() (the checksums are
 // recomputed over the faulty arrays) and fire the same named check there.
@@ -420,7 +486,7 @@ TEST(AuditFaultInjection, ImageVerifierFiresTheSameChecks)
         ASSERT_FALSE(HasFatalFailure());
         const auto audited = analysis::audit(pt, rib);
         EXPECT_TRUE(has_check(audited, fault->check)) << audited.summary();
-        std::vector<std::uint8_t> image;
+        snapshot::Image image;
         {
             // writer: single-threaded test — this thread is the only writer.
             const psync::EbrWriterSection writer;
@@ -482,4 +548,70 @@ TEST(AuditAllocator, CleanFreshAndAfterChurn)
     for (const auto& [off, count] : held) a.free(off, count);
     const auto report = analysis::audit_allocator(a);
     EXPECT_TRUE(report.ok()) << report.summary();
+}
+
+// ---------------------------------------------------------------------------
+// Lookup cost: lines and dependent loads per lookup, replayed through the
+// counting view. The counts are a function of the layout and the keys
+// alone, so they are pinned on a seeded table.
+
+namespace {
+
+std::vector<std::uint32_t> uniform_keys(std::size_t n, std::uint64_t seed)
+{
+    workload::Xorshift128 rng(seed);
+    std::vector<std::uint32_t> keys(n);
+    for (auto& k : keys) k = rng.next();
+    return keys;
+}
+
+}  // namespace
+
+TEST(LookupCost, FoldedRootsCutALinePerRootedLookupOnSeed901)
+{
+    // perfbench paper-random's table. Every internal node is a childless
+    // direct-slot root there: with 16-bit leaves a rooted lookup reads the
+    // 24-byte node (1.25 lines on average) and a leaf line; folded, it reads
+    // one run of a leafvec and a few codes, which crosses a line about one
+    // time in twenty.
+    workload::TableGenConfig gen;
+    gen.seed = 901;
+    gen.target_routes = 500'000;
+    const auto rib = load(workload::generate_table(gen));
+    const auto keys = uniform_keys(1 << 16, 902);
+
+    Config plain;
+    plain.leaf_dict = false;
+    const auto before = analysis::lookup_cost(Poptrie4{rib, plain}, keys.data(), keys.size());
+    const auto after = analysis::lookup_cost(Poptrie4{rib, Config{}}, keys.data(), keys.size());
+    for (const auto* c : {&before, &after}) {
+        EXPECT_EQ(c->lookups, keys.size());
+        EXPECT_EQ(c->depth[0] + c->depth[1], keys.size());
+        EXPECT_NEAR(c->direct_hit_share(), 0.721, 0.002);
+    }
+    EXPECT_NEAR(before.lines_per_lookup(), 1.627, 0.005);
+    EXPECT_NEAR(before.loads_per_lookup(), 1.558, 0.005);
+    EXPECT_NEAR(before.mean_depth(), 0.279, 0.002);
+    EXPECT_EQ(before.folded, 0u);
+    EXPECT_NEAR(after.lines_per_lookup(), 1.323, 0.005);
+    EXPECT_NEAR(after.loads_per_lookup(), 1.293, 0.005);
+    EXPECT_EQ(after.depth[0], keys.size());
+    EXPECT_EQ(after.folded + after.direct_hits, keys.size());
+}
+
+TEST(LookupCost, CountsEveryLevelOfAFullDepthWalk)
+{
+    // Without direct pointing every lookup starts at the root: no direct
+    // hits, no folded runs, and one dependent load per node plus the leaf.
+    const auto rib = load(corner_case_table());
+    Config cfg;
+    cfg.direct_bits = 0;
+    const Poptrie4 pt{rib, cfg};
+    const auto keys = uniform_keys(1 << 12, 903);
+    const auto c = analysis::lookup_cost(pt, keys.data(), keys.size());
+    EXPECT_EQ(c.direct_hits, 0u);
+    EXPECT_EQ(c.folded, 0u);
+    EXPECT_EQ(c.depth[0], 0u);
+    EXPECT_NEAR(c.loads_per_lookup(), c.mean_depth() + 1, 1e-9);
+    EXPECT_GE(c.lines_per_lookup(), c.loads_per_lookup());
 }

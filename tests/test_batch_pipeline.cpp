@@ -114,13 +114,21 @@ void expect_batch_matches_scalar(const Poptrie4& fib, const std::vector<std::uin
     }
 }
 
-/// Does `key` resolve at the direct step of `fib`'s image?
+/// How the direct step of an image treats a key: the slot's top two bits
+/// (0 or 1: a node index, 2: a next hop, 3: a folded run).
+template <class View>
+unsigned direct_kind(const View& v, typename View::value_type key)
+{
+    return v.direct_slot(static_cast<std::size_t>(netbase::extract(key, 0, v.direct_bits))) >> 30;
+}
+constexpr unsigned kNextHopSlot = 2;
+constexpr unsigned kFoldedSlot = 3;
+
+/// Does `key` resolve at the direct step of `fib`'s image, with no folded
+/// run to decode?
 bool resolves_at_direct_step(const snapshot::SnapshotFib4& snap, std::uint32_t key)
 {
-    const auto& v = snap.view();
-    return v.direct_bits != 0 &&
-           (v.direct_slot(static_cast<std::size_t>(netbase::extract(key, 0, v.direct_bits))) &
-            poptrie::batch::kDirectLeafBitValue) != 0;
+    return snap.view().direct_bits != 0 && direct_kind(snap.view(), key) == kNextHopSlot;
 }
 
 poptrie::Config cfg_default()
@@ -375,4 +383,129 @@ TEST(BatchPipeline, SnapshotEngineMatchesPoptrieEngine)
     for (std::size_t i = 0; i < keys.size(); ++i) ASSERT_EQ(got[i], want[i]);
 }
 
+/// Bursts that mix every way a lookup ends — a direct next hop, a folded
+/// run, a node walk, a miss — with runs of equal keys, through both views,
+/// against the scalar walk and the RIB. Requires each kind to occur (a
+/// folded run only when `folds`).
+template <class Addr>
+void expect_mixed_bursts_match(const poptrie::Poptrie<Addr>& fib, const rib::RadixTrie<Addr>& rib,
+                               bool folds, const std::string& what)
+{
+    using V = typename Addr::value_type;
+    SCOPED_TRACE(what);
+    snapshot::Image image;
+    {
+        // writer: single-threaded test, no other thread touches the FIB.
+        const psync::EbrWriterSection writer;
+        image = snapshot::serialize(fib);
+    }
+    const auto snap = snapshot::SnapshotFib<Addr>::load_buffer(image.data(), image.size());
+    const auto& view = snap.view();
+
+    // Sort keys — every route's edges and their neighbours, then random
+    // ones — by how their lookup ends: next hop, folded, node, miss.
+    std::vector<V> by_kind[4];
+    const auto sort_key = [&](V key) {
+        const unsigned kind = rib.lookup(Addr{key}) == rib::kNoRoute ? 3
+                              : direct_kind(view, key) == kNextHopSlot ? 0
+                              : direct_kind(view, key) == kFoldedSlot  ? 1
+                                                                       : 2;
+        if (by_kind[kind].size() < 2000) by_kind[kind].push_back(key);
+    };
+    for (const auto& r : rib.routes()) {
+        const V lo = r.prefix.first_address().value();
+        const V hi = r.prefix.last_address().value();
+        for (const V key : {lo, hi, static_cast<V>(lo - 1), static_cast<V>(hi + 1)}) sort_key(key);
+    }
+    workload::Xorshift128 rng(41);
+    for (int i = 0; i < 200'000; ++i) {
+        V key = rng.next();
+        if constexpr (sizeof(V) > 4) key = (static_cast<V>(rng.next64()) << 64) | rng.next64();
+        sort_key(key);
+    }
+    EXPECT_FALSE(by_kind[0].empty());
+    EXPECT_EQ(by_kind[1].empty(), !folds);
+    EXPECT_FALSE(by_kind[2].empty());
+    EXPECT_FALSE(by_kind[3].empty());
+
+    // Round-robin over the kinds, every fifth key repeated into a run.
+    std::vector<V> keys;
+    for (std::size_t i = 0; keys.size() < 3000; ++i) {
+        const auto& bucket = by_kind[i % 4];
+        if (bucket.empty()) continue;
+        const V key = bucket[(i / 4) % bucket.size()];
+        keys.insert(keys.end(), i % 5 == 0 ? 2 + i % 4 : 1, key);
+    }
+    for (const std::size_t n : {std::size_t{31}, std::size_t{256}, std::size_t{300}, keys.size()}) {
+        std::vector<NextHop> live(n), imaged(n);
+        {
+            // reader: single-threaded test, no concurrent updater exists.
+            const psync::EbrReadSection section;
+            fib.template lookup_batch<true>(keys.data(), live.data(), n);
+        }
+        poptrie::batch::lookup_batch_pipelined(view, keys.data(), imaged.data(), n);
+        for (std::size_t i = 0; i < n; ++i) {
+            const auto want = rib.lookup(Addr{keys[i]});
+            ASSERT_EQ(fib.lookup(Addr{keys[i]}), want) << "scalar, key #" << i;
+            ASSERT_EQ(live[i], want) << "live trie, key #" << i << " of " << n;
+            ASSERT_EQ(imaged[i], want) << "image view, key #" << i << " of " << n;
+        }
+    }
+}
+
 }  // namespace
+
+TEST(BatchPipeline, FoldedRunsInMixedBursts)
+{
+    // Config::leaf_dict folds childless direct-slot roots into runs of the
+    // code array; the batch walk resolves them in a pass of their own. Five
+    // FIBs: fresh, churned until some folded roots are rebuilt as nodes,
+    // compacted (folded again), IPv6 at s = 18, and 16-bit leaves, where
+    // nothing folds. The table has no default route, so some keys miss.
+    workload::TableGenConfig tcfg;
+    tcfg.target_routes = 20'000;
+    tcfg.igp_routes = 2'000;
+    tcfg.next_hops = 24;
+    auto routes = workload::generate_table(tcfg);
+    std::erase_if(routes, [](const auto& r) { return r.prefix.length() == 0; });
+    auto rib = testhelpers::load(routes);
+    {
+        Poptrie4 fib(rib);
+        const std::size_t compiled = fib.stats().folded_roots;
+        ASSERT_GT(compiled, 0u);
+        expect_mixed_bursts_match(fib, rib, true, "fresh");
+        // writer: single-threaded test, this thread is the only writer.
+        const psync::EbrWriterSection writer;
+        for (std::size_t i = 0; i < routes.size(); i += 3)
+            fib.apply(rib, routes[i].prefix, static_cast<NextHop>(routes[i].next_hop % 23 + 1));
+        const std::size_t churned = fib.stats().folded_roots;
+        ASSERT_GT(churned, 0u);
+        ASSERT_LT(churned, compiled);
+        expect_mixed_bursts_match(fib, rib, true, "churned");
+        fib.compact();
+        ASSERT_GT(fib.stats().folded_roots, churned);
+        expect_mixed_bursts_match(fib, rib, true, "compacted");
+    }
+    expect_mixed_bursts_match(Poptrie4(rib, plain_leaves(cfg_default())), rib, false,
+                              "16-bit leaves");
+
+    workload::TableGen6Config gen6;
+    gen6.seed = 42;
+    gen6.target_routes = 3'000;
+    auto routes6 = workload::generate_table6(gen6);
+    std::erase_if(routes6, [](const auto& r) { return r.prefix.length() == 0; });
+    // A /16 answers four direct slots; /20s in blocks of their own are
+    // childless roots at s = 18, which fold.
+    routes6.push_back({{netbase::Ipv6Addr{netbase::Ipv6Addr::value_type{0xB000u} << 112}, 16}, 9});
+    for (unsigned i = 0; i < 64; ++i)
+        routes6.push_back({{netbase::Ipv6Addr{static_cast<netbase::Ipv6Addr::value_type>(
+                                                  0xA000u + 4 * i)
+                                              << 112},
+                            20},
+                           static_cast<NextHop>(1 + i % 5)});
+    rib::RadixTrie<netbase::Ipv6Addr> rib6;
+    rib6.insert_all(routes6);
+    const poptrie::Poptrie6 fib6(rib6);
+    ASSERT_EQ(fib6.config().direct_bits, 18u);
+    expect_mixed_bursts_match(fib6, rib6, true, "ipv6 s=18");
+}

@@ -177,9 +177,14 @@ TEST(PoptrieBuild, StatsAccounting)
         EXPECT_GT(s.leaves, 0u);
         EXPECT_EQ(s.direct_slots, std::size_t{1} << 16);
         EXPECT_EQ(s.leaf8_slots, dict ? s.leaves : 0u);
-        EXPECT_EQ(s.memory_bytes, s.internal_nodes * 24 +
-                                      (dict ? s.leaves + s.leaf_dict_entries * 2 : s.leaves * 2) +
-                                      s.direct_slots * 4)
+        // Under leaf_dict, childless direct-slot roots are folded runs:
+        // 8 leafvec bytes each, and no node.
+        EXPECT_EQ(s.folded_roots > 0, dict);
+        EXPECT_EQ(s.memory_bytes,
+                  s.internal_nodes * 24 +
+                      (dict ? s.leaves + s.folded_roots * 8 + s.leaf_dict_entries * 2
+                            : s.leaves * 2) +
+                      s.direct_slots * 4)
             << "leaf_dict=" << dict;
         EXPECT_GE(s.allocated_bytes,
                   s.internal_nodes * 24 + (dict ? s.leaves : s.leaves * 2));
@@ -417,8 +422,8 @@ std::size_t mismatches(const poptrie::Poptrie<Addr>& pt, const poptrie::Poptrie<
     return bad;
 }
 
-/// The FIB stores codes only, its dictionary ascends and holds exactly the
-/// values the codes use, and the audit is clean.
+/// The FIB stores codes and folded runs only, its dictionary ascends and
+/// holds exactly the values the codes use, and the audit is clean.
 template <class Addr>
 void expect_codes_only(const poptrie::Poptrie<Addr>& pt, const rib::RadixTrie<Addr>& rib,
                        const std::string& what)
@@ -428,15 +433,25 @@ void expect_codes_only(const poptrie::Poptrie<Addr>& pt, const rib::RadixTrie<Ad
     EXPECT_EQ(st.leaf8_slots, st.leaves) << what;
     EXPECT_EQ(st.leaf_pool_used, 0u) << what;
     const auto& pools = AuditAccess::pools(pt);
-    EXPECT_EQ(pools.leaves8.size(), st.leaves) << what;
+    EXPECT_EQ(pools.leaves8.size(), st.leaves + 8 * st.folded_roots) << what;
     EXPECT_EQ(std::adjacent_find(pools.leaf_dict.begin(), pools.leaf_dict.end(),
                                  std::greater_equal<>()),
               pools.leaf_dict.end())
         << what << ": dictionary not strictly ascending";
+    // Every byte is a code, except the folded runs' leafvecs.
+    std::vector<bool> leafvec_byte(pools.leaves8.size(), false);
+    std::size_t folded = 0;
+    for (const std::uint32_t slot : pools.direct) {
+        if ((slot >> 30) != 3) continue;
+        ++folded;
+        std::fill_n(leafvec_byte.begin() + (slot & poptrie::kFoldedOffsetMask), 8, true);
+    }
+    EXPECT_EQ(folded, st.folded_roots) << what;
     std::vector<bool> used(pools.leaf_dict.size(), false);
-    for (const std::uint8_t code : pools.leaves8) {
-        ASSERT_LT(code, used.size()) << what;
-        used[code] = true;
+    for (std::size_t i = 0; i < pools.leaves8.size(); ++i) {
+        if (leafvec_byte[i]) continue;
+        ASSERT_LT(pools.leaves8[i], used.size()) << what;
+        used[pools.leaves8[i]] = true;
     }
     EXPECT_EQ(std::count(used.begin(), used.end(), false), 0) << what << ": unused entries";
     const auto report = analysis::audit(pt, rib);
@@ -449,9 +464,11 @@ void expect_bytes_add_up(const poptrie::Stats& s, const std::string& what)
     EXPECT_EQ(s.node_bytes, s.internal_nodes * 24) << what;
     EXPECT_EQ(s.leaf_bytes, (s.leaves - s.leaf8_slots) * 2) << what;
     EXPECT_EQ(s.leaf8_bytes, s.leaf8_slots) << what;
+    EXPECT_EQ(s.folded_bytes, s.folded_roots * 8) << what;
     EXPECT_EQ(s.dict_bytes, s.leaf_dict_entries * 2) << what;
     EXPECT_EQ(s.direct_bytes, s.direct_slots * 4) << what;
-    EXPECT_EQ(s.node_bytes + s.leaf_bytes + s.leaf8_bytes + s.dict_bytes + s.direct_bytes,
+    EXPECT_EQ(s.node_bytes + s.leaf_bytes + s.leaf8_bytes + s.folded_bytes + s.dict_bytes +
+                  s.direct_bytes,
               s.memory_bytes)
         << what;
 }
@@ -527,6 +544,28 @@ TEST(PoptrieBuildDict, MoreThan256ValuesFallBackTo16BitRuns)
         EXPECT_EQ(pt.stats().leaf8_slots, 0u);
         EXPECT_EQ(exhaustive_mismatches(
                       over, [&](Ipv4Addr a) { return pt.lookup(a); }, 0x09FFFF00u, 0x0A010100u),
+                  0u);
+
+        // A coded FIB that updates take past 256 values compacts into 16-bit
+        // runs: its folded roots (the four /18 blocks' at s = 18) go back to
+        // being nodes.
+        auto grown = distinct_hops(255);
+        Poptrie4 churned{grown, cfg};
+        EXPECT_EQ(churned.stats().folded_roots, s == 0 ? 0u : 4u);
+        churned.apply(grown, Prefix4{Ipv4Addr{0x0A00FF00u}, 24}, 300);
+        churned.apply(grown, Prefix4{Ipv4Addr{0x0A010000u}, 24}, 301);
+        EXPECT_EQ(churned.stats().folded_roots, s == 0 ? 0u : 3u);
+        {
+            // quiescent: single-threaded test — no reader exists.
+            const psync::QuiescentSection quiescent;
+            churned.compact();
+        }
+        EXPECT_EQ(churned.stats().folded_roots, 0u);
+        EXPECT_EQ(churned.stats().leaf8_slots, 0u);
+        EXPECT_TRUE(analysis::audit(churned, grown).ok());
+        EXPECT_EQ(exhaustive_mismatches(
+                      grown, [&](Ipv4Addr a) { return churned.lookup(a); }, 0x09FFFF00u,
+                      0x0A010100u),
                   0u);
     }
 }

@@ -140,12 +140,14 @@ TEST(PoptrieCompact, ChurnedTableCompactsToEquivalentDenseLayout)
         expect_equivalent(rib, pt, 200'000, 3);
 
         // Compaction reorders, it does not shrink: the structure is
-        // unchanged. The layout's density bound: each run pays < its own
-        // block size in alignment padding, so the bump extent is under twice
-        // the live slots — no matter how scattered the churned pools were.
-        EXPECT_EQ(after.internal_nodes, before.internal_nodes);
+        // unchanged, except that coded leaves fold every childless
+        // direct-slot root, the updater's nodes included. The layout's
+        // density bound: each run pays < its own block size in alignment
+        // padding, so the bump extent is under twice the live slots — no
+        // matter how scattered the churned pools were.
+        EXPECT_EQ(after.internal_nodes + after.folded_roots,
+                  before.internal_nodes + before.folded_roots);
         EXPECT_EQ(after.leaves, before.leaves);
-        EXPECT_EQ(after.node_pool_used, before.node_pool_used);
         EXPECT_LE(after.node_high_water, 2 * after.node_pool_used);
         if (dict) {
             // Every leaf run, 16-bit ones the churn wrote included, is coded
@@ -154,7 +156,11 @@ TEST(PoptrieCompact, ChurnedTableCompactsToEquivalentDenseLayout)
             EXPECT_EQ(after.leaf8_slots, after.leaves);
             EXPECT_EQ(after.leaf_pool_used, 0u);
             EXPECT_EQ(after.leaf_high_water, 0u);
+            EXPECT_GT(after.folded_roots, before.folded_roots);
+            EXPECT_LT(after.node_pool_used, before.node_pool_used);
         } else {
+            EXPECT_EQ(after.folded_roots, 0u);
+            EXPECT_EQ(after.node_pool_used, before.node_pool_used);
             EXPECT_EQ(after.leaf_pool_used, before.leaf_pool_used);
             EXPECT_LE(after.leaf_high_water, 2 * after.leaf_pool_used);
         }

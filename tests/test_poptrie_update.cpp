@@ -91,18 +91,30 @@ TEST(PoptrieUpdate, DefaultRouteUpdate)
 TEST(PoptrieUpdate, NextHopChangeOnly)
 {
     // A pure path change keeps every node shape identical: the in-place
-    // base swap path. Counters must show no direct-slot replacement.
-    rib::RadixTrie<Ipv4Addr> rib;
-    rib.insert(pfx("10.0.0.0/8"), 1);
-    rib.insert(pfx("10.32.5.0/24"), 2);
-    Config cfg;
-    cfg.direct_bits = 18;
-    Poptrie4 pt{rib, cfg};
-    const auto before = pt.update_counters().direct_stores;
-    pt.apply(rib, pfx("10.32.5.0/24"), 7);
-    EXPECT_EQ(pt.lookup(*netbase::parse_ipv4("10.32.5.99")), 7);
-    EXPECT_EQ(pt.update_counters().direct_stores, before);
-    expect_equivalent(rib, pt, 50'000, 3);
+    // base swap path. Counters must show no direct-slot replacement. With
+    // dictionary-coded leaves the /24's block is a folded run, which the
+    // first update rebuilds as a node (one direct store); the next change
+    // then takes the in-place path on that node.
+    for (const bool dict : {false, true}) {
+        SCOPED_TRACE(dict ? "leaf_dict" : "16-bit leaves");
+        rib::RadixTrie<Ipv4Addr> rib;
+        rib.insert(pfx("10.0.0.0/8"), 1);
+        rib.insert(pfx("10.32.5.0/24"), 2);
+        Config cfg;
+        cfg.direct_bits = 18;
+        cfg.leaf_dict = dict;
+        Poptrie4 pt{rib, cfg};
+        EXPECT_EQ(pt.stats().folded_roots, dict ? 1u : 0u);
+        const auto before = pt.update_counters().direct_stores;
+        pt.apply(rib, pfx("10.32.5.0/24"), 7);
+        EXPECT_EQ(pt.lookup(*netbase::parse_ipv4("10.32.5.99")), 7);
+        EXPECT_EQ(pt.update_counters().direct_stores, before + (dict ? 1u : 0u));
+        EXPECT_EQ(pt.stats().folded_roots, 0u);
+        pt.apply(rib, pfx("10.32.5.0/24"), 8);
+        EXPECT_EQ(pt.lookup(*netbase::parse_ipv4("10.32.5.99")), 8);
+        EXPECT_EQ(pt.update_counters().direct_stores, before + (dict ? 1u : 0u));
+        expect_equivalent(rib, pt, 50'000, 3);
+    }
 }
 
 TEST(PoptrieUpdate, HostRouteChurnDeepensAndCollapses)

@@ -214,7 +214,7 @@ TEST(ScaleDict, ChurnAndRecompactEquivalence)
 TEST(ScaleDict, SnapshotRoundTripEquivalence)
 {
     const auto p = make_pair_compacted(60'000);
-    std::vector<std::uint8_t> basic_img, dict_img;
+    snapshot::Image basic_img, dict_img;
     {
         // quiescent: single-threaded test — no reader exists to wait for.
         const psync::QuiescentSection quiescent;

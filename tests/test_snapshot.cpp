@@ -383,7 +383,7 @@ namespace {
 struct SmallImage {
     const char* name;
     bool v6;
-    std::vector<std::uint8_t> bytes;
+    snapshot::Image bytes;
 };
 
 std::vector<SmallImage> small_images()
@@ -410,7 +410,7 @@ std::vector<SmallImage> small_images()
             {"ipv6", true, snapshot::serialize(pt6)}};
 }
 
-void load_image(const SmallImage& img, const std::vector<std::uint8_t>& bytes)
+void load_image(const SmallImage& img, const snapshot::Image& bytes)
 {
     if (img.v6)
         static_cast<void>(SnapshotFib6::load_buffer(bytes.data(), bytes.size()));
@@ -418,7 +418,7 @@ void load_image(const SmallImage& img, const std::vector<std::uint8_t>& bytes)
         static_cast<void>(SnapshotFib4::load_buffer(bytes.data(), bytes.size()));
 }
 
-snapshot::ImageHeader header_of(const std::vector<std::uint8_t>& bytes)
+snapshot::ImageHeader header_of(const snapshot::Image& bytes)
 {
     snapshot::ImageHeader hdr;
     std::memcpy(&hdr, bytes.data(), sizeof(hdr));
@@ -506,7 +506,7 @@ TEST(Snapshot, ForgedSectionLayoutRejected)
     // that is out of bounds, overlaps the header or another section, or is
     // out of file order must be refused first. The header is re-sealed so
     // its checksum is not what refuses it.
-    const std::vector<std::uint8_t> clean = small_images().front().bytes;
+    const snapshot::Image clean = small_images().front().bytes;
     const auto load_forged = [&](auto forge) {
         auto bad = clean;
         snapshot::ImageHeader hdr = header_of(bad);
@@ -620,7 +620,7 @@ void churn(poptrie::Poptrie<Addr>& pt, rib::RadixTrie<Addr>& rib,
 /// dictionary counts, to pass verify_image(), and to resolve random probes
 /// like the live FIB.
 template <class Addr>
-std::vector<std::uint8_t> expect_dense_image(const poptrie::Poptrie<Addr>& pt,
+snapshot::Image expect_dense_image(const poptrie::Poptrie<Addr>& pt,
                                              const std::string& what)
     POPTRIE_REQUIRES(psync::cap::ebr)
 {
@@ -631,16 +631,25 @@ std::vector<std::uint8_t> expect_dense_image(const poptrie::Poptrie<Addr>& pt,
     EXPECT_EQ(hdr.node_count, st.internal_nodes) << what;
     EXPECT_EQ(hdr.leaf_count, st.leaves - st.leaf8_slots) << what;
     EXPECT_EQ(hdr.direct_count, st.direct_slots) << what;
-    EXPECT_EQ(hdr.leaf8_count, st.leaf8_slots) << what;
+    EXPECT_EQ(hdr.leaf8_count, st.leaf8_slots + st.folded_bytes) << what;
     EXPECT_EQ(hdr.leaf_dict_count, st.leaf_dict_entries) << what;
     std::uint64_t end = sizeof(snapshot::ImageHeader);
+    std::uint64_t section_bytes = 0;
     for (const std::uint64_t bytes :
          {hdr.node_count * sizeof(typename poptrie::Poptrie<Addr>::Node),
           hdr.leaf_count * sizeof(NextHop), hdr.direct_count * sizeof(std::uint32_t),
-          hdr.leaf8_count, hdr.leaf_dict_count * sizeof(NextHop)})
+          hdr.leaf8_count, hdr.leaf_dict_count * sizeof(NextHop)}) {
         end = align_section(end) + bytes;
+        section_bytes += bytes;
+    }
     EXPECT_EQ(img.size(), end) << what;
     EXPECT_EQ(hdr.total_bytes, end) << what;
+    // Stats::memory_bytes is the image's section bytes, array by array (in
+    // basic mode it counts the 16 bytes of a node that are used, the image
+    // all 24).
+    if (pt.config().leaf_compression) {
+        EXPECT_EQ(st.memory_bytes, section_bytes) << what;
+    }
 
     const auto fib = snapshot::SnapshotFib<Addr>::load_buffer(img.data(), img.size());
     const auto report = snapshot::verify_image(fib);
@@ -835,6 +844,72 @@ TEST(Snapshot, FormatV3ImageRefused)
     }
 }
 
+TEST(Snapshot, FormatV4ImageRefused)
+{
+    // A v4 reader would take a folded direct slot for a next hop; a v5
+    // loader refuses v4 images by version before reading a section.
+    // quiescent: single-threaded test — no reader thread ever exists.
+    const psync::QuiescentSection quiescent;
+    auto rib = load(corner_case_table());
+    Poptrie4 pt{rib, Config{}};
+    ASSERT_GT(pt.stats().folded_roots, 0u);
+    auto img = snapshot::serialize(pt);
+    snapshot::ImageHeader hdr = header_of(img);
+    hdr.format_version = 4;
+    hdr.header_checksum = 0;
+    hdr.header_checksum = snapshot::image_checksum(&hdr, sizeof(hdr));
+    std::memcpy(img.data(), &hdr, sizeof(hdr));
+    try {
+        static_cast<void>(SnapshotFib4::load_buffer(img.data(), img.size()));
+        FAIL() << "a v4 image was accepted";
+    } catch (const ImageError& e) {
+        EXPECT_NE(std::string(e.what()).find("unsupported snapshot format version 4"),
+                  std::string::npos)
+            << e.what();
+    }
+}
+
+TEST(Snapshot, FoldedRunsRoundTrip)
+{
+    // Format v5: folded runs travel in the leaf8 section, at their slot's
+    // DFS position. Fresh, churned (some folded roots rebuilt as nodes) and
+    // compacted FIBs, IPv4 and IPv6, round-trip and verify.
+    // quiescent: single-threaded test — no reader thread ever exists.
+    const psync::QuiescentSection quiescent;
+    const auto routes = table4(92);
+    auto rib = load(routes);
+    Poptrie4 pt{rib, Config{}};
+    const std::size_t compiled = pt.stats().folded_roots;
+    ASSERT_GT(compiled, 0u);
+    expect_dense_image(pt, "fresh");
+    churn(pt, rib, routes);
+    ASSERT_LT(pt.stats().folded_roots, compiled);
+    ASSERT_GT(pt.stats().folded_roots, 0u);
+    expect_dense_image(pt, "churned");
+    pt.compact();
+    ASSERT_GT(pt.stats().folded_roots, 0u);
+    const auto img = expect_dense_image(pt, "compacted");
+    EXPECT_EQ(header_of(img).leaf8_count,
+              pt.stats().leaf8_slots + 8 * pt.stats().folded_roots);
+
+    auto routes6 = table6(93);
+    // /20s in blocks of their own: childless roots at s = 18, which fold.
+    for (unsigned i = 0; i < 64; ++i)
+        routes6.push_back(
+            {{Ipv6Addr{static_cast<Ipv6Addr::value_type>(0xA000u + 4 * i) << 112}, 20},
+             static_cast<NextHop>(1 + i % 5)});
+    rib::RadixTrie<Ipv6Addr> rib6;
+    rib6.insert_all(routes6);
+    Config cfg;
+    cfg.direct_bits = 18;
+    Poptrie6 pt6{rib6, cfg};
+    ASSERT_GT(pt6.stats().folded_roots, 0u);
+    expect_dense_image(pt6, "ipv6, fresh");
+    churn(pt6, rib6, routes6);
+    pt6.compact();
+    expect_dense_image(pt6, "ipv6, compacted");
+}
+
 TEST(Snapshot, DictCompactedFibWithPlainRunsRoundTrips)
 {
     // After a dict-coding compact(), updates add plain 16-bit runs beside
@@ -858,7 +933,7 @@ TEST(Snapshot, DictCompactedFibWithPlainRunsRoundTrips)
 
     const auto img = snapshot::serialize(pt);
     const auto fib = SnapshotFib4::load_buffer(img.data(), img.size());
-    EXPECT_EQ(fib.header().leaf8_count, st.leaf8_slots);
+    EXPECT_EQ(fib.header().leaf8_count, st.leaf8_slots + st.folded_bytes);
     EXPECT_EQ(fib.header().leaf_count, st.leaves - st.leaf8_slots);
     const auto report = snapshot::verify_image(fib);
     EXPECT_TRUE(report.ok()) << report.summary();
@@ -881,7 +956,7 @@ namespace {
 /// `img` rebuilt with one zero element appended to its node or its leaf
 /// section, the later sections moved along and every checksum re-sealed: an
 /// image that loads, but whose section holds a slot that no run reaches.
-std::vector<std::uint8_t> with_unreachable_slot(const std::vector<std::uint8_t>& img,
+snapshot::Image with_unreachable_slot(const snapshot::Image& img,
                                                 bool in_node_section)
 {
     snapshot::ImageHeader hdr = header_of(img);
@@ -890,7 +965,7 @@ std::vector<std::uint8_t> with_unreachable_slot(const std::vector<std::uint8_t>&
                                                &hdr.leaves8, &hdr.leaf_dict};
     const std::uint64_t grow[] = {in_node_section ? sizeof(Poptrie4::Node) : 0,
                                   in_node_section ? 0 : sizeof(NextHop), 0, 0, 0};
-    std::vector<std::uint8_t> out(sizeof(hdr), 0);
+    snapshot::Image out(sizeof(hdr), 0);
     for (std::size_t k = 0; k < std::size(sections); ++k) {
         snapshot::SectionDesc& s = *sections[k];
         const auto from = img.begin() + static_cast<std::ptrdiff_t>(s.offset);

@@ -15,10 +15,11 @@ Modes mirror the failure classes --verify-image must catch:
 The header layout constants below must match snapshot::ImageHeader
 (src/snapshot/snapshot.hpp): format_version is the uint32 at offset 8,
 header_checksum the uint64 at offset 280 of the 288-byte header, computed
-with snapshot::image_checksum (formats v3 and v4: xxHash64's round chained
+with snapshot::image_checksum (formats v3 to v5: xxHash64's round chained
 over little-endian 8-byte words, a partial last word zero-extended) over the
-header with the checksum field zeroed. Format v4 changed only what the
-sections hold (the reachable runs, packed), not the header.
+header with the checksum field zeroed. Formats v4 and v5 changed only what
+the sections hold (v4: the reachable runs, packed; v5: folded runs in the
+leaf8 section), not the header, so these offsets hold for v5 images.
 """
 import struct
 import sys

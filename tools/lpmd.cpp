@@ -538,9 +538,10 @@ int main(int argc, char** argv)
             const poptrie::Stats loaded = router.fib().stats();
             const std::size_t fib_bytes = loaded.memory_bytes;
             std::printf("lpmd: fib loaded in %.3fs, %zu bytes of structure (nodes %zu, "
-                        "leaves %zu, codes %zu, dictionary %zu, direct %zu)\n",
+                        "leaves %zu, codes %zu, folded %zu, dictionary %zu, direct %zu)\n",
                         load_s, fib_bytes, loaded.node_bytes, loaded.leaf_bytes,
-                        loaded.leaf8_bytes, loaded.dict_bytes, loaded.direct_bytes);
+                        loaded.leaf8_bytes, loaded.folded_bytes, loaded.dict_bytes,
+                        loaded.direct_bytes);
             benchkit::note_arena_backing(
                 alloc::backing_name(router.fib().memory_report().backing));
             dataplane::Dataplane<dataplane::PoptrieEngine> dp{

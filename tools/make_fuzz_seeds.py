@@ -180,6 +180,23 @@ def seeds_update_rebuild():
         compiled += fresh4(v4(10, 60, 2 * i + 1, 0), 24, 6 + (i % 2))
     out["compiled_dict_churn"] = compiled
 
+    # Folded roots under churn (config bit 0x20 at s=18; sel 0x4B as above):
+    # the compiled half is 32 /24s under two /18 blocks, whose childless
+    # roots fold into runs of the code array. The churned half withdraws
+    # some, adds /26 and /25 children below both roots, re-announces with
+    # new hops and opens a third block with a /20, so the updater rebuilds
+    # the folded slots as nodes; each compaction folds the childless roots
+    # again.
+    folded = config(18, leaf_dict=True) + bytes([0x4B])
+    for i in range(32):
+        folded += fresh4(v4(10, 70 + (i // 16), (i % 16) * 4, 0), 24, 1 + (i % 4))
+    for i in range(8):
+        folded += withdraw4(v4(10, 70, 8 * i, 0), 24)
+        folded += fresh4(v4(10, 70, 8 * i + 4, 64), 26, 5 + (i % 2))
+        folded += fresh4(v4(10, 71, 8 * i, 0), 24, 7)
+        folded += fresh4(v4(10, 72 + (i % 2), 16 * i, 0), 20 + (i % 2) * 5, 2 + (i % 3))
+    out["folded_roots_churn"] = folded
+
     # IPv6 with sparse checkpoints (sel bit7 set, mask 15).
     v6 = config(18) + bytes([0x84])
     v6 += fresh6(0x20010DB8 << 96, 32, 1)
@@ -307,9 +324,12 @@ def seeds_snapshot_roundtrip():
 
     # Dictionary-coded v4 image (config bit 0x20, compacted so the 8-bit
     # leaf runs exist): a /24 sweep with few distinct hops under s=18 direct
-    # pointing, restored and replayed through the batch walk. Corruption
-    # lands in the node section.
-    dict4 = config(18, leaf_dict=True) + bytes([0x40]) + u32(0x00000600)
+    # pointing, restored and replayed through the batch walk. Both /18
+    # blocks' roots are childless, so the image (format v5) holds no node:
+    # two folded runs in the leaf8 section, which starts at byte 1,048,896
+    # after the header and the 1 MiB direct section. Corruption lands in the
+    # first run's leafvec.
+    dict4 = config(18, leaf_dict=True) + bytes([0x40]) + u32(0x00100143)
     for i in range(96):
         dict4 += fresh4(v4(10, 50 + (i // 48), i % 48, 0), 24, 1 + (i % 5))
     out["leaf_dict_compacted_v4"] = dict4

@@ -42,7 +42,7 @@ struct FsckOptions {
     bool verbose = false;
     bool compact = false;  // run compact() after build/churn, audit the layout
     bool stats = false;    // print occupancy + fragmentation counters
-    std::string inject_fault;  // "", "leaf", "vector" or "direct"
+    std::string inject_fault;  // "", "leaf", "vector", "direct" or "folded"
     std::string save_image;    // write a snapshot image after all stages
 };
 
@@ -65,8 +65,8 @@ void usage(std::FILE* to)
         "  --stats            print pool occupancy and fragmentation counters\n"
         "                     at each stage\n"
         "  --inject-fault K   corrupt the built FIB before auditing (K: leaf,\n"
-        "                     vector, direct) -- the audit MUST then fail;\n"
-        "                     exercises the detector end to end\n"
+        "                     vector, direct, folded) -- the audit MUST then\n"
+        "                     fail; exercises the detector end to end\n"
         "  --save-image F     write a snapshot image of the final FIB to F\n"
         "                     (after any --updates / --compact stages)\n"
         "  --verify-image F   audit an on-disk snapshot image instead of\n"
@@ -208,6 +208,21 @@ bool inject_fault(poptrie::Poptrie<Addr>& pt, const FsckOptions& opt)
         for (const auto idx : reachable_nodes(pt)) {
             if (nodes[idx].vector == 0) continue;
             nodes[idx].vector ^= 1;
+            return true;
+        }
+        return false;
+    }
+    if (opt.inject_fault == "folded") {
+        // Clear bit 0 of a folded run's leafvec: slot 0 of a childless root
+        // always starts a run, and the walk now decodes the slots before
+        // the second run start against the wrong code.
+        for (const std::uint32_t slot : pools.direct) {
+            if ((slot >> 30) != 3) continue;  // kDirectLeafBit | kFoldedBit
+            std::uint8_t* const at = pools.leaves8.data() + (slot & poptrie::kFoldedOffsetMask);
+            std::uint64_t leafvec;
+            std::memcpy(&leafvec, at, sizeof leafvec);
+            leafvec &= ~std::uint64_t{1};
+            std::memcpy(at, &leafvec, sizeof leafvec);
             return true;
         }
         return false;
