@@ -13,7 +13,11 @@
 //   rebuilt    a from-scratch build of the final RIB (the locality ceiling)
 //
 // plus the buddy fragmentation counters at each point and the wall time of
-// the compaction pass itself. The headline gate is compact_vs_rebuild:
+// the compaction pass itself. Each phase also reports its structure bytes
+// (Stats::memory_bytes) and what a lookup over the probe keys reads
+// (analysis::lookup_cost: distinct lines and dependent loads): a function
+// of the seeded table and feed alone, so those rows hold on every host.
+// The headline gate is compact_vs_rebuild:
 // compacted throughput as a fraction of the full rebuild's (the issue's
 // acceptance bar is >= 0.97 on a quiet machine). Emits poptrie-bench/1
 // records for benchctl (suite component: churn_locality).
@@ -21,7 +25,9 @@
 #include <cstdio>
 #include <memory>
 #include <string>
+#include <vector>
 
+#include "analysis/lookup_cost.hpp"
 #include "benchkit/cli.hpp"
 #include "benchkit/json.hpp"
 #include "benchkit/provenance.hpp"
@@ -30,6 +36,7 @@
 #include "rib/radix_trie.hpp"
 #include "workload/tablegen.hpp"
 #include "workload/updatefeed.hpp"
+#include "workload/xorshift.hpp"
 
 namespace {
 
@@ -37,22 +44,28 @@ struct PhaseResult {
     const char* phase;
     benchkit::RateResult rate;
     poptrie::Stats stats;
+    analysis::LookupCost cost;
 };
 
+/// `probe` is the key stream measure_random draws from `seed`.
 PhaseResult measure_phase(const char* phase, const poptrie::Poptrie4& pt,
-                          std::size_t lookups, unsigned trials, std::uint64_t seed)
+                          const std::vector<std::uint32_t>& probe, unsigned trials,
+                          std::uint64_t seed)
 {
     PhaseResult r;
     r.phase = phase;
     r.rate = benchkit::measure_random(
-        [&pt](std::uint32_t a) { return pt.lookup(netbase::Ipv4Addr{a}); }, lookups,
+        [&pt](std::uint32_t a) { return pt.lookup(netbase::Ipv4Addr{a}); }, probe.size(),
         trials, seed);
     r.stats = pt.stats();
+    r.cost = analysis::lookup_cost(pt, probe.data(), probe.size());
     std::printf("%-10s %8.2f Mlps (±%.2f)   node hw=%zu free_blocks=%zu | "
-                "leaf hw=%zu free_blocks=%zu\n",
+                "leaf hw=%zu free_blocks=%zu | %.2f MiB, %.3f lines, %.3f loads/lookup\n",
                 phase, r.rate.mlps_mean, r.rate.mlps_std, r.stats.node_high_water,
                 r.stats.node_free_blocks, r.stats.leaf_high_water,
-                r.stats.leaf_free_blocks);
+                r.stats.leaf_free_blocks,
+                static_cast<double>(r.stats.memory_bytes) / (1 << 20),
+                r.cost.lines_per_lookup(), r.cost.loads_per_lookup());
     return r;
 }
 
@@ -69,6 +82,9 @@ void emit_phase(benchkit::JsonRecords& json, const PhaseResult& r)
     json.field("leaf_free_blocks", std::uint64_t{r.stats.leaf_free_blocks});
     json.field("node_pool_used", std::uint64_t{r.stats.node_pool_used});
     json.field("leaf_pool_used", std::uint64_t{r.stats.leaf_pool_used});
+    json.field("memory_bytes", std::uint64_t{r.stats.memory_bytes});
+    json.field("lines_per_lookup", r.cost.lines_per_lookup());
+    json.field("loads_per_lookup", r.cost.loads_per_lookup());
     benchkit::stamp_provenance(json);
 }
 
@@ -115,7 +131,12 @@ int main(int argc, char** argv)
     benchkit::note_arena_backing(
         alloc::backing_name(pt->memory_report().backing));
 
-    const auto fresh = measure_phase("fresh", *pt, lookups, trials, seed + 100);
+    const std::uint64_t probe_seed = seed + 100;
+    std::vector<std::uint32_t> probe(lookups);
+    workload::Xorshift128 rng(probe_seed);
+    for (auto& key : probe) key = rng.next();
+
+    const auto fresh = measure_phase("fresh", *pt, probe, trials, probe_seed);
 
     // quiescent: single-threaded bench — no reader thread ever exists, so
     // the drain and the storage-moving compact() below are safe.
@@ -127,7 +148,7 @@ int main(int argc, char** argv)
     for (const auto& ev : feed) pt->apply(rib, ev.prefix, ev.next_hop);
     pt->drain();
 
-    const auto churned = measure_phase("churned", *pt, lookups, trials, seed + 100);
+    const auto churned = measure_phase("churned", *pt, probe, trials, probe_seed);
 
     const auto c0 = std::chrono::steady_clock::now();
     pt->compact();
@@ -135,10 +156,10 @@ int main(int argc, char** argv)
         std::chrono::duration<double, std::milli>(std::chrono::steady_clock::now() - c0)
             .count();
 
-    const auto compacted = measure_phase("compacted", *pt, lookups, trials, seed + 100);
+    const auto compacted = measure_phase("compacted", *pt, probe, trials, probe_seed);
 
     const poptrie::Poptrie4 rebuilt_pt{rib, cfg};
-    const auto rebuilt = measure_phase("rebuilt", rebuilt_pt, lookups, trials, seed + 100);
+    const auto rebuilt = measure_phase("rebuilt", rebuilt_pt, probe, trials, probe_seed);
 
     // churned/compacted/rebuilt resolve the same RIB with the same probe
     // stream, so identical checksums double as a cheap equivalence check

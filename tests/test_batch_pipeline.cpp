@@ -204,17 +204,19 @@ TEST(BatchPipeline, BurstSizesIncludingEmptyAndNonMultiples)
     const auto routes = testhelpers::corner_case_table();
     const auto rib = testhelpers::load(routes);
     const auto all_keys = probe_keys(routes, 1000);
-    // 0, 1, small odd sizes, and sizes around the 256-key chunk: window
-    // fill, drain and chunk-boundary off-by-ones live at these sizes. With
-    // direct pointing off every key walks from the root.
+    // 0, 1, small odd sizes, sizes around the direct pass's prefetch
+    // distance and around the 256-key chunk: window fill, drain, the
+    // prefetch preamble's end and chunk-boundary off-by-ones live at these
+    // sizes. With direct pointing off every key walks from the root.
+    constexpr std::size_t ahead = poptrie::batch::kDirectAhead;
     for (const auto& cfg : {cfg_default(), cfg_no_direct(), plain_leaves(cfg_default()),
                             plain_leaves(cfg_no_direct())}) {
         const Poptrie4 fib(rib, cfg);
         for (const std::size_t n :
              {std::size_t{0}, std::size_t{1}, std::size_t{2}, std::size_t{7}, std::size_t{13},
-              std::size_t{31}, std::size_t{32}, std::size_t{33}, std::size_t{100},
-              std::size_t{255}, std::size_t{256}, std::size_t{257}, std::size_t{511},
-              std::size_t{513}, std::size_t{1000}}) {
+              std::size_t{31}, std::size_t{32}, std::size_t{33}, ahead - 1, ahead, ahead + 1,
+              std::size_t{100}, std::size_t{255}, std::size_t{256}, std::size_t{257},
+              std::size_t{511}, std::size_t{513}, std::size_t{1000}}) {
             ASSERT_LE(n, all_keys.size());
             const std::vector<std::uint32_t> keys(all_keys.begin(),
                                                   all_keys.begin() + static_cast<long>(n));
