@@ -17,7 +17,8 @@ using namespace bench;
 
 int main(int argc, char** argv)
 {
-    const benchkit::Args args(argc, argv);
+    using K = benchkit::Flag::Kind;
+    const benchkit::Args args(argc, argv, {{"only", K::kText}});
     if (args.handle_help("bench_ablation_options",
                          "  --only=S  run one section: direct | popcnt | leafvec |"
                          " strides (default all)"))

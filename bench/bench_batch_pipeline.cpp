@@ -180,7 +180,11 @@ std::vector<std::string> split_list(const std::string& list)
 
 int main(int argc, char** argv)
 {
-    const benchkit::Args args(argc, argv);
+    using K = benchkit::Flag::Kind;
+    const benchkit::Args args(argc, argv,
+                              {{"routes-list", K::kText}, {"direct-list", K::kText},
+                               {"patterns", K::kText}, {"duration", K::kDouble},
+                               {"json", K::kSwitch}});
     if (args.handle_help(
             "bench_batch_pipeline",
             "  --routes-list=L   comma-separated table sizes (default 100000,600000)\n"

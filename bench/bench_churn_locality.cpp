@@ -17,9 +17,12 @@
 // (Stats::memory_bytes) and what a lookup over the probe keys reads
 // (analysis::lookup_cost: distinct lines and dependent loads): a function
 // of the seeded table and feed alone, so those rows hold on every host.
-// The headline gate is compact_vs_rebuild:
-// compacted throughput as a fraction of the full rebuild's (the issue's
-// acceptance bar is >= 0.97 on a quiet machine). Emits poptrie-bench/1
+// The headline row is compact_vs_rebuild: compacted throughput as a
+// fraction of the full rebuild's, which benchctl gates as
+// churnloc.compact_vs_rebuild. compact() runs the compile over the live
+// FIB, so the two share one layout rule and differ only where the
+// rebuild's route aggregation merges what the updater kept apart: the
+// ratio reads about 1, within the host's noise. Emits poptrie-bench/1
 // records for benchctl (suite component: churn_locality).
 #include <chrono>
 #include <cstdio>
@@ -92,7 +95,10 @@ void emit_phase(benchkit::JsonRecords& json, const PhaseResult& r)
 
 int main(int argc, char** argv)
 {
-    const benchkit::Args args(argc, argv);
+    using K = benchkit::Flag::Kind;
+    const benchkit::Args args(argc, argv,
+                              {{"routes", K::kU64}, {"updates", K::kU64},
+                               {"direct-bits", K::kU64}});
     if (args.handle_help(
             "bench_churn_locality",
             "  --routes=N        synthetic table size (default 150000)\n"

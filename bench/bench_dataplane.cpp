@@ -86,7 +86,12 @@ CellResult run_cell(Engine engine, unsigned workers, const RunOptions& opt,
 
 int main(int argc, char** argv)
 {
-    const benchkit::Args args(argc, argv);
+    using K = benchkit::Flag::Kind;
+    const benchkit::Args args(argc, argv,
+                              {{"routes", K::kU64}, {"duration", K::kDouble},
+                               {"max-workers", K::kU64}, {"workers-list", K::kText},
+                               {"churn", K::kU64}, {"burst", K::kU64}, {"pin", K::kSwitch},
+                               {"json", K::kSwitch}});
     if (args.handle_help(
             "bench_dataplane",
             "  --routes=N        table size (default 100000)\n"

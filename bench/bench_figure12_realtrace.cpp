@@ -7,7 +7,8 @@ using namespace bench;
 
 int main(int argc, char** argv)
 {
-    const benchkit::Args args(argc, argv);
+    using K = benchkit::Flag::Kind;
+    const benchkit::Args args(argc, argv, {{"packets", K::kU64}});
     if (args.handle_help("bench_figure12_realtrace",
                          "  --packets=N  trace length (default 4M quick / 16M full)"))
         return 0;

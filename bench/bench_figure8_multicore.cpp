@@ -11,7 +11,8 @@ using namespace bench;
 
 int main(int argc, char** argv)
 {
-    const benchkit::Args args(argc, argv);
+    using K = benchkit::Flag::Kind;
+    const benchkit::Args args(argc, argv, {{"pin", K::kSwitch}, {"threads", K::kU64}});
     if (args.handle_help("bench_figure8_multicore",
                          "  --threads=N  max thread count\n"
                          "  --pin        pin measurement threads to CPUs"))

@@ -8,7 +8,8 @@ using namespace bench;
 
 int main(int argc, char** argv)
 {
-    const benchkit::Args args(argc, argv);
+    using K = benchkit::Flag::Kind;
+    const benchkit::Args args(argc, argv, {{"datasets", K::kU64}});
     if (args.handle_help("bench_figure9_datasets",
                          "  --datasets=N  how many of the 35 datasets (default 8 quick / 35 full)"))
         return 0;

@@ -72,7 +72,11 @@ void emit_row(benchkit::JsonRecords& json, std::size_t size, const Row& r)
 int main(int argc, char** argv)
 {
     using namespace bench;
-    const benchkit::Args args(argc, argv);
+    using K = benchkit::Flag::Kind;
+    const benchkit::Args args(argc, argv,
+                              {{"sizes-list", K::kText}, {"tail-samples", K::kU64},
+                               {"next-hops", K::kU64}, {"no-baselines", K::kSwitch},
+                               {"gate", K::kSwitch}});
     if (args.handle_help(
             "bench_scaling",
             "  --sizes-list=L    comma-separated route counts\n"

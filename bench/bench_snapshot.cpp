@@ -98,7 +98,10 @@ void emit_phase(benchkit::JsonRecords& json, const char* phase, const benchkit::
 
 int main(int argc, char** argv)
 {
-    const benchkit::Args args(argc, argv);
+    using K = benchkit::Flag::Kind;
+    const benchkit::Args args(argc, argv,
+                              {{"routes", K::kU64}, {"image", K::kText},
+                               {"direct-bits", K::kU64}});
     if (args.handle_help(
             "bench_snapshot",
             "  --routes=N        synthetic table size (default 150000)\n"

@@ -28,7 +28,8 @@ constexpr PaperRow kPaperB[] = {
 
 int main(int argc, char** argv)
 {
-    const benchkit::Args args(argc, argv);
+    using K = benchkit::Flag::Kind;
+    const benchkit::Args args(argc, argv, {{"dataset", K::kText}});
     if (args.handle_help("bench_table4_cycles",
                          "  --dataset=D  a | b | both (default both)"))
         return 0;

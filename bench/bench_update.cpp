@@ -13,7 +13,8 @@ using namespace bench;
 
 int main(int argc, char** argv)
 {
-    const benchkit::Args args(argc, argv);
+    using K = benchkit::Flag::Kind;
+    const benchkit::Args args(argc, argv, {{"updates", K::kU64}, {"no-insert", K::kSwitch}});
     if (args.handle_help("bench_update",
                          "  --updates=N   feed length (default 23446)\n"
                          "  --no-insert   skip the full-route insertion phase"))

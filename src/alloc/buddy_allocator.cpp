@@ -48,41 +48,6 @@ std::optional<BuddyAllocator::index_type> BuddyAllocator::allocate(index_type co
     return offset;
 }
 
-bool BuddyAllocator::reserve(index_type offset, index_type count)
-{
-    if (count == 0) return false;
-    const unsigned want = order_for(count);
-    const index_type size = index_type{1} << want;
-    if (offset % size != 0 || std::uint64_t{offset} + size > capacity_) return false;
-
-    // Find the free block containing the target: at each order >= want, the
-    // candidate is the (unique) aligned block covering `offset`.
-    for (unsigned k = want; k < free_lists_.size(); ++k) {
-        const index_type aligned = offset & ~((index_type{1} << k) - 1);
-        const auto it = free_lists_[k].find(aligned);
-        if (it == free_lists_[k].end()) continue;
-        free_lists_[k].erase(it);
-
-        // Split down, keeping the halves that do not contain the target.
-        index_type cur = aligned;
-        while (k > want) {
-            --k;
-            const index_type half = index_type{1} << k;
-            if (offset < cur + half) {
-                free_lists_[k].insert(cur + half);
-            } else {
-                free_lists_[k].insert(cur);
-                cur += half;
-            }
-        }
-        assert(cur == offset);
-        used_ += size;
-        if (offset + size > high_water_) high_water_ = offset + size;
-        return true;
-    }
-    return false;  // target overlaps an existing allocation
-}
-
 void BuddyAllocator::free(index_type offset, index_type count)
 {
     assert(count >= 1);

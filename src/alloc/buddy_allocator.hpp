@@ -50,14 +50,6 @@ public:
     /// error and asserts in debug builds.
     void free(index_type offset, index_type count);
 
-    /// Marks the specific block [offset, offset + block_size_for(count)) as
-    /// allocated, splitting the containing free block as needed. `offset`
-    /// must be aligned to the rounded block size. Returns false (allocator
-    /// unchanged) if the block is not entirely free. Used by the compaction
-    /// pass to rebuild an allocator that exactly describes a bump-laid-out
-    /// pool; `free(offset, count)` releases it like any allocation.
-    [[nodiscard]] bool reserve(index_type offset, index_type count);
-
     /// Total slots managed (always a power of two).
     [[nodiscard]] index_type capacity() const noexcept { return capacity_; }
 
@@ -68,13 +60,14 @@ public:
     [[nodiscard]] index_type largest_free_run() const noexcept;
 
     /// Number of blocks on the free lists. Together with largest_free_run()
-    /// this is the fragmentation signal Poptrie::Stats exposes: a fresh or
-    /// freshly-compacted pool has O(log capacity) free blocks, a churned one
-    /// accumulates many small ones.
+    /// this is the fragmentation signal Poptrie::Stats exposes: a pool that
+    /// has only ever allocated — a fresh compile's, or compact()'s, which
+    /// places every run the same way — has at most one free block per order
+    /// (O(log capacity)), a churned one accumulates many small ones.
     [[nodiscard]] std::size_t free_block_count() const noexcept;
 
-    /// One past the highest slot ever handed out (by allocate or reserve);
-    /// never decreases. The touched extent of the backing array.
+    /// One past the highest slot ever handed out; never decreases. The
+    /// touched extent of the backing array.
     [[nodiscard]] index_type high_water() const noexcept { return high_water_; }
 
     /// True if every slot is free (useful as a leak check in tests).

@@ -439,34 +439,6 @@ void check_runs_against_allocator(AuditReport& r, std::vector<LiveRun> runs,
                                   std::to_string(live_total) + " with empty limbo");
 }
 
-/// Post-compaction layout check: compact() places runs at exactly the DFS
-/// aligned-bump offsets, and the walker records runs in exactly compact()'s
-/// traversal order, so the canonical layout can be replayed and compared
-/// run by run. The bump rule (Poptrie::bump_offset) is a static shared with
-/// the compactor and independent of the address family.
-void check_compacted_layout(AuditReport& r, const std::vector<LiveRun>& runs,
-                            const alloc::BuddyAllocator& alloc, const std::string& what)
-{
-    std::uint64_t cursor = 0;
-    for (const auto& run : runs) {
-        const std::uint32_t expect =
-            poptrie::Poptrie<netbase::Ipv4Addr>::bump_offset(cursor, run.count);
-        if (run.offset != expect) {
-            r.add(what + "-not-compacted",
-                  "run of " + std::to_string(run.count) + " at " +
-                      std::to_string(run.offset) + ", canonical DFS layout says " +
-                      std::to_string(expect));
-            return;  // every later offset shifts too; one violation suffices
-        }
-        cursor = std::uint64_t{expect} + run.size;
-    }
-    if (alloc.high_water() != cursor)
-        r.add(what + "-not-dense", "allocator high water " +
-                                       std::to_string(alloc.high_water()) +
-                                       " != compacted layout extent " +
-                                       std::to_string(cursor));
-}
-
 /// Dense-image layout check: sorted by offset, the runs must cover
 /// [0, slots) of their section exactly once, each one starting where the one
 /// before it ended. A gap is a slot no lookup reaches; an overlap is a slot
@@ -497,14 +469,10 @@ void check_tiling(AuditReport& r, std::vector<LiveRun> runs, std::uint64_t slots
 
 /// Dict-coded and folded run checks: no two runs may share code-array
 /// bytes, the live code count must match the trie's leaf8 accounting, and
-/// the dictionary must be sorted strictly ascending (compact() emits it
-/// that way — a violation means someone scribbled on it). Under
-/// expect_compacted the runs must additionally replay compact()'s dense
-/// bump exactly: run i starts where run i-1 ended and the array holds not
-/// one byte more.
-void check_leaf8_runs(AuditReport& r, std::vector<LiveRun> runs, std::size_t code_array_size,
-                      const std::vector<rib::NextHop>& dict_values,
-                      std::uint64_t expected_count, bool expect_compacted)
+/// the dictionary must be sorted strictly ascending (the coder emits it
+/// that way — a violation means someone scribbled on it).
+void check_leaf8_runs(AuditReport& r, std::vector<LiveRun> runs,
+                      const std::vector<rib::NextHop>& dict_values, std::uint64_t expected_count)
 {
     for (std::size_t i = 1; i < dict_values.size(); ++i)
         if (dict_values[i] <= dict_values[i - 1])
@@ -512,27 +480,6 @@ void check_leaf8_runs(AuditReport& r, std::vector<LiveRun> runs, std::size_t cod
                   "dictionary entries " + std::to_string(i - 1) + "," + std::to_string(i) +
                       " not strictly ascending (" + std::to_string(dict_values[i - 1]) +
                       ", " + std::to_string(dict_values[i]) + ")");
-
-    if (expect_compacted) {
-        // DFS order, pre-sort: the walker records runs in compact()'s
-        // traversal order, so the dense replay compares run by run.
-        std::uint64_t cursor = 0;
-        bool dense_ok = true;
-        for (const auto& run : runs) {
-            if (run.offset != cursor) {
-                r.add("leaf8-not-compacted",
-                      "dict-coded run of " + std::to_string(run.size) + " bytes at " +
-                          std::to_string(run.offset) + ", dense DFS layout says " +
-                          std::to_string(cursor));
-                dense_ok = false;
-                break;  // every later offset shifts too
-            }
-            cursor += run.size;
-        }
-        if (dense_ok && cursor != code_array_size)
-            r.add("leaf8-not-dense", "code array size " + std::to_string(code_array_size) +
-                                         " != dense layout extent " + std::to_string(cursor));
-    }
 
     std::sort(runs.begin(), runs.end(),
               [](const LiveRun& a, const LiveRun& b) { return a.offset < b.offset; });
@@ -591,20 +538,18 @@ AuditReport audit(const poptrie::Poptrie<Addr>& pt, const rib::RadixTrie<Addr>& 
 
     // 2. Live runs vs the buddy allocators, and slot accounting.
     const std::size_t pending = AuditAccess::ebr(pt).pending();
-    check_runs_against_allocator(r, runs.nodes, pools.node_alloc, pending,
-                                 AuditAccess::inode_count(pt), "node");
+    check_runs_against_allocator(r, runs.nodes, pools.node_alloc, pending, pools.live.nodes,
+                                 "node");
     // The buddy allocator only tracks the 16-bit pool; dict-coded slots are
-    // bump-placed in the code array and accounted separately below.
+    // appended to the code array and accounted separately below.
     check_runs_against_allocator(r, runs.leaves, pools.leaf_alloc, pending,
-                                 AuditAccess::leaf_count(pt) - AuditAccess::leaf8_live(pt),
-                                 "leaf");
+                                 pools.live.leaves - pools.live.leaf8, "leaf");
     const std::vector<rib::NextHop> dict_values(pools.leaf_dict.begin(), pools.leaf_dict.end());
-    check_leaf8_runs(r, runs.leaves8, pools.leaves8.size(), dict_values,
-                     AuditAccess::leaf8_live(pt), opt.expect_compacted);
-    if (runs.folded != AuditAccess::folded_live(pt))
+    check_leaf8_runs(r, runs.leaves8, dict_values, pools.live.leaf8);
+    if (runs.folded != pools.live.folded)
         r.add("folded-count-mismatch", "reachable " + std::to_string(runs.folded) +
                                            " folded runs, accounting says " +
-                                           std::to_string(AuditAccess::folded_live(pt)));
+                                           std::to_string(pools.live.folded));
     // Every slot the allocators ever handed out must sit in committed
     // storage: the pools commit up to the high-water mark as they grow.
     if (pools.nodes.size() < pools.node_alloc.high_water())
@@ -615,13 +560,6 @@ AuditReport audit(const poptrie::Poptrie<Addr>& pt, const rib::RadixTrie<Addr>& 
         r.add("leaf-pool-uncommitted",
               "pool " + std::to_string(pools.leaves.size()) + " < allocator high water " +
                   std::to_string(pools.leaf_alloc.high_water()));
-
-    // 2b. Canonical compacted layout, when the caller vouches the table was
-    // just compacted (poptrie_fsck --compact, the compaction tests).
-    if (opt.expect_compacted) {
-        check_compacted_layout(r, runs.nodes, pools.node_alloc, "node");
-        check_compacted_layout(r, runs.leaves, pools.leaf_alloc, "leaf");
-    }
 
     // 3. Allocator free lists and EBR epochs.
     r.merge(audit_allocator(pools.node_alloc), "node-alloc/");

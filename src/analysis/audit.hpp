@@ -96,11 +96,6 @@ struct AuditOptions {
     /// many routes; larger tables fall back to random probing only.
     std::size_t max_boundary_routes = 100'000;
     std::uint64_t seed = 0x9E3779B9u;
-    /// The table was just compacted (Poptrie::compact()) and nothing has
-    /// been applied since: additionally verify the canonical layout — every
-    /// run at exactly the DFS aligned-bump offset (Poptrie::bump_offset)
-    /// and the allocators' high-water marks dense against the layout.
-    bool expect_compacted = false;
 };
 
 /// Checks a buddy allocator's free lists: block alignment and bounds, no
@@ -194,26 +189,49 @@ struct AuditAccess {
     {
         return *p.ebr_;
     }
-    template <class Addr>
-    [[nodiscard]] static std::size_t inode_count(const PT<Addr>& p) noexcept
-    {
-        return p.inode_count_;
-    }
-    template <class Addr>
-    [[nodiscard]] static std::size_t leaf_count(const PT<Addr>& p) noexcept
-    {
-        return p.leaf_count_;
-    }
-    template <class Addr>
-    [[nodiscard]] static std::size_t leaf8_live(const PT<Addr>& p) noexcept
-    {
-        return p.leaf8_live_;
-    }
-    template <class Addr>
-    [[nodiscard]] static std::size_t folded_live(const PT<Addr>& p) noexcept
-    {
-        return p.folded_live_;
-    }
 };
+
+/// A FIB's layout copied out of its pool set: every array over its extent,
+/// the root, and Stats (both buddy allocators' high water, used slots and
+/// free blocks among them). What compact()'s byte-identity oracles compare:
+/// compacting a fresh compile, or compacting twice, changes none of it, and
+/// with route aggregation off a compacted FIB's layout is the compile of
+/// its RIB's. Writer-thread only, like audit().
+template <class Addr>
+struct Layout {
+    explicit Layout(const poptrie::Poptrie<Addr>& pt) : stats(pt.stats())
+    {
+        const auto& p = AuditAccess::pools(pt);
+        nodes.assign(p.nodes.begin(), p.nodes.end());
+        leaves.assign(p.leaves.begin(), p.leaves.end());
+        codes.assign(p.leaves8.begin(), p.leaves8.end());
+        dictionary.assign(p.leaf_dict.begin(), p.leaf_dict.end());
+        direct.assign(p.direct.begin(), p.direct.end());
+        root = p.root;
+    }
+
+    std::vector<typename poptrie::Poptrie<Addr>::Node> nodes;
+    std::vector<rib::NextHop> leaves;
+    std::vector<std::uint8_t> codes;
+    std::vector<rib::NextHop> dictionary;
+    std::vector<std::uint32_t> direct;
+    std::uint32_t root = 0;
+    poptrie::Stats stats;
+};
+
+/// The first part in which two layouts differ, or "" when they are
+/// byte-identical.
+template <class Addr>
+[[nodiscard]] std::string layout_difference(const Layout<Addr>& a, const Layout<Addr>& b)
+{
+    if (a.nodes != b.nodes) return "nodes";
+    if (a.leaves != b.leaves) return "leaves";
+    if (a.codes != b.codes) return "codes";
+    if (a.dictionary != b.dictionary) return "dictionary";
+    if (a.direct != b.direct) return "direct slots";
+    if (a.root != b.root) return "root";
+    if (!(a.stats == b.stats)) return "stats";
+    return {};
+}
 
 }  // namespace analysis

@@ -76,9 +76,8 @@ private:
     std::uint32_t build(const poptrie::detail::RibView<Addr>& rib,
                         const poptrie::detail::SlotCtx& slot, unsigned level)
     {
-        poptrie::detail::SlotCtx slots[64];
-        poptrie::detail::expand_stride(rib, slot, level,
-                                       std::span<poptrie::detail::SlotCtx, 64>{slots});
+        const auto stride = poptrie::detail::RibSource<Addr>{rib}.slots(slot, level);
+        const poptrie::detail::SlotCtx* const slots = stride.slot;
         const auto index = static_cast<std::uint32_t>(nodes_.size());
         nodes_.emplace_back();
         for (unsigned v = 0; v < 64; ++v) {

@@ -1,10 +1,54 @@
 #include "benchkit/cli.hpp"
 
+#include <algorithm>
 #include <charconv>
 #include <cstdio>
+#include <cstdlib>
+#include <iterator>
 
 namespace benchkit {
 namespace {
+
+using K = Flag::Kind;
+
+constexpr Flag kStandardFlags[] = {{"quick", K::kSwitch}, {"full", K::kSwitch},
+                                   {"lookups", K::kU64},  {"trials", K::kU64},
+                                   {"seed", K::kU64},     {"json-out", K::kText},
+                                   {"help", K::kSwitch}};
+
+/// Whether a flag of `kind` takes `value` (given as "--name=value" when
+/// `given`, else absent).
+bool takes(K kind, std::string_view value, bool given)
+{
+    const auto parses = [value](auto v) {
+        const auto [p, ec] = std::from_chars(value.data(), value.data() + value.size(), v);
+        return !value.empty() && ec == std::errc{} && p == value.data() + value.size();
+    };
+    switch (kind) {
+    case K::kSwitch: return !given;
+    case K::kU64: return parses(std::uint64_t{});
+    case K::kDouble: return parses(double{});
+    case K::kText: return !value.empty();
+    }
+    return false;
+}
+
+/// What is wrong with the normalized argument `arg`, or "".
+std::string problem(const std::string& arg, std::initializer_list<Flag> flags)
+{
+    if (!arg.starts_with("--")) return "unexpected argument '" + arg + "'";
+    const std::size_t eq = arg.find('=');
+    const std::string name = arg.substr(0, eq);
+    const std::string value = eq == std::string::npos ? "" : arg.substr(eq + 1);
+    const auto named = [&](const Flag& f) { return name.substr(2) == f.name; };
+    const Flag* flag = std::find_if(flags.begin(), flags.end(), named);
+    if (flag == flags.end()) {
+        flag = std::find_if(std::begin(kStandardFlags), std::end(kStandardFlags), named);
+        if (flag == std::end(kStandardFlags)) return "unknown flag " + name;
+    }
+    if (takes(flag->kind, value, eq != std::string::npos)) return {};
+    return "bad value for " + name + ": '" + value + "'";
+}
 
 std::string_view value_of(const std::string& arg, std::string_view name)
 {
@@ -19,7 +63,7 @@ std::string_view value_of(const std::string& arg, std::string_view name)
 
 }  // namespace
 
-Args::Args(int argc, char** argv)
+Args::Args(int argc, char** argv, std::initializer_list<Flag> flags)
 {
     // "--name value" is normalized to "--name=value": a bare "--name"
     // followed by a token that is not itself a flag takes it as the value.
@@ -33,6 +77,15 @@ Args::Args(int argc, char** argv)
             arg += argv[++i];
         }
         args_.push_back(std::move(arg));
+    }
+    for (const auto& arg : args_) {
+        const std::string why = problem(arg, flags);
+        if (why.empty()) continue;
+        const std::string_view prog = argc > 0 ? argv[0] : "bench";
+        const std::string_view base = prog.substr(prog.find_last_of('/') + 1);
+        std::fprintf(stderr, "%.*s: %s; see --help\n", static_cast<int>(base.size()),
+                     base.data(), why.c_str());
+        std::exit(2);
     }
 }
 

@@ -7,21 +7,41 @@
 //   --trials=N        override the trial count (paper: 10)
 //   --seed=N          override workload seeds
 //   --json-out=FILE   write benchkit::JsonRecords to FILE (benchctl's hook)
-// plus bench-specific flags documented in each binary's --help.
+// plus bench-specific flags, which each binary declares when it parses its
+// command line and documents in its --help. A flag that is neither, or a
+// value its flag cannot take, ends the binary with exit code 2 before it
+// measures anything: a misspelt flag never silently measures the defaults.
 #pragma once
 
 #include <cstdint>
+#include <initializer_list>
 #include <string>
 #include <string_view>
 #include <vector>
 
 namespace benchkit {
 
+/// A flag a binary reads, and the value it takes.
+struct Flag {
+    enum class Kind {
+        kSwitch,  ///< no value: has()
+        kU64,     ///< a whole number: get_u64()
+        kDouble,  ///< a number: get_double()
+        kText,    ///< any value: get()
+    };
+    std::string_view name;  ///< without the leading "--"
+    Kind kind;
+};
+
 /// Parsed command line. Flags are "--name", "--name=value", or
 /// "--name value" (the separate-token form is normalized at construction).
 class Args {
 public:
-    Args(int argc, char** argv);
+    /// Parses argv against the standard flags plus `flags`. An argument that
+    /// is not one of them, a switch given a value, or a value its flag
+    /// cannot take (a missing one, or "2k" for a whole number) prints the
+    /// argument's flag to stderr and exits with code 2.
+    Args(int argc, char** argv, std::initializer_list<Flag> flags = {});
 
     /// True if "--name" (with or without value) was passed.
     [[nodiscard]] bool has(std::string_view name) const;

@@ -153,15 +153,18 @@ struct Stats {
 
     /// Fragmentation signals (per pool): how many blocks sit on the buddy
     /// free lists, the largest run still allocatable, and the high-water
-    /// mark (one past the highest slot ever handed out). A fresh or
-    /// freshly-compacted pool has few free blocks and a high-water close to
-    /// the live size; a long churn feed scatters both.
+    /// mark (one past the highest slot ever handed out). A fresh compile's
+    /// pool has at most one free block per buddy order and a high water
+    /// close to the live size, and compact() lays a churned FIB out the
+    /// same way; a long churn feed scatters both.
     std::size_t node_free_blocks = 0;
     std::size_t leaf_free_blocks = 0;
     std::size_t node_largest_free_run = 0;
     std::size_t leaf_largest_free_run = 0;
     std::size_t node_high_water = 0;
     std::size_t leaf_high_water = 0;
+
+    friend bool operator==(const Stats&, const Stats&) = default;
 };
 
 }  // namespace poptrie

@@ -2,7 +2,8 @@
 // builder (builder.ipp) and the incremental updater (updater.ipp).
 //
 // Both compile FIB nodes out of the binary radix RIB by expanding it 2^k ways
-// per poptrie level (k = 6). A `SlotCtx` is a cursor into the radix tree for
+// per poptrie level (k = 6), and both emit a node's leaf runs by one rule
+// (LeafRuns). A `SlotCtx` is a cursor into the radix tree for
 // one slot of a poptrie node: the child indices of the radix node the slot's
 // path ends at (none when the path ends at a childless node or leaves the
 // tree), the next hop inherited from the deepest route on the path, and that
@@ -19,7 +20,6 @@
 #pragma once
 
 #include <cstdint>
-#include <span>
 
 #include "rib/aggregate.hpp"
 #include "rib/radix_trie.hpp"
@@ -109,15 +109,6 @@ void expand(const RibView<Addr>& rib, const SlotCtx& parent, unsigned depth, uns
     }
 }
 
-/// Convenience: fills a 64-entry array with one poptrie stride of slots.
-template <class Addr>
-void expand_stride(const RibView<Addr>& rib, const SlotCtx& parent, unsigned depth,
-                   std::span<SlotCtx, 64> out)
-{
-    unsigned pos = 0;
-    expand(rib, parent, depth, 6, [&](const SlotCtx& s) { out[pos++] = s; });
-}
-
 /// Cursor for the RIB root: the root's children with its own route (a
 /// default route) already folded in, matching the invariant that a SlotCtx's
 /// `inherited` includes the route at the node itself.
@@ -145,5 +136,77 @@ template <class Addr>
     }
     return ctx;
 }
+
+/// The RIB as a slot source (builder.ipp), read through cursors: the
+/// constructors compile it and the updater rebuilds touched slots from it.
+/// A slot is internal iff its radix subtree branches further down;
+/// otherwise it holds the hop it inherits, and every leaf slot may start a
+/// run.
+template <class Addr>
+struct RibSource {
+    using Cursor = SlotCtx;
+
+    /// One poptrie node's 64 slots.
+    struct Slots {
+        SlotCtx slot[64];
+        std::uint64_t internal_slots = 0;
+
+        [[nodiscard]] std::uint64_t internal() const noexcept { return internal_slots; }
+        [[nodiscard]] std::uint64_t run_starts() const noexcept { return ~internal_slots; }
+        [[nodiscard]] rib::NextHop hop(unsigned u) const noexcept { return slot[u].inherited; }
+        [[nodiscard]] const SlotCtx& child(unsigned u) const noexcept { return slot[u]; }
+    };
+
+    RibView<Addr> rib;
+
+    /// The root node's cursor (direct pointing off).
+    [[nodiscard]] SlotCtx root() const noexcept { return root_ctx(rib); }
+    /// The 64 slots of the node at cursor `at`, bit-depth `level`.
+    [[nodiscard]] Slots slots(const SlotCtx& at, unsigned level) const
+    {
+        Slots s;
+        unsigned u = 0;
+        expand(rib, at, level, 6, [&](const SlotCtx& c) {
+            // shift-ok: expand() emits 2^6 slots, so u stays in [0, 63].
+            if (is_internal(c)) s.internal_slots |= std::uint64_t{1} << u;
+            s.slot[u++] = c;
+        });
+        return s;
+    }
+    /// Calls `f(root, hop)` for each of the 2^bits direct slots in address
+    /// order: `root` points at the cursor of a slot that compiles to a node,
+    /// and is null for one that holds `hop`.
+    template <class F>
+    void for_each_direct(unsigned bits, F&& f) const
+    {
+        expand(rib, root(), 0, bits,
+               [&](const SlotCtx& s) { f(is_internal(s) ? &s : nullptr, s.inherited); });
+    }
+};
+
+/// A node's leaf runs as §3.3's leafvec rule emits them, slot by slot in
+/// address order: with leaf compression a leaf slot starts a run (a leafvec
+/// bit and a value) only when its value differs from the previous run's,
+/// and internal slots in between do not break a run (Fig. 3); without it
+/// every leaf slot is a run of its own and leafvec stays 0.
+struct LeafRuns {
+    explicit LeafRuns(bool compress) noexcept : compress(compress) {}
+
+    /// Emits leaf slot `u` (< 64) holding `v`.
+    void push(rib::NextHop v, unsigned u) noexcept
+    {
+        if (compress) {
+            if (count != 0 && v == values[count - 1]) return;
+            // shift-ok: u is one of a 64-ary node's slots, in [0, 63].
+            leafvec |= std::uint64_t{1} << u;
+        }
+        values[count++] = v;
+    }
+
+    bool compress;
+    std::uint64_t leafvec = 0;
+    rib::NextHop values[64];
+    unsigned count = 0;
+};
 
 }  // namespace poptrie::detail

@@ -1,5 +1,6 @@
 // poptrie/leaf_coder.hpp — the dictionary coder behind Config::leaf_dict,
-// shared by the compile (builder.ipp) and compact() (compactor.ipp).
+// driven by the emitter (builder.ipp) that the constructors' compile and
+// compact() share.
 //
 // A coder appends each leaf run it is handed to a dense 8-bit code array,
 // back to back in the order it is handed them, numbering the distinct next
@@ -7,10 +8,9 @@
 // kFoldedBit) is a childless root's 8-byte leafvec followed by its codes.
 // finish() sorts the dictionary and renumbers the array in one pass, so the
 // codes ascend with value and the dictionary holds exactly the values the
-// coded runs use: a compile and a compaction of the same FIB give the same
-// codes. It writes the folded runs' leafvecs after that pass, so no leafvec
-// byte is ever renumbered. A 257th distinct value throws
-// LeafCoder::Overflow, so the caller stops its coded pass there and lays
+// coded runs use. It writes the folded runs' leafvecs after that pass, so
+// no leafvec byte is ever renumbered. A 257th distinct value throws
+// LeafCoder::Overflow, so the emitter stops its coded pass there and lays
 // the FIB out again with 16-bit runs and nodes.
 #pragma once
 

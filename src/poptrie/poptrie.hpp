@@ -19,13 +19,13 @@
 // compact(). Everything a lookup reads — the five arrays and the root index
 // — lives in one heap pool set (PoolSet) published through one pointer
 // (psync::Published). apply() patches the current set and publishes each
-// replacement array with a release store; compact() builds a whole fresh set
-// and publishes it with one. Replaced arrays and sets are reclaimed through
-// the EbrDomain; readers that run concurrently with the writer must hold an
-// EbrDomain::Guard around batches of lookups. No array ever moves: each one
-// reserves its maximum extent when its set is created and commits pages in
-// place as the writer grows it (alloc/arena.hpp), so growth needs nothing
-// from the readers either.
+// replacement array with a release store; compact() compiles a whole fresh
+// set from the current one and publishes it with one. Replaced arrays and
+// sets are reclaimed through the EbrDomain; readers that run concurrently
+// with the writer must hold an EbrDomain::Guard around batches of lookups.
+// No array ever moves: each one reserves its maximum extent when its set is
+// created and commits pages in place as the writer grows it
+// (alloc/arena.hpp), so growth needs nothing from the readers either.
 //
 // The contract is enforced statically (clang -Wthread-safety, DESIGN.md §9):
 // the pool set is GUARDED_BY the EBR capability (psync::cap::ebr), the
@@ -40,9 +40,7 @@
 #include <cassert>
 #include <cstdint>
 #include <memory>
-#include <optional>
 #include <utility>
-#include <vector>
 
 #include "alloc/arena.hpp"
 #include "alloc/buddy_allocator.hpp"
@@ -131,10 +129,11 @@ public:
 
     /// Everything a lookup reads, in one heap object that one pointer
     /// publishes: the five arrays, the root index, and the two buddy
-    /// allocators that place runs in the node and leaf pools. apply()
-    /// patches the current set; compact() builds a fresh one, publishes it,
-    /// and retires the old set whole through EBR. A set never moves, so
-    /// deleters may hold pointers to its allocators.
+    /// allocators that place runs in the node and leaf pools, with the
+    /// live counts Stats reports. apply() patches the current set;
+    /// compact() compiles a fresh one, publishes it, and retires the old
+    /// set whole through EBR. A set never moves, so deleters may hold
+    /// pointers to its allocators.
     ///
     /// Each array reserves the largest extent its indices can address — the
     /// node and leaf pools and the code array 2^31 slots (the allocators'
@@ -176,6 +175,19 @@ public:
         std::uint32_t root = 0;  // root node index when direct_bits == 0
         alloc::BuddyAllocator node_alloc{alloc::BuddyAllocator::kMaxCapacity};
         alloc::BuddyAllocator leaf_alloc{alloc::BuddyAllocator::kMaxCapacity};
+        /// What the set holds, kept beside the arrays it counts, so a
+        /// compile that is refused part way leaves the published set's
+        /// counts as they were.
+        struct Live {
+            std::size_t nodes = 0;   ///< internal nodes
+            std::size_t leaves = 0;  ///< leaf slots, 16-bit and coded
+            /// Of `leaves`, the codes in leaves8 (folded runs' included);
+            /// leaves - leaf8 is the 16-bit pool's live population.
+            std::size_t leaf8 = 0;
+            /// Direct slots holding a folded run; each adds 8 leafvec bytes
+            /// to the code array's live extent.
+            std::size_t folded = 0;
+        } live;
     };
 
     /// Builds an empty FIB (every lookup returns rib::kNoRoute).
@@ -265,32 +277,22 @@ public:
     /// EBR capability): claim an EbrWriterSection on the updater thread.
     void drain() POPTRIE_REQUIRES(psync::cap::ebr) { ebr_->drain(); }
 
-    /// Rewrites the FIB into a fresh pool set in DFS traversal order —
-    /// every node's children contiguous and adjacent to their parent, leaf
-    /// runs interleaved at the point the lookup walk reaches them — with
-    /// buddy allocators rebuilt to match, publishes it with one release
-    /// store, and retires the old set through the EBR domain. Restores
-    /// fresh-build locality after a long churn feed (the buddy allocator
-    /// alone preserves *compactness* but not *order*).
+    /// Runs the compile over the live FIB: the current set's nodes are the
+    /// slot source, a fresh set the target, so the FIB gets the layout a
+    /// compile gives its structure — leaf runs coded and childless
+    /// direct-slot roots folded under Config::leaf_dict, the updater's
+    /// nodes and 16-bit runs included. Publishes the set with one release
+    /// store and retires the old one through the EBR domain. Restores
+    /// fresh-build locality and density after a long churn feed (the buddy
+    /// allocator alone preserves *compactness* but not *order*).
     ///
     /// A writer operation like apply(): readers keep forwarding through it,
     /// each burst on whichever set it loaded, and lookup results are
     /// identical before and after. Throws std::bad_alloc when the fresh set
     /// cannot be reserved or committed, and netbase::StructuralLimit when
     /// its layout would pass 2^31 slots; either way before publishing, so
-    /// the old set keeps serving.
+    /// the old set keeps serving and Stats do not change.
     void compact() POPTRIE_REQUIRES(psync::cap::ebr);
-
-    /// The canonical compacted layout rule, shared with the auditor: a run
-    /// of `count` slots lands at the next block_size_for(count)-aligned
-    /// offset at or after `cursor`. compact() places runs with exactly this
-    /// rule in DFS order, which is what the post-compaction audit replays.
-    [[nodiscard]] static std::uint32_t bump_offset(std::uint64_t cursor,
-                                                   std::uint32_t count) noexcept
-    {
-        const std::uint64_t size = alloc::BuddyAllocator::block_size_for(count);
-        return static_cast<std::uint32_t>((cursor + size - 1) / size * size);
-    }
 
     /// Page backing actually obtained for the pools (alloc/arena.hpp).
     [[nodiscard]] alloc::MemoryReport memory_report() const noexcept
@@ -316,28 +318,51 @@ public:
     [[nodiscard]] const Config& config() const noexcept { return cfg_; }
 
 private:
-    // --- shared by builder & updater (definitions in poptrie.cpp). All of
-    // --- them mutate the EBR-guarded pool set, so all REQUIRE the exclusive
-    // --- capability (held via apply()'s writer section, a ctor's quiescent
-    // --- section, or compact()'s caller).
-    void build_from(const rib::RadixTrie<Addr>& rib) POPTRIE_REQUIRES(psync::cap::ebr);
-    /// Compiles `rib` into the current (empty) set. With a coder, every leaf
-    /// run goes to the code array, childless direct-slot roots fold, and a
-    /// 257th distinct value throws the coder's Overflow out of the compile.
-    void compile(const detail::RibView<Addr>& rib, detail::LeafCoder* coder)
+    // --- the emitter (builder.ipp), shared by the constructors, compact()
+    // --- and the updater. A slot source hands it one node's 64 slots at a
+    // --- time: detail::RibSource reads the RIB, PoolSource (compactor.ipp)
+    // --- the current set's nodes. A source's Slots give the internal slots
+    // --- and the leaf slots where a run may start (two masks; any other
+    // --- leaf slot holds the value of the start below it), a start's hop
+    // --- and an internal slot's child cursor; its root() and
+    // --- for_each_direct() give the entry points. The emitter places every
+    // --- run in an explicit target set. Writing the published set needs the
+    // --- exclusive EBR capability (apply()'s writer section, a ctor's
+    // --- quiescent section, or compact()'s caller), so all of it REQUIREs
+    // --- it.
+    /// The constructors' compile of `rib`, aggregated per Config.
+    std::unique_ptr<PoolSet> compile_rib(const rib::RadixTrie<Addr>& rib)
         POPTRIE_REQUIRES(psync::cap::ebr);
-    /// The updater passes no coder: its leaf runs are always 16-bit. With a
+    /// Compiles `src` into a fresh set: under Config::leaf_dict with coded
+    /// leaf runs and folded roots, unless the runs hold more than 256
+    /// distinct values, in which case it starts again with 16-bit runs.
+    template <class Source>
+    std::unique_ptr<PoolSet> compile_set(const Source& src) POPTRIE_REQUIRES(psync::cap::ebr);
+    /// Compiles `src` into the empty set `out`. With a coder, every leaf run
+    /// goes to the code array, childless direct-slot roots fold, and a 257th
+    /// distinct value throws the coder's Overflow out of the compile.
+    template <class Source>
+    void compile(PoolSet& out, const Source& src, detail::LeafCoder* coder)
+        POPTRIE_REQUIRES(psync::cap::ebr);
+    /// The node at cursor `at`, its subtree and runs placed in `out`. The
+    /// updater passes no coder: its leaf runs are always 16-bit. With a
     /// coder and a non-null `folded`, a childless node becomes a folded run
     /// instead: *folded receives its direct slot and the Node is unused.
-    Node make_node(const detail::RibView<Addr>& rib, const detail::SlotCtx& slot,
+    template <class Source>
+    Node make_node(PoolSet& out, const Source& src, const typename Source::Cursor& at,
                    unsigned level, detail::LeafCoder* coder = nullptr,
                    std::uint32_t* folded = nullptr) POPTRIE_REQUIRES(psync::cap::ebr);
     /// A root node's index, or under `may_fold` possibly a folded slot.
-    std::uint32_t build_root(const detail::RibView<Addr>& rib, const detail::SlotCtx& slot,
+    template <class Source>
+    std::uint32_t build_root(PoolSet& out, const Source& src, const typename Source::Cursor& at,
                              unsigned level, detail::LeafCoder* coder, bool may_fold)
         POPTRIE_REQUIRES(psync::cap::ebr);
-    std::uint32_t alloc_nodes(std::uint32_t n) POPTRIE_REQUIRES(psync::cap::ebr);
-    std::uint32_t alloc_leaves(std::uint32_t n) POPTRIE_REQUIRES(psync::cap::ebr);
+    /// Places a run of `n` nodes (16-bit leaves) in `out`'s buddy pool,
+    /// copies them there and returns its index.
+    std::uint32_t place_nodes(PoolSet& out, const Node* nodes, std::uint32_t n)
+        POPTRIE_REQUIRES(psync::cap::ebr);
+    std::uint32_t place_leaves(PoolSet& out, const NextHop* values, std::uint32_t n)
+        POPTRIE_REQUIRES(psync::cap::ebr);
 
     /// Slots in the direct array: 2^direct_bits, or 0 with direct pointing
     /// off. Asserts valid_config(), which bounds the shift.
@@ -374,29 +399,8 @@ private:
     /// its bytes stay in the code array until the next compact().
     void retire_folded(std::uint32_t slot) POPTRIE_REQUIRES(psync::cap::ebr);
 
-    // --- compaction internals (compactor.ipp) ---
-    /// The fresh pool set being filled in DFS order, plus the (offset,
-    /// count) runs placed so far — replayed into its buddy allocators
-    /// afterwards.
-    struct CompactPools {
-        std::unique_ptr<PoolSet> set;
-        std::vector<std::pair<std::uint32_t, std::uint32_t>> node_runs;
-        std::vector<std::pair<std::uint32_t, std::uint32_t>> leaf_runs;
-        std::uint64_t node_cursor = 0;
-        std::uint64_t leaf_cursor = 0;
-        // Config::leaf_dict: codes every leaf run into set->leaves8 (back to
-        // back, never buddy-allocated) and folds childless direct-slot roots;
-        // a 257th value throws out of the copy.
-        std::optional<detail::LeafCoder> coder;
-    };
-    /// compact()'s copy of the reachable FIB into a fresh set, its leaf runs
-    /// coded when `code_leaves` is set.
-    CompactPools copy_reachable(bool code_leaves) POPTRIE_REQUIRES(psync::cap::ebr);
-    /// Copies root `old` and its subtree, returning its node index or, when
-    /// `may_fold` and the copy codes, the folded slot of a childless root.
-    std::uint32_t compact_root(const Node& old, CompactPools& out, bool may_fold)
-        POPTRIE_REQUIRES(psync::cap::ebr);
-    Node compact_node(const Node& n, CompactPools& out) POPTRIE_REQUIRES(psync::cap::ebr);
+    /// compact()'s slot source: the current set's nodes (compactor.ipp).
+    struct PoolSource;
 
     /// The acquire/relaxed view both lookup paths walk: the set pointer is
     /// acquired once per call, and the caller's EBR read section keeps that
@@ -468,20 +472,12 @@ private:
     std::unique_ptr<alloc::Arena> arena_ = std::make_unique<alloc::Arena>();
     // The pool set is the EBR-protected state: readers may traverse it only
     // inside a read-side critical section, and only the single writer may
-    // mutate or replace it.
+    // mutate or replace it. Empty until the constructor body publishes its
+    // compile, when every member the compile reads is initialized. Every
+    // burst reads cfg_, set_ and ebr_, so the three sit together up front.
     psync::Published<PoolSet> set_ POPTRIE_GUARDED_BY(psync::cap::ebr) =
-        psync::Published<PoolSet>{std::make_unique<PoolSet>(arena_.get(), cfg_)};
+        psync::Published<PoolSet>{nullptr};
     std::unique_ptr<psync::EbrDomain> ebr_ = std::make_unique<psync::EbrDomain>();
-    std::size_t inode_count_ = 0;
-    std::size_t leaf_count_ = 0;
-    // Of leaf_count_, how many slots live in the dict-coded 8-bit array
-    // (folded runs' codes included). leaf_count_ - leaf8_live_ is the 16-bit
-    // pool's live population, which is what the allocator cross-check cares
-    // about.
-    std::size_t leaf8_live_ = 0;
-    // Direct slots holding a folded run; each adds 8 leafvec bytes to the
-    // code array's live extent.
-    std::size_t folded_live_ = 0;
     UpdateCounters updates_{};
     bool in_update_ = false;
 

@@ -128,8 +128,8 @@ ImageHeader with_checksums(const std::uint8_t* base, ImageHeader hdr) noexcept
     return hdr;
 }
 
-/// The reachable FIB packed back to back in compact()'s DFS pre-order,
-/// straight into the image's sections: a root's slot (a folded run's bytes
+/// The reachable FIB packed back to back in DFS pre-order, straight into
+/// the image's sections: a root's slot (a folded run's bytes
 /// for a folded slot), then for each node its leaf run, its child run, and
 /// each child's subtree in turn. Each section then holds exactly its live
 /// slots, whatever the pools' placement, compaction or churn history
@@ -219,7 +219,7 @@ private:
     }
 
     /// `n` with its leaf run and its child run packed and base0/base1
-    /// pointing at them (0 for an empty run, as compact() leaves them).
+    /// pointing at them (0 for an empty run, as the compile leaves them).
     Node pack_runs(Node n, unsigned level)
     {
         if (level >= PT::kWidth) return n;

@@ -1,9 +1,10 @@
 // snapshot/snapshot.hpp — versioned on-disk FIB images and warm start.
 //
-// compact()'s DFS pre-order (DESIGN.md §8) is a pure function of the trie,
-// so the reachable FIB — nodes, leaves, folded runs, direct array, root —
-// packed in that order without the buddy allocator's alignment is a dense
-// image that maps back as the arrays a lookup walks. This module is that
+// The reachable FIB — nodes, leaves, folded runs, direct array, root —
+// packed in the serializer's own DFS pre-order without the buddy
+// allocator's alignment is a dense image that maps back as the arrays a
+// lookup walks, and a function of the trie alone: the pools' placement,
+// compaction or churn history leaves no trace in it. This module is that
 // round trip:
 //
 //   * serialize()/save()  — writer: on the writer thread, pack the reachable

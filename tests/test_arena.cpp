@@ -285,7 +285,8 @@ bool lower_limit(int resource, const std::string& usage_field, std::size_t room)
 /// process uses (RLIMIT_DATA: a commit is refused; RLIMIT_AS: a reservation
 /// is) and checks that Router::load throws std::bad_alloc and leaves the
 /// router empty; then that Poptrie::compact does the same with
-/// `compact_slack` and leaves the FIB it would have replaced serving. Then
+/// `compact_slack` and leaves the FIB it would have replaced serving, its
+/// layout and Stats unchanged (analysis::layout_difference). Then
 /// it doubles the load's room until the load fits, and each refusal on the
 /// way must leave the router empty too. The slacks are chosen so that only
 /// the arenas' mmap/mprotect calls are ever refused, never a heap
@@ -329,6 +330,7 @@ bool lower_limit(int resource, const std::string& usage_field, std::size_t room)
 
     if (load_with(slack)) std::_Exit(1);
 
+    const analysis::Layout published{pt};
     if (!lower_limit(resource, usage_field, compact_slack)) std::_Exit(11);
     bool threw = false;
     try {
@@ -345,6 +347,7 @@ bool lower_limit(int resource, const std::string& usage_field, std::size_t room)
         if (pt.lookup(a) != rib.lookup(a)) std::_Exit(4);
     }
     if (!analysis::audit(pt, rib).ok()) std::_Exit(5);
+    if (!analysis::layout_difference(analysis::Layout{pt}, published).empty()) std::_Exit(8);
 
     std::size_t room = slack;
     do {

@@ -2,6 +2,9 @@
 // the runner loops' bookkeeping.
 #include <gtest/gtest.h>
 
+#include <cstdlib>
+#include <vector>
+
 #include "benchkit/cli.hpp"
 #include "benchkit/cycles.hpp"
 #include "benchkit/json.hpp"
@@ -11,6 +14,7 @@
 #include "benchkit/table_printer.hpp"
 
 using namespace benchkit;
+using K = Flag::Kind;
 
 TEST(Stats, MeanStd)
 {
@@ -78,7 +82,7 @@ TEST(Stats, Candle)
 TEST(Cli, FlagsAndValues)
 {
     const char* argv[] = {"bench", "--full", "--lookups=1024", "--name=foo", "--ratio=0.5"};
-    const Args args(5, const_cast<char**>(argv));
+    const Args args(5, const_cast<char**>(argv), {{"name", K::kText}, {"ratio", K::kDouble}});
     EXPECT_TRUE(args.has("full"));
     EXPECT_FALSE(args.has("quick"));
     EXPECT_EQ(args.get_u64("lookups", 0), 1024u);
@@ -104,7 +108,11 @@ TEST(Cli, SpaceSeparatedValuesNormalize)
     // pair into "--name=value". A following "--flag" is never consumed.
     const char* argv[] = {"lpmd", "--engine", "poptrie", "--workers", "4", "--check",
                           "--rate-mpps", "2.5"};
-    const Args args(8, const_cast<char**>(argv));
+    const Args args(8, const_cast<char**>(argv),
+                    {{"engine", K::kText},
+                     {"workers", K::kU64},
+                     {"check", K::kSwitch},
+                     {"rate-mpps", K::kDouble}});
     EXPECT_EQ(args.get("engine", ""), "poptrie");
     EXPECT_EQ(args.get_u64("workers", 0), 4u);
     EXPECT_TRUE(args.has("check"));
@@ -181,8 +189,65 @@ TEST(Json, ProvenanceStampsEveryField)
 TEST(Cli, PrefixNamesDoNotCollide)
 {
     const char* argv[] = {"bench", "--lookups-extra=5"};
-    const Args args(2, const_cast<char**>(argv));
+    const Args args(2, const_cast<char**>(argv), {{"lookups-extra", K::kU64}});
     EXPECT_EQ(args.get_u64("lookups", 7), 7u);  // "--lookups-extra" != "--lookups"
+}
+
+TEST(Cli, StandardFlagsNeedNoDeclaration)
+{
+    const char* argv[] = {"bench",   "--quick",  "--full",          "--lookups=8", "--trials",
+                          "2",       "--seed=9", "--json-out=x.json", "--help"};
+    const Args args(9, const_cast<char**>(argv));
+    EXPECT_EQ(args.lookups(1, 2), 8u);
+    EXPECT_EQ(args.trials(), 2u);
+    EXPECT_EQ(args.seed(), 9u);
+    EXPECT_EQ(args.json_out(), "x.json");
+}
+
+namespace {
+
+/// Parses `argv` against lpmd-like declarations, as a death test's child.
+void parse(std::vector<const char*> argv)
+{
+    const Args args(static_cast<int>(argv.size()), const_cast<char**>(argv.data()),
+                    {{"routes", K::kU64},
+                     {"duration", K::kDouble},
+                     {"file", K::kText},
+                     {"check", K::kSwitch}});
+    std::exit(0);
+}
+
+}  // namespace
+
+// A flag the binary does not read, or a value its flag cannot take, ends
+// the binary with exit code 2 and names the flag, before it measures
+// anything: a misspelt flag must not silently measure the defaults.
+TEST(CliDeathTest, UnknownFlagExitsNamingIt)
+{
+    EXPECT_EXIT(parse({"lpmd", "--routes=2000", "--duration=0.2", "--duraton=9"}),
+                ::testing::ExitedWithCode(2), "lpmd: unknown flag --duraton");
+    EXPECT_EXIT(parse({"/usr/bin/lpmd", "--idle-us", "25"}), ::testing::ExitedWithCode(2),
+                "^lpmd: unknown flag --idle-us");
+    EXPECT_EXIT(parse({"lpmd", "stray"}), ::testing::ExitedWithCode(2),
+                "unexpected argument 'stray'");
+    EXPECT_EXIT(parse({"lpmd", "--routes=2000", "--duration", "0.2", "--check"}),
+                ::testing::ExitedWithCode(0), "");
+}
+
+TEST(CliDeathTest, BadValueExitsNamingTheFlag)
+{
+    EXPECT_EXIT(parse({"lpmd", "--routes=2k"}), ::testing::ExitedWithCode(2),
+                "lpmd: bad value for --routes: '2k'");
+    EXPECT_EXIT(parse({"lpmd", "--routes", "-5"}), ::testing::ExitedWithCode(2),
+                "bad value for --routes: ''");
+    EXPECT_EXIT(parse({"lpmd", "--duration=fast"}), ::testing::ExitedWithCode(2),
+                "bad value for --duration: 'fast'");
+    EXPECT_EXIT(parse({"lpmd", "--check=yes"}), ::testing::ExitedWithCode(2),
+                "bad value for --check: 'yes'");
+    EXPECT_EXIT(parse({"lpmd", "--file"}), ::testing::ExitedWithCode(2),
+                "bad value for --file: ''");
+    EXPECT_EXIT(parse({"lpmd", "--seed=x"}), ::testing::ExitedWithCode(2),
+                "bad value for --seed: 'x'");
 }
 
 TEST(Printer, Formatting)

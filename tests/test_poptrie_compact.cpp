@@ -1,13 +1,16 @@
-// Tests for FIB compaction (Poptrie::compact): after a compaction pass the
-// table must resolve exactly like the RIB, the auditor must see the
-// canonical DFS bump layout (AuditOptions::expect_compacted), incremental
-// updates must keep working on the compacted pools, and the buddy
-// allocators must come out at least as dense as the churned ones. The
-// online case — compaction under readers that are never stopped — runs
-// under TSan and ASan in CI (ctest -L compact).
+// Tests for FIB compaction (Poptrie::compact), the compile run over the
+// live FIB: after a compaction pass the table must resolve exactly like the
+// RIB and pass the full audit, and its layout must meet one of two
+// byte-identity oracles (analysis::layout_difference): (a) compacting a
+// fresh compile, or compacting twice, changes nothing; (b) with route
+// aggregation off, a compacted FIB is the compile of its RIB. Incremental
+// updates must keep working on the compacted pools. The online case —
+// compaction under readers that are never stopped — runs under TSan and
+// ASan in CI (ctest -L compact).
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -21,6 +24,8 @@
 
 using namespace testhelpers;
 using analysis::AuditOptions;
+using analysis::layout_difference;
+using analysis::Layout;
 using poptrie::Config;
 using poptrie::Poptrie4;
 using poptrie::Poptrie6;
@@ -40,18 +45,58 @@ void expect_equivalent(const rib::RadixTrie<Ipv4Addr>& rib, const Poptrie4& pt,
     }
 }
 
-void expect_compacted_audit(const Poptrie4& pt, const rib::RadixTrie<Ipv4Addr>& rib)
+template <class Addr>
+void expect_audit_clean(const poptrie::Poptrie<Addr>& pt, const rib::RadixTrie<Addr>& rib)
 {
-    AuditOptions opt;
-    opt.expect_compacted = true;
-    const auto report = analysis::audit(pt, rib, opt);
+    const auto report = analysis::audit(pt, rib);
     EXPECT_TRUE(report.ok()) << report.summary();
 }
 
+// Oracle (a): compacts a fresh compile twice; each pass must pass the full
+// audit and leave the compile's layout byte-identical.
+template <class Addr>
+void compact_expecting_the_compile(poptrie::Poptrie<Addr>& pt, const rib::RadixTrie<Addr>& rib)
+{
+    const Layout compiled{pt};
+    for (const char* pass : {"first compact()", "second compact()"}) {
+        pt.compact();
+        expect_audit_clean(pt, rib);
+        EXPECT_EQ(layout_difference(Layout{pt}, compiled), "") << pass;
+    }
+}
+
+// Oracle (b): a compacted FIB without route aggregation passes the full
+// audit and is byte-identical to the compile of its RIB.
+template <class Addr>
+void expect_the_compile_of_the_rib(const poptrie::Poptrie<Addr>& pt,
+                                   const rib::RadixTrie<Addr>& rib)
+{
+    ASSERT_FALSE(pt.config().route_aggregation);
+    expect_audit_clean(pt, rib);
+    const poptrie::Poptrie<Addr> compiled{rib, pt.config()};
+    EXPECT_EQ(layout_difference(Layout{pt}, Layout{compiled}), "");
+}
+
+// Oracle (a)'s second pass for a compacted churned FIB under route
+// aggregation, which no compile reproduces: the full audit, then one more
+// compact() must change nothing.
+template <class Addr>
+void expect_recompaction_changes_nothing(poptrie::Poptrie<Addr>& pt,
+                                         const rib::RadixTrie<Addr>& rib)
+{
+    expect_audit_clean(pt, rib);
+    const Layout compacted{pt};
+    pt.compact();
+    EXPECT_EQ(layout_difference(Layout{pt}, compacted), "");
+}
+
+// A buddy pool that has only ever allocated — a compile's, so compact()'s
+// too — holds at most one free block per order.
+constexpr std::size_t kMaxUnchurnedFreeBlocks = 32;
+
 // The default-config tests run on both leaf layouts: the paper's 16-bit runs,
-// which compact() bump-places and replays into the leaf buddy allocator, and
-// the dictionary-coded runs the compile and compact() write to the code
-// array.
+// which the compile and compact() place in the leaf buddy pool, and the
+// dictionary-coded runs they write to the code array.
 constexpr bool kLeafLayouts[] = {false, true};
 
 const char* layout_name(bool leaf_dict)
@@ -73,8 +118,7 @@ TEST(PoptrieCompact, FreshBuildSurvivesCompaction)
             cfg.direct_bits = db;
             cfg.leaf_dict = dict;
             Poptrie4 pt{rib, cfg};
-            pt.compact();
-            expect_compacted_audit(pt, rib);
+            compact_expecting_the_compile(pt, rib);
             EXPECT_EQ(pt.stats().leaf8_slots, dict ? pt.stats().leaves : 0u)
                 << "direct_bits=" << db;
             EXPECT_EQ(boundary_and_random_mismatches(
@@ -97,9 +141,8 @@ TEST(PoptrieCompact, EmptyTable)
         cfg.direct_bits = 16;
         cfg.leaf_dict = dict;
         Poptrie4 pt{rib, cfg};
-        pt.compact();
+        compact_expecting_the_compile(pt, rib);
         EXPECT_EQ(pt.lookup(*netbase::parse_ipv4("1.2.3.4")), kNoRoute);
-        expect_compacted_audit(pt, rib);
         // Still updatable afterwards.
         pt.apply(rib, pfx("10.0.0.0/8"), 7);
         EXPECT_EQ(pt.lookup(*netbase::parse_ipv4("10.1.2.3")), 7);
@@ -123,6 +166,7 @@ TEST(PoptrieCompact, ChurnedTableCompactsToEquivalentDenseLayout)
         Config cfg;
         cfg.direct_bits = 16;
         cfg.leaf_dict = dict;
+        cfg.route_aggregation = false;
         Poptrie4 pt{rib, cfg};
 
         workload::UpdateFeedConfig ucfg;
@@ -136,19 +180,22 @@ TEST(PoptrieCompact, ChurnedTableCompactsToEquivalentDenseLayout)
         pt.compact();
         const auto after = pt.stats();
 
-        expect_compacted_audit(pt, rib);
+        expect_the_compile_of_the_rib(pt, rib);
         expect_equivalent(rib, pt, 200'000, 3);
 
         // Compaction reorders, it does not shrink: the structure is
         // unchanged, except that coded leaves fold every childless
-        // direct-slot root, the updater's nodes included. The layout's
-        // density bound: each run pays < its own block size in alignment
-        // padding, so the bump extent is under twice the live slots — no
-        // matter how scattered the churned pools were.
+        // direct-slot root, the updater's nodes included. The layout is the
+        // compile's, no matter how scattered the churned pools were: each
+        // run pays < its own block size in buddy rounding, so the extent is
+        // under twice the live slots, and no run was ever freed.
         EXPECT_EQ(after.internal_nodes + after.folded_roots,
                   before.internal_nodes + before.folded_roots);
         EXPECT_EQ(after.leaves, before.leaves);
         EXPECT_LE(after.node_high_water, 2 * after.node_pool_used);
+        EXPECT_GT(before.node_free_blocks, kMaxUnchurnedFreeBlocks);
+        EXPECT_LE(after.node_free_blocks, kMaxUnchurnedFreeBlocks);
+        EXPECT_LE(after.leaf_free_blocks, kMaxUnchurnedFreeBlocks);
         if (dict) {
             // Every leaf run, 16-bit ones the churn wrote included, is coded
             // back to back: the leaf pool is left empty.
@@ -183,11 +230,11 @@ TEST(PoptrieCompact, CompactionIsIdempotent)
         cfg.leaf_dict = dict;
         Poptrie4 pt{rib, cfg};
 
-        pt.compact();
+        compact_expecting_the_compile(pt, rib);
         const auto first = pt.stats();
         pt.compact();
         const auto second = pt.stats();
-        expect_compacted_audit(pt, rib);
+        expect_audit_clean(pt, rib);
         expect_equivalent(rib, pt, 50'000, 5);
         EXPECT_EQ(first.node_high_water, second.node_high_water);
         EXPECT_EQ(first.leaf_high_water, second.leaf_high_water);
@@ -220,13 +267,14 @@ TEST(PoptrieCompact, UpdatesKeepWorkingAfterCompaction)
         Config cfg;
         cfg.direct_bits = 16;
         cfg.leaf_dict = dict;
+        cfg.route_aggregation = false;
         Poptrie4 pt{rib, cfg};
 
         for (std::size_t i = 0; i < half; ++i) pt.apply(rib, feed[i].prefix, feed[i].next_hop);
         pt.compact();
-        expect_compacted_audit(pt, rib);
+        expect_the_compile_of_the_rib(pt, rib);
         // Second half of the churn lands on the compacted pools: with 16-bit
-        // leaves, on the leaf buddy allocator compact() rebuilt by reserve().
+        // leaves, on the leaf buddy allocator compact() placed them with.
         for (std::size_t i = half; i < feed.size(); ++i)
             pt.apply(rib, feed[i].prefix, feed[i].next_hop);
         pt.drain();
@@ -246,10 +294,12 @@ TEST(PoptrieCompact, WithdrawAllThenCompactReleasesStructure)
         Config cfg;
         cfg.direct_bits = 16;
         cfg.leaf_dict = dict;
+        cfg.route_aggregation = false;
         Poptrie4 pt{rib, cfg};
         for (const auto& r : routes) pt.apply(rib, r.prefix, kNoRoute);
         pt.compact();
-        expect_compacted_audit(pt, rib);
+        // The compile of an empty RIB: nothing of the table is left.
+        expect_the_compile_of_the_rib(pt, rib);
         EXPECT_EQ(pt.lookup(*netbase::parse_ipv4("10.32.5.193")), kNoRoute);
         EXPECT_EQ(pt.lookup(*netbase::parse_ipv4("0.0.0.0")), kNoRoute);
     }
@@ -269,6 +319,7 @@ TEST(PoptrieCompact, Ipv6ChurnCompactEquivalence)
         Config cfg;
         cfg.direct_bits = 16;
         cfg.leaf_dict = dict;
+        cfg.route_aggregation = false;
         Poptrie6 pt{rib, cfg};
 
         // Address-family-generic churn: withdraw a third, then compact.
@@ -278,11 +329,7 @@ TEST(PoptrieCompact, Ipv6ChurnCompactEquivalence)
         pt.drain();
         pt.compact();
         EXPECT_EQ(pt.stats().leaf8_slots, dict ? pt.stats().leaves : 0u);
-
-        AuditOptions opt;
-        opt.expect_compacted = true;
-        const auto report = analysis::audit(pt, rib, opt);
-        EXPECT_TRUE(report.ok()) << report.summary();
+        expect_the_compile_of_the_rib(pt, rib);
     }
 }
 
@@ -308,13 +355,151 @@ TEST(PoptrieCompact, RouterCompactFib)
     EXPECT_EQ(rt.resolve(*netbase::parse_ipv4("8.8.8.8")), nullptr);
 }
 
+// compact()'s byte-identity oracles over the configuration grid: both
+// families, s in {0, 16, 18}, leafvec on and off, dictionary-coded leaves on
+// and off, route aggregation on and off, and leaf values that fit the
+// 256-entry dictionary (31 next hops) or overflow it, so that the compile
+// and compact() fall back to 16-bit runs (400).
+namespace {
+
+struct GridCase {
+    Config cfg;
+    unsigned hops = 0;
+    std::string name;
+};
+
+std::vector<GridCase> oracle_grid()
+{
+    std::vector<GridCase> grid;
+    for (const unsigned s : {0u, 16u, 18u})
+        for (const bool leafvec : {true, false})
+            for (const bool dict : {true, false})
+                for (const bool agg : {true, false})
+                    for (const unsigned hops : {31u, 400u}) {
+                        GridCase c;
+                        c.cfg.direct_bits = s;
+                        c.cfg.leaf_compression = leafvec;
+                        c.cfg.leaf_dict = dict;
+                        c.cfg.route_aggregation = agg;
+                        c.hops = hops;
+                        c.name = "s=" + std::to_string(s) + (leafvec ? " leafvec" : " basic") +
+                                 (dict ? " dict" : " 16-bit") + (agg ? " agg" : " raw") +
+                                 " hops=" + std::to_string(hops);
+                        grid.push_back(c);
+                    }
+    return grid;
+}
+
+template <class Addr>
+rib::RouteList<Addr> grid_table(unsigned hops)
+{
+    if constexpr (Addr::kWidth == 32) {
+        workload::TableGenConfig gen;
+        gen.seed = 61;
+        gen.target_routes = 3'000;
+        gen.next_hops = hops;
+        return workload::generate_table(gen);
+    } else {
+        workload::TableGen6Config gen;
+        gen.seed = 62;
+        gen.target_routes = 1'000;
+        gen.next_hops = hops;
+        return workload::generate_table6(gen);
+    }
+}
+
+// Address-family-generic churn over `routes`: withdrawals, next-hop
+// changes and new more-specific prefixes up to six bits below a route.
+template <class Addr>
+void churn(poptrie::Poptrie<Addr>& pt, rib::RadixTrie<Addr>& rib,
+           const rib::RouteList<Addr>& routes, unsigned hops)
+{
+    workload::Xorshift128 rng(71);
+    const auto hop = [&] { return static_cast<rib::NextHop>(rng.next() % hops + 1); };
+    for (const auto& r : routes) {
+        switch (rng.next() % 5) {
+        case 0:
+            pt.apply(rib, r.prefix, kNoRoute);
+            break;
+        case 1:
+            pt.apply(rib, r.prefix, hop());
+            break;
+        case 2: {
+            auto p = r.prefix;
+            for (auto bits = rng.next() % 6 + 1; bits != 0 && p.length() < Addr::kWidth; --bits)
+                p = p.child(rng.next() & 1);
+            pt.apply(rib, p, hop());
+            break;
+        }
+        default:
+            break;
+        }
+    }
+    pt.drain();
+}
+
+template <class Addr>
+void compacting_a_compile_changes_nothing()
+{
+    for (const auto& c : oracle_grid()) {
+        SCOPED_TRACE(c.name);
+        rib::RadixTrie<Addr> rib;
+        rib.insert_all(grid_table<Addr>(c.hops));
+        poptrie::Poptrie<Addr> pt{rib, c.cfg};
+        const auto st = pt.stats();
+        EXPECT_EQ(st.leaf8_slots, c.cfg.leaf_dict && c.hops <= 256 ? st.leaves : 0u);
+        compact_expecting_the_compile(pt, rib);
+    }
+}
+
+template <class Addr>
+void compacted_churn_is_the_compile_of_its_rib()
+{
+    for (const auto& c : oracle_grid()) {
+        SCOPED_TRACE(c.name);
+        const auto routes = grid_table<Addr>(c.hops);
+        rib::RadixTrie<Addr> rib;
+        rib.insert_all(routes);
+        poptrie::Poptrie<Addr> pt{rib, c.cfg};
+        churn(pt, rib, routes, c.hops);
+        pt.compact();
+        if (c.cfg.route_aggregation)
+            expect_recompaction_changes_nothing(pt, rib);
+        else
+            expect_the_compile_of_the_rib(pt, rib);
+    }
+}
+
+}  // namespace
+
+TEST(PoptrieCompactOracle, CompactingACompileChangesNothing)
+{
+    // quiescent: single-threaded test — no reader thread ever exists.
+    const psync::QuiescentSection quiescent;
+    compacting_a_compile_changes_nothing<Ipv4Addr>();
+    compacting_a_compile_changes_nothing<netbase::Ipv6Addr>();
+}
+
+// With route aggregation off, the updater's structure is the compile's, so
+// compacting after churn must give the compile of the final RIB byte for
+// byte. An aggregated compile merges what the updater keeps apart, so there
+// the compacted churn must only be a fixed point of compact().
+TEST(PoptrieCompactOracle, CompactedChurnIsTheCompileOfItsRib)
+{
+    // quiescent: single-threaded test — no reader thread ever exists.
+    const psync::QuiescentSection quiescent;
+    compacted_churn_is_the_compile_of_its_rib<Ipv4Addr>();
+    compacted_churn_is_the_compile_of_its_rib<netbase::Ipv6Addr>();
+}
+
 // The deployment shape lpmd --compact-every uses: reader threads forward
 // guarded lookup_batch bursts and scalar lookups the whole time, never
 // joined, while the writer applies an update feed and compacts between
 // updates. Each compaction publishes a fresh pool set under the readers and
 // retires the old one through EBR. TSan verifies no lookup races the swap or
-// the reclamation; the audit verifies each pass's layout; the final memory
-// check proves no retired set leaks. With Config::leaf_dict each pass
+// the reclamation; the audit and a second compact() that must change nothing
+// verify each pass's layout; the final memory check proves no retired set
+// leaks. With Config::leaf_dict each pass
 // re-encodes leaf runs as tagged 8-bit codes, so readers also decode (and
 // prefetch) tagged runs while the writer drops and re-encodes them.
 namespace {
@@ -379,9 +564,12 @@ void online_compaction_under_live_readers(bool leaf_dict)
         AuditOptions opt;
         opt.random_probes = 512;
         opt.max_boundary_routes = 0;
-        opt.expect_compacted = true;
         const auto report = analysis::audit(pt, rib, opt);
         ASSERT_TRUE(report.ok()) << "compaction " << compactions << "\n" << report.summary();
+        const Layout compacted{pt};
+        pt.compact();
+        ASSERT_EQ(layout_difference(Layout{pt}, compacted), "")
+            << "compaction " << compactions;
     }
     // Let the readers serve on the last set before stopping them.
     const std::size_t served_at_last_compaction = served.load();

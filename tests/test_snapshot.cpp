@@ -304,7 +304,7 @@ TEST(Snapshot, PlacementControlsBacking)
 TEST(Snapshot, ImageIsByteStableForSameFib)
 {
     // Two serializations of the same compacted trie are byte-identical:
-    // compact() produces the canonical DFS layout and the header carries no
+    // the image is a function of the trie and the header carries no
     // wall-clock state, so images are reproducible (and diffable) artifacts.
     // quiescent: single-threaded test — no reader thread ever exists.
     const psync::QuiescentSection quiescent;
@@ -711,8 +711,8 @@ TEST(Snapshot, DenseImageHoldsExactlyTheLiveSlots)
         ASSERT_GT(pt.stats().leaf_high_water, pt.stats().leaves);
         expect_dense_image(pt, "churned");
         pt.compact();
-        // compact()'s aligned bump leaves gaps inside the pools; the image
-        // carries none of them.
+        // compact() places runs in power-of-two buddy blocks, whose rounding
+        // leaves slack inside the pools; the image carries none of it.
         ASSERT_GT(pt.stats().leaf_high_water, pt.stats().leaves);
         const auto img = expect_dense_image(pt, "compacted");
         EXPECT_GE(img.size(), pt.stats().memory_bytes + sizeof(snapshot::ImageHeader));

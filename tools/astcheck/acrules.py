@@ -271,7 +271,7 @@ def check_hp2(fm, findings, in_scope_file):
 SANCTIONED_MARK_RE = re.compile(
     r"\bpopcount\w*\s*\(|(?<![\w.])pop\s*\(|\bload_acquire\b|\bload_relaxed\b"
     r"|\bextract\s*[<(]|\bchunk\s*\(|\bbase0\b|\bbase1\b|\broot_\b"
-    r"|\bold_child_index\s*\(|\bold_leaf_value\s*\(|\bbump_offset\s*\(|\bdirect_index\s*\("
+    r"|\bold_child_index\s*\(|\bold_leaf_value\s*\(|\bdirect_index\s*\("
 )
 ASSIGN_RE = re.compile(r"(?:^|[;{}(\s])((?:\w+\s+)*)([A-Za-z_]\w*)(\s*\[[^\]]*\])?\s*(=|\+=|\|=|&=|\^=)(?![=])\s*([^;]+)")
 HP3_IGNORED_IDENTS = frozenset({"std", "size_t", "size", "data", "get", "first", "second"})

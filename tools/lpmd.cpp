@@ -110,8 +110,9 @@ void print_frag(const poptrie::Stats& s, const char* tag)
                 s.leaf_pool_used, s.leaf_high_water, s.leaf_free_blocks);
 }
 
-/// Writes the FIB's image to `path`, compacted first so the image is the
-/// canonical minimal layout, and reports how long the write took.
+/// Writes the FIB's image to `path`, compacted first so the runs the churn
+/// wrote 16-bit are coded and its roots folded where the dictionary allows,
+/// and reports how long the write took.
 void save_image(router::Router4& router, const std::string& path)
     POPTRIE_REQUIRES(psync::cap::ebr)
 {
@@ -345,7 +346,18 @@ int finish(const Options& opt, const RunResult& r, std::string_view engine_name)
 
 int main(int argc, char** argv)
 {
-    const benchkit::Args args(argc, argv);
+    using K = benchkit::Flag::Kind;
+    const benchkit::Args args(argc, argv,
+                              {{"engine", K::kText}, {"workers", K::kU64}, {"routes", K::kU64},
+                               {"file", K::kText}, {"duration", K::kDouble},
+                               {"rate-mpps", K::kDouble}, {"pattern", K::kText},
+                               {"burst", K::kU64}, {"ring-capacity", K::kU64},
+                               {"pin", K::kSwitch}, {"direct-bits", K::kU64},
+                               {"churn-updates", K::kU64}, {"churn-rate", K::kDouble},
+                               {"compact-every", K::kU64}, {"stats-interval", K::kDouble},
+                               {"json", K::kSwitch}, {"check", K::kSwitch},
+                               {"snapshot-save", K::kText}, {"snapshot-load", K::kText},
+                               {"snapshot-placement", K::kText}});
     if (args.handle_help(
             "lpmd",
             "  --engine=E          poptrie | snapshot | sail | dir24 | treebitmap\n"

@@ -40,7 +40,7 @@ struct FsckOptions {
     poptrie::Config cfg{};
     std::size_t probes = 4096;
     bool verbose = false;
-    bool compact = false;  // run compact() after build/churn, audit the layout
+    bool compact = false;  // run compact() after build/churn, check its oracles
     bool stats = false;    // print occupancy + fragmentation counters
     std::string inject_fault;  // "", "leaf", "vector", "direct" or "folded"
     std::string save_image;    // write a snapshot image after all stages
@@ -61,7 +61,9 @@ void usage(std::FILE* to)
         "  --no-aggregate     disable route aggregation\n"
         "  --probes N         random differential probes per audit (default 4096)\n"
         "  --compact          run Poptrie::compact() after the build (and after\n"
-        "                     the update run) and audit the canonical layout\n"
+        "                     the update run); the compacted build must be\n"
+        "                     byte-identical to the compile, and with\n"
+        "                     --no-aggregate so must the compacted churn\n"
         "  --stats            print pool occupancy and fragmentation counters\n"
         "                     at each stage\n"
         "  --inject-fault K   corrupt the built FIB before auditing (K: leaf,\n"
@@ -91,19 +93,30 @@ bool parse_size(const std::string& flag, const char* s, std::size_t& out)
 /// Runs one audit; returns its violation count and prints per --verbose.
 template <class Addr>
 std::size_t run_audit(const poptrie::Poptrie<Addr>& pt, const rib::RadixTrie<Addr>& rib,
-                      const FsckOptions& opt, const std::string& stage,
-                      bool expect_compacted = false)
+                      const FsckOptions& opt, const std::string& stage)
 {
     analysis::AuditOptions aopt;
     aopt.random_probes = opt.probes;
     aopt.seed = opt.seed ^ 0x5DEECE66Dull;
-    aopt.expect_compacted = expect_compacted;
     const auto report = analysis::audit(pt, rib, aopt);
     if (!report.ok() || opt.verbose) {
         std::fprintf(report.ok() ? stdout : stderr, "[%s] %s", stage.c_str(),
                      report.summary().c_str());
     }
     return report.violation_count();
+}
+
+/// compact()'s byte-identity oracle: 1 (and a message) when the compacted
+/// layout is not `compiled`, else 0.
+template <class Addr>
+std::size_t check_layout(const poptrie::Poptrie<Addr>& pt,
+                         const analysis::Layout<Addr>& compiled, const std::string& stage)
+{
+    const std::string diff = analysis::layout_difference(analysis::Layout{pt}, compiled);
+    if (diff.empty()) return 0;
+    std::fprintf(stderr, "[%s] compacted %s differ from the compile's\n", stage.c_str(),
+                 diff.c_str());
+    return 1;
 }
 
 /// Prints the occupancy + fragmentation view of both pools (--stats): what
@@ -264,8 +277,10 @@ int fsck(const rib::RouteList<Addr>& routes, const FsckOptions& opt)
     if (opt.stats) print_stats(pt, "build");
 
     if (opt.compact && opt.inject_fault.empty()) {
+        const analysis::Layout compiled{pt};
         pt.compact();
-        violations += run_audit(pt, rib, opt, "compact", /*expect_compacted=*/true);
+        violations += run_audit(pt, rib, opt, "compact");
+        violations += check_layout(pt, compiled, "compact");
         if (opt.stats) print_stats(pt, "compact");
     }
 
@@ -292,8 +307,11 @@ int fsck(const rib::RouteList<Addr>& routes, const FsckOptions& opt)
         if (opt.stats) print_stats(pt, "after churn");
         if (opt.compact) {
             pt.compact();
-            violations +=
-                run_audit(pt, rib, opt, "post-churn compact", /*expect_compacted=*/true);
+            violations += run_audit(pt, rib, opt, "post-churn compact");
+            if (!opt.cfg.route_aggregation)
+                violations += check_layout(
+                    pt, analysis::Layout{poptrie::Poptrie<Addr>{rib, opt.cfg}},
+                    "post-churn compact");
             if (opt.stats) print_stats(pt, "post-churn compact");
         }
     }
